@@ -22,11 +22,11 @@ from .rules import AdaptationRule, RuleAction, context_namespace, object_namespa
 from .scene import (
     LEVEL_DB_MAX,
     LEVEL_DB_MIN,
-    AudioObject,
     EditorialConstraints,
     ObjectType,
     ReverbMetadata,
     Scene,
+    mono_mix,
 )
 
 # Intelligibility ladder sizing. The escalation direction is fixed (duck, then
@@ -186,28 +186,12 @@ def resolve_priority(requested, constraints: EditorialConstraints,
 # ---------------------------------------------------------------------------
 # intelligibility ladder
 
-def _mono_preview(obj: AudioObject, window) -> np.ndarray:
-    parts = []
-    for stem in obj.stems:
-        s = np.asarray(stem.samples, dtype=float)
-        if window is not None:
-            s = s[window[0]:window[1]]
-        parts.append(s)
-    if not parts:
-        return np.zeros(0)
-    n = max(len(p) for p in parts)
-    acc = np.zeros(n)
-    for p in parts:
-        acc[:len(p)] += p
-    return acc / len(parts)
-
-
 def _preview_mix(objs, sample_rate, window, length, gains_db=None, tilts_db=None):
     gains_db = gains_db or {}
     tilts_db = tilts_db or {}
     mix = np.zeros(length)
     for obj in objs:
-        sig = _mono_preview(obj, window)
+        sig = mono_mix(obj, window)
         if not len(sig):
             continue
         sig = sig * 10.0 ** ((obj.level_db + gains_db.get(obj.object_id, 0.0)) / 20.0)

@@ -258,13 +258,23 @@ def object_seed(object_id: str) -> int:
     return zlib.crc32(object_id.encode("utf-8"))
 
 
+@functools.lru_cache(maxsize=1024)
 def design_tilt_ba(tilt_db: float, sample_rate: int = DEFAULT_SAMPLE_RATE):
     """First-order shelf whose 4 kHz response sits tilt_db above 250 Hz.
 
     Solved on the digital response so the stated dB is hit exactly at the two
     probe frequencies. A first-order shelf tops out near 24 dB across this
-    four-octave span; magnitudes beyond that raise ValueError.
+    four-octave span; magnitudes beyond that raise ValueError. Designs are
+    memoised on (tilt_db, sample_rate), so the returned (b, a) arrays are
+    shared and read-only.
     """
+    b, a = _solve_tilt(tilt_db, sample_rate)
+    b.flags.writeable = False
+    a.flags.writeable = False
+    return b, a
+
+
+def _solve_tilt(tilt_db: float, sample_rate: int):
     if abs(tilt_db) < 1e-9:
         return np.array([1.0]), np.array([1.0])
     span_db = 20.0 * math.log10(TILT_PROBE_HZ / TILT_REF_HZ)

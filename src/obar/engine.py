@@ -39,14 +39,14 @@ from .dsp import (
 )
 from .errors import JobError
 from .renderers import DrivingFunction, new_render_state, render_block
-from .routing import DEFAULT_CROSSFADE_S, build_drive, route
+from .routing import DEFAULT_CROSSFADE_S, BandFractions, build_drive, route
 from .rules import (
     default_rulebook,
     default_selection_rules,
     load_rulebook,
     load_selection_rules,
 )
-from .scene import ObjectType, Scene, parse_scene
+from .scene import ObjectType, Scene, mono_mix, parse_scene
 from .wavio import write_wav
 
 CONTEXT_INTERVAL_S = 2.0
@@ -139,17 +139,6 @@ class _Lane:
 # ---------------------------------------------------------------------------
 # signal bookkeeping
 
-def _mono_mix(obj) -> np.ndarray:
-    """Multi-stem objects collapse to mono before spatialization."""
-    arrays = [s.samples for s in obj.stems if len(s.samples)]
-    if not arrays:
-        return np.zeros(0)
-    out = np.zeros(max(len(a) for a in arrays))
-    for a in arrays:
-        out[: len(a)] += a
-    return out / len(arrays)
-
-
 def _object_sources(scene: Scene, cache: dict) -> dict:
     """object_id -> (processed mono signal, linear mix gain).
 
@@ -161,7 +150,7 @@ def _object_sources(scene: Scene, cache: dict) -> dict:
     for obj in scene.objects:
         key = (obj.object_id, obj.directives)
         if key not in cache:
-            base = _mono_mix(obj)
+            base = mono_mix(obj)
             cache[key] = (
                 apply_directives(base, obj.directives, scene.sample_rate)
                 if obj.directives else base
@@ -245,6 +234,8 @@ def run_render(job: RenderJob) -> RenderResult:
     scenario0 = build_scenario(layout, listeners, environment)
     chan_index = {s.speaker_id: i for i, s in enumerate(scenario0.layout.speakers)}
     n_channels = len(scenario0.layout.speakers)
+    # Stems are fixed for the run, so each object's band analysis is too.
+    band_fractions = BandFractions.for_speakers(scenario0.layout.speakers)
 
     tracker = ContextTracker()
     cache: dict = {}
@@ -277,7 +268,8 @@ def run_render(job: RenderJob) -> RenderResult:
                 scene, ctx, rulebook, preview_window=window)
             assignments, schedules = route(
                 adapted, scenario, ctx, selection,
-                previous=prev_assign, now_s=t_s, crossfade_s=job.crossfade_s)
+                previous=prev_assign, now_s=t_s, crossfade_s=job.crossfade_s,
+                band_fractions=band_fractions)
             prev_assign = {a.object_id: a for a in assignments}
 
             adapted_sources = _object_sources(adapted, cache)

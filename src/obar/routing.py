@@ -42,13 +42,13 @@ from .rules import (
     default_selection_rules,
     object_namespace,
 )
-from .scene import AudioObject, Scene
+from .scene import AudioObject, Scene, mono_mix
 
 MAX_AMBI_ORDER = 3
 WFS_MAX_GAP_M = 0.5
 WFS_MIN_SPEAKERS = 4
 BACKDROP_MIN_ABS_AZ_DEG = 90.0
-BAND_LIMIT_POWER_FRACTION = 1e-3      # -30 dB of stem energy below a speaker's low edge
+BAND_LIMIT_POWER_FRACTION = 1e-3      # -30 dB of mono-mix energy below a speaker's low edge
 DEFAULT_CROSSFADE_S = 1.0
 PM_ZONE_RADIUS_M = 0.15
 PM_ZONE_POINTS = 8
@@ -162,34 +162,63 @@ def infeasibility_reasons(layout: SpeakerLayout, obj: AudioObject) -> dict[str, 
 # ---------------------------------------------------------------------------
 # speaker subsets
 
-def _below_edge_fraction(samples: np.ndarray, sample_rate: int, edge_hz: float) -> float:
-    spectrum = np.abs(np.fft.rfft(np.asarray(samples, dtype=float))) ** 2
+def _below_edge_fractions(samples: np.ndarray, sample_rate: int, edges_hz) -> dict:
+    """edge Hz -> fraction of the signal's energy below it, from one spectrum."""
+    if len(samples) == 0:
+        return {edge: 0.0 for edge in edges_hz}
+    spectrum = np.abs(np.fft.rfft(samples)) ** 2
     total = float(np.sum(spectrum))
     if total <= 0.0:
-        return 0.0
+        return {edge: 0.0 for edge in edges_hz}
     freqs = np.fft.rfftfreq(len(samples), 1.0 / sample_rate)
-    return float(np.sum(spectrum[freqs < edge_hz])) / total
+    return {edge: float(np.sum(spectrum[freqs < edge])) / total for edge in edges_hz}
 
 
-def band_capable_subset(speakers, obj: AudioObject, sample_rate: int):
-    """Drop speakers whose low edge cuts into significant stem energy.
+class BandFractions:
+    """Band analysis memo: object id -> {speaker low edge Hz: energy fraction}.
 
-    If every speaker would be dropped the full subset is restored (a bad
-    speaker beats silence).
+    An object's mono mix is transformed once, the first time it reaches band
+    analysis, and only its fractions below the given edges are kept. Keying
+    on the object id assumes the stems do not change while the memo lives,
+    which holds within a render: adaptation edits metadata, not stems.
     """
-    if not obj.stems or obj.stems[0].samples is None or len(obj.stems[0].samples) == 0:
-        return list(speakers)
-    samples = obj.stems[0].samples
-    kept = [
-        s for s in speakers
-        if _below_edge_fraction(samples, sample_rate, s.bandwidth_hz.low_hz)
-        <= BAND_LIMIT_POWER_FRACTION
-    ]
-    return kept if kept else list(speakers)
+
+    def __init__(self, edges_hz):
+        self.edges_hz = tuple(sorted({float(e) for e in edges_hz}))
+        self.by_object: dict[str, dict[float, float]] = {}
+
+    @classmethod
+    def for_speakers(cls, speakers) -> "BandFractions":
+        return cls(s.bandwidth_hz.low_hz for s in speakers)
+
+    def of(self, obj: AudioObject, sample_rate: int) -> dict[float, float]:
+        fractions = self.by_object.get(obj.object_id)
+        if fractions is None:
+            fractions = _below_edge_fractions(mono_mix(obj), sample_rate, self.edges_hz)
+            self.by_object[obj.object_id] = fractions
+        return fractions
+
+
+def band_capable_subset(speakers, obj: AudioObject, sample_rate: int,
+                        band_fractions: BandFractions | None = None):
+    """Drop speakers whose low edge cuts into significant mono-mix energy.
+
+    band_fractions must cover every speaker's low edge; without one, a memo
+    for these speakers is made for this call. If every speaker would be
+    dropped the full subset is restored (a bad speaker beats silence).
+    """
+    speakers = list(speakers)
+    if band_fractions is None:
+        band_fractions = BandFractions.for_speakers(speakers)
+    below = band_fractions.of(obj, sample_rate)
+    kept = [s for s in speakers
+            if below[s.bandwidth_hz.low_hz] <= BAND_LIMIT_POWER_FRACTION]
+    return kept if kept else speakers
 
 
 def _resolve_subset(rule_subset: str, layout: SpeakerLayout, obj: AudioObject,
-                    nearest_device: str | None, sample_rate: int):
+                    nearest_device: str | None, sample_rate: int,
+                    band_fractions: BandFractions):
     speakers = list(layout.speakers)
     if rule_subset == "nearest_device" and nearest_device is not None:
         return [layout.by_id(nearest_device)]
@@ -198,7 +227,7 @@ def _resolve_subset(rule_subset: str, layout: SpeakerLayout, obj: AudioObject,
                     if abs(s.position.az_deg) > BACKDROP_MIN_ABS_AZ_DEG]
         if backdrop:
             speakers = backdrop
-    return band_capable_subset(speakers, obj, sample_rate)
+    return band_capable_subset(speakers, obj, sample_rate, band_fractions)
 
 
 def pm_control_points(radius_m: float = PM_ZONE_RADIUS_M,
@@ -276,8 +305,10 @@ def build_drive(assignment: RendererAssignment, layout: SpeakerLayout,
 # selection
 
 def _candidate(rule: SelectionRule, layout: SpeakerLayout, obj: AudioObject,
-               nearest_device: str | None, sample_rate: int) -> RendererAssignment | None:
-    subset = _resolve_subset(rule.subset, layout, obj, nearest_device, sample_rate)
+               nearest_device: str | None, sample_rate: int,
+               band_fractions: BandFractions) -> RendererAssignment | None:
+    subset = _resolve_subset(rule.subset, layout, obj, nearest_device, sample_rate,
+                             band_fractions)
     if not subset:
         return None
     kind = RendererClass.from_name(rule.renderer).kind
@@ -287,7 +318,8 @@ def _candidate(rule: SelectionRule, layout: SpeakerLayout, obj: AudioObject,
         if rule.order == "highest" or rule.order is None:
             order = max_ambi_order(len(subset))
             if order < 1:
-                subset = band_capable_subset(layout.speakers, obj, sample_rate)
+                subset = band_capable_subset(layout.speakers, obj, sample_rate,
+                                             band_fractions)
                 order = max_ambi_order(len(subset))
                 params[0] = ("subset_kind", "all")
             if order < 1:
@@ -295,7 +327,8 @@ def _candidate(rule: SelectionRule, layout: SpeakerLayout, obj: AudioObject,
         else:
             order = int(rule.order)
             if len(subset) < 2 * order + 1:
-                subset = band_capable_subset(layout.speakers, obj, sample_rate)
+                subset = band_capable_subset(layout.speakers, obj, sample_rate,
+                                             band_fractions)
                 params[0] = ("subset_kind", "all")
             if len(subset) < 2 * order + 1:
                 return None
@@ -346,8 +379,15 @@ def _preferred_rule(obj: AudioObject) -> SelectionRule | None:
 def select_renderer(obj: AudioObject, layout: SpeakerLayout,
                     nearest_device: str | None,
                     selection_rules=None, namespace=None,
-                    sample_rate: int = 48000) -> RendererAssignment:
-    """First workable row of the selection table wins; AP1 backstops."""
+                    sample_rate: int = 48000,
+                    band_fractions: BandFractions | None = None) -> RendererAssignment:
+    """First workable row of the selection table wins; AP1 backstops.
+
+    band_fractions carries the object's band analysis between calls; without
+    one, a memo for this layout is made for this call.
+    """
+    if band_fractions is None:
+        band_fractions = BandFractions.for_speakers(layout.speakers)
     rules = list(selection_rules or default_selection_rules())
     preferred = _preferred_rule(obj)
     if preferred is not None:
@@ -357,7 +397,8 @@ def select_renderer(obj: AudioObject, layout: SpeakerLayout,
     for rule in rules:
         if not rule.match.holds(ns):
             continue
-        candidate = _candidate(rule, layout, obj, nearest_device, sample_rate)
+        candidate = _candidate(rule, layout, obj, nearest_device, sample_rate,
+                               band_fractions)
         if _try_build(candidate, layout, obj, sample_rate):
             return candidate
     fallback = RendererAssignment(
@@ -386,13 +427,18 @@ def schedule_crossfade(old: RendererAssignment, new: RendererAssignment,
 
 def route(scene: Scene, scenario: ReproductionScenario, ctx: ContextualInfo,
           selection_rules=None, previous=None, now_s: float = 0.0,
-          crossfade_s: float = DEFAULT_CROSSFADE_S):
+          crossfade_s: float = DEFAULT_CROSSFADE_S,
+          band_fractions: BandFractions | None = None):
     """Assign one renderer per object; emit crossfade schedules on changes.
 
     previous maps object_id -> RendererAssignment from the last routing pass.
-    Returns (assignments ordered by object_id, schedules).
+    band_fractions is the run's band analysis memo for this layout (a fresh
+    one per call when None). Returns (assignments ordered by object_id,
+    schedules).
     """
     previous = previous or {}
+    if band_fractions is None:
+        band_fractions = BandFractions.for_speakers(scenario.layout.speakers)
     shared_ns = context_namespace(ctx, scene)
     assignments = []
     schedules = []
@@ -401,7 +447,8 @@ def route(scene: Scene, scenario: ReproductionScenario, ctx: ContextualInfo,
         nearest = obj_ctx.nearest_device if obj_ctx else None
         assignment = select_renderer(
             obj, scenario.layout, nearest, selection_rules,
-            namespace=shared_ns, sample_rate=scene.sample_rate)
+            namespace=shared_ns, sample_rate=scene.sample_rate,
+            band_fractions=band_fractions)
         assignments.append(assignment)
         old = previous.get(obj.object_id)
         if old is not None and old != assignment:

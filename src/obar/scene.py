@@ -144,6 +144,23 @@ class AudioObject:
     directives: tuple[Directive, ...] = ()
 
 
+def mono_mix(obj: AudioObject, window: tuple[int, int] | None = None) -> np.ndarray:
+    """The mono signal an object renders as: the mean of its non-empty stems.
+
+    window = (start, stop) limits the mix to that sample range; the result
+    equals the same slice of the full mix.
+    """
+    arrays = [np.asarray(s.samples, dtype=float) for s in obj.stems if len(s.samples)]
+    if not arrays:
+        return np.zeros(0)
+    if window is not None:
+        arrays = [a[window[0]:window[1]] for a in arrays]
+    out = np.zeros(max(len(a) for a in arrays))
+    for a in arrays:
+        out[: len(a)] += a
+    return out / len(arrays)
+
+
 @dataclass(frozen=True)
 class SceneTargets:
     envelopment: float = 0.0

@@ -221,6 +221,18 @@ class TestDirectives:
         again = dsp.apply_directives(x, d, FS)
         assert np.array_equal(once, again)
 
+    @pytest.mark.parametrize("tilt", [-6.0, -2.5, 0.0, 3.0])
+    def test_memoised_tilt_design_is_exact_and_read_only(self, tilt):
+        b, a = dsp.design_tilt_ba(tilt, FS)
+        fresh_b, fresh_a = dsp._solve_tilt(tilt, FS)
+        assert b.tobytes() == fresh_b.tobytes()
+        assert a.tobytes() == fresh_a.tobytes()
+        again = dsp.design_tilt_ba(np.float64(tilt), FS)
+        assert again[0] is b and again[1] is a
+        for arr in (b, a):
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
+
 
 class TestFuzz:
     @settings(max_examples=40, deadline=None)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obar.context import (
     ContextTracker,
@@ -15,6 +17,8 @@ from obar.errors import NonPositiveDuration, SameRenderer
 from obar.geometry import Direction3
 from obar.renderclass import RendererClass, RendererKind
 from obar.routing import (
+    BAND_LIMIT_POWER_FRACTION,
+    BandFractions,
     CrossfadeSchedule,
     RendererAssignment,
     band_capable_subset,
@@ -158,6 +162,95 @@ class TestBandCapability:
         bass = noise_like(0.25, seed=9, lo=60.0, hi=200.0)
         kept = band_capable_subset(speakers, make_object(samples=bass), FS)
         assert [s.speaker_id for s in kept] == ["phone"]
+
+    def test_multi_stem_object_is_analysed_as_its_mono_mix(self):
+        speakers = make_layout([
+            {"id": "full", "position": {"az": 0.0, "el": 0.0, "dist": 2.0},
+             "bandwidth_hz": {"low": 40.0, "high": 20000.0}},
+            {"id": "mid", "position": {"az": 30.0, "el": 0.0, "dist": 1.0},
+             "bandwidth_hz": {"low": 200.0, "high": 8000.0}},
+        ]).speakers
+        bright = noise_like(0.25, seed=9, lo=1000.0, hi=6000.0)
+        bass = noise_like(0.25, seed=10, lo=60.0, hi=180.0)
+        obj = make_object(samples=bright)
+        obj = AudioObject(object_id=obj.object_id, object_type=obj.object_type,
+                          stems=(obj.stems[0], Stem("bass.wav", FS, bass)),
+                          position=obj.position)
+        kept = band_capable_subset(speakers, obj, FS)
+        assert [s.speaker_id for s in kept] == ["full"]
+
+    def test_band_analysis_transforms_each_object_once(self, monkeypatch):
+        speakers = self._speakers()
+        memo = BandFractions.for_speakers(speakers)
+        obj = make_object(samples=noise_like(0.25, seed=9, lo=60.0, hi=200.0))
+        calls = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft",
+                            lambda x, *a, **k: calls.append(1) or rfft(x, *a, **k))
+        for subset in (speakers, speakers[1:], speakers, speakers[:1]):
+            band_capable_subset(subset, obj, FS, memo)
+        assert len(calls) == 1
+
+
+def _reference_below_edge_fraction(samples, sample_rate, edge_hz):
+    """Band analysis as first shipped: one full-length transform per speaker."""
+    spectrum = np.abs(np.fft.rfft(np.asarray(samples, dtype=float))) ** 2
+    total = float(np.sum(spectrum))
+    if total <= 0.0:
+        return 0.0
+    freqs = np.fft.rfftfreq(len(samples), 1.0 / sample_rate)
+    return float(np.sum(spectrum[freqs < edge_hz])) / total
+
+
+def _reference_subset(speakers, samples, sample_rate):
+    if len(samples) == 0:
+        return list(speakers)
+    kept = [s for s in speakers
+            if _reference_below_edge_fraction(samples, sample_rate, s.bandwidth_hz.low_hz)
+            <= BAND_LIMIT_POWER_FRACTION]
+    return kept if kept else list(speakers)
+
+
+def _band_stem(n, seed, cut_hz, leak_db):
+    """Noise above cut_hz plus broadband noise leak_db below it."""
+    rng = np.random.default_rng(seed)
+    spec = np.fft.rfft(rng.standard_normal(n))
+    f = np.fft.rfftfreq(n, 1.0 / FS)
+    spec[f < cut_hz] *= 10.0 ** (leak_db / 20.0)
+    return np.fft.irfft(spec, n)
+
+
+class TestBandMemoProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 4096),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 3000.0),
+        st.floats(-90.0, 0.0),
+        st.lists(st.floats(20.0, 4000.0), min_size=1, max_size=8),
+    )
+    def test_memoised_subset_matches_per_speaker_analysis(self, n, seed, cut_hz,
+                                                          leak_db, edges):
+        samples = _band_stem(n, seed, cut_hz, leak_db) if n else np.zeros(0)
+        obj = make_object(samples=samples)
+        speakers = make_layout([
+            {"id": f"s{i}", "position": {"az": 20.0 * i, "el": 0.0, "dist": 2.0},
+             "bandwidth_hz": {"low": edge, "high": 20000.0}}
+            for i, edge in enumerate(edges)
+        ]).speakers
+        memo = BandFractions.for_speakers(speakers)
+        for subset in (speakers, speakers[::2], speakers[1:]):
+            got = band_capable_subset(subset, obj, FS, memo)
+            assert got == _reference_subset(subset, samples, FS)
+        without_memo = band_capable_subset(speakers, obj, FS)
+        assert without_memo == _reference_subset(speakers, samples, FS)
+        for fractions in memo.by_object.values():
+            assert all(type(k) is float and type(v) is float
+                       for k, v in fractions.items())
+            if n:
+                assert fractions == {
+                    edge: _reference_below_edge_fraction(samples, FS, edge)
+                    for edge in fractions}
 
 
 class TestSelection:

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,6 +115,31 @@ class TestParsing:
         path.write_text("{not json")
         with pytest.raises(SchemaError):
             sm.parse_scene(str(path))
+
+
+class TestMonoMix:
+    def _obj(self, *stems):
+        return sm.AudioObject("x", sm.ObjectType.EFFECT, tuple(
+            sm.Stem(f"s{i}.wav", 48000, np.asarray(s, dtype=float))
+            for i, s in enumerate(stems)))
+
+    def test_single_stem_is_bit_identical(self):
+        x = speech_like(0.1)
+        obj = self._obj(x)
+        assert sm.mono_mix(obj).tobytes() == x.tobytes()
+        assert sm.mono_mix(obj, (100, 900)).tobytes() == x[100:900].tobytes()
+
+    def test_empty_stems_are_skipped_and_windows_slice_the_full_mix(self):
+        a = np.arange(10.0)
+        b = np.ones(4)
+        obj = self._obj(a, np.zeros(0), b)
+        full = sm.mono_mix(obj)
+        assert np.array_equal(full, (a + np.pad(b, (0, 6))) / 2.0)
+        for window in [(0, 10), (2, 6), (5, 20), (12, 30)]:
+            assert np.array_equal(sm.mono_mix(obj, window), full[window[0]:window[1]])
+
+    def test_object_without_samples_mixes_to_nothing(self):
+        assert len(sm.mono_mix(self._obj(np.zeros(0)))) == 0
 
 
 class TestRoundTrip:
