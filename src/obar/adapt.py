@@ -202,12 +202,30 @@ def _preview_mix(objs, sample_rate, window, length, gains_db=None, tilts_db=None
     return mix
 
 
-def _projected_residual(scene: Scene, deficit: float, dialogue, others,
-                        emitted, window) -> float:
+def _ladder_baseline(scene: Scene, dialogue, others, window):
+    """The rung-invariant part of every ladder preview.
+
+    Returns (preview length, dialogue mix, proxy score of the dialogue
+    against the unadapted maskers); none of them changes between rungs.
+    """
+    length = max(
+        max(((len(s.samples) if window is None else window[1] - window[0])
+             for o in (*dialogue, *others) for s in o.stems), default=0),
+        MIN_NOISE_BLOCK,
+    )
+    speech = _preview_mix(dialogue, scene.sample_rate, window, length)
+    before = _preview_mix(others, scene.sample_rate, window, length)
+    return length, speech, estimate_intelligibility(speech, before, scene.sample_rate)
+
+
+def _projected_residual(scene: Scene, deficit: float, others, emitted,
+                        window, baseline) -> float:
     """deficit minus the proxy-intelligibility gain of the emitted actions.
 
-    Previews are mono mixdowns, so only level and spectral changes register;
-    spatial and decorrelation rungs project as zero gain (conservative).
+    baseline is _ladder_baseline of the same scene, dialogue, maskers and
+    window. Previews are mono mixdowns, so only level and spectral changes
+    register; spatial and decorrelation rungs project as zero gain
+    (conservative).
     """
     gains: dict[str, float] = {}
     tilts: dict[str, float] = {}
@@ -218,15 +236,8 @@ def _projected_residual(scene: Scene, deficit: float, dialogue, others,
             gains[clamped.object_id] = gains.get(clamped.object_id, 0.0) + clamped.value
         elif clamped.kind == "SpectralTilt":
             tilts[clamped.object_id] = tilts.get(clamped.object_id, 0.0) + clamped.value
-    length = max(
-        max(((len(s.samples) if window is None else window[1] - window[0])
-             for o in (*dialogue, *others) for s in o.stems), default=0),
-        MIN_NOISE_BLOCK,
-    )
-    speech = _preview_mix(dialogue, scene.sample_rate, window, length)
-    before = _preview_mix(others, scene.sample_rate, window, length)
+    length, speech, score_before = baseline
     after = _preview_mix(others, scene.sample_rate, window, length, gains, tilts)
-    score_before = estimate_intelligibility(speech, before, scene.sample_rate)
     score_after = estimate_intelligibility(speech, after, scene.sample_rate)
     return deficit - max(score_after - score_before, 0.0)
 
@@ -284,8 +295,9 @@ def intelligibility_boost(scene: Scene, ctx: ContextualInfo,
                                   LADDER_DECORRELATE_AMOUNT, reason=reason)
                  for o in others],
     )
+    baseline = _ladder_baseline(scene, dialogue, others, window)
     for build in later_rungs:
-        residual = _projected_residual(scene, deficit, dialogue, others, emitted, window)
+        residual = _projected_residual(scene, deficit, others, emitted, window, baseline)
         if residual <= LADDER_RESIDUAL_THRESHOLD:
             break
         rung = build()

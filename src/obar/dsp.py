@@ -9,9 +9,10 @@ from __future__ import annotations
 import functools
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy import signal
 from scipy.optimize import brentq
 
@@ -119,51 +120,90 @@ def _delay_plan(delay_samples: float):
 
 @dataclass
 class DelayState:
-    """History carried between blocks by fractional_delay."""
+    """Per-row delay plans and the input history carried between blocks.
 
-    sample_rate: int = DEFAULT_SAMPLE_RATE
-    history: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    Row r of the blocks is delayed by delays_s[r]; a 1-D signal is one row.
+    delay_state turns each row's _delay_plan into read positions in the
+    history followed by the block: an exact shift copies the block length
+    from starts[r]; an interpolating row (listed in fractional) sums
+    weights[k] times the block length read from tap_starts[k], k = 0..3.
+    """
 
-    def _ensure(self, pad: int):
-        if len(self.history) < pad:
-            self.history = np.concatenate(
-                [np.zeros(pad - len(self.history)), self.history]
-            )
+    sample_rate: int
+    delays_s: np.ndarray      # per row, seconds
+    history: np.ndarray       # rows x samples, at least the deepest reach
+    starts: np.ndarray        # per row
+    fractional: np.ndarray    # indices of the interpolating rows
+    tap_starts: np.ndarray    # 4 x interpolating rows
+    weights: np.ndarray       # 4 x interpolating rows x 1
+
+
+def delay_state(delays_s, sample_rate: int = DEFAULT_SAMPLE_RATE,
+                history: np.ndarray | None = None) -> DelayState:
+    """Plan a delay line: one delay (1-D signals) or one delay per row.
+
+    history, when given, is carried over and zero-extended to the new reach.
+    """
+    delays_s = np.atleast_1d(np.asarray(delays_s, dtype=float))
+    sample_rate = int(sample_rate)
+    plans = [_delay_plan(d * sample_rate) for d in delays_s]
+    reach = max(m + (0 if k is None else 3) for m, k in plans)
+    if history is None:
+        history = np.zeros((len(plans), reach))
+    elif history.shape[1] < reach:
+        history = np.concatenate(
+            [np.zeros((len(plans), reach - history.shape[1])), history], axis=1)
+    starts = history.shape[1] - np.array([m for m, _ in plans], dtype=np.intp)
+    fractional = np.array([i for i, (_, k) in enumerate(plans) if k is not None],
+                          dtype=np.intp)
+    taps = np.arange(4)[:, None]
+    kernels = np.array([plans[i][1] for i in fractional]).reshape(-1, 4)
+    return DelayState(
+        sample_rate=sample_rate, delays_s=delays_s, history=history,
+        starts=starts, fractional=fractional,
+        tap_starts=starts[fractional] - taps, weights=kernels.T[:, :, None])
 
 
 def fractional_delay(
     block: np.ndarray,
     state: DelayState | None,
-    delay_s: float,
+    delay_s: float | np.ndarray,
     sample_rate: int = DEFAULT_SAMPLE_RATE,
 ) -> tuple[np.ndarray, DelayState]:
     """Delay a block by delay_s seconds, preserving continuity across blocks.
 
-    Integer-sample delays are exact shifts; fractional parts use 4-point
-    Lagrange interpolation. Pass state=None on the first block; the returned
-    state must be handed to the next call.
+    block is one signal delayed by the scalar delay_s, or a rows x samples
+    array whose row r is delayed by delay_s[r]. Integer-sample delays are
+    exact shifts; fractional parts use 4-point Lagrange interpolation, and
+    every row goes through the same arithmetic as a 1-D call, so it is
+    bit-identical to delaying that row alone. Pass state=None on the first
+    block (or a state from delay_state); the returned state must be handed
+    to the next call.
     """
-    if state is None:
-        state = DelayState(sample_rate=int(sample_rate))
     block = np.asarray(block, dtype=float)
-    n = len(block)
-    d = delay_s * state.sample_rate
-    m, kernel = _delay_plan(d)
-    pad = (m + 3) if kernel is not None else m
-    state._ensure(pad)
-    ext = np.concatenate([state.history, block]) if len(state.history) else block
-    off = len(state.history)
-    if kernel is None:
-        out = ext[off - m : off - m + n] if m else block.copy()
-    else:
-        out = np.zeros(n)
-        for k in range(4):
-            start = off - (m + k)
-            out += kernel[k] * ext[start : start + n]
-    keep = max(pad, len(state.history))
-    if keep:
-        state.history = ext[-keep:] if len(ext) >= keep else ext
-    return out, state
+    rows = block if block.ndim == 2 else block[None, :]
+    if state is None:
+        state = delay_state(delay_s, sample_rate)
+    elif delay_s is not state.delays_s and not np.array_equal(
+            np.atleast_1d(delay_s), state.delays_s):
+        state = delay_state(delay_s, state.sample_rate, state.history)
+    if len(rows) != len(state.delays_s):
+        raise ValueError(
+            f"{len(rows)} rows to delay, but {len(state.delays_s)} delays")
+    reach = state.history.shape[1]
+    ext = np.concatenate([state.history, rows], axis=1) if reach else rows
+    # windows[r, s] is ext[r, s : s + block length]
+    windows = np.lib.stride_tricks.sliding_window_view(ext, rows.shape[1], axis=1)
+    out = windows[np.arange(len(rows)), state.starts]
+    frac = state.fractional
+    if len(frac):
+        acc = np.zeros((len(frac), rows.shape[1]))
+        for weight, start in zip(state.weights, state.tap_starts):
+            acc += weight * windows[frac, start]
+        out[frac] = acc
+    if reach:
+        state.history = ext[:, -reach:]
+    return (out if block.ndim == 2 else out[0]), state
 
 
 def delay_signal(x: np.ndarray, delay_s: float, sample_rate: int = DEFAULT_SAMPLE_RATE) -> np.ndarray:
@@ -203,22 +243,52 @@ def coherent_crossfade(block_a: np.ndarray, block_b: np.ndarray, position) -> np
 # streaming FIR ----------------------------------------------------------
 
 class BlockFIR:
-    """FIR convolution processed block by block with an input-tail state."""
+    """Streaming FIR filter by overlap-save, one row of taps per channel.
 
-    def __init__(self, taps: np.ndarray):
-        self.taps = np.asarray(taps, dtype=float)
-        self._tail = np.zeros(max(len(self.taps) - 1, 0))
+    taps is one FIR (1-D) or a sequence of FIRs, one per row of the blocks
+    that process() takes; shorter rows are zero-padded to the longest. Each
+    process() call filters all rows at once: the last len(taps) - 1 input
+    samples followed by the block go through one 2-D forward and one 2-D
+    inverse real FFT of size next_fast_len(block length + len(taps) - 1),
+    and the output is the part no wrap-around reaches (Wefers 2015, ch. 5).
+    The taps' transform at each FFT size is computed on first use and kept,
+    so a stream of equal-length blocks transforms the taps once.
+    """
+
+    def __init__(self, taps):
+        rows = [taps] if np.ndim(taps[0]) == 0 else list(taps)
+        length = max(len(r) for r in rows)
+        if length == 0:
+            raise ValueError("a FIR needs at least one tap")
+        self.taps = np.zeros((len(rows), length))
+        for i, r in enumerate(rows):
+            self.taps[i, : len(r)] = r
+        self._spectra: dict[int, np.ndarray] = {}
+        self._tail = np.zeros((len(rows), length - 1))
+
+    def _taps_spectrum(self, size: int) -> np.ndarray:
+        spectrum = self._spectra.get(size)
+        if spectrum is None:
+            spectrum = self._spectra[size] = sp_fft.rfft(self.taps, size, axis=1)
+        return spectrum
 
     def process(self, block: np.ndarray) -> np.ndarray:
+        """Filter one block: 1-D for a single FIR, else rows x samples."""
         block = np.asarray(block, dtype=float)
-        n = len(block)
-        ext = np.concatenate([self._tail, block])
-        full = signal.fftconvolve(ext, self.taps)
-        k = len(self._tail)
-        out = full[k : k + n]
+        rows = block if block.ndim == 2 else block[None, :]
+        if len(rows) != len(self.taps):
+            raise ValueError(
+                f"{len(rows)} rows to filter, but {len(self.taps)} FIRs")
+        n = rows.shape[1]
+        k = self._tail.shape[1]
+        ext = np.concatenate([self._tail, rows], axis=1) if k else rows
+        size = sp_fft.next_fast_len(n + k, real=True)
+        spectrum = sp_fft.rfft(ext, size, axis=1)
+        spectrum *= self._taps_spectrum(size)
+        out = sp_fft.irfft(spectrum, size, axis=1)[:, k : k + n]
         if k:
-            self._tail = ext[-k:]
-        return out
+            self._tail = ext[:, -k:]
+        return out if block.ndim == 2 else out[0]
 
 
 def decorrelator_fir(index: int, n_taps: int = DECORRELATOR_TAPS, base_seed: int = DEFAULT_SEED) -> np.ndarray:

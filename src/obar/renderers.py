@@ -3,18 +3,27 @@ pressure matching, and diffuse decorrelation.
 
 Each renderer reduces to a DrivingFunction (per-speaker gain, delay, optional
 FIR). render_block executes a driving function block by block with state so a
-long signal can stream without discontinuities.
+long signal can stream without discontinuities, processing all of a drive's
+speakers in one batched pass: one delay line over every speaker and one
+multi-row overlap-save FIR whose tap transforms are kept for the drive's
+lifetime.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .dsp import BlockFIR, decorrelator_fir, fractional_delay
+from .dsp import (
+    BlockFIR,
+    DelayState,
+    decorrelator_fir,
+    delay_state,
+    fractional_delay,
+)
 from .errors import (
     NotBracketed,
     RankDeficient,
@@ -313,7 +322,11 @@ def diffuse_gains(n_speakers: int):
 
 @dataclass(frozen=True)
 class DrivingFunction:
-    """Per-speaker gain, delay, and optional FIR over a speaker subset."""
+    """Per-speaker gain, delay, and optional FIR over a speaker subset.
+
+    A drive is a value: its arrays are never modified after construction,
+    which lets fingerprint() serialise them once.
+    """
 
     speaker_ids: tuple[str, ...]
     gains: np.ndarray
@@ -322,28 +335,41 @@ class DrivingFunction:
     sample_rate: int = 48000
 
     def fingerprint(self) -> tuple:
-        fir_bytes = tuple(
-            None if f is None else f.tobytes() for f in self.firs) if self.firs else ()
-        return (self.speaker_ids, self.gains.tobytes(),
-                self.delays_s.tobytes(), fir_bytes, self.sample_rate)
+        """The drive's contents as hashable bytes, computed on first use."""
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            fir_bytes = tuple(
+                None if f is None else f.tobytes() for f in self.firs) if self.firs else ()
+            cached = (self.speaker_ids, self.gains.tobytes(),
+                      self.delays_s.tobytes(), fir_bytes, self.sample_rate)
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
 
 
 @dataclass
 class RenderState:
-    """Streaming state for one driving function."""
+    """Streaming state for one driving function.
+
+    One delay line over all speakers (None when no speaker is delayed) and
+    one multi-row FIR over the filtered speakers (None when none is);
+    fir_rows lists those speakers, or is None when every speaker is filtered.
+    """
 
     fingerprint: tuple
-    delay_states: list = field(default_factory=list)
-    fir_states: list = field(default_factory=list)
+    delay: DelayState | None = None
+    fir: BlockFIR | None = None
+    fir_rows: np.ndarray | None = None
 
 
 def new_render_state(drive: DrivingFunction) -> RenderState:
-    n = len(drive.speaker_ids)
-    firs = drive.firs if drive.firs else (None,) * n
+    firs = drive.firs or (None,) * len(drive.speaker_ids)
+    filtered = [i for i, f in enumerate(firs) if f is not None]
     return RenderState(
         fingerprint=drive.fingerprint(),
-        delay_states=[None] * n,
-        fir_states=[None if f is None else BlockFIR(f) for f in firs],
+        delay=(delay_state(drive.delays_s, drive.sample_rate)
+               if np.any(drive.delays_s) else None),
+        fir=BlockFIR([firs[i] for i in filtered]) if filtered else None,
+        fir_rows=None if len(filtered) == len(firs) else np.array(filtered),
     )
 
 
@@ -351,20 +377,21 @@ def render_block(stem_block: np.ndarray, drive: DrivingFunction,
                  state: RenderState) -> np.ndarray:
     """One block through a driving function: gain, delay, then filter.
 
-    Returns (samples, subset speakers). The state must have been created for
-    this exact driving function.
+    All speakers go through together: one outer product of the gains and
+    the block, one fractional_delay call over every speaker and one BlockFIR
+    pass over the filtered ones. Returns the samples, block length x subset
+    speakers in drive order. The state must have been created for this
+    exact driving function.
     """
     if state.fingerprint != drive.fingerprint():
         raise StateMismatch("render state belongs to a different driving function")
-    stem_block = np.asarray(stem_block, dtype=float)
-    n = len(stem_block)
-    out = np.zeros((n, len(drive.speaker_ids)))
-    for i in range(len(drive.speaker_ids)):
-        y = drive.gains[i] * stem_block
-        if drive.delays_s[i] != 0.0:
-            y, state.delay_states[i] = fractional_delay(
-                y, state.delay_states[i], drive.delays_s[i], drive.sample_rate)
-        if state.fir_states[i] is not None:
-            y = state.fir_states[i].process(y)
-        out[:, i] = y
-    return out
+    rows = np.outer(drive.gains, np.asarray(stem_block, dtype=float))
+    if state.delay is not None:
+        rows, state.delay = fractional_delay(
+            rows, state.delay, drive.delays_s, drive.sample_rate)
+    if state.fir is not None:
+        if state.fir_rows is None:
+            rows = state.fir.process(rows)
+        else:
+            rows[state.fir_rows] = state.fir.process(rows[state.fir_rows])
+    return rows.T

@@ -10,11 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FS, music_like, speech_like
+from obar import adapt
 from obar.adapt import (
     ACTION_PROPERTY,
     LADDER_DECORRELATE_AMOUNT,
     MAX_TAU_S,
     AdaptationAction,
+    _ladder_baseline,
+    _preview_mix,
+    _projected_residual,
     action_magnitude,
     adapt_reverb,
     apply_rules,
@@ -26,6 +30,7 @@ from obar.adapt import (
     tolerance_bound,
 )
 from obar.context import (
+    MIN_NOISE_BLOCK,
     ContextualInfo,
     HighLevelContext,
     ListenerInfo,
@@ -301,6 +306,55 @@ class TestLadder:
         actions = intelligibility_boost(
             ladder_scene(), make_ctx(deficit=0.3), window=(0, 8192))
         assert actions[0].kind == "GainOffset"
+
+    @pytest.mark.parametrize("window", [None, (4096, 12288)])
+    def test_rung_residuals_match_per_rung_previews(self, window, monkeypatch):
+        """Scoring the rung-invariant previews once per ladder leaves every
+        rung's residual exactly where rebuilding them per rung put it."""
+        scene = ladder_scene(music_tol={"level_db": 0.5, "spectral_tilt_db": 0.5},
+                             music_az=30.0, dialogue_az=0.0)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return estimate_intelligibility(*args)
+
+        monkeypatch.setattr(adapt, "estimate_intelligibility", counting)
+        actions = intelligibility_boost(scene, make_ctx(deficit=0.3), window=window)
+        kinds = [a.kind for a in actions]
+        assert kinds == ["GainOffset", "SpectralTilt", "Reposition", "Decorrelate"]
+        assert len(calls) == 1 + 3   # the baseline, then one preview per rung
+
+        dialogue, others = list(scene.objects[:1]), list(scene.objects[1:])
+        baseline = _ladder_baseline(scene, dialogue, others, window)
+        for rungs in (1, 2, 3):
+            emitted = actions[:rungs]
+            assert (_projected_residual(scene, 0.3, others, emitted, window, baseline)
+                    == _per_rung_residual(scene, 0.3, dialogue, others, emitted, window))
+
+
+def _per_rung_residual(scene, deficit, dialogue, others, emitted, window):
+    """Reference: the ladder residual with every preview rebuilt and scored
+    again, as each rung computed it before the baseline was hoisted."""
+    gains, tilts = {}, {}
+    for action in emitted:
+        clamped = clamp_to_tolerances(
+            action, scene.object_by_id(action.object_id).constraints)
+        if clamped.kind == "GainOffset":
+            gains[clamped.object_id] = gains.get(clamped.object_id, 0.0) + clamped.value
+        elif clamped.kind == "SpectralTilt":
+            tilts[clamped.object_id] = tilts.get(clamped.object_id, 0.0) + clamped.value
+    length = max(
+        max(((len(s.samples) if window is None else window[1] - window[0])
+             for o in (*dialogue, *others) for s in o.stems), default=0),
+        MIN_NOISE_BLOCK,
+    )
+    speech = _preview_mix(dialogue, scene.sample_rate, window, length)
+    before = _preview_mix(others, scene.sample_rate, window, length)
+    after = _preview_mix(others, scene.sample_rate, window, length, gains, tilts)
+    score_before = estimate_intelligibility(speech, before, scene.sample_rate)
+    score_after = estimate_intelligibility(speech, after, scene.sample_rate)
+    return deficit - max(score_after - score_before, 0.0)
 
 
 # ---------------------------------------------------------------------------

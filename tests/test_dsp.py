@@ -105,6 +105,13 @@ class TestFractionalDelay:
             parts.append(out)
         assert np.max(np.abs(np.concatenate(parts) - one)) < 1e-9
 
+    def test_changed_delay_replans_on_the_carried_history(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(4096)
+        _, state = dsp.fractional_delay(x[:1000], None, 11.37 / FS, FS)
+        out, _ = dsp.fractional_delay(x[1000:], state, 5.5 / FS, FS)
+        assert np.array_equal(out, dsp.delay_signal(x, 5.5 / FS, FS)[1000:])
+
     def test_negative_delay_rejected(self):
         with pytest.raises(NegativeDelay):
             dsp.fractional_delay(np.zeros(16), None, -1e-4, FS)

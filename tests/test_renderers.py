@@ -9,9 +9,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obar import dsp
 from obar.errors import (
     NotBracketed,
     RankDeficient,
@@ -350,6 +352,55 @@ class TestDiffuse:
         assert np.max(np.abs(corr)) < 0.2
 
 
+def _per_speaker_fractional_delay(block, history, delay_s, sample_rate=FS):
+    """Reference: the 1-D fractional delay as it ran once per speaker before
+    the delay was batched across speakers. history is the carried input
+    (empty at the start); returns (delayed block, new history)."""
+    n = len(block)
+    m, kernel = dsp._delay_plan(delay_s * sample_rate)
+    pad = (m + 3) if kernel is not None else m
+    if len(history) < pad:
+        history = np.concatenate([np.zeros(pad - len(history)), history])
+    ext = np.concatenate([history, block]) if len(history) else block
+    off = len(history)
+    if kernel is None:
+        out = ext[off - m : off - m + n] if m else block.copy()
+    else:
+        out = np.zeros(n)
+        for k in range(4):
+            start = off - (m + k)
+            out += kernel[k] * ext[start : start + n]
+    keep = max(pad, len(history))
+    if keep:
+        history = ext[-keep:] if len(ext) >= keep else ext
+    return out, history
+
+
+@st.composite
+def _batched_cases(draw):
+    """(gains, delays_s, firs, block lengths, signal seed) for 1-12 speakers:
+    delays of each kind (none, whole samples, under one sample, fractional),
+    FIR rows of 1-1100 taps mixed with unfiltered rows, and blocks whose
+    length changes from call to call."""
+    count = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    delays = []
+    for kind in draw(st.lists(st.sampled_from(["none", "whole", "sub", "frac"]),
+                              min_size=count, max_size=count)):
+        whole = draw(st.integers(1, 400)) if kind in ("whole", "frac") else 0
+        part = draw(st.floats(1e-6, 1.0 - 1e-6)) if kind in ("sub", "frac") else 0.0
+        delays.append((whole + part) / FS)
+    lengths = draw(st.lists(st.one_of(st.none(), st.integers(1, 1100)),
+                            min_size=count, max_size=count))
+    firs = tuple(None if n is None else rng.standard_normal(n) / math.sqrt(n)
+                 for n in lengths)
+    if draw(st.booleans()) and all(f is None for f in firs):
+        firs = ()
+    blocks = draw(st.lists(st.integers(1, 3000), min_size=1, max_size=5))
+    return (rng.uniform(-1.0, 1.0, count), np.array(delays), firs, blocks,
+            draw(st.integers(0, 2**32 - 1)))
+
+
 class TestRenderBlock:
     def _drive(self, gains, delays, firs=(), ids=None):
         gains = np.asarray(gains, dtype=float)
@@ -402,6 +453,61 @@ class TestRenderBlock:
         combined = run(a * x + b * y)
         separate = a * run(x) + b * run(y)
         assert np.max(np.abs(combined - separate)) < 1e-6
+
+    def test_taps_transformed_once_per_drive(self, monkeypatch):
+        """Twenty equal blocks cost twenty forward transforms of the input
+        and one of the taps, not one of the taps per block."""
+        gains, firs = diffuse_gains(4)
+        drive = self._drive(gains, [0.0, 0.001, 0.0, 0.00237], firs=firs)
+        state = new_render_state(drive)
+        rfft = scipy.fft.rfft
+        of_taps = []
+
+        def counting(x, *args, **kwargs):
+            of_taps.append(np.shares_memory(x, state.fir.taps))
+            return rfft(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "rfft", counting)
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            render_block(rng.standard_normal(1024), drive, state)
+        assert len(of_taps) == 20 + 1
+        assert sum(of_taps) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(_batched_cases())
+    def test_batched_matches_per_speaker_reference(self, case):
+        """The batched pass equals a per-speaker render: gain, the 1-D
+        fractional delay, then np.convolve with the row's FIR. The delay
+        stage alone is bit-identical; with FIRs the overlap-save FFT may
+        move the last bits only."""
+        gains, delays, firs, blocks, seed = case
+        ids = tuple(f"s{i}" for i in range(len(gains)))
+        drive = DrivingFunction(ids, gains, delays, firs, FS)
+        dry = DrivingFunction(ids, gains, delays, (), FS)
+        wet_state, dry_state = new_render_state(drive), new_render_state(dry)
+        x = np.random.default_rng(seed).standard_normal(sum(blocks))
+        histories = [np.zeros(0)] * len(gains)
+        wet, batched_dry, per_speaker_dry = [], [], []
+        start = 0
+        for n in blocks:
+            seg = x[start:start + n]
+            start += n
+            wet.append(render_block(seg, drive, wet_state))
+            batched_dry.append(render_block(seg, dry, dry_state))
+            cols = []
+            for i, (g, d) in enumerate(zip(gains, delays)):
+                y = g * seg
+                if d != 0.0:
+                    y, histories[i] = _per_speaker_fractional_delay(y, histories[i], d)
+                cols.append(y)
+            per_speaker_dry.append(np.column_stack(cols))
+        ref_dry = np.vstack(per_speaker_dry)
+        assert np.vstack(batched_dry).tobytes() == ref_dry.tobytes()
+        ref_wet = np.column_stack([
+            col if f is None else np.convolve(col, f)[:len(x)]
+            for col, f in zip(ref_dry.T, firs or (None,) * len(gains))])
+        assert np.max(np.abs(np.vstack(wet) - ref_wet)) <= 1e-9
 
     def test_block_boundary_continuity(self):
         rng = np.random.default_rng(4)
