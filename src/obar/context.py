@@ -25,7 +25,7 @@ from .errors import (
 )
 from .geometry import Direction3, from_cartesian
 from .renderclass import RendererClass
-from .scene import ObjectType, Scene, SceneTargets
+from .scene import ObjectType, Scene, SceneTargets, parse_number
 
 SCENARIO_SCHEMA_VERSION = "scenario-schema v1"
 
@@ -349,8 +349,9 @@ def _parse_position(doc, context, need_distance=True) -> Direction3:
     if need_distance and doc.get("dist") is None:
         raise SchemaError(f"{context}.dist is required")
     dist = doc.get("dist")
-    return Direction3(float(doc.get("az", 0.0)), float(doc.get("el", 0.0)),
-                      None if dist is None else float(dist))
+    return Direction3(parse_number(doc.get("az", 0.0), f"{context}.az"),
+                      parse_number(doc.get("el", 0.0), f"{context}.el"),
+                      None if dist is None else parse_number(dist, f"{context}.dist"))
 
 
 def _parse_speaker(doc, context) -> LoudspeakerDescriptor:
@@ -368,10 +369,14 @@ def _parse_speaker(doc, context) -> LoudspeakerDescriptor:
     return LoudspeakerDescriptor(
         speaker_id=str(doc["id"]),
         position=_parse_position(doc["position"], f"{context}.position"),
-        orientation_deg=float(doc.get("orientation_deg", 0.0)),
-        bandwidth_hz=Bandwidth(float(bw.get("low", 40.0)), float(bw.get("high", 20000.0))),
-        latency_ms=float(doc.get("latency_ms", 0.0)),
-        connection_kbps=float(doc.get("connection_kbps", 10000.0)),
+        orientation_deg=parse_number(doc.get("orientation_deg", 0.0),
+                                     f"{context}.orientation_deg"),
+        bandwidth_hz=Bandwidth(
+            parse_number(bw.get("low", 40.0), f"{context}.bandwidth_hz.low"),
+            parse_number(bw.get("high", 20000.0), f"{context}.bandwidth_hz.high")),
+        latency_ms=parse_number(doc.get("latency_ms", 0.0), f"{context}.latency_ms"),
+        connection_kbps=parse_number(doc.get("connection_kbps", 10000.0),
+                                     f"{context}.connection_kbps"),
         device_kind=kind,
     )
 
@@ -389,8 +394,11 @@ def _parse_listener(doc, context) -> ListenerInfo:
         position=_parse_position(pos, f"{context}.position", need_distance=False),
         language=doc.get("language"),
         hearing_impaired=bool(doc.get("hearing_impaired", False)),
-        intelligibility_preference=float(doc.get("intelligibility_preference", 0.0)),
-        envelopment_preference=float(doc.get("envelopment_preference", 0.0)),
+        intelligibility_preference=parse_number(
+            doc.get("intelligibility_preference", 0.0),
+            f"{context}.intelligibility_preference"),
+        envelopment_preference=parse_number(
+            doc.get("envelopment_preference", 0.0), f"{context}.envelopment_preference"),
         team_preference=doc.get("team_preference"),
     )
 
@@ -400,10 +408,14 @@ def _parse_environment(doc) -> EnvironmentInfo:
     dims = doc.get("room_dims_m")
     if dims is not None:
         _require_keys(dims, {"x", "y", "z"}, "environment.room_dims_m")
-        dims = (float(dims["x"]), float(dims["y"]), float(dims["z"]))
+        dims = tuple(parse_number(dims.get(axis), f"environment.room_dims_m.{axis}")
+                     for axis in ("x", "y", "z"))
     taus = doc.get("room_decay_tau_s")
     if taus is not None:
-        taus = tuple(float(t) for t in taus)
+        if not isinstance(taus, (list, tuple)):
+            raise SchemaError("environment.room_decay_tau_s must be a list")
+        taus = tuple(parse_number(t, f"environment.room_decay_tau_s[{i}]")
+                     for i, t in enumerate(taus))
         if len(taus) != len(OCTAVE_CENTERS_HZ):
             raise SchemaError(
                 f"environment.room_decay_tau_s needs {len(OCTAVE_CENTERS_HZ)} entries")
@@ -423,11 +435,26 @@ def _parse_environment(doc) -> EnvironmentInfo:
 
 
 def parse_noise_timeline(entries) -> tuple[NoiseState, ...]:
-    """Stepwise noise timeline: each entry holds from its time to the next."""
+    """Stepwise noise timeline: each entry holds from its time to the next.
+
+    Times and band levels must be finite numbers; anything else raises
+    SchemaError naming the entry's field.
+    """
+    if not isinstance(entries, (list, tuple)):
+        raise SchemaError("noise_timeline must be a list")
     states = []
     for i, e in enumerate(entries):
-        _require_keys(e, {"t_s", "band_levels_db"}, f"noise_timeline[{i}]")
-        states.append(NoiseState(float(e["t_s"]), tuple(e["band_levels_db"])))
+        ctx = f"noise_timeline[{i}]"
+        _require_keys(e, {"t_s", "band_levels_db"}, ctx)
+        if "t_s" not in e or "band_levels_db" not in e:
+            raise SchemaError(f"{ctx} needs t_s and band_levels_db")
+        levels = e["band_levels_db"]
+        if not isinstance(levels, (list, tuple)):
+            raise SchemaError(f"{ctx}.band_levels_db must be a list")
+        states.append(NoiseState(
+            parse_number(e["t_s"], f"{ctx}.t_s"),
+            tuple(parse_number(level, f"{ctx}.band_levels_db[{j}]")
+                  for j, level in enumerate(levels))))
     if [s.timestamp_s for s in states] != sorted(s.timestamp_s for s in states):
         raise SchemaError("noise_timeline must ascend by t_s")
     return tuple(states)

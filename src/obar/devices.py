@@ -14,6 +14,7 @@ from .context import (
     _require_keys,
 )
 from .errors import DuplicateDeviceId, EmptyLayout, SchemaError
+from .scene import parse_number
 
 DEVICES_SCHEMA_VERSION = "devices v1"
 
@@ -57,14 +58,19 @@ def layout_from_device_config(doc: dict) -> SpeakerLayout:
         bw = dev.get("bandwidth_hz")
         if bw is not None:
             _require_keys(bw, {"low", "high"}, f"{ctx}.bandwidth_hz")
-            bw = Bandwidth(float(bw["low"]), float(bw["high"]))
+            bw = Bandwidth(
+                parse_number(bw.get("low"), f"{ctx}.bandwidth_hz.low"),
+                parse_number(bw.get("high"), f"{ctx}.bandwidth_hz.high"))
         speakers.append(LoudspeakerDescriptor(
             speaker_id=device_id,
             position=_parse_position(dev["position"], f"{ctx}.position"),
-            orientation_deg=float(dev.get("orientation_deg", 0.0)),
+            orientation_deg=parse_number(dev.get("orientation_deg", 0.0),
+                                         f"{ctx}.orientation_deg"),
             bandwidth_hz=bw or bw_default,
-            latency_ms=float(dev.get("latency_ms", latency_default)),
-            connection_kbps=float(dev.get("connection_kbps", kbps_default)),
+            latency_ms=parse_number(dev.get("latency_ms", latency_default),
+                                    f"{ctx}.latency_ms"),
+            connection_kbps=parse_number(dev.get("connection_kbps", kbps_default),
+                                         f"{ctx}.connection_kbps"),
             device_kind=kind,
         ))
     if not speakers:

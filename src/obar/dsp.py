@@ -7,8 +7,10 @@ from generators seeded with documented constants so renders repeat bit-exact.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,9 @@ BLOCK_SIZE = 1024
 OCTAVE_CENTERS_HZ = (125.0, 250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0)
 BAND_FILTER_ORDER = 7
 LEVEL_FLOOR_DB = -120.0
+# Band measurements remembered by octave_band_levels (digests and levels
+# only, never the signals), least recently used evicted first.
+BAND_LEVELS_MEMO_SIZE = 256
 
 # Decorrelators: random-phase all-pass FIRs, one fixed seed per speaker index.
 DECORRELATOR_TAPS = 1024
@@ -77,18 +82,37 @@ def _octave_bank(sample_rate: int):
     return tuple(bank)
 
 
+_band_levels_memo: OrderedDict = OrderedDict()
+
+
 def octave_band_levels(block: np.ndarray, sample_rate: int = DEFAULT_SAMPLE_RATE) -> np.ndarray:
     """Per-octave-band RMS levels of a block, in dBFS.
 
     Returns 7 levels for the 125 Hz .. 8 kHz octave bands, each floored at
-    -120 dBFS.
+    -120 dBFS. Measurements are memoised on (sample rate, SHA-256 of the
+    block's float64 bytes): a block measured before, byte for byte,
+    returns the earlier result without filtering. The table keeps at most
+    BAND_LEVELS_MEMO_SIZE results and no signal, and the returned arrays
+    are shared, so they are read-only.
     """
     block = np.asarray(block, dtype=float)
     if block.ndim != 1:
         raise ValueError("block must be one-dimensional")
-    return np.array(
-        [rms_db(signal.sosfilt(sos, block)) for sos in _octave_bank(int(sample_rate))]
+    block = np.ascontiguousarray(block)
+    sample_rate = int(sample_rate)
+    key = (sample_rate, hashlib.sha256(block.data).digest())
+    levels = _band_levels_memo.get(key)
+    if levels is not None:
+        _band_levels_memo.move_to_end(key)
+        return levels
+    levels = np.array(
+        [rms_db(signal.sosfilt(sos, block)) for sos in _octave_bank(sample_rate)]
     )
+    levels.flags.writeable = False
+    _band_levels_memo[key] = levels
+    if len(_band_levels_memo) > BAND_LEVELS_MEMO_SIZE:
+        _band_levels_memo.popitem(last=False)
+    return levels
 
 
 # fractional delay -------------------------------------------------------

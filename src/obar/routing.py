@@ -9,6 +9,7 @@ every object always gets a renderer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from .renderclass import RendererClass, RendererKind
 from .renderers import (
     PM_BETA_DEFAULT,
     DrivingFunction,
+    PMDesign,
     ambi_encode,
     ambi_mm_decode,
     diffuse_gains,
@@ -52,6 +54,7 @@ BAND_LIMIT_POWER_FRACTION = 1e-3      # -30 dB of mono-mix energy below a speake
 DEFAULT_CROSSFADE_S = 1.0
 PM_ZONE_RADIUS_M = 0.15
 PM_ZONE_POINTS = 8
+PM_DESIGN_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -239,6 +242,24 @@ def pm_control_points(radius_m: float = PM_ZONE_RADIUS_M,
         for i in range(count))
 
 
+@functools.lru_cache(maxsize=PM_DESIGN_MEMO_SIZE)
+def pm_design(speaker_dirs: tuple[Direction3, ...], source: Direction3,
+              beta: float, sample_rate: int) -> PMDesign:
+    """Pressure-matching filters over the pm_control_points() zone.
+
+    Memoised on (speaker directions, source position, beta, sample rate),
+    the whole input of the solve, so a geometry that repeats across
+    intervals and trial builds is solved once. Designs are shared, so their
+    arrays are read-only; errors are raised again on every call, never
+    cached. Each miss calls pm_filters through this module's global name.
+    """
+    design = pm_filters(speaker_dirs, pm_control_points(), source,
+                        beta=beta, sample_rate=sample_rate)
+    for array in (design.freqs, design.spectra, design.firs, design.align_delays_s):
+        array.flags.writeable = False
+    return design
+
+
 # ---------------------------------------------------------------------------
 # driving functions
 
@@ -279,8 +300,7 @@ def build_drive(assignment: RendererAssignment, layout: SpeakerLayout,
         if obj.position is None or obj.position.distance_m is None:
             raise SourceInsideArray("pressure matching needs a source distance")
         beta = float(assignment.param("beta", PM_BETA_DEFAULT))
-        design = pm_filters(dirs, pm_control_points(), obj.position,
-                            beta=beta, sample_rate=sample_rate)
+        design = pm_design(tuple(dirs), obj.position, beta, sample_rate)
         # calibrate so the reproduced zone pressure sits at stem level
         scale = 4.0 * math.pi * float(obj.position.distance_m)
         firs = tuple(f * scale for f in design.firs)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 
@@ -148,13 +149,19 @@ def mono_mix(obj: AudioObject, window: tuple[int, int] | None = None) -> np.ndar
     """The mono signal an object renders as: the mean of its non-empty stems.
 
     window = (start, stop) limits the mix to that sample range; the result
-    equals the same slice of the full mix.
+    equals the same slice of the full mix. An object with one non-empty
+    stem mixes to that stem itself: the result is a read-only view of the
+    stem's samples (windowed or not), not a copy.
     """
     arrays = [np.asarray(s.samples, dtype=float) for s in obj.stems if len(s.samples)]
     if not arrays:
         return np.zeros(0)
     if window is not None:
         arrays = [a[window[0]:window[1]] for a in arrays]
+    if len(arrays) == 1:
+        view = arrays[0].view()
+        view.flags.writeable = False
+        return view
     out = np.zeros(max(len(a) for a in arrays))
     for a in arrays:
         out[: len(a)] += a
@@ -312,17 +319,38 @@ def _get(mapping, key, default=None, required=False, context=""):
     return mapping[key]
 
 
+def parse_number(value, field: str) -> float:
+    """A document's numeric field as a finite float.
+
+    Every numeric field of the scene and scenario documents is read through
+    here. Anything but a number (a string, list, mapping, boolean or null)
+    and any non-finite value (NaN, +-Infinity, an integer beyond float
+    range) raises SchemaError naming the field.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SchemaError(f"{field} must be a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"{field} must be finite, got {value}")
+    return number
+
+
+def _number(mapping, key, default=None, required=False, context=""):
+    """_get a numeric field and parse it with parse_number."""
+    return parse_number(_get(mapping, key, default, required, context),
+                        f"{context}.{key}")
+
+
 def _parse_direction(doc, context) -> Direction3:
     _require_keys(doc, {"az", "el", "dist"}, context)
-    az = _get(doc, "az", required=True, context=context)
-    el = _get(doc, "el", 0.0)
     dist = _get(doc, "dist", None)
-    for name, v in (("az", az), ("el", el)):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"{context}.{name} must be a number")
-    if dist is not None and (isinstance(dist, bool) or not isinstance(dist, (int, float))):
-        raise SchemaError(f"{context}.dist must be a number or null")
-    return Direction3(float(az), float(el), None if dist is None else float(dist))
+    return Direction3(
+        _number(doc, "az", required=True, context=context),
+        _number(doc, "el", 0.0, context=context),
+        None if dist is None else _number(doc, "dist", context=context))
 
 
 def _parse_advanced(doc, context) -> AdvancedMetadata:
@@ -347,15 +375,20 @@ def _parse_advanced(doc, context) -> AdvancedMetadata:
 def _parse_constraints(doc, context) -> EditorialConstraints:
     _require_keys(doc, {"tolerances", "priority_order"}, context)
     tol_doc = _get(doc, "tolerances", {})
+    tol_ctx = f"{context}.tolerances"
     _require_keys(tol_doc, {"level_db", "position_deg", "time_shift_ms",
-                            "spectral_tilt_db", "reverb_scale"}, f"{context}.tolerances")
+                            "spectral_tilt_db", "reverb_scale"}, tol_ctx)
     defaults = Tolerances()
     tol = Tolerances(
-        level_db=float(_get(tol_doc, "level_db", defaults.level_db)),
-        position_deg=float(_get(tol_doc, "position_deg", defaults.position_deg)),
-        time_shift_ms=float(_get(tol_doc, "time_shift_ms", defaults.time_shift_ms)),
-        spectral_tilt_db=float(_get(tol_doc, "spectral_tilt_db", defaults.spectral_tilt_db)),
-        reverb_scale=float(_get(tol_doc, "reverb_scale", defaults.reverb_scale)),
+        level_db=_number(tol_doc, "level_db", defaults.level_db, context=tol_ctx),
+        position_deg=_number(tol_doc, "position_deg", defaults.position_deg,
+                             context=tol_ctx),
+        time_shift_ms=_number(tol_doc, "time_shift_ms", defaults.time_shift_ms,
+                              context=tol_ctx),
+        spectral_tilt_db=_number(tol_doc, "spectral_tilt_db",
+                                 defaults.spectral_tilt_db, context=tol_ctx),
+        reverb_scale=_number(tol_doc, "reverb_scale", defaults.reverb_scale,
+                             context=tol_ctx),
     )
     order = _get(doc, "priority_order", list(DEFAULT_PRIORITY_ORDER))
     if not isinstance(order, list) or not all(isinstance(p, str) for p in order):
@@ -370,21 +403,21 @@ def _parse_reverb(doc, context) -> ReverbMetadata:
         rctx = f"{context}.reflections[{i}]"
         _require_keys(r, {"delay_ms", "direction", "level_db"}, rctx)
         reflections.append(Reflection(
-            delay_ms=float(_get(r, "delay_ms", required=True, context=rctx)),
+            delay_ms=_number(r, "delay_ms", required=True, context=rctx),
             direction=_parse_direction(_get(r, "direction", required=True, context=rctx),
                                        f"{rctx}.direction"),
-            level_db=float(_get(r, "level_db", required=True, context=rctx)),
+            level_db=_number(r, "level_db", required=True, context=rctx),
         ))
     bands = []
     for i, b in enumerate(_get(doc, "tail_bands", [])):
         bctx = f"{context}.tail_bands[{i}]"
         _require_keys(b, {"band_center_hz", "onset_ms", "attack_ms", "level_db", "decay_tau_s"}, bctx)
         bands.append(TailBand(
-            band_center_hz=float(_get(b, "band_center_hz", required=True, context=bctx)),
-            onset_ms=float(_get(b, "onset_ms", 0.0)),
-            attack_ms=float(_get(b, "attack_ms", 0.0)),
-            level_db=float(_get(b, "level_db", 0.0)),
-            decay_tau_s=float(_get(b, "decay_tau_s", required=True, context=bctx)),
+            band_center_hz=_number(b, "band_center_hz", required=True, context=bctx),
+            onset_ms=_number(b, "onset_ms", 0.0, context=bctx),
+            attack_ms=_number(b, "attack_ms", 0.0, context=bctx),
+            level_db=_number(b, "level_db", 0.0, context=bctx),
+            decay_tau_s=_number(b, "decay_tau_s", required=True, context=bctx),
         ))
     return ReverbMetadata(reflections=tuple(reflections), tail_bands=tuple(bands))
 
@@ -427,11 +460,11 @@ def _parse_object(doc, stem_dir, scene_rate, load_stems) -> AudioObject:
         channels=int(_get(doc, "channels", 1)),
         group=_get(doc, "group", None),
         priority=_get(doc, "priority", 5),
-        level_db=float(_get(doc, "level_db", 0.0)),
+        level_db=_number(doc, "level_db", 0.0, context=ctx),
         position=position,
         extent_deg=(None if _get(doc, "extent_deg", None) is None
-                    else float(doc["extent_deg"])),
-        diffuseness=float(_get(doc, "diffuseness", 0.0)),
+                    else _number(doc, "extent_deg", context=ctx)),
+        diffuseness=_number(doc, "diffuseness", 0.0, context=ctx),
         advanced=_parse_advanced(_get(doc, "advanced", {}), f"{ctx}.advanced"),
         constraints=_parse_constraints(_get(doc, "constraints", {}), f"{ctx}.constraints"),
         reverb=(None if _get(doc, "reverb", None) is None
@@ -456,8 +489,9 @@ def scene_from_dict(doc: dict, stem_dir: str = ".", load_stems: bool = True,
     targets_doc = _get(doc, "targets", {})
     _require_keys(targets_doc, {"envelopment", "intelligibility"}, "scene.targets")
     targets = SceneTargets(
-        envelopment=float(_get(targets_doc, "envelopment", 0.0)),
-        intelligibility=float(_get(targets_doc, "intelligibility", 0.0)),
+        envelopment=_number(targets_doc, "envelopment", 0.0, context="scene.targets"),
+        intelligibility=_number(targets_doc, "intelligibility", 0.0,
+                                context="scene.targets"),
     )
     objects_doc = _get(doc, "objects", required=True, context="scene")
     if not isinstance(objects_doc, list):

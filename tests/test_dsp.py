@@ -5,11 +5,14 @@ analytically shifted sines, and the tilt shelf against sine-probe level
 measurements, so none of the expectations reuse the implementation's own math.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import signal
 
 from obar import dsp
 from obar.errors import NegativeDelay, UnsupportedRate
@@ -65,6 +68,82 @@ class TestOctaveBands:
     def test_low_rate_rejected(self):
         with pytest.raises(UnsupportedRate):
             dsp.octave_band_levels(np.zeros(1000), 16000)
+
+
+def reference_band_levels(block, sample_rate):
+    """The unmemoised measurement, copied: per band rms_db(sosfilt(...))."""
+    def rms_db(x):
+        if x.size == 0:
+            return -120.0
+        rms = math.sqrt(float(np.mean(x * x)))
+        if rms <= 10.0 ** (-120.0 / 20.0):
+            return -120.0
+        return 20.0 * math.log10(rms)
+
+    levels = []
+    for fc in (125.0, 250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0):
+        sos = signal.butter(7, [fc / np.sqrt(2.0), fc * np.sqrt(2.0)],
+                            btype="bandpass", fs=sample_rate, output="sos")
+        levels.append(rms_db(signal.sosfilt(sos, np.asarray(block, dtype=float))))
+    return np.array(levels)
+
+
+class TestBandLevelMemo:
+    """octave_band_levels answers a repeated signal from its memo table.
+
+    A hit returns the very array of the first measurement, so `is` tells a
+    hit from a miss without instrumenting the filter.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=arrays(np.float64, st.integers(1, 3000),
+                    elements=st.floats(-1.0, 1.0, allow_subnormal=False)),
+           index=st.integers(0, 10**6), rate=st.sampled_from([44100, FS]))
+    def test_memo_matches_reference_and_keys_on_exact_bytes(self, x, index, rate):
+        first = dsp.octave_band_levels(x, rate)
+        assert first.tobytes() == reference_band_levels(x, rate).tobytes()
+        assert not first.flags.writeable
+        # the same bytes again, from a fresh buffer: a hit
+        assert dsp.octave_band_levels(x.copy(), rate) is first
+        # one ulp off in one sample: a miss, measured afresh
+        nudged = x.copy()
+        nudged[index % len(x)] = np.nextafter(nudged[index % len(x)], np.inf)
+        moved = dsp.octave_band_levels(nudged, rate)
+        assert moved is not first
+        assert moved.tobytes() == reference_band_levels(nudged, rate).tobytes()
+        # the other sample rate: a miss
+        other = 44100 if rate == FS else FS
+        elsewhere = dsp.octave_band_levels(x, other)
+        assert elsewhere is not first
+        assert elsewhere.tobytes() == reference_band_levels(x, other).tobytes()
+        # the same samples followed by silence: a miss
+        padded = dsp.octave_band_levels(np.concatenate([x, np.zeros(7)]), rate)
+        assert padded is not first
+
+    @settings(max_examples=30, deadline=None)
+    @given(x=arrays(np.float64, st.integers(2, 3000),
+                    elements=st.floats(-1.0, 1.0, allow_subnormal=False)),
+           step=st.integers(2, 3))
+    def test_strided_view_is_measured_as_its_samples(self, x, step):
+        view = x[::step]
+        levels = dsp.octave_band_levels(view, FS)
+        assert levels.tobytes() == reference_band_levels(view, FS).tobytes()
+        assert dsp.octave_band_levels(np.ascontiguousarray(view), FS) is levels
+
+    def test_results_are_read_only(self):
+        levels = dsp.octave_band_levels(np.linspace(-0.5, 0.5, 5000), FS)
+        with pytest.raises(ValueError):
+            levels[0] = 0.0
+
+    def test_table_is_bounded_and_keeps_no_signal(self):
+        rng = np.random.default_rng(11)
+        for _ in range(dsp.BAND_LEVELS_MEMO_SIZE + 5):
+            dsp.octave_band_levels(rng.standard_normal(64), FS)
+        table = dsp._band_levels_memo
+        assert len(table) == dsp.BAND_LEVELS_MEMO_SIZE
+        for (rate, digest), levels in table.items():
+            assert (rate, len(digest)) == (FS, 32)
+            assert levels.shape == (len(dsp.OCTAVE_CENTERS_HZ),)
 
 
 class TestFractionalDelay:

@@ -1,15 +1,18 @@
 """Engine and CLI behavior: the block loop, context updates, lane handling,
 crossfade records, report/metrics emission, and the four subcommands."""
 
+import collections
 import csv
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
+import scipy.signal
 from scipy.io import wavfile
 
-from obar import demo
+from obar import context, demo, dsp, engine, renderers, routing
 from obar.cli import main as cli_main
 from obar.engine import RenderJob, run_render
 from obar.errors import JobError
@@ -236,6 +239,47 @@ class TestEngine:
         assert np.max(np.abs(result.output[:boundary])) > 0.0
         assert np.max(np.abs(result.output[boundary:])) == 0.0
 
+    def test_each_distinct_signal_and_geometry_is_computed_once(
+            self, tmp_path, monkeypatch):
+        """The loop measures many signals more than once (pristine and
+        adapted mixes, ladder previews) and builds every PM drive twice per
+        interval; filter passes equal the distinct signals and PM solves the
+        distinct geometries."""
+        measured = []
+
+        def recording(block, sample_rate=FS):
+            block = np.ascontiguousarray(block, dtype=float)
+            measured.append((sample_rate, hashlib.sha256(block.data).digest()))
+            return dsp.octave_band_levels(block, sample_rate)
+
+        passes = []
+        sosfilt = scipy.signal.sosfilt
+
+        def counting_sosfilt(*args, **kwargs):
+            passes.append(1)
+            return sosfilt(*args, **kwargs)
+
+        solves = []
+
+        def counting_pm(speakers, points, source, *, beta, sample_rate):
+            solves.append((tuple(speakers), source, beta, sample_rate))
+            return renderers.pm_filters(speakers, points, source, beta=beta,
+                                        sample_rate=sample_rate)
+
+        d = str(tmp_path)
+        scene = demo.write_demo_scene(d, duration_s=6.0)
+        scenario = demo.write_demo_scenario(d, noise_step_db=10.0)
+        monkeypatch.setattr(engine, "octave_band_levels", recording)
+        monkeypatch.setattr(context, "octave_band_levels", recording)
+        monkeypatch.setattr(scipy.signal, "sosfilt", counting_sosfilt)
+        monkeypatch.setattr(routing, "pm_filters", counting_pm)
+        monkeypatch.setattr(dsp, "_band_levels_memo", collections.OrderedDict())
+        routing.pm_design.cache_clear()
+        run_render(RenderJob(scene, scenario, os.path.join(d, "out.wav")))
+        assert len(measured) > len(set(measured))
+        assert len(passes) == len(dsp.OCTAVE_CENTERS_HZ) * len(set(measured))
+        assert solves and len(solves) == len(set(solves))
+
 
 class TestCLI:
     def demo_paths(self, tmp_path):
@@ -320,6 +364,56 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "cli_io" in err
         assert "tv" in err
+
+    def _one_line_failures(self, capsys, validate_args, render_args, field):
+        """validate exits 2 and render exits 1, each with one stderr line
+        naming the field."""
+        assert cli_main(["validate", *validate_args]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        err = captured.err.strip()
+        assert err.count("\n") == 0 and field in err, err
+        assert cli_main(["render", *render_args]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0 and field in err, err
+
+    @pytest.mark.parametrize("entry, field", [
+        ({"t_s": 0.0, "band_levels_db": [float("nan")] * 7},
+         "noise_timeline[0].band_levels_db[0]"),
+        ({"t_s": 0.0, "band_levels_db": [-60.0] * 6 + [float("inf")]},
+         "noise_timeline[0].band_levels_db[6]"),
+        ({"t_s": 0.0, "band_levels_db": [-60.0, "loud"] + [-60.0] * 5},
+         "noise_timeline[0].band_levels_db[1]"),
+        ({"t_s": float("nan"), "band_levels_db": [-60.0] * 7},
+         "noise_timeline[0].t_s"),
+        ({"t_s": "0", "band_levels_db": [-60.0] * 7}, "noise_timeline[0].t_s"),
+        ({"t_s": 0.0, "band_levels_db": -60.0}, "noise_timeline[0].band_levels_db"),
+        ({"band_levels_db": [-60.0] * 7}, "noise_timeline[0]"),
+    ])
+    def test_bad_noise_timeline_fails_at_parse_time(self, tmp_path, capsys,
+                                                    entry, field):
+        d, scene, scenario = self.demo_paths(tmp_path)
+        doc = json.load(open(scenario))
+        doc["noise_timeline"] = [entry]
+        bad = write_json(d, doc, "bad-scenario.json")
+        out = os.path.join(d, "x.wav")
+        self._one_line_failures(
+            capsys, ["--scene", scene, "--scenario", bad],
+            ["--scene", scene, "--scenario", bad, "--out", out], field)
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("field, value", [
+        ("level_db", [1]), ("level_db", "-3"), ("diffuseness", float("nan"))])
+    def test_bad_numeric_scene_field_fails_at_parse_time(self, tmp_path, capsys,
+                                                         field, value):
+        d, scene, scenario = self.demo_paths(tmp_path)
+        doc = json.load(open(scene))
+        doc["objects"][0][field] = value
+        bad = write_json(d, doc, "bad-scene.json")
+        self._one_line_failures(
+            capsys, ["--scene", bad],
+            ["--scene", bad, "--scenario", scenario,
+             "--out", os.path.join(d, "x.wav")], field)
 
     def test_missing_stem_single_line_diagnostic(self, tmp_path, capsys):
         d, scene, scenario = self.demo_paths(tmp_path)

@@ -13,11 +13,13 @@ from obar.context import (
     _parse_speaker,
     build_scenario,
 )
-from obar.errors import NonPositiveDuration, SameRenderer
+from obar import renderers, routing
+from obar.errors import NonPositiveDuration, SameRenderer, SourceInsideArray
 from obar.geometry import Direction3
 from obar.renderclass import RendererClass, RendererKind
 from obar.routing import (
     BAND_LIMIT_POWER_FRACTION,
+    PM_ZONE_RADIUS_M,
     BandFractions,
     CrossfadeSchedule,
     RendererAssignment,
@@ -26,6 +28,8 @@ from obar.routing import (
     feasible_renderers,
     infeasibility_reasons,
     max_ambi_order,
+    pm_control_points,
+    pm_design,
     route,
     schedule_crossfade,
     select_renderer,
@@ -423,7 +427,6 @@ class TestDriveBuilding:
         assert all(np.all(np.isfinite(f)) for f in drive.firs)
         assert np.all(np.asarray(drive.delays_s) >= 0.0)
 
-        from obar.routing import pm_control_points
         spk = np.array([layout.by_id(s).position.cartesian()
                         for s in assignment.speaker_subset])
         ctl = np.array([p.cartesian() for p in pm_control_points()])
@@ -446,6 +449,84 @@ class TestDriveBuilding:
             achieved *= np.exp(2j * np.pi * grid[fi] * (taps.shape[1] // 2) / FS)
             err = np.linalg.norm(achieved - target) / np.linalg.norm(target)
             assert err < 0.2, (f_hz, err)
+
+
+def _fresh_pm_drive(layout, ids, source, beta):
+    """build_drive's PM branch on an unmemoised pm_filters solve."""
+    design = renderers.pm_filters(
+        [layout.by_id(s).position for s in ids], pm_control_points(), source,
+        beta=beta, sample_rate=FS)
+    scale = 4.0 * np.pi * source.distance_m
+    delays = np.array(design.align_delays_s, dtype=float)
+    if delays.min() < 0.0:
+        delays -= delays.min()
+    return [f * scale for f in design.firs], delays
+
+
+class TestPMDesignMemo:
+    @settings(max_examples=25, deadline=None)
+    @given(count=st.integers(3, 12), az=st.floats(-180.0, 180.0),
+           dist=st.floats(2.5, 8.0), beta=st.sampled_from([1e-4, 1e-3, 1e-2]))
+    def test_memoised_drive_equals_fresh_solve(self, count, az, dist, beta):
+        layout = make_layout(ring_speakers(count))
+        source = Direction3(az, 0.0, dist)
+        assignment = RendererAssignment(
+            "o", RendererClass(RendererKind.PM_SINGLE_ZONE), layout.ids(),
+            params=(("beta", beta),))
+        firs, delays = _fresh_pm_drive(layout, layout.ids(), source, beta)
+        pm_design.cache_clear()
+        for _ in range(3):
+            drive = build_drive(assignment, layout, make_object(position=source), FS)
+            assert [f.tobytes() for f in drive.firs] == [f.tobytes() for f in firs]
+            assert drive.delays_s.tobytes() == delays.tobytes()
+            assert drive.gains.tobytes() == np.ones(count).tobytes()
+        info = pm_design.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_shared_design_is_read_only(self):
+        dirs = tuple(s.position for s in make_layout(ring_speakers(5)).speakers)
+        design = pm_design(dirs, Direction3(10.0, 0.0, 3.0), 1e-3, FS)
+        assert pm_design(dirs, Direction3(10.0, 0.0, 3.0), 1e-3, FS) is design
+        for array in (design.freqs, design.spectra, design.firs,
+                      design.align_delays_s):
+            with pytest.raises(ValueError):
+                array.flat[0] = 0.0
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Sources of the real pm_filters solves, counted where the memo
+        looks pm_filters up; the memo starts empty."""
+        sources = []
+
+        def counting(*args, **kwargs):
+            sources.append(args[2])
+            return renderers.pm_filters(*args, **kwargs)
+
+        pm_design.cache_clear()
+        monkeypatch.setattr(routing, "pm_filters", counting)
+        return sources
+
+    def test_each_geometry_is_solved_once_through_the_module_global(self, solves):
+        layout = make_layout(ring_speakers(6))
+        assignment = RendererAssignment(
+            "o", RendererClass(RendererKind.PM_SINGLE_ZONE), layout.ids(),
+            params=(("beta", 1e-3),))
+        near, far = Direction3(20.0, 0.0, 3.0), Direction3(20.0, 0.0, 4.0)
+        for source in (near, far, near, far, near):
+            build_drive(assignment, layout, make_object(position=source), FS)
+        assert solves == [near, far]
+
+    def test_source_inside_array_raises_on_every_call(self, solves):
+        layout = make_layout(ring_speakers(5))
+        assignment = RendererAssignment(
+            "o", RendererClass(RendererKind.PM_SINGLE_ZONE), layout.ids(),
+            params=(("beta", 1e-3),))
+        # a control point of the zone: the source coincides with it
+        inside = make_object(position=Direction3(0.0, 0.0, PM_ZONE_RADIUS_M))
+        for _ in range(3):
+            with pytest.raises(SourceInsideArray):
+                build_drive(assignment, layout, inside, FS)
+        assert len(solves) == 3
 
 
 class TestCrossfadesAndRouting:

@@ -141,6 +141,70 @@ class TestMonoMix:
     def test_object_without_samples_mixes_to_nothing(self):
         assert len(sm.mono_mix(self._obj(np.zeros(0)))) == 0
 
+    def test_single_stem_mix_is_a_read_only_view_of_the_stem(self):
+        x = speech_like(0.1)
+        obj = self._obj(np.zeros(0), x)   # an empty stem does not count
+        stem = obj.stems[1].samples
+        for window in (None, (100, 900)):
+            mix = sm.mono_mix(obj, window)
+            assert np.shares_memory(mix, stem)
+            with pytest.raises(ValueError):
+                mix[0] = 1.0
+        assert stem.flags.writeable
+
+    def test_multi_stem_mix_is_a_new_array(self):
+        a, b = np.arange(10.0), np.ones(10)
+        obj = self._obj(a, b)
+        mix = sm.mono_mix(obj)
+        assert not np.shares_memory(mix, obj.stems[0].samples)
+        assert not np.shares_memory(mix, obj.stems[1].samples)
+        assert np.array_equal(mix, (a + b) / 2.0)
+
+
+class TestParseNumber:
+    @given(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-10**300, 10**300)))
+    def test_finite_numbers_parse_to_their_float(self, value):
+        assert sm.parse_number(value, "f") == float(value)
+
+    @given(st.one_of(
+        st.text(), st.none(), st.booleans(), st.lists(st.integers(), max_size=2),
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+        st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400])))
+    def test_everything_else_is_a_schema_error_naming_the_field(self, value):
+        with pytest.raises(SchemaError, match=r"^objects\[0\]\.level_db must be"):
+            sm.parse_number(value, "objects[0].level_db")
+
+    @pytest.mark.parametrize("path, value", [
+        (("level_db",), [1]),
+        (("level_db",), "3"),
+        (("level_db",), None),
+        (("diffuseness",), float("nan")),
+        (("extent_deg",), float("inf")),
+        (("position", "az"), "left"),
+        (("position", "el"), float("nan")),
+        (("constraints", "tolerances", "level_db"), [6]),
+        (("reverb", "tail_bands", 0, "decay_tau_s"), float("nan")),
+    ])
+    def test_scene_fields_go_through_parse_number(self, basic_scene_dir, path, value):
+        d, _, doc = basic_scene_dir
+        doc = json.loads(json.dumps(doc))
+        obj = doc["objects"][0]
+        obj.setdefault("position", {"az": 0.0, "el": 0.0})
+        obj.setdefault("reverb", {"tail_bands": [
+            {"band_center_hz": 1000.0, "decay_tau_s": 0.5}]})
+        target = obj
+        for key in path[:-1]:
+            if isinstance(target, dict):
+                target = target.setdefault(key, {})
+            else:
+                target = target[key]
+        target[path[-1]] = value
+        bad = write_scene(d, doc, "bad.json")
+        with pytest.raises(SchemaError, match=path[-1]):
+            sm.parse_scene(bad)
+
 
 class TestRoundTrip:
     def test_parse_serialize_identity(self, basic_scene_dir):
