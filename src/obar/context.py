@@ -482,7 +482,7 @@ def parse_scenario(path: str):
             doc = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise SchemaError(f"scenario file is not valid JSON: {exc}") from exc
     return scenario_from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)))
 
@@ -494,8 +494,14 @@ def scenario_from_dict(doc: dict, base_dir: str = "."):
         raise SchemaError(f"unsupported scenario schema {doc.get('schema')!r}")
     layout_doc = doc.get("layout")
     if isinstance(layout_doc, str):
-        with open(os.path.join(base_dir, layout_doc), "r", encoding="utf-8") as fh:
-            layout_doc = json.load(fh)
+        layout_path = os.path.join(base_dir, layout_doc)
+        try:
+            with open(layout_path, "r", encoding="utf-8") as fh:
+                layout_doc = json.load(fh)
+        except OSError as exc:
+            raise SchemaError(f"cannot read layout file {layout_path}: {exc}") from exc
+        except ValueError as exc:
+            raise SchemaError(f"layout file {layout_path} is not valid JSON: {exc}") from exc
     if not isinstance(layout_doc, dict):
         raise SchemaError("scenario.layout must be a mapping or a file reference")
     if "devices" in layout_doc:

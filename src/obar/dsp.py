@@ -43,6 +43,10 @@ DEFAULT_SEED = 42
 TILT_PROBE_HZ = 4000.0
 TILT_REF_HZ = 250.0
 
+# A directive chain filtered over a window starts early enough for its
+# start-up transient to decay below this fraction of the signal level.
+TRANSIENT_FLOOR = 1e-16
+
 
 def rms_db(x: np.ndarray) -> float:
     """RMS level in dBFS, floored at LEVEL_FLOOR_DB."""
@@ -271,12 +275,21 @@ class BlockFIR:
 
     taps is one FIR (1-D) or a sequence of FIRs, one per row of the blocks
     that process() takes; shorter rows are zero-padded to the longest. Each
-    process() call filters all rows at once: the last len(taps) - 1 input
-    samples followed by the block go through one 2-D forward and one 2-D
-    inverse real FFT of size next_fast_len(block length + len(taps) - 1),
-    and the output is the part no wrap-around reaches (Wefers 2015, ch. 5).
-    The taps' transform at each FFT size is computed on first use and kept,
-    so a stream of equal-length blocks transforms the taps once.
+    process() call filters all rows at once (Wefers 2015, ch. 5):
+
+    - A block at least as long as the taps goes through one 2-D forward and
+      one 2-D inverse real FFT of size next_fast_len(block length +
+      len(taps) - 1) over the last len(taps) - 1 input samples followed by
+      the block; the output is the part no wrap-around reaches.
+    - A shorter block of B samples uses uniformly partitioned overlap-save:
+      the taps are cut into P = ceil(len(taps) / B) partitions of B, and a
+      frequency-domain delay line keeps the spectra of the last P input
+      block pairs. Each block costs one forward and one inverse FFT of 2B
+      points and P spectrum products.
+
+    The taps' transforms for each size are computed on first use and kept.
+    Block lengths may change between calls: the delay line is rebuilt from
+    the last len(taps) - 1 input samples.
     """
 
     def __init__(self, taps):
@@ -288,13 +301,57 @@ class BlockFIR:
         for i, r in enumerate(rows):
             self.taps[i, : len(r)] = r
         self._spectra: dict[int, np.ndarray] = {}
+        self._partitions: dict[int, np.ndarray] = {}
+        # The last len(taps) - 1 input samples, current while no delay line
+        # is; the partitioned path keeps its input in _history instead.
         self._tail = np.zeros((len(rows), length - 1))
+        self._history: np.ndarray | None = None   # rows x P * B
+        self._fdl: np.ndarray | None = None       # P x rows x B + 1, newest first
 
     def _taps_spectrum(self, size: int) -> np.ndarray:
         spectrum = self._spectra.get(size)
         if spectrum is None:
             spectrum = self._spectra[size] = sp_fft.rfft(self.taps, size, axis=1)
         return spectrum
+
+    def _partition_spectra(self, size: int) -> np.ndarray:
+        """P x rows x (size + 1) transforms of the taps cut into partitions
+        of size samples, each zero-padded to 2 * size."""
+        spectra = self._partitions.get(size)
+        if spectra is None:
+            rows, length = self.taps.shape
+            count = -(-length // size)
+            padded = np.zeros((rows, count * size))
+            padded[:, :length] = self.taps
+            parts = padded.reshape(rows, count, size).transpose(1, 0, 2)
+            spectra = self._partitions[size] = sp_fft.rfft(parts, 2 * size, axis=2)
+        return spectra
+
+    def _input_tail(self) -> np.ndarray:
+        """The last len(taps) - 1 input samples; drops the delay line."""
+        if self._history is not None:
+            k = self._tail.shape[1]
+            self._tail = self._history[:, self._history.shape[1] - k :].copy()
+            self._history = self._fdl = None
+        return self._tail
+
+    def _rebuild_delay_line(self, size: int, count: int) -> None:
+        """Delay line for blocks of size samples, from the input tail.
+
+        _history holds the last count blocks of input; samples older than
+        the tail are zeros, as they meet only zero taps. Slot j of the
+        delay line holds the spectrum of the block pair ending j blocks
+        before the next block; the last slot is shifted out unread.
+        """
+        tail = self._input_tail()
+        rows = len(self.taps)
+        history = np.zeros((rows, count * size))
+        history[:, history.shape[1] - tail.shape[1] :] = tail
+        pairs = np.lib.stride_tricks.sliding_window_view(
+            history, 2 * size, axis=1)[:, ::size]
+        fdl = np.zeros((count, rows, size + 1), dtype=complex)
+        fdl[: count - 1] = sp_fft.rfft(pairs, axis=2).transpose(1, 0, 2)[::-1]
+        self._history, self._fdl = history, fdl
 
     def process(self, block: np.ndarray) -> np.ndarray:
         """Filter one block: 1-D for a single FIR, else rows x samples."""
@@ -304,15 +361,36 @@ class BlockFIR:
             raise ValueError(
                 f"{len(rows)} rows to filter, but {len(self.taps)} FIRs")
         n = rows.shape[1]
-        k = self._tail.shape[1]
-        ext = np.concatenate([self._tail, rows], axis=1) if k else rows
+        if 0 < n < self.taps.shape[1]:
+            out = self._process_partitioned(rows)
+        else:
+            out = self._process_whole(rows)
+        return out if block.ndim == 2 else out[0]
+
+    def _process_whole(self, rows: np.ndarray) -> np.ndarray:
+        tail = self._input_tail()
+        n = rows.shape[1]
+        k = tail.shape[1]
+        ext = np.concatenate([tail, rows], axis=1) if k else rows
         size = sp_fft.next_fast_len(n + k, real=True)
         spectrum = sp_fft.rfft(ext, size, axis=1)
         spectrum *= self._taps_spectrum(size)
-        out = sp_fft.irfft(spectrum, size, axis=1)[:, k : k + n]
         if k:
             self._tail = ext[:, -k:]
-        return out if block.ndim == 2 else out[0]
+        return sp_fft.irfft(spectrum, size, axis=1)[:, k : k + n]
+
+    def _process_partitioned(self, rows: np.ndarray) -> np.ndarray:
+        size = rows.shape[1]
+        parts = self._partition_spectra(size)
+        if self._fdl is None or self._fdl.shape[2] != size + 1:
+            self._rebuild_delay_line(size, len(parts))
+        history, fdl = self._history, self._fdl
+        history[:, :-size] = history[:, size:]
+        history[:, -size:] = rows
+        fdl[1:] = fdl[:-1]
+        fdl[0] = sp_fft.rfft(history[:, -2 * size :], axis=1)
+        spectrum = (fdl * parts).sum(axis=0)
+        return sp_fft.irfft(spectrum, 2 * size, axis=1)[:, size:]
 
 
 def decorrelator_fir(index: int, n_taps: int = DECORRELATOR_TAPS, base_seed: int = DEFAULT_SEED) -> np.ndarray:
@@ -420,6 +498,43 @@ def apply_directives(
         else:
             raise ValueError(f"unknown directive kind {d.kind!r}")
     return out
+
+
+def directive_margins(directives, sample_rate: int = DEFAULT_SAMPLE_RATE) -> tuple[int, int]:
+    """(warm-up, look-ahead) of a directive chain, in samples.
+
+    Sample n of apply_directives' output depends on the input from
+    n - warm-up to n + look-ahead, to within TRANSIENT_FLOOR of the signal
+    level, so filtering a window that starts warm-up samples early and ends
+    look-ahead samples late reproduces the whole-stem output inside it.
+    Reaches add up along the chain:
+
+    - spectral_tilt: the samples the shelf's pole takes to decay below
+      TRANSIENT_FLOOR (3701 at -23.5 dB, 15 at +23.5 dB);
+    - time_shift: the 4-tap Lagrange delay reaches ceil(shift) + 3 samples
+      back for a delay; an advance reaches 3 back and ceil(-shift) ahead;
+    - decorrelate: DECORRELATOR_TAPS - 1 back when the amount is positive.
+    """
+    warmup = lookahead = 0
+    for d in directives:
+        if d.kind == "spectral_tilt":
+            _, a = design_tilt_ba(d.value, sample_rate)
+            pole = abs(a[-1]) if len(a) > 1 else 0.0
+            if pole > 0.0:
+                warmup += math.ceil(math.log(TRANSIENT_FLOOR) / math.log(pole))
+        elif d.kind == "time_shift":
+            shift = d.value * 1e-3 * sample_rate
+            if shift >= 0:
+                warmup += math.ceil(shift) + 3
+            else:
+                warmup += 3
+                lookahead += math.ceil(-shift)
+        elif d.kind == "decorrelate":
+            if d.value > 0.0:
+                warmup += DECORRELATOR_TAPS - 1
+        else:
+            raise ValueError(f"unknown directive kind {d.kind!r}")
+    return warmup, lookahead
 
 
 def exponential_tail(

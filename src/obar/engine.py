@@ -6,6 +6,13 @@ renderers; between updates it streams fixed-size blocks through per-object
 renderer lanes. A routing change starts a timed crossfade between the old
 and new lane; metadata-only changes (levels, positions, directives) step at
 the block boundary instead.
+
+An adapted object's directive chain (tilt, time shift, decorrelation) is
+read for one interval plus, when its lane fades out, the crossfade. So each
+interval filters a chain only over that window, started early enough for
+the filters to settle (dsp.directive_margins), and the windows are dropped
+once no lane reads them; objects without directives read their stems in
+place. The report is written only when every number in it is finite.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .dsp import (
     BLOCK_SIZE,
     DEFAULT_SEED,
     apply_directives,
+    directive_margins,
     octave_band_levels,
     power_sum_db,
     rms_db,
@@ -97,32 +105,37 @@ class _Lane:
     """Streaming render state for one object.
 
     Holds the live driving function plus, during a crossfade, the outgoing
-    one. Source is the directive-processed mono signal; gain is the linear
-    object level applied at mix time.
+    one. Source is the directive-processed mono signal (a _Source); gain is
+    the linear object level applied at mix time; cols are the drive's
+    output columns.
     """
 
-    def __init__(self, assignment, drive, source, gain):
+    def __init__(self, assignment, drive, source, gain, chan_index):
+        self.chan_index = chan_index
         self.assignment = assignment
-        self.drive = drive
-        self.state = new_render_state(drive)
+        self._set_drive(drive)
         self.source = source
         self.gain = gain
-        self.old = None  # (drive, state, source, gain) while fading out
+        self.old = None  # (drive, state, source, gain, cols) while fading out
         self.fade_start_s = 0.0
         self.fade_end_s = 0.0
         self.fade_coherent = True
 
+    def _set_drive(self, drive):
+        self.drive = drive
+        self.state = new_render_state(drive)
+        self.cols = _columns(drive, self.chan_index)
+
     def begin_fade(self, assignment, drive, source, gain, start_s, duration_s):
         # A change arriving mid-fade snaps the previous fade to its endpoint.
-        self.old = (self.drive, self.state, self.source, self.gain)
+        self.old = (self.drive, self.state, self.source, self.gain, self.cols)
         # Two gain-only drives carry the same waveform, so amplitudes may sum;
         # anything with delays or filters mixes power-complementarily instead.
         self.fade_coherent = _gains_only(self.drive) and _gains_only(drive)
         self.fade_start_s = start_s
         self.fade_end_s = start_s + duration_s
         self.assignment = assignment
-        self.drive = drive
-        self.state = new_render_state(drive)
+        self._set_drive(drive)
         self.source = source
         self.gain = gain
 
@@ -130,40 +143,108 @@ class _Lane:
         self.assignment = assignment
         if drive.fingerprint() != self.drive.fingerprint():
             # Same renderer, new parameters: step at the block boundary.
-            self.drive = drive
-            self.state = new_render_state(drive)
+            self._set_drive(drive)
         self.source = source
         self.gain = gain
+
+
+def _columns(drive: DrivingFunction, chan_index: dict) -> np.ndarray:
+    """The output column index of each of a drive's speakers."""
+    return np.array([chan_index[sid] for sid in drive.speaker_ids], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
 # signal bookkeeping
 
-def _object_sources(scene: Scene, cache: dict) -> dict:
-    """object_id -> (processed mono signal, linear mix gain).
+@dataclass(frozen=True)
+class _Source:
+    """Samples [start, start + len(samples)) of an object's processed mono
+    signal, whose whole length is stem_len. Reads past stem_len are zeros;
+    a read anywhere else outside the window is a bookkeeping error."""
 
-    Directive processing is cached on (id, directives): adaptation usually
-    repeats between context updates, so each distinct edit chain filters the
-    stem once per run.
+    samples: np.ndarray
+    start: int
+    stem_len: int
+
+    @property
+    def stop(self) -> int:
+        return self.start + len(self.samples)
+
+    def segment(self, t0: int, n: int) -> np.ndarray:
+        i = t0 - self.start
+        if i < 0:
+            raise RuntimeError(f"read at {t0} before the window at {self.start}")
+        seg = self.samples[i : i + n]
+        if len(seg) < n:
+            if self.stop < self.stem_len:
+                raise RuntimeError(
+                    f"read to {t0 + n} past the window end {self.stop}")
+            seg = np.concatenate([seg, np.zeros(n - len(seg))])
+        return seg
+
+
+def _chain_window(base: np.ndarray, directives, sample_rate: int,
+                  lo: int, hi: int) -> _Source:
+    """apply_directives(base, directives)[lo:hi], filtering only a window.
+
+    The window starts the chain's warm-up before lo and ends its look-ahead
+    after hi (dsp.directive_margins), clipped to the stem, so the result
+    matches the whole-stem chain to within the dropped transient; where the
+    window reaches the stem's end, a time advance zero-fills as it does on
+    the whole stem.
     """
-    out = {}
-    for obj in scene.objects:
-        key = (obj.object_id, obj.directives)
-        if key not in cache:
-            base = mono_mix(obj)
-            cache[key] = (
-                apply_directives(base, obj.directives, scene.sample_rate)
-                if obj.directives else base
-            )
-        out[obj.object_id] = (cache[key], 10.0 ** (obj.level_db / 20.0))
-    return out
+    n = len(base)
+    lo, hi = min(lo, n), min(hi, n)
+    if lo >= hi:
+        return _Source(np.zeros(0), lo, n)
+    warmup, lookahead = directive_margins(directives, sample_rate)
+    a = max(0, lo - warmup)
+    chain = apply_directives(base[a : min(n, hi + lookahead)], directives,
+                             sample_rate)
+    return _Source(chain[lo - a : hi - a], lo, n)
 
 
-def _segment(source: np.ndarray, t0: int, n: int) -> np.ndarray:
-    seg = source[t0 : t0 + n]
-    if len(seg) < n:
-        seg = np.concatenate([seg, np.zeros(n - len(seg))])
-    return seg
+class _Sources:
+    """The processed mono signal of every object, for one run.
+
+    An object without directives reads its whole mono mix, kept for the run
+    (a read-only view of the stem for a single-stem object). A directive
+    chain is filtered only over the samples [lo, hi) that the current
+    interval reads, once per interval. end_interval() drops the interval's
+    chains; the lanes still reading one hold it.
+    """
+
+    def __init__(self, sample_rate: int):
+        self.sample_rate = sample_rate
+        # object_id -> mono mix; adaptation never touches an object's stems,
+        # so the pristine and adapted objects share it.
+        self.mixes: dict = {}
+        self.chains: dict = {}
+
+    def for_scene(self, scene: Scene, lo: int, hi: int) -> dict:
+        """object_id -> (_Source covering [lo, hi), linear mix gain)."""
+        out = {}
+        for obj in scene.objects:
+            oid = obj.object_id
+            mix = self.mixes.get(oid)
+            if mix is None:
+                mix = self.mixes[oid] = mono_mix(obj)
+            if obj.directives:
+                source = self._chain(mix, (oid, obj.directives), lo, hi)
+            else:
+                source = _Source(mix, 0, len(mix))
+            out[oid] = (source, 10.0 ** (obj.level_db / 20.0))
+        return out
+
+    def _chain(self, mix, key, lo, hi) -> _Source:
+        source = self.chains.get(key)
+        if source is None:
+            source = self.chains[key] = _chain_window(
+                mix, key[1], self.sample_rate, lo, hi)
+        return source
+
+    def end_interval(self) -> None:
+        self.chains = {}
 
 
 def _interval_proxy(scene, sources, t0, t1, noise, sample_rate):
@@ -176,7 +257,7 @@ def _interval_proxy(scene, sources, t0, t1, noise, sample_rate):
     has_dialogue = False
     for obj in scene.objects:
         source, gain = sources[obj.object_id]
-        seg = _segment(source, t0, n) * gain
+        seg = source.segment(t0, n) * gain
         if obj.object_type is ObjectType.DIALOGUE:
             has_dialogue = True
             speech += seg
@@ -238,7 +319,11 @@ def run_render(job: RenderJob) -> RenderResult:
     band_fractions = BandFractions.for_speakers(scenario0.layout.speakers)
 
     tracker = ContextTracker()
-    cache: dict = {}
+    sources = _Sources(fs)
+    # The outgoing lane of a crossfade reads its source until the block
+    # holding the fade's end: the fade, one block, and one sample for the
+    # rounding of the end time.
+    fade_reads = math.ceil(job.crossfade_s * fs) + block + 1
     lanes: dict[str, _Lane] = {}
     prev_assign: dict = {}
     intervals: list[dict] = []
@@ -252,11 +337,17 @@ def run_render(job: RenderJob) -> RenderResult:
             t_s = t0 / fs
             noise = noise_at(timeline, t_s)
             window = (t0, min(t0 + interval, max(n_total, t0 + block)))
+            next_start = max(t0 + block, -(-(next_update + interval) // block) * block)
+            # Samples read from this interval's sources: the proxy's window,
+            # and each lane's blocks until the next update, or until its
+            # fade ends if it fades out there.
+            reads = (t0, max(next_start + fade_reads,
+                             t0 + max(window[1] - t0, MIN_NOISE_BLOCK)))
 
             # Measure on the pristine mix so the adaptation derived from it
             # is a fixed point: the same noise always yields the same deficit
             # and hence the same actions, with no duck/release oscillation.
-            pristine_sources = _object_sources(scene, cache)
+            pristine_sources = sources.for_scene(scene, *reads)
             measured = _interval_proxy(
                 scene, pristine_sources, window[0], window[1], noise, fs)
 
@@ -272,7 +363,7 @@ def run_render(job: RenderJob) -> RenderResult:
                 band_fractions=band_fractions)
             prev_assign = {a.object_id: a for a in assignments}
 
-            adapted_sources = _object_sources(adapted, cache)
+            adapted_sources = sources.for_scene(adapted, *reads)
             projected = _interval_proxy(
                 adapted, adapted_sources, window[0], window[1], noise, fs)
 
@@ -284,7 +375,7 @@ def run_render(job: RenderJob) -> RenderResult:
                 drive = build_drive(assignment, scenario.layout, obj, fs)
                 lane = lanes.get(oid)
                 if lane is None:
-                    lanes[oid] = _Lane(assignment, drive, source, gain)
+                    lanes[oid] = _Lane(assignment, drive, source, gain, chan_index)
                 elif oid in fading:
                     lane.begin_fade(assignment, drive, source, gain,
                                     start_s=t_s,
@@ -295,6 +386,7 @@ def run_render(job: RenderJob) -> RenderResult:
             for oid in list(lanes):
                 if oid not in live:  # pruned objects stop at the boundary
                     del lanes[oid]
+            sources.end_interval()
 
             intervals.append(_interval_record(
                 t_s, noise, ctx, measured, projected,
@@ -302,24 +394,24 @@ def run_render(job: RenderJob) -> RenderResult:
             interval_spans.append((t_s, t0))
             next_update += interval
 
-        times = (t0 + np.arange(block)) / fs
+        times = None
         for lane in lanes.values():
-            seg = _segment(lane.source, t0, block) * lane.gain
+            seg = lane.source.segment(t0, block) * lane.gain
             rendered = render_block(seg, lane.drive, lane.state)
-            cols = [chan_index[sid] for sid in lane.drive.speaker_ids]
             if lane.old is None:
-                out[t0 : t0 + block, cols] += rendered
+                out[t0 : t0 + block, lane.cols] += rendered
                 continue
+            if times is None:
+                times = (t0 + np.arange(block)) / fs
             p = np.clip(
                 (times - lane.fade_start_s)
                 / (lane.fade_end_s - lane.fade_start_s), 0.0, 1.0)
             w_new = p if lane.fade_coherent else np.sqrt(p)
             w_old = (1.0 - p) if lane.fade_coherent else np.sqrt(1.0 - p)
-            out[t0 : t0 + block, cols] += rendered * w_new[:, None]
-            old_drive, old_state, old_source, old_gain = lane.old
-            old_seg = _segment(old_source, t0, block) * old_gain
+            out[t0 : t0 + block, lane.cols] += rendered * w_new[:, None]
+            old_drive, old_state, old_source, old_gain, old_cols = lane.old
+            old_seg = old_source.segment(t0, block) * old_gain
             old_rendered = render_block(old_seg, old_drive, old_state)
-            old_cols = [chan_index[sid] for sid in old_drive.speaker_ids]
             out[t0 : t0 + block, old_cols] += old_rendered * w_old[:, None]
             if times[-1] >= lane.fade_end_s:
                 lane.old = None
@@ -346,9 +438,13 @@ def run_render(job: RenderJob) -> RenderResult:
 
     report_path = job.report_path or job.out_path + ".report.json"
     metrics_path = job.metrics_path or job.out_path + ".metrics.csv"
+    try:
+        report_text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise JobError(f"report holds a non-finite number: {exc}") from exc
     write_wav(job.out_path, fs, out)
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
+        fh.write(report_text)
         fh.write("\n")
     with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -211,10 +211,12 @@ def _check_num(records, obj_id, name, value, lo=None, hi=None,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         records.append(Violation(obj_id, name, f"{name} must be numeric"))
         return
-    if integer and not float(value).is_integer():
+    if isinstance(value, int):
+        pass  # exact, and may lie beyond float range
+    elif integer and not float(value).is_integer():
         records.append(Violation(obj_id, name, f"{name} must be an integer"))
         return
-    if not math.isfinite(value):
+    elif not math.isfinite(value):
         records.append(Violation(obj_id, name, f"{name} must be finite"))
         return
     if lo is not None and (value <= lo if lo_open else value < lo):
@@ -338,6 +340,30 @@ def parse_number(value, field: str) -> float:
     return number
 
 
+def parse_integer(value, field: str) -> int:
+    """A document's integer field as an int.
+
+    Every integer field of an object (channels, priority,
+    advanced.importance) is read through here. Anything but a number
+    (including a boolean) and any number that is not whole or not finite
+    raises SchemaError naming the field; a whole float such as 2.0 becomes
+    the int 2. Range checks are left to validate_scene.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SchemaError(f"{field} must be an integer, got {type(value).__name__}")
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    number = parse_number(value, field)
+    if not number.is_integer():
+        raise SchemaError(f"{field} must be an integer, got {value}")
+    return int(number)
+
+
+def _integer(mapping, key, default, context):
+    """_get an integer field and parse it with parse_integer."""
+    return parse_integer(_get(mapping, key, default), f"{context}.{key}")
+
+
 def _number(mapping, key, default=None, required=False, context=""):
     """_get a numeric field and parse it with parse_number."""
     return parse_number(_get(mapping, key, default, required, context),
@@ -361,7 +387,7 @@ def _parse_advanced(doc, context) -> AdvancedMetadata:
     if not isinstance(extra, dict):
         raise SchemaError(f"{context}.extra must be a mapping")
     return AdvancedMetadata(
-        importance=_get(doc, "importance", 5),
+        importance=_integer(doc, "importance", 5, context),
         onscreen=bool(_get(doc, "onscreen", False)),
         interactivity_restriction=bool(_get(doc, "interactivity_restriction", False)),
         preferred_renderer=_get(doc, "preferred_renderer", None),
@@ -457,9 +483,9 @@ def _parse_object(doc, stem_dir, scene_rate, load_stems) -> AudioObject:
         object_id=oid,
         object_type=otype,
         stems=tuple(stems),
-        channels=int(_get(doc, "channels", 1)),
+        channels=_integer(doc, "channels", 1, ctx),
         group=_get(doc, "group", None),
-        priority=_get(doc, "priority", 5),
+        priority=_integer(doc, "priority", 5, ctx),
         level_db=_number(doc, "level_db", 0.0, context=ctx),
         position=position,
         extent_deg=(None if _get(doc, "extent_deg", None) is None
@@ -518,7 +544,7 @@ def parse_scene(path: str, stem_dir: str | None = None, load_stems: bool = True,
             doc = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read scene file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise SchemaError(f"scene file is not valid JSON: {exc}") from exc
     base = stem_dir if stem_dir is not None else os.path.dirname(os.path.abspath(path))
     return scene_from_dict(doc, stem_dir=base, load_stems=load_stems,

@@ -241,6 +241,46 @@ class TestBlockFIR:
         assert np.max(np.abs(np.concatenate(parts) - full)) < 1e-9
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 1100),
+           st.lists(st.integers(1, 3000), min_size=1, max_size=6),
+           st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_changing_block_lengths_equal_full_convolution(
+            self, n_taps, lengths, rows, seed):
+        """Blocks shorter than the taps take the partitioned path, longer
+        ones the single-transform path; both, in any order, equal one
+        np.convolve of the whole input."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows, sum(lengths)))
+        h = rng.standard_normal((rows, n_taps)) / math.sqrt(n_taps)
+        fir = dsp.BlockFIR(h)
+        edges = np.cumsum([0] + lengths)
+        out = np.concatenate(
+            [fir.process(x[:, a:b]) for a, b in zip(edges[:-1], edges[1:])], axis=1)
+        for r in range(rows):
+            full = np.convolve(x[r], h[r])[: x.shape[1]]
+            assert np.max(np.abs(out[r] - full)) < 1e-12
+
+    def test_partitioned_block_costs_one_forward_transform(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        h = rng.standard_normal((3, 1024)) * 0.03
+        x = rng.standard_normal((3, 256 * 12))
+        sizes = []
+        rfft = dsp.sp_fft.rfft
+
+        def counting_rfft(a, n=None, axis=-1, **kwargs):
+            sizes.append(a.shape[axis] if n is None else n)
+            return rfft(a, n, axis, **kwargs)
+
+        fir = dsp.BlockFIR(h)
+        fir.process(x[:, :256])          # designs the partitions and delay line
+        monkeypatch.setattr(dsp.sp_fft, "rfft", counting_rfft)
+        out = [fir.process(x[:, i : i + 256]) for i in range(256, x.shape[1], 256)]
+        assert sizes == [512] * len(out)
+        full = np.convolve(x[1], h[1])[: x.shape[1]]
+        assert np.max(np.abs(np.concatenate(out, axis=1)[1] - full[256:])) < 1e-12
+
+
 class TestDecorrelators:
     def test_unit_energy_and_deterministic(self):
         h1 = dsp.decorrelator_fir(3)
@@ -318,6 +358,31 @@ class TestDirectives:
         for arr in (b, a):
             with pytest.raises(ValueError):
                 arr[0] = 2.0
+
+
+class TestDirectiveMargins:
+    def test_tilt_warmup_lets_the_transient_decay_below_the_floor(self):
+        for tilt in (-23.5, -6.0, 3.0, 23.5):
+            warmup, lookahead = dsp.directive_margins(
+                [dsp.Directive("spectral_tilt", tilt)], FS)
+            pole = abs(dsp.design_tilt_ba(tilt, FS)[1][1])
+            assert pole ** warmup < dsp.TRANSIENT_FLOOR <= pole ** (warmup - 1)
+            assert lookahead == 0
+        assert dsp.directive_margins([dsp.Directive("spectral_tilt", -23.5)], FS) == (3701, 0)
+        assert dsp.directive_margins([dsp.Directive("spectral_tilt", 0.0)], FS) == (0, 0)
+
+    def test_reaches_add_up_along_the_chain(self):
+        chain = [
+            dsp.Directive("time_shift", 10.01),     # 480.48 samples late
+            dsp.Directive("decorrelate", 0.3, seed=1),
+            dsp.Directive("time_shift", -2.5),      # 120 samples early
+            dsp.Directive("decorrelate", 0.0, seed=2),
+        ]
+        assert dsp.directive_margins(chain, FS) == (481 + 3 + 1023 + 3, 120)
+
+    def test_unknown_directive_rejected(self):
+        with pytest.raises(ValueError):
+            dsp.directive_margins([dsp.Directive("reverse", 1.0)], FS)
 
 
 class TestFuzz:

@@ -10,12 +10,15 @@ import os
 import numpy as np
 import pytest
 import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from obar import context, demo, dsp, engine, renderers, routing
 from obar.cli import main as cli_main
 from obar.engine import RenderJob, run_render
 from obar.errors import JobError
+from obar.scene import mono_mix, parse_scene
 
 from conftest import (
     FS,
@@ -281,6 +284,164 @@ class TestEngine:
         assert solves and len(solves) == len(set(solves))
 
 
+def _whole_stem_object_sources(scene, cache):
+    """The whole-stem directive processing the windowed chains replaced,
+    kept as their reference: object_id -> (processed mono signal, linear
+    mix gain), each distinct (id, directives) chain filtering the whole
+    stem once per run."""
+    out = {}
+    for obj in scene.objects:
+        key = (obj.object_id, obj.directives)
+        if key not in cache:
+            base = mono_mix(obj)
+            cache[key] = (
+                engine.apply_directives(base, obj.directives, scene.sample_rate)
+                if obj.directives else base
+            )
+        out[obj.object_id] = (cache[key], 10.0 ** (obj.level_db / 20.0))
+    return out
+
+
+class _WholeStemSources:
+    """engine._Sources with the whole-stem reference behind it."""
+
+    def __init__(self, sample_rate):
+        self.cache = {}
+
+    def for_scene(self, scene, lo, hi):
+        return {
+            oid: (engine._Source(signal, 0, len(signal)), gain)
+            for oid, (signal, gain) in _whole_stem_object_sources(
+                scene, self.cache).items()
+        }
+
+    def end_interval(self):
+        pass
+
+
+_DIRECTIVES = st.one_of(
+    st.builds(lambda db: dsp.Directive("spectral_tilt", db),
+              st.floats(-23.5, 23.5)),
+    st.builds(lambda ms: dsp.Directive("time_shift", ms),
+              st.floats(-100.0, 100.0)),
+    st.builds(lambda amount, seed: dsp.Directive("decorrelate", amount, seed=seed),
+              st.floats(0.0, 1.0), st.integers(0, 99)),
+)
+
+
+class TestWindowedSources:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_DIRECTIVES, max_size=4), st.integers(2000, 40000),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_windowed_chain_equals_whole_stem_slice(self, directives, n, seed,
+                                                    data):
+        """Tilts up to +-23.5 dB, time shifts of +-100 ms and decorrelation
+        in any order; windows at, near and away from the stem's ends."""
+        stem = np.random.default_rng(seed).standard_normal(n) * 0.1
+        lo = data.draw(st.one_of(st.just(0), st.integers(0, n)), label="lo")
+        hi = data.draw(st.one_of(st.just(n), st.integers(lo, n + 500)), label="hi")
+        whole = dsp.apply_directives(stem, directives, FS)[lo:hi]
+        window = engine._chain_window(stem, tuple(directives), FS, lo, hi)
+        assert window.start == min(lo, n) and window.stem_len == n
+        assert window.samples.shape == whole.shape
+        assert np.max(np.abs(window.samples - whole), initial=0.0) <= 1e-12
+
+    def test_reads_outside_the_window_are_errors(self):
+        source = engine._Source(np.arange(10.0), 100, 200)
+        assert np.array_equal(source.segment(104, 3), [4.0, 5.0, 6.0])
+        with pytest.raises(RuntimeError, match="before the window"):
+            source.segment(99, 3)
+        with pytest.raises(RuntimeError, match="past the window"):
+            source.segment(108, 3)
+        at_end = engine._Source(np.arange(10.0), 190, 200)
+        assert np.array_equal(at_end.segment(198, 4), [8.0, 9.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("fs, block, crossfade_s", [
+        (44100, 1000, 3.0),   # 1000 does not divide the 88200-sample interval
+        (48000, 256, 1.0),
+        (48000, 1000, 0.25),
+    ])
+    def test_windowed_render_equals_whole_stem_reference(
+            self, tmp_path, monkeypatch, fs, block, crossfade_s):
+        """A render whose chains (tilts, decorrelation, negative time shifts)
+        change every interval while the noise flips a renderer switch, with
+        a multi-stem object and a stem shorter than the scene, against the
+        same render with whole-stem chains."""
+        d = str(tmp_path)
+        dur = 8.5
+        dlg = write_stem(d, "dlg.wav", speech_like(dur, fs=fs), fs=fs)
+        left = write_stem(d, "l.wav", music_like(dur, seed=5, fs=fs), fs=fs)
+        right = write_stem(d, "r.wav", music_like(dur, seed=6, fs=fs), fs=fs)
+        wash = write_stem(d, "wash.wav", noise_like(dur - 1.3, fs=fs), fs=fs)
+        scene = write_scene(d, scene_doc([
+            object_doc("narrator", "dialogue", [dlg], priority=9,
+                       position={"az": 0.0, "el": 0.0, "dist": None}),
+            object_doc("band", "music", [left, right], priority=4,
+                       position={"az": -40.0, "el": 0.0, "dist": None}),
+            object_doc("wash", "ambience", [wash], priority=2,
+                       position={"az": 150.0, "el": 0.0, "dist": None}),
+        ], fs=fs, intelligibility=0.9))
+        timeline = [{"t_s": t, "band_levels_db": [level] * 7}
+                    for t, level in ((0.0, -60.0), (2.0, -45.0), (4.0, -58.0),
+                                     (6.0, -46.0), (8.0, -57.0))]
+        scenario = write_json(d, scenario_doc(ring_speakers(5),
+                                              noise_timeline=timeline),
+                              "scenario.json")
+        rulebook = write_json(d, {"schema": "rulebook v1", "rules": [
+            {"rule_id": "steady", "when": "true", "actions": [
+                {"kind": "decorrelate", "amount": 0.4,
+                 "select": "type == 'dialogue'"}]},
+            {"rule_id": "loud", "when": "noise_broadband_db > -45", "actions": [
+                {"kind": "spectral_tilt", "db": -5.5, "select": "type == 'music'"},
+                {"kind": "time_shift", "ms": -37.3, "select": "type == 'music'"},
+                {"kind": "time_shift", "ms": -61.7, "select": "type == 'ambience'"},
+                {"kind": "decorrelate", "amount": 0.8,
+                 "select": "type == 'ambience'"}]},
+            {"rule_id": "quiet", "when": "noise_broadband_db <= -45", "actions": [
+                {"kind": "time_shift", "ms": -12.01, "select": "type != 'dialogue'"},
+                {"kind": "spectral_tilt", "db": 4.0,
+                 "select": "type == 'ambience'"}]},
+            {"rule_id": "ladder", "when": "intelligibility_deficit > 0",
+             "actions": [{"kind": "intelligibility_ladder"}]},
+        ]}, "rules.json")
+        selection = write_json(d, {"schema": "selection v1", "rules": [
+            {"match": "noise_broadband_db > -45", "renderer": "AmbiMM", "order": 1},
+            {"match": "true", "renderer": "VBAP"},
+        ]}, "select.json")
+
+        filtered = []
+        apply = dsp.apply_directives
+
+        def counting(stem, directives, sample_rate):
+            filtered.append((len(stem), directives))
+            return apply(stem, directives, sample_rate)
+
+        monkeypatch.setattr(engine, "apply_directives", counting)
+
+        def render(name):
+            return run_render(RenderJob(
+                scene_path=scene, scenario_path=scenario,
+                out_path=os.path.join(d, name), rulebook_path=rulebook,
+                selection_path=selection, block_size=block,
+                crossfade_s=crossfade_s))
+
+        windowed = render("windowed.wav")
+        filtered.clear()
+        monkeypatch.setattr(engine, "_Sources", _WholeStemSources)
+        reference = render("reference.wav")
+
+        shifts = {dr.value for _, chain in filtered for dr in chain
+                  if dr.kind == "time_shift"}
+        assert {-37.3, -61.7, -12.01} <= shifts
+        fades = [f for iv in reference.report["intervals"] for f in iv["crossfades"]]
+        assert len(fades) >= 4
+        assert np.max(np.abs(windowed.output - reference.output)) <= 1e-9
+        for key in ("intervals", "channels", "duration_samples"):
+            assert windowed.report[key] == reference.report[key]
+        with open(windowed.metrics_path) as a, open(reference.metrics_path) as b:
+            assert a.read() == b.read()
+
+
 class TestCLI:
     def demo_paths(self, tmp_path):
         d = str(tmp_path)
@@ -414,6 +575,99 @@ class TestCLI:
             capsys, ["--scene", bad],
             ["--scene", bad, "--scenario", scenario,
              "--out", os.path.join(d, "x.wav")], field)
+
+    @pytest.mark.parametrize("field, value", [
+        ("channels", [1]), ("channels", 1.5), ("channels", True),
+        ("priority", 2.5), ("priority", "9"), ("priority", False)])
+    def test_bad_integer_scene_field_fails_at_parse_time(self, tmp_path, capsys,
+                                                         field, value):
+        d, scene, scenario = self.demo_paths(tmp_path)
+        doc = json.load(open(scene))
+        doc["objects"][0][field] = value
+        bad = write_json(d, doc, "bad-scene.json")
+        self._one_line_failures(
+            capsys, ["--scene", bad],
+            ["--scene", bad, "--scenario", scenario,
+             "--out", os.path.join(d, "x.wav")], field)
+
+    def test_bad_importance_fails_at_parse_time(self, tmp_path, capsys):
+        d, scene, scenario = self.demo_paths(tmp_path)
+        doc = json.load(open(scene))
+        doc["objects"][0]["advanced"]["importance"] = 8.5
+        bad = write_json(d, doc, "bad-scene.json")
+        self._one_line_failures(
+            capsys, ["--scene", bad],
+            ["--scene", bad, "--scenario", scenario,
+             "--out", os.path.join(d, "x.wav")], "advanced.importance")
+
+    def test_whole_number_integer_fields_stay_ints(self, tmp_path):
+        d, scene, _ = self.demo_paths(tmp_path)
+        doc = json.load(open(scene))
+        doc["objects"][0].update(channels=1.0, priority=9.0)
+        doc["objects"][0]["advanced"]["importance"] = 9.0
+        obj = parse_scene(write_json(d, doc, "whole.json")).objects[0]
+        for value in (obj.channels, obj.priority, obj.advanced.importance):
+            assert type(value) is int
+
+    @pytest.mark.parametrize("path", [("priority",), ("advanced", "importance")])
+    def test_oversized_integer_is_out_of_range(self, tmp_path, capsys, path):
+        d, scene, scenario = self.demo_paths(tmp_path)
+        doc = json.load(open(scene))
+        target = doc["objects"][0]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = 10**400
+        bad = write_json(d, doc, "big.json")
+        field = ".".join(path)
+        assert cli_main(["validate", "--scene", bad]) == 1
+        out = capsys.readouterr().out
+        assert f"{field}=1{'0' * 400} above range" in out
+        assert cli_main(["render", "--scene", bad, "--scenario", scenario,
+                         "--out", os.path.join(d, "x.wav")]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0 and "above range" in err and field in err
+
+    def test_integer_beyond_the_parser_limit_fails_in_one_line(self, tmp_path,
+                                                              capsys):
+        """Python's JSON reader refuses integer literals of more than 4300
+        digits with a ValueError that is not a JSONDecodeError."""
+        d, scene, scenario = self.demo_paths(tmp_path)
+        text = open(scene).read().replace('"priority": 9', '"priority": 1' + "0" * 5000, 1)
+        bad = os.path.join(d, "huge.json")
+        with open(bad, "w") as fh:
+            fh.write(text)
+        self._one_line_failures(
+            capsys, ["--scene", bad],
+            ["--scene", bad, "--scenario", scenario,
+             "--out", os.path.join(d, "x.wav")], "not valid JSON")
+
+    def test_missing_layout_file_is_a_schema_error(self, tmp_path, capsys):
+        d, scene, scenario = self.demo_paths(tmp_path)
+        doc = json.load(open(scenario))
+        doc["layout"] = "no-such-layout.json"
+        bad = write_json(d, doc, "bad-scenario.json")
+        out = os.path.join(d, "x.wav")
+        self._one_line_failures(
+            capsys, ["--scene", scene, "--scenario", bad],
+            ["--scene", scene, "--scenario", bad, "--out", out],
+            os.path.join(d, "no-such-layout.json"))
+        assert not os.path.exists(out)
+
+    def test_non_finite_report_value_fails_in_one_line(self, tmp_path, capsys,
+                                                       monkeypatch):
+        d, scene, scenario = self.demo_paths(tmp_path)
+        monkeypatch.setattr(engine, "band_snr_score", lambda *a: float("nan"))
+        out = os.path.join(d, "x.wav")
+        rc = cli_main(["render", "--scene", scene, "--scenario", scenario,
+                       "--out", out])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        err = captured.err.strip()
+        assert err.count("\n") == 0, err
+        assert "report holds a non-finite number" in err
+        assert not os.path.exists(out)
+        assert not os.path.exists(out + ".report.json")
 
     def test_missing_stem_single_line_diagnostic(self, tmp_path, capsys):
         d, scene, scenario = self.demo_paths(tmp_path)
