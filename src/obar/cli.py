@@ -16,12 +16,7 @@ from .engine import RenderJob, run_render
 from .errors import ObarError
 from .geometry import Direction3, wrap_azimuth
 from .renderclass import RendererKind
-from .routing import (
-    DEFAULT_CROSSFADE_S,
-    feasible_renderers,
-    infeasibility_reasons,
-    max_ambi_order,
-)
+from .routing import DEFAULT_CROSSFADE_S, infeasibility_reasons, max_ambi_order
 from .scene import AudioObject, ObjectType, parse_scene, validate_scene
 
 PROBE_AZIMUTHS_DEG = (0, 45, 90, 135, 180, 225, 270, 315)
@@ -76,17 +71,15 @@ def cmd_probe(scenario_path: str) -> int:
     order = max_ambi_order(count)
     print(f"layout: {count} speakers, max ambisonic order {order}")
     for az in PROBE_AZIMUTHS_DEG:
-        obj = _probe_object(az)
-        feasible = {rc.kind for rc in feasible_renderers(scenario.layout, obj)}
-        reasons = infeasibility_reasons(scenario.layout, obj)
+        reasons = infeasibility_reasons(scenario.layout, _probe_object(az))
         cells = []
         for kind in RendererKind:
             name = kind.value
-            if kind in feasible:
+            if name in reasons:
+                cells.append(f"{name} no ({reasons[name]})")
+            else:
                 label = f"{name}({order})" if kind is RendererKind.AMBI_MM else name
                 cells.append(f"{label} ok")
-            else:
-                cells.append(f"{name} no ({reasons.get(name, 'infeasible')})")
         print(f"az {az:3d}: " + " | ".join(cells))
     return 0
 

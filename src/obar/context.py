@@ -8,7 +8,6 @@ level so adaptation rules can react to noise steps.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -24,8 +23,7 @@ from .errors import (
     SchemaError,
 )
 from .geometry import Direction3, from_cartesian
-from .renderclass import RendererClass
-from .scene import ObjectType, Scene, SceneTargets, parse_number
+from .scene import Scene, SceneTargets, parse_number, read_document
 
 SCENARIO_SCHEMA_VERSION = "scenario-schema v1"
 
@@ -147,13 +145,6 @@ class ReproductionScenario:
 
 
 @dataclass(frozen=True)
-class ObjectContext:
-    feasible_renderers: frozenset[RendererClass]
-    nearest_device: str | None
-    localizability_need: float
-
-
-@dataclass(frozen=True)
 class HighLevelContext:
     intelligibility_deficit: float
     noise_delta_db: float
@@ -165,11 +156,12 @@ class HighLevelContext:
     listener: ListenerInfo | None = None
     speaker_count: int = 0
     room_decay_tau_s: tuple[float, ...] | None = None
+    # The speaker closest to the dominant listener.
+    nearest_device: str | None = None
 
 
 @dataclass(frozen=True)
 class ContextualInfo:
-    per_object: dict[str, ObjectContext]
     high_level: HighLevelContext
 
 
@@ -183,16 +175,6 @@ class Monitoring:
 
 # ---------------------------------------------------------------------------
 # estimation
-
-def estimate_noise_level(block: np.ndarray, sample_rate: int,
-                         timestamp_s: float = 0.0) -> NoiseState:
-    """Octave-band noise levels from a captured block (>= 4096 samples)."""
-    block = np.asarray(block, dtype=float)
-    if len(block) < MIN_NOISE_BLOCK:
-        raise BlockTooShort(
-            f"noise estimation needs >= {MIN_NOISE_BLOCK} samples, got {len(block)}")
-    return NoiseState(timestamp_s, tuple(octave_band_levels(block, sample_rate)))
-
 
 def band_snr_score(speech_bands_db, masker_bands_db) -> float:
     """Mean usable fraction over octave bands; monotone in every band SNR."""
@@ -273,12 +255,6 @@ def _distance_between(a: Direction3, b: Direction3) -> float:
     return float(np.linalg.norm(_to_point(a) - _to_point(b)))
 
 
-def _localizability_need(obj) -> float:
-    base = 0.3 if obj.object_type in (
-        ObjectType.AMBIENCE, ObjectType.DIFFUSE, ObjectType.HOA) else 1.0
-    return min(max(base * (1.0 - obj.diffuseness), 0.0), 1.0)
-
-
 class ContextTracker:
     """Derives ContextualInfo from a scenario and scene, holding noise history."""
 
@@ -287,8 +263,6 @@ class ContextTracker:
 
     def update(self, scenario: ReproductionScenario, scene: Scene,
                monitoring: Monitoring | None = None) -> ContextualInfo:
-        from .routing import feasible_renderers  # avoids a module cycle
-
         noise = scenario.noise
         measured = None
         if monitoring is not None:
@@ -310,14 +284,6 @@ class ContextTracker:
             key=lambda s: _distance_between(s.position, listener.position),
         ).speaker_id
 
-        per_object = {
-            obj.object_id: ObjectContext(
-                feasible_renderers=frozenset(feasible_renderers(scenario.layout, obj)),
-                nearest_device=nearest,
-                localizability_need=_localizability_need(obj),
-            )
-            for obj in scene.objects
-        }
         high = HighLevelContext(
             intelligibility_deficit=deficit,
             noise_delta_db=delta,
@@ -329,8 +295,9 @@ class ContextTracker:
             listener=listener,
             speaker_count=len(scenario.layout.speakers),
             room_decay_tau_s=scenario.environment.room_decay_tau_s,
+            nearest_device=nearest,
         )
-        return ContextualInfo(per_object=per_object, high_level=high)
+        return ContextualInfo(high_level=high)
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +444,7 @@ def parse_scenario(path: str):
     Returns (layout, listeners, environment, noise_timeline); geometry is not
     yet re-referenced, call build_scenario for that.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"cannot read scenario file: {exc}") from exc
-    except ValueError as exc:
-        raise SchemaError(f"scenario file is not valid JSON: {exc}") from exc
+    doc = read_document(path, "scenario file")
     return scenario_from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -495,13 +456,7 @@ def scenario_from_dict(doc: dict, base_dir: str = "."):
     layout_doc = doc.get("layout")
     if isinstance(layout_doc, str):
         layout_path = os.path.join(base_dir, layout_doc)
-        try:
-            with open(layout_path, "r", encoding="utf-8") as fh:
-                layout_doc = json.load(fh)
-        except OSError as exc:
-            raise SchemaError(f"cannot read layout file {layout_path}: {exc}") from exc
-        except ValueError as exc:
-            raise SchemaError(f"layout file {layout_path} is not valid JSON: {exc}") from exc
+        layout_doc = read_document(layout_path, f"layout file {layout_path}")
     if not isinstance(layout_doc, dict):
         raise SchemaError("scenario.layout must be a mapping or a file reference")
     if "devices" in layout_doc:

@@ -3,8 +3,6 @@ loudspeakers with capability defaults looked up by device kind."""
 
 from __future__ import annotations
 
-import json
-
 from .context import (
     Bandwidth,
     DeviceKind,
@@ -14,7 +12,7 @@ from .context import (
     _require_keys,
 )
 from .errors import DuplicateDeviceId, EmptyLayout, SchemaError
-from .scene import parse_number
+from .scene import parse_number, read_document
 
 DEVICES_SCHEMA_VERSION = "devices v1"
 
@@ -80,11 +78,4 @@ def layout_from_device_config(doc: dict) -> SpeakerLayout:
 
 def enumerate_devices(path: str) -> SpeakerLayout:
     """Read a device config file and enumerate the connected devices."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"cannot read devices file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"devices file is not valid JSON: {exc}") from exc
-    return layout_from_device_config(doc)
+    return layout_from_device_config(read_document(path, "devices file"))

@@ -242,30 +242,22 @@ def delay_signal(x: np.ndarray, delay_s: float, sample_rate: int = DEFAULT_SAMPL
 
 # crossfades -------------------------------------------------------------
 
-def equal_power_crossfade(block_a: np.ndarray, block_b: np.ndarray, position) -> np.ndarray:
-    """Equal-power mix: a * sqrt(1-p) + b * sqrt(p).
+def crossfade_gains(position, coherent: bool):
+    """Gain envelopes (w_old, w_new) fading one block out and another in.
 
-    position may be a scalar or a per-sample array in [0, 1]. The two gain
-    envelopes satisfy a^2 + b^2 = 1 exactly, which keeps total power flat for
-    uncorrelated sources.
+    position may be a scalar or a per-sample array in [0, 1]. When both
+    blocks carry the same waveform (two gain renderers fed the same stem)
+    the law is amplitude-complementary, (1-p, p): amplitude sums stay
+    constant so power stays flat, where the equal-power law would bulge by
+    up to +3 dB. Otherwise it is equal-power, (sqrt(1-p), sqrt(p)), whose
+    squares sum to 1 and so keep the power of uncorrelated blocks flat.
     """
     p = np.asarray(position, dtype=float)
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("crossfade position must lie in [0, 1]")
-    return np.asarray(block_a) * np.sqrt(1.0 - p) + np.asarray(block_b) * np.sqrt(p)
-
-
-def coherent_crossfade(block_a: np.ndarray, block_b: np.ndarray, position) -> np.ndarray:
-    """Amplitude-complementary mix a * (1-p) + b * p.
-
-    The right law when both blocks carry the same waveform (two gain renderers
-    fed the same stem): amplitude sums stay constant so power stays flat, where
-    the equal-power law would bulge by up to +3 dB.
-    """
-    p = np.asarray(position, dtype=float)
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("crossfade position must lie in [0, 1]")
-    return np.asarray(block_a) * (1.0 - p) + np.asarray(block_b) * p
+    if coherent:
+        return 1.0 - p, p
+    return np.sqrt(1.0 - p), np.sqrt(p)
 
 
 # streaming FIR ----------------------------------------------------------

@@ -40,6 +40,7 @@ from .dsp import (
     BLOCK_SIZE,
     DEFAULT_SEED,
     apply_directives,
+    crossfade_gains,
     directive_margins,
     octave_band_levels,
     power_sum_db,
@@ -310,13 +311,13 @@ def run_render(job: RenderJob) -> RenderResult:
     interval = int(round(CONTEXT_INTERVAL_S * fs))
     n_blocks = math.ceil(n_total / block)
 
-    # Geometry is fixed for the run; only the noise state changes, so the
-    # channel order pinned here matches every per-interval scenario below.
-    scenario0 = build_scenario(layout, listeners, environment)
-    chan_index = {s.speaker_id: i for i, s in enumerate(scenario0.layout.speakers)}
-    n_channels = len(scenario0.layout.speakers)
+    # Geometry is fixed for the run, so one scenario serves every interval;
+    # the noise state changes and reaches the tracker through Monitoring.
+    scenario = build_scenario(layout, listeners, environment)
+    chan_index = {s.speaker_id: i for i, s in enumerate(scenario.layout.speakers)}
+    n_channels = len(scenario.layout.speakers)
     # Stems are fixed for the run, so each object's band analysis is too.
-    band_fractions = BandFractions.for_speakers(scenario0.layout.speakers)
+    band_fractions = BandFractions.for_speakers(scenario.layout.speakers)
 
     tracker = ContextTracker()
     sources = _Sources(fs)
@@ -351,7 +352,6 @@ def run_render(job: RenderJob) -> RenderResult:
             measured = _interval_proxy(
                 scene, pristine_sources, window[0], window[1], noise, fs)
 
-            scenario = build_scenario(layout, listeners, environment, noise=noise)
             ctx = tracker.update(
                 scenario, scene,
                 Monitoring(noise=noise, intelligibility=measured))
@@ -403,11 +403,10 @@ def run_render(job: RenderJob) -> RenderResult:
                 continue
             if times is None:
                 times = (t0 + np.arange(block)) / fs
-            p = np.clip(
+            position = np.clip(
                 (times - lane.fade_start_s)
                 / (lane.fade_end_s - lane.fade_start_s), 0.0, 1.0)
-            w_new = p if lane.fade_coherent else np.sqrt(p)
-            w_old = (1.0 - p) if lane.fade_coherent else np.sqrt(1.0 - p)
+            w_old, w_new = crossfade_gains(position, lane.fade_coherent)
             out[t0 : t0 + block, lane.cols] += rendered * w_new[:, None]
             old_drive, old_state, old_source, old_gain, old_cols = lane.old
             old_seg = old_source.segment(t0, block) * old_gain
@@ -431,7 +430,7 @@ def run_render(job: RenderJob) -> RenderResult:
         "crossfade_s": job.crossfade_s,
         "seed": job.seed,
         "listener": listeners[0].listener_id,
-        "channels": [s.speaker_id for s in scenario0.layout.speakers],
+        "channels": [s.speaker_id for s in scenario.layout.speakers],
         "intervals": intervals,
         "timing": {"render_s": round(time.perf_counter() - wall_start, 6)},
     }

@@ -119,27 +119,10 @@ def max_ambi_order(speaker_count: int) -> int:
     return min((speaker_count - 1) // 2, MAX_AMBI_ORDER)
 
 
-def feasible_renderers(layout: SpeakerLayout, obj: AudioObject) -> frozenset[RendererClass]:
-    """Renderer classes whose arrangement requirements this layout satisfies
-    for this object. Nearest-speaker panning is always present."""
-    count = len(layout.speakers)
-    dirs = [s.position for s in layout.speakers]
-    found = {RendererClass(RendererKind.AP1_NEAREST)}
-    if obj.position is not None and count >= 2 and vbap_feasible(dirs, obj.position):
-        found.add(RendererClass(RendererKind.AP3_VBAP))
-    for order in range(1, max_ambi_order(count) + 1):
-        found.add(RendererClass(RendererKind.AMBI_MM, order))
-    if wfs_segment(layout) is not None:
-        found.add(RendererClass(RendererKind.WFS_GAIN_DELAY))
-    if obj.position is not None and obj.position.distance_m is not None:
-        found.add(RendererClass(RendererKind.PM_SINGLE_ZONE))
-    if count >= 2:
-        found.add(RendererClass(RendererKind.DIFFUSE))
-    return frozenset(found)
-
-
 def infeasibility_reasons(layout: SpeakerLayout, obj: AudioObject) -> dict[str, str]:
-    """Why each absent renderer class is absent, for diagnostics."""
+    """Renderer kind name -> why this layout cannot drive that kind for this
+    object, for every kind it cannot drive. Nearest-speaker panning never
+    appears. The only statement of the arrangement requirements."""
     count = len(layout.speakers)
     dirs = [s.position for s in layout.speakers]
     reasons: dict[str, str] = {}
@@ -160,6 +143,23 @@ def infeasibility_reasons(layout: SpeakerLayout, obj: AudioObject) -> dict[str, 
     if count < 2:
         reasons["Diffuse"] = "needs at least 2 speakers"
     return reasons
+
+
+def feasible_renderers(layout: SpeakerLayout, obj: AudioObject) -> frozenset[RendererClass]:
+    """Renderer classes whose arrangement requirements this layout satisfies
+    for this object: every kind infeasibility_reasons does not name, with
+    mode matching at each order from 1 to max_ambi_order."""
+    reasons = infeasibility_reasons(layout, obj)
+    found = set()
+    for kind in RendererKind:
+        if kind.value in reasons:
+            continue
+        if kind is RendererKind.AMBI_MM:
+            found.update(RendererClass(kind, order) for order in
+                         range(1, max_ambi_order(len(layout.speakers)) + 1))
+        else:
+            found.add(RendererClass(kind))
+    return frozenset(found)
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +463,8 @@ def route(scene: Scene, scenario: ReproductionScenario, ctx: ContextualInfo,
     assignments = []
     schedules = []
     for obj in sorted(scene.objects, key=lambda o: o.object_id):
-        obj_ctx = ctx.per_object.get(obj.object_id)
-        nearest = obj_ctx.nearest_device if obj_ctx else None
         assignment = select_renderer(
-            obj, scenario.layout, nearest, selection_rules,
+            obj, scenario.layout, ctx.high_level.nearest_device, selection_rules,
             namespace=shared_ns, sample_rate=scene.sample_rate,
             band_fractions=band_fractions)
         assignments.append(assignment)

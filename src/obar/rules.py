@@ -8,13 +8,12 @@ malformed expressions fail at parse time, never at render time.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
 from .errors import ExpressionError, SchemaError
 from .renderclass import KNOWN_RENDERER_NAMES
-from .scene import ObjectType
+from .scene import ObjectType, parse_number, read_document
 
 RULEBOOK_SCHEMA_VERSION = "rulebook v1"
 SELECTION_SCHEMA_VERSION = "selection v1"
@@ -352,12 +351,12 @@ def _parse_action(doc, rule_id: str) -> RuleAction:
         if name not in doc:
             raise SchemaError(f"rule {rule_id}: action {kind} needs {name}")
         value = doc[name]
-        if typ is float and isinstance(value, bool) or not isinstance(
-                value, (int, float) if typ is float else str):
-            raise SchemaError(
-                f"rule {rule_id}: action {kind} field {name} must be "
-                f"{'a number' if typ is float else 'a string'}")
-        params.append((name, typ(value)))
+        field_name = f"rule {rule_id}: action {kind} field {name}"
+        if typ is float:
+            value = parse_number(value, field_name)
+        elif not isinstance(value, str):
+            raise SchemaError(f"{field_name} must be a string")
+        params.append((name, value))
     select = compile_expression(doc["select"]) if "select" in doc else None
     return RuleAction(kind=kind, params=tuple(params), select=select)
 
@@ -395,12 +394,7 @@ def parse_rulebook(doc: dict) -> tuple[AdaptationRule, ...]:
 
 
 def load_rulebook(path: str) -> tuple[AdaptationRule, ...]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"rulebook {path} is not valid JSON: {exc}") from exc
-    return parse_rulebook(doc)
+    return parse_rulebook(read_document(path, f"rulebook {path}"))
 
 
 DEFAULT_RULEBOOK_DOC = {
@@ -486,13 +480,7 @@ def parse_selection_rules(doc: dict) -> tuple[SelectionRule, ...]:
 
 
 def load_selection_rules(path: str) -> tuple[SelectionRule, ...]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(
-                f"selection table {path} is not valid JSON: {exc}") from exc
-    return parse_selection_rules(doc)
+    return parse_selection_rules(read_document(path, f"selection table {path}"))
 
 
 DEFAULT_SELECTION_DOC = {

@@ -324,10 +324,10 @@ def _get(mapping, key, default=None, required=False, context=""):
 def parse_number(value, field: str) -> float:
     """A document's numeric field as a finite float.
 
-    Every numeric field of the scene and scenario documents is read through
-    here. Anything but a number (a string, list, mapping, boolean or null)
-    and any non-finite value (NaN, +-Infinity, an integer beyond float
-    range) raises SchemaError naming the field.
+    Every numeric field of the scene, scenario, devices and rulebook
+    documents is read through here. Anything but a number (a string, list,
+    mapping, boolean or null) and any non-finite value (NaN, +-Infinity, an
+    integer beyond float range) raises SchemaError naming the field.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise SchemaError(f"{field} must be a number, got {type(value).__name__}")
@@ -357,6 +357,24 @@ def parse_integer(value, field: str) -> int:
     if not number.is_integer():
         raise SchemaError(f"{field} must be an integer, got {value}")
     return int(number)
+
+
+def read_document(path: str, what: str):
+    """The JSON document at path, read as UTF-8.
+
+    Every document file (scene, scenario, layout, rulebook, selection table,
+    device listing) is read through here. A file that cannot be read, and
+    text the JSON reader rejects (malformed JSON, bytes that are not UTF-8,
+    an integer literal beyond the reader's digit limit), raise SchemaError
+    naming what was being read.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise SchemaError(f"cannot read {what}: {exc}") from exc
+    except ValueError as exc:
+        raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _integer(mapping, key, default, context):
@@ -539,13 +557,7 @@ def scene_from_dict(doc: dict, stem_dir: str = ".", load_stems: bool = True,
 def parse_scene(path: str, stem_dir: str | None = None, load_stems: bool = True,
                 validate: bool = True) -> Scene:
     """Parse a scene document; stem references resolve against stem_dir."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"cannot read scene file: {exc}") from exc
-    except ValueError as exc:
-        raise SchemaError(f"scene file is not valid JSON: {exc}") from exc
+    doc = read_document(path, "scene file")
     base = stem_dir if stem_dir is not None else os.path.dirname(os.path.abspath(path))
     return scene_from_dict(doc, stem_dir=base, load_stems=load_stems,
                            validate=validate)

@@ -84,7 +84,7 @@ def make_ctx(deficit=0.0, listener=None, speaker_count=5, room=None,
         speaker_count=speaker_count,
         room_decay_tau_s=room,
     )
-    return ContextualInfo(per_object={}, high_level=high)
+    return ContextualInfo(high_level=high)
 
 
 def constraints(**tol):

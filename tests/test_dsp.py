@@ -17,7 +17,7 @@ from scipy import signal
 from obar import dsp
 from obar.errors import NegativeDelay, UnsupportedRate
 
-FS = 48000
+from conftest import FS, noise_like
 
 
 def fft_band_power_db(x, sample_rate, lo, hi):
@@ -49,6 +49,16 @@ class TestOctaveBands:
         for lvl, fc in zip(levels, dsp.OCTAVE_CENTERS_HZ):
             oracle = fft_band_power_db(x, FS, fc / np.sqrt(2), fc * np.sqrt(2))
             assert abs(lvl - oracle) < 1.0, f"band {fc}: {lvl} vs oracle {oracle}"
+
+    def test_band_limited_noise_matches_fft_oracle(self):
+        x = noise_like(2.0, seed=11, lo=200.0, hi=6000.0)
+        x *= 0.1 / np.sqrt(np.mean(x**2))
+        levels = dsp.octave_band_levels(x, FS)
+        assert dsp.power_sum_db(levels) == pytest.approx(-20.0, abs=0.5)
+        for lvl, fc in zip(levels, dsp.OCTAVE_CENTERS_HZ):
+            oracle = fft_band_power_db(x, FS, fc / np.sqrt(2), fc * np.sqrt(2))
+            if oracle > -60.0:
+                assert lvl == pytest.approx(oracle, abs=0.75), fc
 
     def test_band_power_sum_matches_broadband_for_inband_noise(self):
         rng = np.random.default_rng(3)
@@ -198,10 +208,8 @@ class TestFractionalDelay:
 
 class TestCrossfades:
     def test_envelope_power_identity(self):
-        p = np.linspace(0, 1, 1001)
-        a = np.sqrt(1 - p)
-        b = np.sqrt(p)
-        assert np.max(np.abs(a**2 + b**2 - 1.0)) < 1e-12
+        w_old, w_new = dsp.crossfade_gains(np.linspace(0, 1, 1001), coherent=False)
+        assert np.max(np.abs(w_old**2 + w_new**2 - 1.0)) < 1e-12
 
     def test_uncorrelated_noise_power_flat(self):
         # oracle: statistics of two independent unit-power noises over 10 s
@@ -209,25 +217,30 @@ class TestCrossfades:
         n = 10 * FS
         a = rng.standard_normal(n)
         b = rng.standard_normal(n)
-        out = dsp.equal_power_crossfade(a, b, 0.5)
+        w_old, w_new = dsp.crossfade_gains(0.5, coherent=False)
+        out = a * w_old + b * w_new
         assert abs(10 * np.log10(np.mean(out**2))) < 0.1
 
     def test_endpoints_pass_through(self):
         a = np.ones(8)
         b = np.full(8, 2.0)
-        assert np.array_equal(dsp.equal_power_crossfade(a, b, 0.0), a)
-        assert np.array_equal(dsp.equal_power_crossfade(a, b, 1.0), b)
+        for coherent in (False, True):
+            for position, want in ((0.0, a), (1.0, b)):
+                w_old, w_new = dsp.crossfade_gains(position, coherent)
+                assert np.array_equal(a * w_old + b * w_new, want)
 
     def test_coherent_crossfade_flat_for_identical_signals(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(FS)
-        p = np.linspace(0, 1, FS)
-        out = dsp.coherent_crossfade(x, x, p)
+        w_old, w_new = dsp.crossfade_gains(np.linspace(0, 1, FS), coherent=True)
+        out = x * w_old + x * w_new
         assert np.max(np.abs(out - x)) < 1e-12
 
     def test_position_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            dsp.equal_power_crossfade(np.ones(4), np.ones(4), 1.5)
+        for position in (1.5, -0.1, [0.0, 1.0 + 1e-12]):
+            for coherent in (False, True):
+                with pytest.raises(ValueError):
+                    dsp.crossfade_gains(position, coherent)
 
 
 class TestBlockFIR:

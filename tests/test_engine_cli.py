@@ -653,6 +653,39 @@ class TestCLI:
             os.path.join(d, "no-such-layout.json"))
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("failure", ["missing", "huge_integer"])
+    @pytest.mark.parametrize("reader", ["scene", "scenario", "layout", "rules",
+                                        "select", "devices"])
+    def test_unreadable_document_fails_in_one_line(self, tmp_path, capsys,
+                                                   reader, failure):
+        """Every document reader turns a file it cannot open, or text the
+        JSON reader rejects, into one SchemaError line and exit 1."""
+        d, scene, scenario = self.demo_paths(tmp_path)
+        bad = os.path.join(d, "bad.json")
+        if failure == "huge_integer":
+            with open(bad, "w") as fh:
+                fh.write('{"n": 1' + "0" * 5000 + "}")
+        if reader == "layout":
+            doc = json.load(open(scenario))
+            doc["layout"] = "bad.json"
+            scenario = write_json(d, doc, "layout-ref.json")
+        out = os.path.join(d, "x.wav")
+        render = ["render", "--scene", scene, "--scenario", scenario, "--out", out]
+        argv = {
+            "scene": ["render", "--scene", bad, "--scenario", scenario, "--out", out],
+            "scenario": ["render", "--scene", scene, "--scenario", bad, "--out", out],
+            "layout": render,
+            "rules": render + ["--rules", bad],
+            "select": render + ["--select", bad],
+            "devices": ["devices", "--config", bad],
+        }[reader]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0, err
+        assert err.startswith("error [scene_model]: "), err
+        assert ("cannot read" if failure == "missing" else "not valid JSON") in err
+        assert not os.path.exists(out)
+
     def test_non_finite_report_value_fails_in_one_line(self, tmp_path, capsys,
                                                        monkeypatch):
         d, scene, scenario = self.demo_paths(tmp_path)

@@ -16,7 +16,7 @@ from obar.context import (
 from obar import renderers, routing
 from obar.errors import NonPositiveDuration, SameRenderer, SourceInsideArray
 from obar.geometry import Direction3
-from obar.renderclass import RendererClass, RendererKind
+from obar.renderclass import KNOWN_RENDERER_NAMES, RendererClass, RendererKind
 from obar.routing import (
     BAND_LIMIT_POWER_FRACTION,
     PM_ZONE_RADIUS_M,
@@ -54,13 +54,14 @@ def make_layout(docs):
         _parse_speaker(d, f"s[{i}]") for i, d in enumerate(docs)))
 
 
-def line_array(count, spacing_m, y_offset=2.0, prefix="w"):
-    """Speakers along a line in front of the listener, spacing in meters."""
+def line_array(count, spacing_m, y_offset=2.0, prefix="w", jitter=None):
+    """Speakers along a line in front of the listener, spacing in meters;
+    jitter[i] moves speaker i along the line by that fraction of a spacing."""
     docs = []
     half = (count - 1) / 2.0
     for i in range(count):
         x = y_offset
-        y = (i - half) * spacing_m
+        y = (i - half + (jitter[i] if jitter else 0.0)) * spacing_m
         az = np.degrees(np.arctan2(y, x))
         dist = float(np.hypot(x, y))
         docs.append({"id": f"{prefix}{i}",
@@ -75,6 +76,33 @@ def make_object(oid="obj", otype=ObjectType.EFFECT, az=0.0, dist=None,
     position = over.pop("position", Direction3(az, 0.0, dist))
     return AudioObject(object_id=oid, object_type=otype, stems=(stem,),
                        position=position, **over)
+
+
+@st.composite
+def jittered_layouts(draw):
+    """Rings and lines of 1-16 speakers, each moved by up to 0.4 of the
+    nominal spacing along the arrangement."""
+    count = draw(st.integers(1, 16))
+    jitter = draw(st.lists(st.floats(-0.4, 0.4), min_size=count, max_size=count))
+    if draw(st.booleans()):
+        radius = draw(st.floats(0.5, 3.0))
+        docs = [{"id": f"s{i}",
+                 "position": {"az": ((i + j) * 360.0 / count + 180.0) % 360.0 - 180.0,
+                              "el": 0.0, "dist": radius}}
+                for i, j in enumerate(jitter)]
+    else:
+        docs = line_array(count, draw(st.floats(0.1, 0.8)), jitter=jitter)
+    return make_layout(docs)
+
+
+@st.composite
+def probe_objects(draw):
+    otype = draw(st.sampled_from(list(ObjectType)))
+    if draw(st.booleans()):
+        return make_object("x", otype, position=None)
+    dist = draw(st.one_of(st.none(), st.floats(0.3, 8.0)))
+    return make_object("x", otype, position=Direction3(
+        draw(st.floats(-180.0, 180.0)), draw(st.floats(-30.0, 30.0)), dist))
 
 
 def kinds(renderer_set):
@@ -360,23 +388,19 @@ class TestSelection:
         assignment = select_renderer(score, self._ring(), "s0")
         assert assignment.renderer.kind is RendererKind.PM_SINGLE_ZONE
 
-    def test_assignments_respect_feasibility(self):
-        """Cross-check: selected renderer always sits in the feasible set."""
-        layouts = [self._ring(2), self._ring(5), make_layout(line_array(6, 0.3))]
-        objects = [
-            make_object("a", ObjectType.DIALOGUE, az=0.0, samples=speech_like(0.25)),
-            make_object("b", ObjectType.MUSIC, az=10.0, dist=4.0),
-            make_object("c", ObjectType.AMBIENCE, az=170.0),
-            make_object("d", ObjectType.EFFECT, az=0.0, dist=3.0),
-            make_object("e", ObjectType.DIFFUSE, position=None),
-        ]
-        for layout in layouts:
-            for obj in objects:
-                assignment = select_renderer(obj, layout, layout.ids()[0])
-                feasible = feasible_renderers(layout, obj)
-                stripped = RendererClass(assignment.renderer.kind,
-                                         assignment.renderer.order)
-                assert stripped in feasible, (assignment, layout.ids())
+    @settings(max_examples=60, deadline=None)
+    @given(layout=jittered_layouts(), obj=probe_objects())
+    def test_assignments_respect_feasibility(self, layout, obj):
+        """Property: the selected renderer sits in the feasible set, and the
+        renderer kinds split between the feasible set and the reasons."""
+        assignment = select_renderer(obj, layout, layout.ids()[0])
+        feasible = feasible_renderers(layout, obj)
+        stripped = RendererClass(assignment.renderer.kind,
+                                 assignment.renderer.order)
+        assert stripped in feasible, (assignment, layout.ids())
+        feasible_kinds = {r.kind.value for r in feasible}
+        reasons = infeasibility_reasons(layout, obj)
+        assert set(reasons) == set(KNOWN_RENDERER_NAMES) - feasible_kinds
 
     def test_custom_table(self):
         table = parse_selection_rules({

@@ -138,6 +138,18 @@ class TestRulebookParsing:
                  "actions": [{"kind": "gain_offset", "db": "loud"}]},
             ]))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400, True, "3"],
+                             ids=["NaN", "Infinity", "10**400", "true", "string"])
+    def test_parameter_must_be_a_finite_number(self, value):
+        with pytest.raises(SchemaError) as info:
+            parse_rulebook(self._book([
+                {"rule_id": "duck", "when": "true",
+                 "actions": [{"kind": "gain_offset", "db": value}]},
+            ]))
+        message = str(info.value)
+        assert message.startswith("rule duck: action gain_offset field db must be")
+        assert "\n" not in message
+
     def test_extra_parameter_rejected(self):
         with pytest.raises(SchemaError):
             parse_rulebook(self._book([
