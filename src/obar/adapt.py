@@ -18,7 +18,7 @@ from .context import MIN_NOISE_BLOCK, ContextualInfo, ListenerInfo, estimate_int
 from .dsp import OCTAVE_CENTERS_HZ, Directive, apply_directives, object_seed
 from .errors import NoDialogueObject, NonPositiveTau, UnknownProperty
 from .geometry import Direction3, wrap_azimuth
-from .rules import AdaptationRule, RuleAction, context_namespace, object_namespace
+from .rules import RuleAction, context_namespace, object_namespace
 from .scene import (
     LEVEL_DB_MAX,
     LEVEL_DB_MIN,

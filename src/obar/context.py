@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,20 @@ from .errors import (
     SchemaError,
 )
 from .geometry import Direction3, from_cartesian
-from .scene import Scene, SceneTargets, parse_number, read_document
+from .scene import (
+    Scene,
+    SceneTargets,
+    echo,
+    get_field,
+    parse_bool,
+    parse_direction,
+    parse_list,
+    parse_mapping,
+    parse_number,
+    parse_string,
+    read_document,
+    require_keys,
+)
 
 SCENARIO_SCHEMA_VERSION = "scenario-schema v1"
 
@@ -48,6 +61,18 @@ class DeviceKind(enum.Enum):
 class Bandwidth:
     low_hz: float
     high_hz: float
+
+
+# Default capability per device kind: usable bandwidth, intrinsic latency
+# (ms) and a nominal connection rate (kbps). Editable data, not behaviour.
+DEVICE_DEFAULTS = {
+    DeviceKind.DISCRETE: (Bandwidth(40.0, 20000.0), 0.0, 10000.0),
+    DeviceKind.TV: (Bandwidth(100.0, 16000.0), 10.0, 5000.0),
+    DeviceKind.PHONE: (Bandwidth(300.0, 8000.0), 30.0, 1000.0),
+    DeviceKind.TABLET: (Bandwidth(250.0, 12000.0), 25.0, 2000.0),
+    DeviceKind.LAPTOP: (Bandwidth(200.0, 14000.0), 20.0, 3000.0),
+    DeviceKind.SOUNDBAR: (Bandwidth(60.0, 18000.0), 15.0, 5000.0),
+}
 
 
 @dataclass(frozen=True)
@@ -303,102 +328,102 @@ class ContextTracker:
 # ---------------------------------------------------------------------------
 # scenario documents
 
-def _require_keys(mapping, allowed, context):
-    if not isinstance(mapping, dict):
-        raise SchemaError(f"{context} must be a mapping")
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise SchemaError(f"unknown field {sorted(unknown)[0]!r} in {context}")
+_SPEAKER_KEYS = {"id", "position", "orientation_deg", "bandwidth_hz", "latency_ms",
+                 "connection_kbps", "kind"}
 
 
-def _parse_position(doc, context, need_distance=True) -> Direction3:
-    _require_keys(doc, {"az", "el", "dist"}, context)
-    if need_distance and doc.get("dist") is None:
-        raise SchemaError(f"{context}.dist is required")
-    dist = doc.get("dist")
-    return Direction3(parse_number(doc.get("az", 0.0), f"{context}.az"),
-                      parse_number(doc.get("el", 0.0), f"{context}.el"),
-                      None if dist is None else parse_number(dist, f"{context}.dist"))
+def parse_speaker(doc, where, device=False) -> LoudspeakerDescriptor | None:
+    """A layout speaker, or with device=True a device-listing entry.
 
-
-def _parse_speaker(doc, context) -> LoudspeakerDescriptor:
-    allowed = {"id", "position", "orientation_deg", "bandwidth_hz",
-               "latency_ms", "connection_kbps", "kind"}
-    _require_keys(doc, allowed, context)
+    A layout speaker takes its defaults from the discrete row of
+    DEVICE_DEFAULTS, a device from its kind's row; a bandwidth that gives one
+    edge takes the other from the row, and a device's null bandwidth_hz
+    means the row's. A device may also carry `connected` (default true); a
+    disconnected one reads as None, its fields past id and position unread.
+    """
+    require_keys(doc, _SPEAKER_KEYS | {"connected"} if device else _SPEAKER_KEYS, where)
     if "id" not in doc or "position" not in doc:
-        raise SchemaError(f"{context} needs id and position")
-    bw = doc.get("bandwidth_hz", {"low": 40.0, "high": 20000.0})
-    _require_keys(bw, {"low", "high"}, f"{context}.bandwidth_hz")
+        raise SchemaError(f"{where} needs id and position")
+    if device and not get_field(doc, "connected", where, parse_bool, True):
+        return None
+    kind_name = get_field(doc, "kind", where, default="discrete")
     try:
-        kind = DeviceKind(doc.get("kind", "discrete"))
+        kind = DeviceKind(kind_name)
     except ValueError:
-        raise SchemaError(f"unknown device kind {doc.get('kind')!r} in {context}")
+        raise SchemaError(f"unknown device kind {echo(kind_name)} in {where}")
+    bandwidth, latency_ms, connection_kbps = DEVICE_DEFAULTS[
+        kind if device else DeviceKind.DISCRETE]
+    bw_where = f"{where}.bandwidth_hz"
+    bw = get_field(doc, "bandwidth_hz", where, parse_mapping, {}, nullable=device) or {}
+    require_keys(bw, {"low", "high"}, bw_where)
     return LoudspeakerDescriptor(
         speaker_id=str(doc["id"]),
-        position=_parse_position(doc["position"], f"{context}.position"),
-        orientation_deg=parse_number(doc.get("orientation_deg", 0.0),
-                                     f"{context}.orientation_deg"),
+        position=get_field(doc, "position", where, parse_direction),
+        orientation_deg=get_field(doc, "orientation_deg", where, parse_number, 0.0),
         bandwidth_hz=Bandwidth(
-            parse_number(bw.get("low", 40.0), f"{context}.bandwidth_hz.low"),
-            parse_number(bw.get("high", 20000.0), f"{context}.bandwidth_hz.high")),
-        latency_ms=parse_number(doc.get("latency_ms", 0.0), f"{context}.latency_ms"),
-        connection_kbps=parse_number(doc.get("connection_kbps", 10000.0),
-                                     f"{context}.connection_kbps"),
+            get_field(bw, "low", bw_where, parse_number, bandwidth.low_hz),
+            get_field(bw, "high", bw_where, parse_number, bandwidth.high_hz)),
+        latency_ms=get_field(doc, "latency_ms", where, parse_number, latency_ms),
+        connection_kbps=get_field(doc, "connection_kbps", where, parse_number,
+                                  connection_kbps),
         device_kind=kind,
     )
 
 
-def _parse_listener(doc, context) -> ListenerInfo:
+def _parse_listener(doc, where) -> ListenerInfo:
     allowed = {"id", "position", "language", "hearing_impaired",
                "intelligibility_preference", "envelopment_preference",
                "team_preference"}
-    _require_keys(doc, allowed, context)
-    if "id" not in doc:
-        raise SchemaError(f"{context} needs an id")
-    pos = doc.get("position", {"az": 0.0, "el": 0.0, "dist": 0.0})
+    require_keys(doc, allowed, where)
     return ListenerInfo(
-        listener_id=str(doc["id"]),
-        position=_parse_position(pos, f"{context}.position", need_distance=False),
-        language=doc.get("language"),
-        hearing_impaired=bool(doc.get("hearing_impaired", False)),
-        intelligibility_preference=parse_number(
-            doc.get("intelligibility_preference", 0.0),
-            f"{context}.intelligibility_preference"),
-        envelopment_preference=parse_number(
-            doc.get("envelopment_preference", 0.0), f"{context}.envelopment_preference"),
-        team_preference=doc.get("team_preference"),
+        listener_id=str(get_field(doc, "id", where, required=True)),
+        position=get_field(doc, "position", where, parse_direction,
+                           Direction3(0.0, 0.0, 0.0)),
+        language=get_field(doc, "language", where, parse_string, nullable=True),
+        hearing_impaired=get_field(doc, "hearing_impaired", where, parse_bool, False),
+        intelligibility_preference=get_field(doc, "intelligibility_preference", where,
+                                             parse_number, 0.0),
+        envelopment_preference=get_field(doc, "envelopment_preference", where,
+                                         parse_number, 0.0),
+        team_preference=get_field(doc, "team_preference", where, parse_string,
+                                  nullable=True),
     )
 
 
-def _parse_environment(doc) -> EnvironmentInfo:
-    _require_keys(doc, {"room_dims_m", "room_decay_tau_s", "artefacts"}, "environment")
-    dims = doc.get("room_dims_m")
-    if dims is not None:
-        _require_keys(dims, {"x", "y", "z"}, "environment.room_dims_m")
-        dims = tuple(parse_number(dims.get(axis), f"environment.room_dims_m.{axis}")
-                     for axis in ("x", "y", "z"))
-    taus = doc.get("room_decay_tau_s")
-    if taus is not None:
-        if not isinstance(taus, (list, tuple)):
-            raise SchemaError("environment.room_decay_tau_s must be a list")
-        taus = tuple(parse_number(t, f"environment.room_decay_tau_s[{i}]")
-                     for i, t in enumerate(taus))
-        if len(taus) != len(OCTAVE_CENTERS_HZ):
-            raise SchemaError(
-                f"environment.room_decay_tau_s needs {len(OCTAVE_CENTERS_HZ)} entries")
-        if any(t <= 0 for t in taus):
-            raise SchemaError("environment.room_decay_tau_s entries must be > 0")
-    artefacts = []
-    for i, a in enumerate(doc.get("artefacts", [])):
-        ctx = f"environment.artefacts[{i}]"
-        _require_keys(a, {"id", "position", "kind"}, ctx)
-        artefacts.append(Artefact(
-            artefact_id=str(a.get("id", f"artefact{i}")),
-            position=_parse_position(a["position"], f"{ctx}.position", need_distance=False),
-            kind=a.get("kind", "unknown"),
-        ))
-    return EnvironmentInfo(room_dims_m=dims, room_decay_tau_s=taus,
-                           artefacts=tuple(artefacts))
+def _parse_room_dims(doc, where) -> tuple[float, float, float]:
+    require_keys(doc, {"x", "y", "z"}, where)
+    return tuple(get_field(doc, axis, where, parse_number, required=True)
+                 for axis in ("x", "y", "z"))
+
+
+def _parse_decay_taus(value, field) -> tuple[float, ...]:
+    taus = tuple(parse_number(t, f"{field}[{i}]")
+                 for i, t in enumerate(parse_list(value, field)))
+    if len(taus) != len(OCTAVE_CENTERS_HZ):
+        raise SchemaError(f"{field} needs {len(OCTAVE_CENTERS_HZ)} entries")
+    if any(t <= 0 for t in taus):
+        raise SchemaError(f"{field} entries must be > 0")
+    return taus
+
+
+def _parse_artefact(doc, where, index) -> Artefact:
+    require_keys(doc, {"id", "position", "kind"}, where)
+    return Artefact(
+        artefact_id=str(get_field(doc, "id", where, default=f"artefact{index}")),
+        position=get_field(doc, "position", where, parse_direction, required=True),
+        kind=get_field(doc, "kind", where, parse_string, "unknown", nullable=True),
+    )
+
+
+def _parse_environment(doc, where) -> EnvironmentInfo:
+    require_keys(doc, {"room_dims_m", "room_decay_tau_s", "artefacts"}, where)
+    artefacts = get_field(doc, "artefacts", where, parse_list, [])
+    return EnvironmentInfo(
+        room_dims_m=get_field(doc, "room_dims_m", where, _parse_room_dims, nullable=True),
+        room_decay_tau_s=get_field(doc, "room_decay_tau_s", where, _parse_decay_taus,
+                                   nullable=True),
+        artefacts=tuple(_parse_artefact(a, f"{where}.artefacts[{i}]", i)
+                        for i, a in enumerate(artefacts)))
 
 
 def parse_noise_timeline(entries) -> tuple[NoiseState, ...]:
@@ -407,20 +432,14 @@ def parse_noise_timeline(entries) -> tuple[NoiseState, ...]:
     Times and band levels must be finite numbers; anything else raises
     SchemaError naming the entry's field.
     """
-    if not isinstance(entries, (list, tuple)):
-        raise SchemaError("noise_timeline must be a list")
     states = []
-    for i, e in enumerate(entries):
-        ctx = f"noise_timeline[{i}]"
-        _require_keys(e, {"t_s", "band_levels_db"}, ctx)
-        if "t_s" not in e or "band_levels_db" not in e:
-            raise SchemaError(f"{ctx} needs t_s and band_levels_db")
-        levels = e["band_levels_db"]
-        if not isinstance(levels, (list, tuple)):
-            raise SchemaError(f"{ctx}.band_levels_db must be a list")
+    for i, e in enumerate(parse_list(entries, "noise_timeline")):
+        where = f"noise_timeline[{i}]"
+        require_keys(e, {"t_s", "band_levels_db"}, where)
+        levels = get_field(e, "band_levels_db", where, parse_list, required=True)
         states.append(NoiseState(
-            parse_number(e["t_s"], f"{ctx}.t_s"),
-            tuple(parse_number(level, f"{ctx}.band_levels_db[{j}]")
+            get_field(e, "t_s", where, parse_number, required=True),
+            tuple(parse_number(level, f"{where}.band_levels_db[{j}]")
                   for j, level in enumerate(levels))))
     if [s.timestamp_s for s in states] != sorted(s.timestamp_s for s in states):
         raise SchemaError("noise_timeline must ascend by t_s")
@@ -449,11 +468,12 @@ def parse_scenario(path: str):
 
 
 def scenario_from_dict(doc: dict, base_dir: str = "."):
-    _require_keys(doc, {"schema", "layout", "listeners", "environment",
-                        "noise_timeline"}, "scenario")
-    if doc.get("schema", SCENARIO_SCHEMA_VERSION) != SCENARIO_SCHEMA_VERSION:
-        raise SchemaError(f"unsupported scenario schema {doc.get('schema')!r}")
-    layout_doc = doc.get("layout")
+    require_keys(doc, {"schema", "layout", "listeners", "environment",
+                       "noise_timeline"}, "scenario")
+    schema = get_field(doc, "schema", "scenario", default=SCENARIO_SCHEMA_VERSION)
+    if schema != SCENARIO_SCHEMA_VERSION:
+        raise SchemaError(f"unsupported scenario schema {echo(schema)}")
+    layout_doc = get_field(doc, "layout", "scenario")
     if isinstance(layout_doc, str):
         layout_path = os.path.join(base_dir, layout_doc)
         layout_doc = read_document(layout_path, f"layout file {layout_path}")
@@ -463,20 +483,19 @@ def scenario_from_dict(doc: dict, base_dir: str = "."):
         from .devices import layout_from_device_config
         layout = layout_from_device_config(layout_doc)
     else:
-        _require_keys(layout_doc, {"speakers"}, "scenario.layout")
-        speakers = [
-            _parse_speaker(s, f"layout.speakers[{i}]")
-            for i, s in enumerate(layout_doc.get("speakers", []))
-        ]
+        require_keys(layout_doc, {"speakers"}, "scenario.layout")
+        speakers = get_field(layout_doc, "speakers", "layout", parse_list, [])
         if not speakers:
             raise EmptyLayout("scenario layout lists no speakers")
-        layout = SpeakerLayout(tuple(speakers))
-    listeners = [
+        layout = SpeakerLayout(tuple(
+            parse_speaker(s, f"layout.speakers[{i}]") for i, s in enumerate(speakers)))
+    listeners = tuple(
         _parse_listener(l, f"listeners[{i}]")
-        for i, l in enumerate(doc.get("listeners", []))
-    ]
+        for i, l in enumerate(get_field(doc, "listeners", "scenario", parse_list, [])))
     if not listeners:
         raise NoListener("scenario lists no listeners")
-    environment = _parse_environment(doc.get("environment", {}))
-    timeline = parse_noise_timeline(doc.get("noise_timeline", []))
-    return layout, tuple(listeners), environment, timeline
+    environment = get_field(doc, "environment", "scenario", _parse_environment,
+                            EnvironmentInfo())
+    timeline = parse_noise_timeline(
+        get_field(doc, "noise_timeline", "scenario", default=[]))
+    return layout, listeners, environment, timeline

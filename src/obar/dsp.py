@@ -159,29 +159,21 @@ class DelayState:
 
     sample_rate: int
     delays_s: np.ndarray      # per row, seconds
-    history: np.ndarray       # rows x samples, at least the deepest reach
+    history: np.ndarray       # rows x the deepest reach, in samples
     starts: np.ndarray        # per row
     fractional: np.ndarray    # indices of the interpolating rows
     tap_starts: np.ndarray    # 4 x interpolating rows
     weights: np.ndarray       # 4 x interpolating rows x 1
 
 
-def delay_state(delays_s, sample_rate: int = DEFAULT_SAMPLE_RATE,
-                history: np.ndarray | None = None) -> DelayState:
-    """Plan a delay line: one delay (1-D signals) or one delay per row.
-
-    history, when given, is carried over and zero-extended to the new reach.
-    """
+def delay_state(delays_s, sample_rate: int = DEFAULT_SAMPLE_RATE) -> DelayState:
+    """Plan a delay line: one delay (1-D signals) or one delay per row."""
     delays_s = np.atleast_1d(np.asarray(delays_s, dtype=float))
     sample_rate = int(sample_rate)
     plans = [_delay_plan(d * sample_rate) for d in delays_s]
     reach = max(m + (0 if k is None else 3) for m, k in plans)
-    if history is None:
-        history = np.zeros((len(plans), reach))
-    elif history.shape[1] < reach:
-        history = np.concatenate(
-            [np.zeros((len(plans), reach - history.shape[1])), history], axis=1)
-    starts = history.shape[1] - np.array([m for m, _ in plans], dtype=np.intp)
+    history = np.zeros((len(plans), reach))
+    starts = reach - np.array([m for m, _ in plans], dtype=np.intp)
     fractional = np.array([i for i, (_, k) in enumerate(plans) if k is not None],
                           dtype=np.intp)
     taps = np.arange(4)[:, None]
@@ -206,7 +198,8 @@ def fractional_delay(
     every row goes through the same arithmetic as a 1-D call, so it is
     bit-identical to delaying that row alone. Pass state=None on the first
     block (or a state from delay_state); the returned state must be handed
-    to the next call.
+    to the next call, with the same delays: a state handed other delays
+    raises ValueError.
     """
     block = np.asarray(block, dtype=float)
     rows = block if block.ndim == 2 else block[None, :]
@@ -214,7 +207,7 @@ def fractional_delay(
         state = delay_state(delay_s, sample_rate)
     elif delay_s is not state.delays_s and not np.array_equal(
             np.atleast_1d(delay_s), state.delays_s):
-        state = delay_state(delay_s, state.sample_rate, state.history)
+        raise ValueError("the delay state was planned for other delays")
     if len(rows) != len(state.delays_s):
         raise ValueError(
             f"{len(rows)} rows to delay, but {len(state.delays_s)} delays")

@@ -92,10 +92,6 @@ class NonPositiveDuration(ObarError):
     component = "object_router"
 
 
-class NoFeasibleRenderer(ObarError):
-    component = "object_router"
-
-
 # renderer bank ---------------------------------------------------------
 
 class NotBracketed(ObarError):

@@ -13,7 +13,17 @@ from dataclasses import dataclass, field
 
 from .errors import ExpressionError, SchemaError
 from .renderclass import KNOWN_RENDERER_NAMES
-from .scene import ObjectType, parse_number, read_document
+from .scene import (
+    ObjectType,
+    echo,
+    get_field,
+    parse_list,
+    parse_mapping,
+    parse_number,
+    parse_string,
+    read_document,
+    require_keys,
+)
 
 RULEBOOK_SCHEMA_VERSION = "rulebook v1"
 SELECTION_SCHEMA_VERSION = "selection v1"
@@ -297,14 +307,14 @@ def context_namespace(ctx, scene) -> dict:
 # rulebooks
 
 _DIRECT_ACTION_PARAMS = {
-    "gain_offset": {"db": float},
-    "spectral_tilt": {"db": float},
-    "reposition": {"daz_deg": float, "del_deg": float},
-    "time_shift": {"ms": float},
-    "decorrelate": {"amount": float},
-    "reverb_tail_scale": {"factor": float},
+    "gain_offset": {"db": parse_number},
+    "spectral_tilt": {"db": parse_number},
+    "reposition": {"daz_deg": parse_number, "del_deg": parse_number},
+    "time_shift": {"ms": parse_number},
+    "decorrelate": {"amount": parse_number},
+    "reverb_tail_scale": {"factor": parse_number},
     "prune": {},
-    "regroup": {"group": str},
+    "regroup": {"group": parse_string},
 }
 _COMPUTED_ACTION_KINDS = ("intelligibility_ladder", "personalize", "reverb_fit")
 
@@ -329,64 +339,46 @@ class AdaptationRule:
     actions: tuple[RuleAction, ...]
 
 
-def _parse_action(doc, rule_id: str) -> RuleAction:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise SchemaError(f"rule {rule_id}: every action needs a kind")
-    kind = doc["kind"]
-    extra = set(doc) - {"kind", "select"}
+def _parse_action(doc, where, rule_id: str) -> RuleAction:
+    kind = get_field(parse_mapping(doc, where), "kind", where, parse_string,
+                     required=True)
+    action = f"rule {rule_id}: action {kind}"
     if kind in _COMPUTED_ACTION_KINDS:
-        if "select" in doc or extra:
-            raise SchemaError(
-                f"rule {rule_id}: action {kind} takes no parameters")
+        require_keys(doc, {"kind"}, action)
         return RuleAction(kind=kind)
     if kind not in _DIRECT_ACTION_PARAMS:
         raise SchemaError(f"rule {rule_id}: unknown action kind {kind!r}")
     wanted = _DIRECT_ACTION_PARAMS[kind]
-    unknown = extra - set(wanted)
-    if unknown:
-        raise SchemaError(
-            f"rule {rule_id}: action {kind} got unknown fields {sorted(unknown)}")
+    require_keys(doc, {"kind", "select", *wanted}, action)
     params = []
-    for name, typ in wanted.items():
+    for name, parse in wanted.items():
         if name not in doc:
-            raise SchemaError(f"rule {rule_id}: action {kind} needs {name}")
-        value = doc[name]
-        field_name = f"rule {rule_id}: action {kind} field {name}"
-        if typ is float:
-            value = parse_number(value, field_name)
-        elif not isinstance(value, str):
-            raise SchemaError(f"{field_name} must be a string")
-        params.append((name, value))
+            raise SchemaError(f"{action} needs {name}")
+        params.append((name, parse(doc[name], f"{action} field {name}")))
     select = compile_expression(doc["select"]) if "select" in doc else None
     return RuleAction(kind=kind, params=tuple(params), select=select)
 
 
 def parse_rulebook(doc: dict) -> tuple[AdaptationRule, ...]:
-    if not isinstance(doc, dict):
-        raise SchemaError("rulebook must be a mapping")
-    unknown = set(doc) - {"schema", "rules"}
-    if unknown:
-        raise SchemaError(f"rulebook has unknown fields {sorted(unknown)}")
-    if doc.get("schema") != RULEBOOK_SCHEMA_VERSION:
+    require_keys(doc, {"schema", "rules"}, "rulebook")
+    if get_field(doc, "schema", "rulebook") != RULEBOOK_SCHEMA_VERSION:
         raise SchemaError(
             f"rulebook schema must be {RULEBOOK_SCHEMA_VERSION!r}")
     rules = []
     seen = set()
-    for entry in doc.get("rules", []):
-        if not isinstance(entry, dict):
-            raise SchemaError("each rule must be a mapping")
-        unknown = set(entry) - {"rule_id", "when", "actions"}
-        if unknown:
-            raise SchemaError(f"rule has unknown fields {sorted(unknown)}")
-        rule_id = entry.get("rule_id")
-        if not rule_id or not isinstance(rule_id, str):
-            raise SchemaError("every rule needs a string rule_id")
+    for i, entry in enumerate(get_field(doc, "rules", "rulebook", parse_list, [])):
+        where = f"rulebook.rules[{i}]"
+        require_keys(entry, {"rule_id", "when", "actions"}, where)
+        rule_id = get_field(entry, "rule_id", where, parse_string, "")
+        if not rule_id:
+            raise SchemaError(f"{where} needs a non-empty rule_id")
         if rule_id in seen:
             raise SchemaError(f"duplicate rule_id {rule_id!r}")
         seen.add(rule_id)
-        when = compile_expression(entry.get("when", ""))
-        actions = tuple(_parse_action(a, rule_id)
-                        for a in entry.get("actions", []))
+        when = compile_expression(get_field(entry, "when", where, default=""))
+        actions = tuple(
+            _parse_action(a, f"{where}.actions[{j}]", rule_id)
+            for j, a in enumerate(get_field(entry, "actions", where, parse_list, [])))
         if not actions:
             raise SchemaError(f"rule {rule_id} has no actions")
         rules.append(AdaptationRule(rule_id=rule_id, when=when, actions=actions))
@@ -441,39 +433,33 @@ class SelectionRule:
     subset: str = "all"                   # all | nearest_device | backdrop
 
 
-def _parse_selection_rule(entry) -> SelectionRule:
-    if not isinstance(entry, dict):
-        raise SchemaError("each selection rule must be a mapping")
-    unknown = set(entry) - {"match", "renderer", "order", "subset"}
-    if unknown:
-        raise SchemaError(f"selection rule has unknown fields {sorted(unknown)}")
-    renderer = entry.get("renderer")
+def _parse_selection_rule(entry, where) -> SelectionRule:
+    require_keys(entry, {"match", "renderer", "order", "subset"}, where)
+    renderer = get_field(entry, "renderer", where)
     if renderer not in KNOWN_RENDERER_NAMES:
         raise SchemaError(
             f"selection rule renderer must be one of "
-            f"{sorted(KNOWN_RENDERER_NAMES)}, got {renderer!r}")
-    order = entry.get("order")
+            f"{sorted(KNOWN_RENDERER_NAMES)}, got {echo(renderer)}")
+    order = get_field(entry, "order", where)
     if order is not None and order != "highest" and (
             isinstance(order, bool) or not isinstance(order, int) or order < 1):
         raise SchemaError("selection rule order must be 'highest' or an int >= 1")
-    subset = entry.get("subset", "all")
+    subset = get_field(entry, "subset", where, default="all")
     if subset not in ("all", "nearest_device", "backdrop"):
-        raise SchemaError(f"unknown speaker subset {subset!r}")
+        raise SchemaError(f"unknown speaker subset {echo(subset)}")
     return SelectionRule(
-        match=compile_expression(entry.get("match", "")),
+        match=compile_expression(get_field(entry, "match", where, default="")),
         renderer=renderer, order=order, subset=subset)
 
 
 def parse_selection_rules(doc: dict) -> tuple[SelectionRule, ...]:
-    if not isinstance(doc, dict):
-        raise SchemaError("selection table must be a mapping")
-    unknown = set(doc) - {"schema", "rules"}
-    if unknown:
-        raise SchemaError(f"selection table has unknown fields {sorted(unknown)}")
-    if doc.get("schema") != SELECTION_SCHEMA_VERSION:
+    require_keys(doc, {"schema", "rules"}, "selection table")
+    if get_field(doc, "schema", "selection table") != SELECTION_SCHEMA_VERSION:
         raise SchemaError(
             f"selection schema must be {SELECTION_SCHEMA_VERSION!r}")
-    rules = tuple(_parse_selection_rule(e) for e in doc.get("rules", []))
+    rules = tuple(
+        _parse_selection_rule(e, f"selection table.rules[{i}]")
+        for i, e in enumerate(get_field(doc, "rules", "selection table", parse_list, [])))
     if not rules:
         raise SchemaError("selection table needs at least one rule")
     return rules

@@ -13,12 +13,12 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .dsp import Directive
-from .errors import MissingStem, RangeError, RateMismatch, SchemaError
+from .errors import RangeError, RateMismatch, SchemaError
 from .geometry import Direction3
 from .renderclass import KNOWN_RENDERER_NAMES
 from .wavio import read_stem
@@ -220,9 +220,9 @@ def _check_num(records, obj_id, name, value, lo=None, hi=None,
         records.append(Violation(obj_id, name, f"{name} must be finite"))
         return
     if lo is not None and (value <= lo if lo_open else value < lo):
-        records.append(Violation(obj_id, name, f"{name}={value} below range"))
+        records.append(Violation(obj_id, name, f"{name}={echo(value)} below range"))
     if hi is not None and (value >= hi if hi_open else value > hi):
-        records.append(Violation(obj_id, name, f"{name}={value} above range"))
+        records.append(Violation(obj_id, name, f"{name}={echo(value)} above range"))
 
 
 def _validate_direction(records, obj_id, name, d: Direction3, need_distance=False):
@@ -265,7 +265,7 @@ def validate_scene(scene: Scene) -> list[Violation]:
         if adv.preferred_renderer is not None and adv.preferred_renderer not in KNOWN_RENDERER_NAMES:
             records.append(Violation(
                 oid, "advanced.preferred_renderer",
-                f"unknown renderer class {adv.preferred_renderer!r}"))
+                f"unknown renderer class {echo(adv.preferred_renderer)}"))
         tol = obj.constraints.tolerances
         _check_num(records, oid, "tolerances.level_db", tol.level_db, 0.0)
         _check_num(records, oid, "tolerances.position_deg", tol.position_deg, 0.0)
@@ -298,65 +298,30 @@ def validate_scene(scene: Scene) -> list[Violation]:
             if stem.sample_rate != scene.sample_rate:
                 records.append(Violation(
                     oid, "stems",
-                    f"stem {stem.ref} rate {stem.sample_rate} != scene {scene.sample_rate}"))
+                    f"stem {stem.ref} rate {stem.sample_rate} != scene "
+                    f"{echo(scene.sample_rate)}"))
     return records
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# field readers
+#
+# Every field of every document (scene, scenario, layout, device listing,
+# rulebook, selection table) is read through these. A value of the wrong
+# shape raises SchemaError naming the field's path; `where` is the path of
+# the mapping being read, and a field's path is `where.key`.
 
-def _require_keys(mapping, allowed, context):
-    if not isinstance(mapping, dict):
-        raise SchemaError(f"{context} must be a mapping")
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise SchemaError(f"unknown field {sorted(unknown)[0]!r} in {context}")
-
-
-def _get(mapping, key, default=None, required=False, context=""):
-    if key not in mapping:
-        if required:
-            raise SchemaError(f"missing field {key!r} in {context}")
-        return default
-    return mapping[key]
+ECHO_MAX_DIGITS = 20
 
 
-def parse_number(value, field: str) -> float:
-    """A document's numeric field as a finite float.
-
-    Every numeric field of the scene, scenario, devices and rulebook
-    documents is read through here. Anything but a number (a string, list,
-    mapping, boolean or null) and any non-finite value (NaN, +-Infinity, an
-    integer beyond float range) raises SchemaError naming the field.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise SchemaError(f"{field} must be a number, got {type(value).__name__}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise SchemaError(f"{field} must be finite, got {value}")
-    return number
-
-
-def parse_integer(value, field: str) -> int:
-    """A document's integer field as an int.
-
-    Every integer field of an object (channels, priority,
-    advanced.importance) is read through here. Anything but a number
-    (including a boolean) and any number that is not whole or not finite
-    raises SchemaError naming the field; a whole float such as 2.0 becomes
-    the int 2. Range checks are left to validate_scene.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise SchemaError(f"{field} must be an integer, got {type(value).__name__}")
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    number = parse_number(value, field)
-    if not number.is_integer():
-        raise SchemaError(f"{field} must be an integer, got {value}")
-    return int(number)
+def echo(value) -> str:
+    """A document value as a diagnostic quotes it: its repr, except that an
+    integer of more than ECHO_MAX_DIGITS digits is described by its length."""
+    if isinstance(value, int):
+        digits = len(str(abs(value)))
+        if digits > ECHO_MAX_DIGITS:
+            return f"an integer of {digits} digits"
+    return repr(value)
 
 
 def read_document(path: str, what: str):
@@ -377,93 +342,171 @@ def read_document(path: str, what: str):
         raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def _integer(mapping, key, default, context):
-    """_get an integer field and parse it with parse_integer."""
-    return parse_integer(_get(mapping, key, default), f"{context}.{key}")
+def require_keys(mapping, allowed, where):
+    """Check that mapping is a mapping and holds no key outside allowed."""
+    if not isinstance(mapping, dict):
+        raise SchemaError(f"{where} must be a mapping")
+    unknown = set(mapping) - set(allowed)
+    if unknown:
+        raise SchemaError(f"unknown field {sorted(unknown)[0]!r} in {where}")
 
 
-def _number(mapping, key, default=None, required=False, context=""):
-    """_get a numeric field and parse it with parse_number."""
-    return parse_number(_get(mapping, key, default, required, context),
-                        f"{context}.{key}")
+def get_field(mapping, key, where, parse=None, default=None, required=False,
+              nullable=False):
+    """Field key of the mapping at path where, read as parse(value, path).
+
+    A missing key raises SchemaError when required and otherwise gives
+    default, as given. With nullable, an explicit null reads as None.
+    """
+    if key not in mapping:
+        if required:
+            raise SchemaError(f"missing field {key!r} in {where}")
+        return default
+    value = mapping[key]
+    if parse is None or (nullable and value is None):
+        return value
+    return parse(value, f"{where}.{key}")
 
 
-def _parse_direction(doc, context) -> Direction3:
-    _require_keys(doc, {"az", "el", "dist"}, context)
-    dist = _get(doc, "dist", None)
+def parse_number(value, field: str) -> float:
+    """A document's numeric field as a finite float.
+
+    Anything but a number (a string, list, mapping, boolean or null) and any
+    non-finite value (NaN, +-Infinity, an integer beyond float range) raises
+    SchemaError naming the field.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SchemaError(f"{field} must be a number, got {type(value).__name__}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"{field} must be finite, got {echo(value)}")
+    return number
+
+
+def parse_integer(value, field: str) -> int:
+    """A document's integer field as an int.
+
+    Anything but a number (including a boolean) and any number that is not
+    whole or not finite raises SchemaError naming the field; a whole float
+    such as 2.0 becomes the int 2. Range checks are left to validate_scene.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SchemaError(f"{field} must be an integer, got {type(value).__name__}")
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    number = parse_number(value, field)
+    if not number.is_integer():
+        raise SchemaError(f"{field} must be an integer, got {echo(value)}")
+    return int(number)
+
+
+def _check_shape(value, shape, field, what):
+    if not isinstance(value, shape):
+        raise SchemaError(f"{field} must be {what}, got {type(value).__name__}")
+    return value
+
+
+def parse_list(value, field: str) -> list:
+    """A document's list field: a JSON list, else SchemaError."""
+    return _check_shape(value, list, field, "a list")
+
+
+def parse_mapping(value, field: str) -> dict:
+    """A document's mapping field: a JSON object, else SchemaError."""
+    return _check_shape(value, dict, field, "a mapping")
+
+
+def parse_string(value, field: str) -> str:
+    """A document's string field: a JSON string, else SchemaError. Read a
+    string-or-null field with get_field(..., nullable=True)."""
+    return _check_shape(value, str, field, "a string")
+
+
+def parse_bool(value, field: str) -> bool:
+    """A document's flag: JSON true or false, else SchemaError."""
+    return _check_shape(value, bool, field, "true or false")
+
+
+def parse_direction(doc, where) -> Direction3:
+    """A position {az, el, dist}: az and el default to 0; dist absent or
+    null gives a direction without distance."""
+    require_keys(doc, {"az", "el", "dist"}, where)
     return Direction3(
-        _number(doc, "az", required=True, context=context),
-        _number(doc, "el", 0.0, context=context),
-        None if dist is None else _number(doc, "dist", context=context))
+        get_field(doc, "az", where, parse_number, 0.0),
+        get_field(doc, "el", where, parse_number, 0.0),
+        get_field(doc, "dist", where, parse_number, nullable=True))
 
 
-def _parse_advanced(doc, context) -> AdvancedMetadata:
+# ---------------------------------------------------------------------------
+# scene documents
+
+def _parse_advanced(doc, where) -> AdvancedMetadata:
     allowed = {"importance", "onscreen", "interactivity_restriction", "preferred_renderer",
                "target_device", "language", "object_quality", "extra"}
-    _require_keys(doc, allowed, context)
-    extra = _get(doc, "extra", {})
-    if not isinstance(extra, dict):
-        raise SchemaError(f"{context}.extra must be a mapping")
+    require_keys(doc, allowed, where)
+    extra = get_field(doc, "extra", where, parse_mapping, {})
     return AdvancedMetadata(
-        importance=_integer(doc, "importance", 5, context),
-        onscreen=bool(_get(doc, "onscreen", False)),
-        interactivity_restriction=bool(_get(doc, "interactivity_restriction", False)),
-        preferred_renderer=_get(doc, "preferred_renderer", None),
-        target_device=_get(doc, "target_device", None),
-        language=_get(doc, "language", None),
-        object_quality=_get(doc, "object_quality", 1.0),
+        importance=get_field(doc, "importance", where, parse_integer, 5),
+        onscreen=get_field(doc, "onscreen", where, parse_bool, False),
+        interactivity_restriction=get_field(doc, "interactivity_restriction", where,
+                                            parse_bool, False),
+        preferred_renderer=get_field(doc, "preferred_renderer", where),
+        target_device=get_field(doc, "target_device", where, parse_string, nullable=True),
+        language=get_field(doc, "language", where, parse_string, nullable=True),
+        object_quality=get_field(doc, "object_quality", where, default=1.0),
         extra=tuple(sorted((str(k), v) for k, v in extra.items())),
     )
 
 
-def _parse_constraints(doc, context) -> EditorialConstraints:
-    _require_keys(doc, {"tolerances", "priority_order"}, context)
-    tol_doc = _get(doc, "tolerances", {})
-    tol_ctx = f"{context}.tolerances"
-    _require_keys(tol_doc, {"level_db", "position_deg", "time_shift_ms",
-                            "spectral_tilt_db", "reverb_scale"}, tol_ctx)
+def _parse_tolerances(doc, where) -> Tolerances:
     defaults = Tolerances()
-    tol = Tolerances(
-        level_db=_number(tol_doc, "level_db", defaults.level_db, context=tol_ctx),
-        position_deg=_number(tol_doc, "position_deg", defaults.position_deg,
-                             context=tol_ctx),
-        time_shift_ms=_number(tol_doc, "time_shift_ms", defaults.time_shift_ms,
-                              context=tol_ctx),
-        spectral_tilt_db=_number(tol_doc, "spectral_tilt_db",
-                                 defaults.spectral_tilt_db, context=tol_ctx),
-        reverb_scale=_number(tol_doc, "reverb_scale", defaults.reverb_scale,
-                             context=tol_ctx),
-    )
-    order = _get(doc, "priority_order", list(DEFAULT_PRIORITY_ORDER))
-    if not isinstance(order, list) or not all(isinstance(p, str) for p in order):
-        raise SchemaError(f"{context}.priority_order must be a list of property names")
-    return EditorialConstraints(tolerances=tol, priority_order=tuple(order))
+    names = [f.name for f in fields(Tolerances)]
+    require_keys(doc, names, where)
+    return Tolerances(**{
+        name: get_field(doc, name, where, parse_number, getattr(defaults, name))
+        for name in names})
 
 
-def _parse_reverb(doc, context) -> ReverbMetadata:
-    _require_keys(doc, {"reflections", "tail_bands"}, context)
-    reflections = []
-    for i, r in enumerate(_get(doc, "reflections", [])):
-        rctx = f"{context}.reflections[{i}]"
-        _require_keys(r, {"delay_ms", "direction", "level_db"}, rctx)
-        reflections.append(Reflection(
-            delay_ms=_number(r, "delay_ms", required=True, context=rctx),
-            direction=_parse_direction(_get(r, "direction", required=True, context=rctx),
-                                       f"{rctx}.direction"),
-            level_db=_number(r, "level_db", required=True, context=rctx),
-        ))
-    bands = []
-    for i, b in enumerate(_get(doc, "tail_bands", [])):
-        bctx = f"{context}.tail_bands[{i}]"
-        _require_keys(b, {"band_center_hz", "onset_ms", "attack_ms", "level_db", "decay_tau_s"}, bctx)
-        bands.append(TailBand(
-            band_center_hz=_number(b, "band_center_hz", required=True, context=bctx),
-            onset_ms=_number(b, "onset_ms", 0.0, context=bctx),
-            attack_ms=_number(b, "attack_ms", 0.0, context=bctx),
-            level_db=_number(b, "level_db", 0.0, context=bctx),
-            decay_tau_s=_number(b, "decay_tau_s", required=True, context=bctx),
-        ))
-    return ReverbMetadata(reflections=tuple(reflections), tail_bands=tuple(bands))
+def _parse_constraints(doc, where) -> EditorialConstraints:
+    require_keys(doc, {"tolerances", "priority_order"}, where)
+    order = get_field(doc, "priority_order", where, parse_list, DEFAULT_PRIORITY_ORDER)
+    return EditorialConstraints(
+        tolerances=get_field(doc, "tolerances", where, _parse_tolerances, Tolerances()),
+        priority_order=tuple(parse_string(p, f"{where}.priority_order[{i}]")
+                             for i, p in enumerate(order)))
+
+
+def _parse_reflection(doc, where) -> Reflection:
+    require_keys(doc, {"delay_ms", "direction", "level_db"}, where)
+    return Reflection(
+        delay_ms=get_field(doc, "delay_ms", where, parse_number, required=True),
+        direction=get_field(doc, "direction", where, parse_direction, required=True),
+        level_db=get_field(doc, "level_db", where, parse_number, required=True))
+
+
+def _parse_tail_band(doc, where) -> TailBand:
+    require_keys(doc, {"band_center_hz", "onset_ms", "attack_ms", "level_db",
+                       "decay_tau_s"}, where)
+    return TailBand(
+        band_center_hz=get_field(doc, "band_center_hz", where, parse_number, required=True),
+        onset_ms=get_field(doc, "onset_ms", where, parse_number, 0.0),
+        attack_ms=get_field(doc, "attack_ms", where, parse_number, 0.0),
+        level_db=get_field(doc, "level_db", where, parse_number, 0.0),
+        decay_tau_s=get_field(doc, "decay_tau_s", where, parse_number, required=True))
+
+
+def _parse_reverb(doc, where) -> ReverbMetadata:
+    require_keys(doc, {"reflections", "tail_bands"}, where)
+    return ReverbMetadata(
+        reflections=tuple(
+            _parse_reflection(r, f"{where}.reflections[{i}]")
+            for i, r in enumerate(get_field(doc, "reflections", where, parse_list, []))),
+        tail_bands=tuple(
+            _parse_tail_band(b, f"{where}.tail_bands[{i}]")
+            for i, b in enumerate(get_field(doc, "tail_bands", where, parse_list, []))))
 
 
 _OBJECT_KEYS = {"id", "type", "channels", "group", "priority", "level_db", "position",
@@ -471,29 +514,25 @@ _OBJECT_KEYS = {"id", "type", "channels", "group", "priority", "level_db", "posi
 
 
 def _parse_object(doc, stem_dir, scene_rate, load_stems) -> AudioObject:
-    _require_keys(doc, _OBJECT_KEYS, "object")
-    oid = _get(doc, "id", required=True, context="object")
-    if not isinstance(oid, str):
-        raise SchemaError("object id must be a string")
+    require_keys(doc, _OBJECT_KEYS, "object")
+    oid = get_field(doc, "id", "object", parse_string, required=True)
     ctx = f"object {oid!r}"
-    type_name = _get(doc, "type", required=True, context=ctx)
+    type_name = get_field(doc, "type", ctx, required=True)
     try:
         otype = ObjectType(type_name)
     except ValueError:
-        raise RangeError(f"unknown object type {type_name!r}", field="type", object_id=oid)
-    pos_doc = _get(doc, "position", None)
-    position = _parse_direction(pos_doc, f"{ctx}.position") if pos_doc is not None else None
-    refs = _get(doc, "stems", required=True, context=ctx)
-    if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
-        raise SchemaError(f"{ctx}.stems must be a list of file references")
+        raise RangeError(f"unknown object type {echo(type_name)}", field="type",
+                         object_id=oid)
+    refs = get_field(doc, "stems", ctx, parse_list, required=True)
     stems = []
-    for ref in refs:
+    for i, ref in enumerate(refs):
+        ref = parse_string(ref, f"{ctx}.stems[{i}]")
         path = ref if os.path.isabs(ref) else os.path.join(stem_dir, ref)
         if load_stems:
             rate, samples = read_stem(path)
             if rate != scene_rate:
                 raise RateMismatch(
-                    f"stem {ref} is {rate} Hz but the scene wants {scene_rate} Hz")
+                    f"stem {ref} is {rate} Hz but the scene wants {echo(scene_rate)} Hz")
         else:
             rate, samples = scene_rate, np.zeros(0)
         stems.append(Stem(ref=ref, sample_rate=rate, samples=samples))
@@ -501,19 +540,25 @@ def _parse_object(doc, stem_dir, scene_rate, load_stems) -> AudioObject:
         object_id=oid,
         object_type=otype,
         stems=tuple(stems),
-        channels=_integer(doc, "channels", 1, ctx),
-        group=_get(doc, "group", None),
-        priority=_integer(doc, "priority", 5, ctx),
-        level_db=_number(doc, "level_db", 0.0, context=ctx),
-        position=position,
-        extent_deg=(None if _get(doc, "extent_deg", None) is None
-                    else _number(doc, "extent_deg", context=ctx)),
-        diffuseness=_number(doc, "diffuseness", 0.0, context=ctx),
-        advanced=_parse_advanced(_get(doc, "advanced", {}), f"{ctx}.advanced"),
-        constraints=_parse_constraints(_get(doc, "constraints", {}), f"{ctx}.constraints"),
-        reverb=(None if _get(doc, "reverb", None) is None
-                else _parse_reverb(doc["reverb"], f"{ctx}.reverb")),
+        channels=get_field(doc, "channels", ctx, parse_integer, 1),
+        group=get_field(doc, "group", ctx, parse_string, nullable=True),
+        priority=get_field(doc, "priority", ctx, parse_integer, 5),
+        level_db=get_field(doc, "level_db", ctx, parse_number, 0.0),
+        position=get_field(doc, "position", ctx, parse_direction, nullable=True),
+        extent_deg=get_field(doc, "extent_deg", ctx, parse_number, nullable=True),
+        diffuseness=get_field(doc, "diffuseness", ctx, parse_number, 0.0),
+        advanced=get_field(doc, "advanced", ctx, _parse_advanced, AdvancedMetadata()),
+        constraints=get_field(doc, "constraints", ctx, _parse_constraints,
+                              EditorialConstraints()),
+        reverb=get_field(doc, "reverb", ctx, _parse_reverb, nullable=True),
     )
+
+
+def _parse_targets(doc, where) -> SceneTargets:
+    require_keys(doc, {"envelopment", "intelligibility"}, where)
+    return SceneTargets(
+        envelopment=get_field(doc, "envelopment", where, parse_number, 0.0),
+        intelligibility=get_field(doc, "intelligibility", where, parse_number, 0.0))
 
 
 def scene_from_dict(doc: dict, stem_dir: str = ".", load_stems: bool = True,
@@ -523,26 +568,18 @@ def scene_from_dict(doc: dict, stem_dir: str = ".", load_stems: bool = True,
     validate=False skips the invariant check (the structural checks still
     run), letting callers collect the full violation list themselves.
     """
-    _require_keys(doc, {"schema", "sample_rate", "targets", "objects"}, "scene")
-    schema = _get(doc, "schema", SCHEMA_VERSION)
+    require_keys(doc, {"schema", "sample_rate", "targets", "objects"}, "scene")
+    schema = get_field(doc, "schema", "scene", default=SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema {schema!r}, expected {SCHEMA_VERSION!r}")
-    rate = _get(doc, "sample_rate", required=True, context="scene")
+        raise SchemaError(
+            f"unsupported schema {echo(schema)}, expected {SCHEMA_VERSION!r}")
+    rate = get_field(doc, "sample_rate", "scene", required=True)
     if isinstance(rate, bool) or not isinstance(rate, int):
         raise SchemaError("scene.sample_rate must be an integer")
-    targets_doc = _get(doc, "targets", {})
-    _require_keys(targets_doc, {"envelopment", "intelligibility"}, "scene.targets")
-    targets = SceneTargets(
-        envelopment=_number(targets_doc, "envelopment", 0.0, context="scene.targets"),
-        intelligibility=_number(targets_doc, "intelligibility", 0.0,
-                                context="scene.targets"),
-    )
-    objects_doc = _get(doc, "objects", required=True, context="scene")
-    if not isinstance(objects_doc, list):
-        raise SchemaError("scene.objects must be a list")
+    targets = get_field(doc, "targets", "scene", _parse_targets, SceneTargets())
     objects = tuple(
-        _parse_object(o, stem_dir, rate, load_stems) for o in objects_doc
-    )
+        _parse_object(o, stem_dir, rate, load_stems)
+        for o in get_field(doc, "objects", "scene", parse_list, required=True))
     scene = Scene(sample_rate=rate, targets=targets, objects=objects)
     if validate:
         violations = validate_scene(scene)

@@ -88,9 +88,9 @@ class TestIntelligibility:
 
 def _layout(count=5, radius=2.0):
     speakers = ring_speakers(count, radius=radius)
-    from obar.context import _parse_speaker
+    from obar.context import parse_speaker
     return SpeakerLayout(tuple(
-        _parse_speaker(s, f"s[{i}]") for i, s in enumerate(speakers)))
+        parse_speaker(s, f"s[{i}]") for i, s in enumerate(speakers)))
 
 
 def _listener(listener_id="l0", az=0.0, dist=0.0, **over):

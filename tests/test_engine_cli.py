@@ -18,6 +18,7 @@ from obar import context, demo, dsp, engine, renderers, routing
 from obar.cli import main as cli_main
 from obar.engine import RenderJob, run_render
 from obar.errors import JobError
+from obar.rules import DEFAULT_RULEBOOK_DOC, DEFAULT_SELECTION_DOC
 from obar.scene import mono_mix, parse_scene
 
 from conftest import (
@@ -621,11 +622,81 @@ class TestCLI:
         field = ".".join(path)
         assert cli_main(["validate", "--scene", bad]) == 1
         out = capsys.readouterr().out
-        assert f"{field}=1{'0' * 400} above range" in out
+        assert f"{field}=an integer of 401 digits above range" in out
+        assert max(len(line) for line in out.splitlines()) < 200
         assert cli_main(["render", "--scene", bad, "--scenario", scenario,
                          "--out", os.path.join(d, "x.wav")]) == 1
         err = capsys.readouterr().err.strip()
         assert err.count("\n") == 0 and "above range" in err and field in err
+        assert len(err) < 200, err
+
+    @pytest.mark.parametrize("document, path", [
+        ("rules", ("rules", 0, "actions", 0, "db")),
+        ("scene", ("sample_rate",)),
+    ])
+    def test_oversized_integer_is_echoed_by_its_length(self, tmp_path, capsys,
+                                                       document, path):
+        """A diagnostic quotes an integer beyond 20 digits by its length, not
+        digit for digit."""
+        d, scene, scenario = self.demo_paths(tmp_path)
+        docs = {"scene": json.load(open(scene)),
+                "rules": {"schema": "rulebook v1", "rules": [
+                    {"rule_id": "duck", "when": "true",
+                     "actions": [{"kind": "gain_offset", "db": 0.0}]}]}}
+        target = docs[document]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = 10**400
+        out = os.path.join(d, "x.wav")
+        argv = ["render", "--scene", write_json(d, docs["scene"], "big.json"),
+                "--scenario", scenario, "--out", out,
+                "--rules", write_json(d, docs["rules"], "rules.json")]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0 and "an integer of 401 digits" in err, err
+        assert len(err) < 200, err
+
+    @pytest.mark.parametrize("case, edits", [
+        ("listeners", [("scenario", ("listeners",), 5)]),
+        ("tail_bands", [("scene", ("objects", 0, "reverb"), {"tail_bands": 5})]),
+        ("rules", [("rules", ("rules",), 5)]),
+        ("actions", [("rules", ("rules", 0, "actions"), 5)]),
+        ("selection_rules", [("select", ("rules",), 5)]),
+        ("devices", [("devices", ("devices",), 5)]),
+        ("action_kind", [("rules", ("rules", 0, "actions", 0, "kind"), [1])]),
+        ("group", [("scene", ("objects", 0, "group"), 5),
+                   ("scenario", ("listeners", 0, "team_preference"), "home")]),
+        ("onscreen", [("scene", ("objects", 0, "advanced", "onscreen"), "false")]),
+    ])
+    def test_malformed_document_fails_in_one_line(self, tmp_path, capsys,
+                                                  case, edits):
+        """Non-lists in list fields, a non-string action kind or group and a
+        non-bool flag each end in one diagnostic line, not a traceback or a
+        silently misread value."""
+        d, scene, scenario = self.demo_paths(tmp_path)
+        docs = {"scene": json.load(open(scene)),
+                "scenario": json.load(open(scenario)),
+                "rules": json.loads(json.dumps(DEFAULT_RULEBOOK_DOC)),
+                "select": json.loads(json.dumps(DEFAULT_SELECTION_DOC)),
+                "devices": json.load(open(demo.write_demo_devices(d)))}
+        for document, path, value in edits:
+            target = docs[document]
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        paths = {name: write_json(d, doc, f"bad-{name}.json")
+                 for name, doc in docs.items()}
+        out = os.path.join(d, "x.wav")
+        if case == "devices":
+            argv = ["devices", "--config", paths["devices"]]
+        else:
+            argv = ["render", "--scene", paths["scene"], "--scenario", paths["scenario"],
+                    "--rules", paths["rules"], "--select", paths["select"],
+                    "--out", out]
+        assert cli_main(argv) in (1, 2)
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error [") and err.count("\n") == 0, err
+        assert not os.path.exists(out)
 
     def test_integer_beyond_the_parser_limit_fails_in_one_line(self, tmp_path,
                                                               capsys):

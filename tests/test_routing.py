@@ -10,7 +10,7 @@ from obar.context import (
     EnvironmentInfo,
     ListenerInfo,
     SpeakerLayout,
-    _parse_speaker,
+    parse_speaker,
     build_scenario,
 )
 from obar import renderers, routing
@@ -51,7 +51,7 @@ from conftest import FS, music_like, noise_like, ring_speakers, speech_like
 
 def make_layout(docs):
     return SpeakerLayout(tuple(
-        _parse_speaker(d, f"s[{i}]") for i, d in enumerate(docs)))
+        parse_speaker(d, f"s[{i}]") for i, d in enumerate(docs)))
 
 
 def line_array(count, spacing_m, y_offset=2.0, prefix="w", jitter=None):

@@ -226,13 +226,13 @@ class TestNamespaces:
 
     def test_context_namespace_fields(self, basic_scene_dir):
         from obar.context import (ContextTracker, EnvironmentInfo,
-                                  ListenerInfo, SpeakerLayout, _parse_speaker,
+                                  ListenerInfo, SpeakerLayout, parse_speaker,
                                   build_scenario)
         from obar.geometry import Direction3
         from conftest import ring_speakers
         scene = parse_scene(basic_scene_dir[1])
         layout = SpeakerLayout(tuple(
-            _parse_speaker(s, "s") for s in ring_speakers(5)))
+            parse_speaker(s, "s") for s in ring_speakers(5)))
         listener = ListenerInfo(
             listener_id="l", position=Direction3(0, 0, 0), language=None,
             hearing_impaired=True, intelligibility_preference=0.9,
@@ -252,13 +252,13 @@ class TestNamespaces:
     def test_default_rules_only_use_known_fields(self, basic_scene_dir):
         """Every default rule condition evaluates against real namespaces."""
         from obar.context import (ContextTracker, EnvironmentInfo,
-                                  ListenerInfo, SpeakerLayout, _parse_speaker,
+                                  ListenerInfo, SpeakerLayout, parse_speaker,
                                   build_scenario)
         from obar.geometry import Direction3
         from conftest import ring_speakers
         scene = parse_scene(basic_scene_dir[1])
         layout = SpeakerLayout(tuple(
-            _parse_speaker(s, "s") for s in ring_speakers(5)))
+            parse_speaker(s, "s") for s in ring_speakers(5)))
         listener = ListenerInfo(
             listener_id="l", position=Direction3(0, 0, 0), language=None,
             hearing_impaired=False, intelligibility_preference=0.0,
