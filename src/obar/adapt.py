@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .context import MIN_NOISE_BLOCK, ContextualInfo, ListenerInfo, estimate_intelligibility
+from .context import MIN_NOISE_BLOCK, HighLevelContext, ListenerInfo, estimate_intelligibility
 from .dsp import OCTAVE_CENTERS_HZ, Directive, apply_directives, object_seed
 from .errors import NoDialogueObject, NonPositiveTau, UnknownProperty
 from .geometry import Direction3, wrap_azimuth
@@ -262,7 +262,7 @@ def _rung_reposition(others, dialogue, step_db, reason):
     return actions
 
 
-def intelligibility_boost(scene: Scene, ctx: ContextualInfo,
+def intelligibility_boost(scene: Scene, ctx: HighLevelContext,
                           window: tuple[int, int] | None = None,
                           reason: str = "intelligibility_ladder"):
     """Escalating masker adaptations sized by the intelligibility deficit.
@@ -274,7 +274,7 @@ def intelligibility_boost(scene: Scene, ctx: ContextualInfo,
     leave a projected deficit above 0.05. window limits the preview to a
     sample range of the stems.
     """
-    deficit = ctx.high_level.intelligibility_deficit
+    deficit = ctx.intelligibility_deficit
     if deficit <= 0.0:
         return []
     dialogue = [o for o in scene.objects if o.object_type is ObjectType.DIALOGUE]
@@ -314,7 +314,7 @@ def _team_role(group: str) -> tuple[str, str]:
     return team, role
 
 
-def personalize_levels(scene: Scene, listener: ListenerInfo | None,
+def personalize_levels(scene: Scene, listener: ListenerInfo,
                        reason: str = "personalize"):
     """Level offsets favouring the listener's team.
 
@@ -323,7 +323,7 @@ def personalize_levels(scene: Scene, listener: ListenerInfo | None,
     preferred group (its opposite number) lose 3 dB. Groups with no preferred
     counterpart are left alone.
     """
-    preference = (listener.team_preference or "") if listener is not None else ""
+    preference = listener.team_preference
     if not preference:
         return []
     preferred_roles = {
@@ -463,8 +463,8 @@ def _expand_direct(template: RuleAction, scene: Scene, rule_id: str):
     return actions
 
 
-def _expand_reverb_fit(scene: Scene, ctx: ContextualInfo, rule_id: str):
-    room_octaves = ctx.high_level.room_decay_tau_s
+def _expand_reverb_fit(scene: Scene, ctx: HighLevelContext, rule_id: str):
+    room_octaves = ctx.room_decay_tau_s
     if room_octaves is None:
         return []
     actions = []
@@ -483,12 +483,12 @@ def _expand_reverb_fit(scene: Scene, ctx: ContextualInfo, rule_id: str):
     return actions
 
 
-def _expand(template: RuleAction, scene: Scene, ctx: ContextualInfo,
+def _expand(template: RuleAction, scene: Scene, ctx: HighLevelContext,
             rule_id: str, window):
     if template.kind == "intelligibility_ladder":
         return intelligibility_boost(scene, ctx, window=window, reason=rule_id)
     if template.kind == "personalize":
-        return personalize_levels(scene, ctx.high_level.listener, reason=rule_id)
+        return personalize_levels(scene, ctx.listener, reason=rule_id)
     if template.kind == "reverb_fit":
         return _expand_reverb_fit(scene, ctx, rule_id)
     return _expand_direct(template, scene, rule_id)
@@ -550,7 +550,7 @@ def _apply_one(scene: Scene, action: AdaptationAction):
     return scene.with_objects(objects), applied, None
 
 
-def apply_rules(scene: Scene, ctx: ContextualInfo, rulebook,
+def apply_rules(scene: Scene, ctx: HighLevelContext, rulebook,
                 preview_window: tuple[int, int] | None = None):
     """Evaluate a rulebook against a scene and apply the fired actions.
 

@@ -11,7 +11,7 @@ import sys
 
 from .context import build_scenario, parse_scenario
 from .devices import enumerate_devices
-from .dsp import BLOCK_SIZE, DEFAULT_SEED
+from .dsp import BLOCK_SIZE
 from .engine import RenderJob, run_render
 from .errors import ObarError
 from .geometry import Direction3, wrap_azimuth
@@ -65,8 +65,8 @@ def _probe_object(az_deg: float) -> AudioObject:
 def cmd_probe(scenario_path: str) -> int:
     """Feasibility of each renderer class for a reference object swept
     around the compass."""
-    layout, listeners, environment, _ = parse_scenario(scenario_path)
-    scenario = build_scenario(layout, listeners, environment)
+    layout, listeners, _, _ = parse_scenario(scenario_path)
+    scenario = build_scenario(layout, listeners)
     count = len(scenario.layout.speakers)
     order = max_ambi_order(count)
     print(f"layout: {count} speakers, max ambisonic order {order}")
@@ -110,7 +110,6 @@ def _run_render(args) -> int:
         metrics_path=args.metrics,
         block_size=args.block,
         crossfade_s=args.xfade,
-        seed=args.seed,
         listener_id=args.listener,
     )
     return cmd_render(job)
@@ -149,8 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="render block size in samples")
     render.add_argument("--xfade", type=float, default=DEFAULT_CROSSFADE_S,
                         help="renderer crossfade duration in seconds")
-    render.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed recorded in the report")
     render.add_argument("--listener", default=None,
                         help="listener id to treat as dominant")
     render.add_argument("--report", default=None,

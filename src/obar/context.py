@@ -1,5 +1,5 @@
 """Reproduction context: loudspeakers, listeners, room, noise, and the
-per-render contextual information handed to adaptation and routing.
+per-interval context record handed to adaptation and routing.
 
 The context tracker is the stateful piece: it remembers the previous noise
 level so adaptation rules can react to noise steps.
@@ -122,20 +122,6 @@ class ListenerInfo:
 
 
 @dataclass(frozen=True)
-class Artefact:
-    artefact_id: str
-    position: Direction3
-    kind: str = "unknown"
-
-
-@dataclass(frozen=True)
-class EnvironmentInfo:
-    room_dims_m: tuple[float, float, float] | None = None
-    room_decay_tau_s: tuple[float, ...] | None = None   # at the octave centres
-    artefacts: tuple[Artefact, ...] = ()
-
-
-@dataclass(frozen=True)
 class NoiseState:
     """Per-octave-band noise levels at one instant, floored at -120 dBFS."""
 
@@ -159,43 +145,28 @@ SILENT_NOISE = NoiseState(0.0, (LEVEL_FLOOR_DB,) * len(OCTAVE_CENTERS_HZ))
 
 @dataclass(frozen=True)
 class ReproductionScenario:
-    layout: SpeakerLayout
-    listeners: tuple[ListenerInfo, ...]
-    environment: EnvironmentInfo = EnvironmentInfo()
-    noise: NoiseState = SILENT_NOISE
+    """The layout and the dominant listener, with the listener at the origin."""
 
-    @property
-    def dominant_listener(self) -> ListenerInfo:
-        return self.listeners[0]
+    layout: SpeakerLayout
+    listener: ListenerInfo
+    room_decay_tau_s: tuple[float, ...] | None = None   # at the octave centres
 
 
 @dataclass(frozen=True)
 class HighLevelContext:
+    """One context update: what the rules, adaptation and routing read."""
+
     intelligibility_deficit: float
     noise_delta_db: float
     noise_broadband_db: float
-    dominant_listener: str
     scene_targets: SceneTargets
+    listener: ListenerInfo
     measured_intelligibility: float | None = None
     effective_intelligibility_target: float = 0.0
-    listener: ListenerInfo | None = None
     speaker_count: int = 0
     room_decay_tau_s: tuple[float, ...] | None = None
     # The speaker closest to the dominant listener.
     nearest_device: str | None = None
-
-
-@dataclass(frozen=True)
-class ContextualInfo:
-    high_level: HighLevelContext
-
-
-@dataclass(frozen=True)
-class Monitoring:
-    """Measured inputs to a context update; both parts optional."""
-
-    noise: NoiseState | None = None
-    intelligibility: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -245,32 +216,26 @@ def _rereference(d: Direction3, origin: np.ndarray) -> Direction3:
     return from_cartesian(p[0], p[1], p[2])
 
 
-def build_scenario(layout: SpeakerLayout, listeners, environment: EnvironmentInfo,
-                   noise: NoiseState = SILENT_NOISE) -> ReproductionScenario:
+def build_scenario(layout: SpeakerLayout, listeners,
+                   room_decay_tau_s: tuple[float, ...] | None = None
+                   ) -> ReproductionScenario:
     """Assemble a scenario with geometry re-expressed around the first listener.
 
-    The first listener is the dominant one; when it sits away from the layout
-    origin every position (speakers, artefacts, other listeners) is shifted so
-    the dominant listener becomes the origin.
+    The first listener is the dominant one and the only one kept; when it
+    sits away from the layout origin the speakers are shifted so the
+    dominant listener becomes the origin.
     """
     listeners = tuple(listeners)
     if not listeners:
         raise NoListener("a scenario needs at least one listener")
-    dominant = listeners[0]
-    if dominant.position.distance_m and dominant.position.distance_m > 0.0:
-        origin = _to_point(dominant.position)
+    listener = listeners[0]
+    if listener.position.distance_m and listener.position.distance_m > 0.0:
+        origin = _to_point(listener.position)
         layout = SpeakerLayout(tuple(
             replace(s, position=_rereference(s.position, origin))
             for s in layout.speakers))
-        environment = replace(environment, artefacts=tuple(
-            replace(a, position=_rereference(a.position, origin))
-            for a in environment.artefacts))
-        listeners = tuple(
-            replace(l, position=_rereference(l.position, origin)) for l in listeners)
-        listeners = (replace(dominant, position=Direction3(0.0, 0.0, 0.0)),
-                     *listeners[1:])
-    return ReproductionScenario(layout=layout, listeners=listeners,
-                                environment=environment, noise=noise)
+        listener = replace(listener, position=Direction3(0.0, 0.0, 0.0))
+    return ReproductionScenario(layout, listener, room_decay_tau_s)
 
 
 # ---------------------------------------------------------------------------
@@ -281,25 +246,22 @@ def _distance_between(a: Direction3, b: Direction3) -> float:
 
 
 class ContextTracker:
-    """Derives ContextualInfo from a scenario and scene, holding noise history."""
+    """Derives a HighLevelContext from a scenario, a scene, the noise state
+    and the measured intelligibility (None when unmeasured), remembering the
+    previous noise level so rules can react to noise steps."""
 
     def __init__(self):
         self._previous_broadband_db: float | None = None
 
     def update(self, scenario: ReproductionScenario, scene: Scene,
-               monitoring: Monitoring | None = None) -> ContextualInfo:
-        noise = scenario.noise
-        measured = None
-        if monitoring is not None:
-            if monitoring.noise is not None:
-                noise = monitoring.noise
-            measured = monitoring.intelligibility
+               noise: NoiseState = SILENT_NOISE,
+               measured: float | None = None) -> HighLevelContext:
         broadband = noise.broadband_db()
         delta = (0.0 if self._previous_broadband_db is None
                  else broadband - self._previous_broadband_db)
         self._previous_broadband_db = broadband
 
-        listener = scenario.dominant_listener
+        listener = scenario.listener
         target = max(listener.intelligibility_preference,
                      scene.targets.intelligibility)
         deficit = (target - measured) if measured is not None else 0.0
@@ -309,20 +271,18 @@ class ContextTracker:
             key=lambda s: _distance_between(s.position, listener.position),
         ).speaker_id
 
-        high = HighLevelContext(
+        return HighLevelContext(
             intelligibility_deficit=deficit,
             noise_delta_db=delta,
             noise_broadband_db=broadband,
-            dominant_listener=listener.listener_id,
             scene_targets=scene.targets,
+            listener=listener,
             measured_intelligibility=measured,
             effective_intelligibility_target=target,
-            listener=listener,
             speaker_count=len(scenario.layout.speakers),
-            room_decay_tau_s=scenario.environment.room_decay_tau_s,
+            room_decay_tau_s=scenario.room_decay_tau_s,
             nearest_device=nearest,
         )
-        return ContextualInfo(high_level=high)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +317,7 @@ def parse_speaker(doc, where, device=False) -> LoudspeakerDescriptor | None:
     bw = get_field(doc, "bandwidth_hz", where, parse_mapping, {}, nullable=device) or {}
     require_keys(bw, {"low", "high"}, bw_where)
     return LoudspeakerDescriptor(
-        speaker_id=str(doc["id"]),
+        speaker_id=get_field(doc, "id", where, parse_string),
         position=get_field(doc, "position", where, parse_direction),
         orientation_deg=get_field(doc, "orientation_deg", where, parse_number, 0.0),
         bandwidth_hz=Bandwidth(
@@ -376,7 +336,7 @@ def _parse_listener(doc, where) -> ListenerInfo:
                "team_preference"}
     require_keys(doc, allowed, where)
     return ListenerInfo(
-        listener_id=str(get_field(doc, "id", where, required=True)),
+        listener_id=get_field(doc, "id", where, parse_string, required=True),
         position=get_field(doc, "position", where, parse_direction,
                            Direction3(0.0, 0.0, 0.0)),
         language=get_field(doc, "language", where, parse_string, nullable=True),
@@ -390,10 +350,10 @@ def _parse_listener(doc, where) -> ListenerInfo:
     )
 
 
-def _parse_room_dims(doc, where) -> tuple[float, float, float]:
+def _check_room_dims(doc, where) -> None:
     require_keys(doc, {"x", "y", "z"}, where)
-    return tuple(get_field(doc, axis, where, parse_number, required=True)
-                 for axis in ("x", "y", "z"))
+    for axis in ("x", "y", "z"):
+        get_field(doc, axis, where, parse_number, required=True)
 
 
 def _parse_decay_taus(value, field) -> tuple[float, ...]:
@@ -406,24 +366,20 @@ def _parse_decay_taus(value, field) -> tuple[float, ...]:
     return taus
 
 
-def _parse_artefact(doc, where, index) -> Artefact:
+def _check_artefact(doc, where) -> None:
     require_keys(doc, {"id", "position", "kind"}, where)
-    return Artefact(
-        artefact_id=str(get_field(doc, "id", where, default=f"artefact{index}")),
-        position=get_field(doc, "position", where, parse_direction, required=True),
-        kind=get_field(doc, "kind", where, parse_string, "unknown", nullable=True),
-    )
+    get_field(doc, "id", where, parse_string)
+    get_field(doc, "position", where, parse_direction, required=True)
+    get_field(doc, "kind", where, parse_string, nullable=True)
 
 
-def _parse_environment(doc, where) -> EnvironmentInfo:
+def _parse_environment(doc, where) -> tuple[float, ...] | None:
+    """The room's decay times; room_dims_m and artefacts are checked, unread."""
     require_keys(doc, {"room_dims_m", "room_decay_tau_s", "artefacts"}, where)
-    artefacts = get_field(doc, "artefacts", where, parse_list, [])
-    return EnvironmentInfo(
-        room_dims_m=get_field(doc, "room_dims_m", where, _parse_room_dims, nullable=True),
-        room_decay_tau_s=get_field(doc, "room_decay_tau_s", where, _parse_decay_taus,
-                                   nullable=True),
-        artefacts=tuple(_parse_artefact(a, f"{where}.artefacts[{i}]", i)
-                        for i, a in enumerate(artefacts)))
+    get_field(doc, "room_dims_m", where, _check_room_dims, nullable=True)
+    for i, artefact in enumerate(get_field(doc, "artefacts", where, parse_list, [])):
+        _check_artefact(artefact, f"{where}.artefacts[{i}]")
+    return get_field(doc, "room_decay_tau_s", where, _parse_decay_taus, nullable=True)
 
 
 def parse_noise_timeline(entries) -> tuple[NoiseState, ...]:
@@ -460,8 +416,8 @@ def noise_at(timeline, t_s: float) -> NoiseState:
 def parse_scenario(path: str):
     """Parse a scenario document.
 
-    Returns (layout, listeners, environment, noise_timeline); geometry is not
-    yet re-referenced, call build_scenario for that.
+    Returns (layout, listeners, room_decay_tau_s, noise_timeline); geometry
+    is not yet re-referenced, call build_scenario for that.
     """
     doc = read_document(path, "scenario file")
     return scenario_from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)))
@@ -494,8 +450,7 @@ def scenario_from_dict(doc: dict, base_dir: str = "."):
         for i, l in enumerate(get_field(doc, "listeners", "scenario", parse_list, [])))
     if not listeners:
         raise NoListener("scenario lists no listeners")
-    environment = get_field(doc, "environment", "scenario", _parse_environment,
-                            EnvironmentInfo())
+    room_decay_tau_s = get_field(doc, "environment", "scenario", _parse_environment)
     timeline = parse_noise_timeline(
         get_field(doc, "noise_timeline", "scenario", default=[]))
-    return layout, listeners, environment, timeline
+    return layout, listeners, room_decay_tau_s, timeline

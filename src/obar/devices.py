@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .context import SpeakerLayout, parse_speaker
 from .errors import DuplicateDeviceId, EmptyLayout, SchemaError
-from .scene import echo, get_field, parse_list, read_document, require_keys
+from .scene import echo, get_field, parse_list, parse_string, read_document, require_keys
 
 DEVICES_SCHEMA_VERSION = "devices v1"
 
@@ -20,8 +20,9 @@ def layout_from_device_config(doc: dict) -> SpeakerLayout:
     seen = set()
     devices = get_field(doc, "devices", "devices config", parse_list, [])
     for i, dev in enumerate(devices):
-        speaker = parse_speaker(dev, f"devices[{i}]", device=True)
-        device_id = str(dev["id"])
+        where = f"devices[{i}]"
+        speaker = parse_speaker(dev, where, device=True)
+        device_id = get_field(dev, "id", where, parse_string)
         if device_id in seen:
             raise DuplicateDeviceId(f"device id {device_id!r} appears twice")
         seen.add(device_id)

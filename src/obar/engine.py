@@ -30,7 +30,6 @@ from .adapt import apply_rules
 from .context import (
     MIN_NOISE_BLOCK,
     ContextTracker,
-    Monitoring,
     band_snr_score,
     build_scenario,
     noise_at,
@@ -81,7 +80,6 @@ class RenderJob:
     metrics_path: str | None = None
     block_size: int = BLOCK_SIZE
     crossfade_s: float = DEFAULT_CROSSFADE_S
-    seed: int = DEFAULT_SEED
     listener_id: str | None = None
 
 
@@ -296,7 +294,7 @@ def run_render(job: RenderJob) -> RenderResult:
         raise JobError(f"options.crossfade_s must be > 0, got {job.crossfade_s}")
 
     scene = parse_scene(job.scene_path)
-    layout, listeners, environment, timeline = parse_scenario(job.scenario_path)
+    layout, listeners, room_decay_tau_s, timeline = parse_scenario(job.scenario_path)
     listeners = _promote_listener(listeners, job.listener_id)
     rulebook = (load_rulebook(job.rulebook_path)
                 if job.rulebook_path else default_rulebook())
@@ -312,8 +310,8 @@ def run_render(job: RenderJob) -> RenderResult:
     n_blocks = math.ceil(n_total / block)
 
     # Geometry is fixed for the run, so one scenario serves every interval;
-    # the noise state changes and reaches the tracker through Monitoring.
-    scenario = build_scenario(layout, listeners, environment)
+    # the noise state changes and is handed to the tracker with each update.
+    scenario = build_scenario(layout, listeners, room_decay_tau_s)
     chan_index = {s.speaker_id: i for i, s in enumerate(scenario.layout.speakers)}
     n_channels = len(scenario.layout.speakers)
     # Stems are fixed for the run, so each object's band analysis is too.
@@ -352,9 +350,7 @@ def run_render(job: RenderJob) -> RenderResult:
             measured = _interval_proxy(
                 scene, pristine_sources, window[0], window[1], noise, fs)
 
-            ctx = tracker.update(
-                scenario, scene,
-                Monitoring(noise=noise, intelligibility=measured))
+            ctx = tracker.update(scenario, scene, noise, measured)
             adapted, adapt_report = apply_rules(
                 scene, ctx, rulebook, preview_window=window)
             assignments, schedules = route(
@@ -428,8 +424,8 @@ def run_render(job: RenderJob) -> RenderResult:
         "duration_samples": n_total,
         "block_size": block,
         "crossfade_s": job.crossfade_s,
-        "seed": job.seed,
-        "listener": listeners[0].listener_id,
+        "seed": DEFAULT_SEED,
+        "listener": scenario.listener.listener_id,
         "channels": [s.speaker_id for s in scenario.layout.speakers],
         "intervals": intervals,
         "timing": {"render_s": round(time.perf_counter() - wall_start, 6)},
@@ -459,14 +455,13 @@ def run_render(job: RenderJob) -> RenderResult:
 
 def _interval_record(t_s, noise, ctx, measured, projected,
                      assignments, adapt_report, schedules) -> dict:
-    high = ctx.high_level
     return {
         "t_s": round(t_s, 6),
         "noise_broadband_db": round(noise.broadband_db(), 6),
-        "noise_delta_db": round(high.noise_delta_db, 6),
+        "noise_delta_db": round(ctx.noise_delta_db, 6),
         "measured_intelligibility": None if measured is None else round(measured, 6),
         "projected_intelligibility": None if projected is None else round(projected, 6),
-        "intelligibility_deficit": round(high.intelligibility_deficit, 6),
+        "intelligibility_deficit": round(ctx.intelligibility_deficit, 6),
         "assignments": [
             {
                 "object_id": a.object_id,

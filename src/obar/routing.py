@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .context import ContextualInfo, ReproductionScenario, SpeakerLayout
+from .context import HighLevelContext, ReproductionScenario, SpeakerLayout
 from .errors import (
     NonPositiveDuration,
     NotBracketed,
@@ -445,7 +445,7 @@ def schedule_crossfade(old: RendererAssignment, new: RendererAssignment,
                              start_s=float(start_s), duration_s=float(duration_s))
 
 
-def route(scene: Scene, scenario: ReproductionScenario, ctx: ContextualInfo,
+def route(scene: Scene, scenario: ReproductionScenario, ctx: HighLevelContext,
           selection_rules=None, previous=None, now_s: float = 0.0,
           crossfade_s: float = DEFAULT_CROSSFADE_S,
           band_fractions: BandFractions | None = None):
@@ -464,7 +464,7 @@ def route(scene: Scene, scenario: ReproductionScenario, ctx: ContextualInfo,
     schedules = []
     for obj in sorted(scene.objects, key=lambda o: o.object_id):
         assignment = select_renderer(
-            obj, scenario.layout, ctx.high_level.nearest_device, selection_rules,
+            obj, scenario.layout, ctx.nearest_device, selection_rules,
             namespace=shared_ns, sample_rate=scene.sample_rate,
             band_fractions=band_fractions)
         assignments.append(assignment)

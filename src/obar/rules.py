@@ -282,24 +282,22 @@ def object_namespace(obj) -> dict:
 
 def context_namespace(ctx, scene) -> dict:
     """Fields a scene-level rule condition can reference."""
-    high = ctx.high_level
-    listener = high.listener
     return {
-        "intelligibility_deficit": float(high.intelligibility_deficit),
-        "noise_delta_db": float(high.noise_delta_db),
-        "noise_broadband_db": float(high.noise_broadband_db),
+        "intelligibility_deficit": float(ctx.intelligibility_deficit),
+        "noise_delta_db": float(ctx.noise_delta_db),
+        "noise_broadband_db": float(ctx.noise_broadband_db),
         "measured_intelligibility": (
-            -1.0 if high.measured_intelligibility is None
-            else float(high.measured_intelligibility)),
-        "intelligibility_target": float(high.effective_intelligibility_target),
-        "envelopment_target": float(high.scene_targets.envelopment),
-        "speaker_count": float(high.speaker_count),
+            -1.0 if ctx.measured_intelligibility is None
+            else float(ctx.measured_intelligibility)),
+        "intelligibility_target": float(ctx.effective_intelligibility_target),
+        "envelopment_target": float(ctx.scene_targets.envelopment),
+        "speaker_count": float(ctx.speaker_count),
         "object_count": float(len(scene.objects)),
         "has_dialogue": any(
             o.object_type is ObjectType.DIALOGUE for o in scene.objects),
-        "has_room_decay": high.room_decay_tau_s is not None,
-        "hearing_impaired": bool(listener.hearing_impaired) if listener else False,
-        "team_preference": (listener.team_preference or "") if listener else "",
+        "has_room_decay": ctx.room_decay_tau_s is not None,
+        "hearing_impaired": bool(ctx.listener.hearing_impaired),
+        "team_preference": ctx.listener.team_preference or "",
     }
 
 

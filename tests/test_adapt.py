@@ -31,7 +31,6 @@ from obar.adapt import (
 )
 from obar.context import (
     MIN_NOISE_BLOCK,
-    ContextualInfo,
     HighLevelContext,
     ListenerInfo,
     estimate_intelligibility,
@@ -70,21 +69,18 @@ def make_scene(*objects, intelligibility=0.0):
                  objects=tuple(objects))
 
 
-def make_ctx(deficit=0.0, listener=None, speaker_count=5, room=None,
-             targets=SceneTargets()):
-    high = HighLevelContext(
+def make_ctx(deficit=0.0, speaker_count=5, room=None, targets=SceneTargets()):
+    return HighLevelContext(
         intelligibility_deficit=deficit,
         noise_delta_db=0.0,
         noise_broadband_db=-120.0,
-        dominant_listener="l0",
         scene_targets=targets,
+        listener=ListenerInfo("l0", Direction3(0.0)),
         measured_intelligibility=None,
         effective_intelligibility_target=max(deficit, 0.0),
-        listener=listener,
         speaker_count=speaker_count,
         room_decay_tau_s=room,
     )
-    return ContextualInfo(high_level=high)
 
 
 def constraints(**tol):
@@ -377,7 +373,7 @@ class TestPersonalize:
     def test_no_preference(self):
         scene = self._scene(["home_crowd", "away_crowd"])
         assert personalize_levels(scene, self._listener(None)) == []
-        assert personalize_levels(scene, None) == []
+        assert personalize_levels(scene, self._listener("")) == []
 
     def test_no_grouped_objects(self):
         scene = make_scene(make_object("o0", "ambience"))

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from obar.context import (
     ContextTracker,
-    EnvironmentInfo,
     ListenerInfo,
-    Monitoring,
     NoiseState,
     SILENT_NOISE,
     SpeakerLayout,
@@ -108,23 +106,22 @@ def _listener(listener_id="l0", az=0.0, dist=0.0, **over):
 class TestBuildScenario:
     def test_centered_listener_keeps_positions(self):
         layout = _layout()
-        scenario = build_scenario(layout, [_listener()], EnvironmentInfo())
+        scenario = build_scenario(layout, [_listener()])
         assert scenario.layout == layout
-        assert scenario.dominant_listener.listener_id == "l0"
+        assert scenario.listener.listener_id == "l0"
 
     def test_off_origin_listener_rereferences_geometry(self):
         layout = _layout(count=4, radius=2.0)
-        scenario = build_scenario(
-            layout, [_listener(az=0.0, dist=1.0)], EnvironmentInfo())
+        scenario = build_scenario(layout, [_listener(az=0.0, dist=1.0)])
         front = next(s for s in scenario.layout.speakers
                      if s.speaker_id == "s0")
         assert front.position.distance_m == pytest.approx(1.0, abs=1e-12)
         assert front.position.az_deg == pytest.approx(0.0, abs=1e-9)
-        assert scenario.dominant_listener.position.distance_m == 0.0
+        assert scenario.listener.position.distance_m == 0.0
 
     def test_no_listener_rejected(self):
         with pytest.raises(NoListener):
-            build_scenario(_layout(), [], EnvironmentInfo())
+            build_scenario(_layout(), [])
 
     def test_empty_layout_rejected(self):
         with pytest.raises(EmptyLayout):
@@ -134,47 +131,44 @@ class TestBuildScenario:
 class TestContextTracker:
     def test_defaults_without_monitoring(self, basic_scene_dir):
         scene = parse_scene(basic_scene_dir[1])
-        scenario = build_scenario(_layout(), [_listener()], EnvironmentInfo())
+        scenario = build_scenario(_layout(), [_listener()])
         ctx = ContextTracker().update(scenario, scene)
-        assert ctx.high_level.intelligibility_deficit == 0.0
-        assert ctx.high_level.noise_delta_db == 0.0
-        assert ctx.high_level.speaker_count == 5
+        assert ctx.intelligibility_deficit == 0.0
+        assert ctx.noise_delta_db == 0.0
+        assert ctx.speaker_count == 5
 
     def test_deficit_is_target_minus_measured(self, basic_scene_dir):
         scene = parse_scene(basic_scene_dir[1])  # scene target 0.8
-        scenario = build_scenario(_layout(), [_listener()], EnvironmentInfo())
-        ctx = ContextTracker().update(
-            scenario, scene, Monitoring(intelligibility=0.5))
-        assert ctx.high_level.intelligibility_deficit == pytest.approx(0.3)
-        assert ctx.high_level.effective_intelligibility_target == 0.8
+        scenario = build_scenario(_layout(), [_listener()])
+        ctx = ContextTracker().update(scenario, scene, measured=0.5)
+        assert ctx.intelligibility_deficit == pytest.approx(0.3)
+        assert ctx.effective_intelligibility_target == 0.8
 
     def test_listener_preference_can_exceed_scene_target(self, basic_scene_dir):
         scene = parse_scene(basic_scene_dir[1])
         listener = _listener(intelligibility_preference=0.95)
-        scenario = build_scenario(_layout(), [listener], EnvironmentInfo())
-        ctx = ContextTracker().update(
-            scenario, scene, Monitoring(intelligibility=0.5))
-        assert ctx.high_level.effective_intelligibility_target == 0.95
-        assert ctx.high_level.intelligibility_deficit == pytest.approx(0.45)
+        scenario = build_scenario(_layout(), [listener])
+        ctx = ContextTracker().update(scenario, scene, measured=0.5)
+        assert ctx.effective_intelligibility_target == 0.95
+        assert ctx.intelligibility_deficit == pytest.approx(0.45)
 
     def test_noise_delta_steps_between_updates(self, basic_scene_dir):
         scene = parse_scene(basic_scene_dir[1])
-        scenario = build_scenario(_layout(), [_listener()], EnvironmentInfo())
+        scenario = build_scenario(_layout(), [_listener()])
         tracker = ContextTracker()
         quiet = NoiseState(0.0, (-40.0,) * 7)
         loud = NoiseState(2.0, (-30.0,) * 7)
-        first = tracker.update(scenario, scene, Monitoring(noise=quiet))
-        second = tracker.update(scenario, scene, Monitoring(noise=loud))
-        assert first.high_level.noise_delta_db == 0.0
-        assert second.high_level.noise_delta_db == pytest.approx(10.0, abs=1e-9)
+        first = tracker.update(scenario, scene, quiet)
+        second = tracker.update(scenario, scene, loud)
+        assert first.noise_delta_db == 0.0
+        assert second.noise_delta_db == pytest.approx(10.0, abs=1e-9)
 
     def test_nearest_device_tracks_listener(self, basic_scene_dir):
         scene = parse_scene(basic_scene_dir[1])
         # listener sits 1 m toward az 90; ring speaker at az 90 r 2 is nearest
-        scenario = build_scenario(
-            _layout(count=4), [_listener(az=90.0, dist=1.0)], EnvironmentInfo())
+        scenario = build_scenario(_layout(count=4), [_listener(az=90.0, dist=1.0)])
         ctx = ContextTracker().update(scenario, scene)
-        assert ctx.high_level.nearest_device == "s1"
+        assert ctx.nearest_device == "s1"
 
 
 class TestScenarioDocuments:
@@ -188,7 +182,7 @@ class TestScenarioDocuments:
         )
         path = write_json(str(tmp_path), doc, "scenario.json")
         from obar.context import parse_scenario
-        layout, listeners, environment, timeline = parse_scenario(path)
+        layout, listeners, room_decay_tau_s, timeline = parse_scenario(path)
         assert len(layout.speakers) == 5
         assert listeners[0].listener_id == "listener0"
         assert len(timeline) == 2
@@ -215,8 +209,8 @@ class TestScenarioDocuments:
         with pytest.raises(SchemaError):
             scenario_from_dict(doc)
         doc["environment"] = {"room_decay_tau_s": [0.5] * 7}
-        _, _, environment, _ = scenario_from_dict(doc)
-        assert environment.room_decay_tau_s == (0.5,) * 7
+        _, _, room_decay_tau_s, _ = scenario_from_dict(doc)
+        assert room_decay_tau_s == (0.5,) * 7
 
     def test_speaker_without_distance_rejected(self):
         doc = scenario_doc([{"id": "s0", "position": {"az": 0.0, "el": 0.0}}])

@@ -109,3 +109,27 @@ def test_malformed_documents_raise_only_obar_errors(documents, data):
         read(bad)
     except ObarError:
         pass
+
+
+def _id_paths(documents):
+    return [(name, path) for name in sorted(documents)
+            for path in _paths(documents[name][0]) if path[-1] == "id"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_non_string_ids_are_rejected(documents, data):
+    """Every id is a JSON string: a number, list, mapping, null or boolean in
+    its place raises ObarError instead of being read as its Python text."""
+    name, path = data.draw(st.sampled_from(_id_paths(documents)), label="id path")
+    value = data.draw(st.sampled_from(
+        [v for v in REPLACEMENTS if v is not DELETE and not isinstance(v, str)]),
+        label="value")
+    doc, read = documents[name]
+    bad = copy.deepcopy(doc)
+    parent = bad
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = copy.deepcopy(value)
+    with pytest.raises(ObarError):
+        read(bad)

@@ -454,14 +454,14 @@ class TestCLI:
         d, scene, scenario = self.demo_paths(tmp_path)
         out = os.path.join(d, "mix.wav")
         rc = cli_main(["render", "--scene", scene, "--scenario", scenario,
-                       "--out", out, "--seed", "7"])
+                       "--out", out])
         assert rc == 0
         assert os.path.isfile(out)
         assert os.path.isfile(out + ".report.json")
         assert os.path.isfile(out + ".metrics.csv")
         assert "5 channels" in capsys.readouterr().out
         with open(out + ".report.json") as fh:
-            assert json.load(fh)["seed"] == 7
+            assert json.load(fh)["seed"] == dsp.DEFAULT_SEED
 
     def test_validate_clean_scene(self, tmp_path, capsys):
         _, scene, scenario = self.demo_paths(tmp_path)

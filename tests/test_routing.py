@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from obar.context import (
     ContextTracker,
-    EnvironmentInfo,
     ListenerInfo,
     SpeakerLayout,
     parse_speaker,
@@ -581,7 +580,7 @@ class TestCrossfadesAndRouting:
             listener_id="l", position=Direction3(0, 0, 0), language=None,
             hearing_impaired=False, intelligibility_preference=0.0,
             envelopment_preference=0.0, team_preference=None)
-        scenario = build_scenario(layout, [listener], EnvironmentInfo())
+        scenario = build_scenario(layout, [listener])
         ctx = ContextTracker().update(scenario, scene)
         return scene, scenario, ctx
 

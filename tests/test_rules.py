@@ -225,8 +225,7 @@ class TestNamespaces:
         assert ns["onscreen"] is False
 
     def test_context_namespace_fields(self, basic_scene_dir):
-        from obar.context import (ContextTracker, EnvironmentInfo,
-                                  ListenerInfo, SpeakerLayout, parse_speaker,
+        from obar.context import (ContextTracker, ListenerInfo, SpeakerLayout, parse_speaker,
                                   build_scenario)
         from obar.geometry import Direction3
         from conftest import ring_speakers
@@ -237,7 +236,7 @@ class TestNamespaces:
             listener_id="l", position=Direction3(0, 0, 0), language=None,
             hearing_impaired=True, intelligibility_preference=0.9,
             envelopment_preference=0.0, team_preference="home")
-        scenario = build_scenario(layout, [listener], EnvironmentInfo())
+        scenario = build_scenario(layout, [listener])
         ctx = ContextTracker().update(scenario, scene)
         ns = context_namespace(ctx, scene)
         assert ns["speaker_count"] == 5.0
@@ -251,8 +250,7 @@ class TestNamespaces:
 
     def test_default_rules_only_use_known_fields(self, basic_scene_dir):
         """Every default rule condition evaluates against real namespaces."""
-        from obar.context import (ContextTracker, EnvironmentInfo,
-                                  ListenerInfo, SpeakerLayout, parse_speaker,
+        from obar.context import (ContextTracker, ListenerInfo, SpeakerLayout, parse_speaker,
                                   build_scenario)
         from obar.geometry import Direction3
         from conftest import ring_speakers
@@ -263,7 +261,7 @@ class TestNamespaces:
             listener_id="l", position=Direction3(0, 0, 0), language=None,
             hearing_impaired=False, intelligibility_preference=0.0,
             envelopment_preference=0.0, team_preference=None)
-        scenario = build_scenario(layout, [listener], EnvironmentInfo())
+        scenario = build_scenario(layout, [listener])
         ctx = ContextTracker().update(scenario, scene)
         ns = context_namespace(ctx, scene)
         for rule in default_rulebook():
