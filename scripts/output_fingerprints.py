@@ -15,13 +15,16 @@ lines, so diffing the output of two checkouts is a bit-identity gate:
     python3 scripts/output_fingerprints.py --seeds 0 1 7 > fingerprints.txt
 
 --dump DIR also saves each render's float64 samples (before the WAV's
-float32 rounding) as DIR/<workload>-seed<n>.npy. --compare DIR loads the
-same file from another checkout's dump and prints, after each line,
+float32 rounding) as DIR/<workload>-seed<n>.npy and its metrics and report
+digests as DIR/<workload>-seed<n>.json. --compare DIR loads the same files
+from another checkout's dump and prints, after each line,
 
-    <workload> seed=<n> max_abs_diff=<value>
+    <workload> seed=<n> max_abs_diff=<value> metrics=<same|differs> report=<same|differs>
 
-and exits 1 when any value exceeds MAX_ABS_DIFF (1e-9) or a dump is
-missing or has another shape. A change meant to move the audio by rounding
+and exits 1 when any value exceeds MAX_ABS_DIFF (1e-9), a metrics or report
+digest differs, or a dump is missing or has another shape. The WAV digest
+is not compared: float32 rounding can move it with the float64 samples
+still within MAX_ABS_DIFF. A change meant to move the audio by rounding
 only is gated by
 
     python3 scripts/output_fingerprints.py --dump /tmp/parent     # parent
@@ -73,8 +76,9 @@ def report_digest(report_path: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def fingerprint(name: str, seed: int, dest: str) -> tuple[str, np.ndarray]:
-    """The fingerprint line of one render and its float64 samples."""
+def fingerprint(name: str, seed: int, dest: str) -> tuple[str, dict, np.ndarray]:
+    """The fingerprint line of one render, its metrics and report digests
+    and its float64 samples."""
     work = os.path.join(dest, f"{name}-seed{seed}")
     files = generate(name, seed, work)
     out = os.path.join(work, "out.wav")
@@ -82,10 +86,11 @@ def fingerprint(name: str, seed: int, dest: str) -> tuple[str, np.ndarray]:
         scene_path=files.scene, scenario_path=files.scenario, out_path=out,
         rulebook_path=files.rulebook, selection_path=files.selection,
         block_size=WORKLOADS[name].block_size))
+    digests = {"metrics": _sha256_file(result.metrics_path),
+               "report": report_digest(result.report_path)}
     line = (f"{name} seed={seed} wav={_sha256_file(out)} "
-            f"metrics={_sha256_file(result.metrics_path)} "
-            f"report={report_digest(result.report_path)}")
-    return line, result.output
+            f"metrics={digests['metrics']} report={digests['report']}")
+    return line, digests, result.output
 
 
 def max_abs_diff(output: np.ndarray, path: str) -> float | None:
@@ -99,6 +104,23 @@ def max_abs_diff(output: np.ndarray, path: str) -> float | None:
     return float(np.max(np.abs(output - other), initial=0.0))
 
 
+def compare(output: np.ndarray, digests: dict, stem: str) -> tuple[str, bool]:
+    """The comparison with a dump saved under stem (DIR/<workload>-seed<n>)
+    as printed, and whether it passes."""
+    diff = max_abs_diff(output, stem + ".npy")
+    if diff is None:
+        return f"max_abs_diff=unavailable (no dump of the same shape at {stem}.npy)", False
+    text = f"max_abs_diff={diff:.3e}"
+    if not os.path.isfile(stem + ".json"):
+        return f"{text} digests=unavailable (no {stem}.json)", False
+    with open(stem + ".json", encoding="utf-8") as fh:
+        dumped = json.load(fh)
+    same = {key: dumped.get(key) == value for key, value in digests.items()}
+    text += "".join(
+        f" {key}={'same' if ok else 'differs'}" for key, ok in same.items())
+    return text, diff <= MAX_ABS_DIFF and all(same.values())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -108,10 +130,13 @@ def main(argv=None) -> int:
                              "(default: a temporary directory)")
     parser.add_argument("--dump", metavar="DIR", default=None,
                         help="save each render's float64 samples as "
-                             "DIR/<workload>-seed<n>.npy")
+                             "DIR/<workload>-seed<n>.npy and its metrics and "
+                             "report digests as DIR/<workload>-seed<n>.json")
     parser.add_argument("--compare", metavar="DIR", default=None,
                         help="print each render's max abs difference from "
-                             "the samples another checkout dumped to DIR")
+                             "the samples another checkout dumped to DIR, "
+                             "and whether its metrics and report digests "
+                             "match; exit 1 on a difference or missing dump")
     args = parser.parse_args(argv)
     if args.dump:
         os.makedirs(args.dump, exist_ok=True)
@@ -120,23 +145,20 @@ def main(argv=None) -> int:
         dest = args.dest or tmp
         for name in WORKLOADS:
             for seed in args.seeds:
-                line, output = fingerprint(name, seed, dest)
+                line, digests, output = fingerprint(name, seed, dest)
                 print(line, flush=True)
-                npy = f"{name}-seed{seed}.npy"
+                stem = f"{name}-seed{seed}"
                 if args.dump:
-                    np.save(os.path.join(args.dump, npy), output)
+                    np.save(os.path.join(args.dump, stem + ".npy"), output)
+                    with open(os.path.join(args.dump, stem + ".json"), "w",
+                              encoding="utf-8") as fh:
+                        json.dump(digests, fh)
                 if args.compare:
-                    diff = max_abs_diff(output, os.path.join(args.compare, npy))
-                    if diff is None:
-                        print(f"{name} seed={seed} max_abs_diff=unavailable "
-                              f"(no dump of the same shape in {args.compare})",
-                              flush=True)
+                    text, ok = compare(output, digests,
+                                       os.path.join(args.compare, stem))
+                    print(f"{name} seed={seed} {text}", flush=True)
+                    if not ok:
                         status = 1
-                    else:
-                        print(f"{name} seed={seed} max_abs_diff={diff:.3e}",
-                              flush=True)
-                        if diff > MAX_ABS_DIFF:
-                            status = 1
     return status
 
 

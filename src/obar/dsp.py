@@ -256,21 +256,23 @@ def crossfade_gains(position, coherent: bool):
 # streaming FIR ----------------------------------------------------------
 
 class BlockFIR:
-    """Streaming FIR filter by overlap-save, one row of taps per channel.
+    """Streaming FIR filter bank by overlap-save: one input row feeds one
+    row of taps per output row (single-input multiple-output).
 
-    taps is one FIR (1-D) or a sequence of FIRs, one per row of the blocks
-    that process() takes; shorter rows are zero-padded to the longest. Each
-    process() call filters all rows at once (Wefers 2015, ch. 5):
+    taps is a sequence of FIRs, one per output row; shorter rows are
+    zero-padded to the longest. process() takes a 1-D block and returns
+    rows x samples. Each block is transformed once and its spectrum
+    multiplied against every row's tap spectrum (Wefers 2015, ch. 5):
 
-    - A block at least as long as the taps goes through one 2-D forward and
-      one 2-D inverse real FFT of size next_fast_len(block length +
-      len(taps) - 1) over the last len(taps) - 1 input samples followed by
-      the block; the output is the part no wrap-around reaches.
+    - A block at least as long as the taps goes through one forward real
+      FFT of size next_fast_len(block length + len(taps) - 1), over the
+      last len(taps) - 1 input samples followed by the block, and one
+      multi-row inverse FFT; the output is the part no wrap-around reaches.
     - A shorter block of B samples uses uniformly partitioned overlap-save:
       the taps are cut into P = ceil(len(taps) / B) partitions of B, and a
       frequency-domain delay line keeps the spectra of the last P input
-      block pairs. Each block costs one forward and one inverse FFT of 2B
-      points and P spectrum products.
+      block pairs. Each block costs one forward FFT of 2B points, P
+      spectrum products per row and one multi-row inverse FFT.
 
     The taps' transforms for each size are computed on first use and kept.
     Block lengths may change between calls: the delay line is rebuilt from
@@ -278,8 +280,8 @@ class BlockFIR:
     """
 
     def __init__(self, taps):
-        rows = [taps] if np.ndim(taps[0]) == 0 else list(taps)
-        length = max(len(r) for r in rows)
+        rows = list(taps)
+        length = max((len(r) for r in rows), default=0)
         if length == 0:
             raise ValueError("a FIR needs at least one tap")
         self.taps = np.zeros((len(rows), length))
@@ -289,9 +291,9 @@ class BlockFIR:
         self._partitions: dict[int, np.ndarray] = {}
         # The last len(taps) - 1 input samples, current while no delay line
         # is; the partitioned path keeps its input in _history instead.
-        self._tail = np.zeros((len(rows), length - 1))
-        self._history: np.ndarray | None = None   # rows x P * B
-        self._fdl: np.ndarray | None = None       # P x rows x B + 1, newest first
+        self._tail = np.zeros(length - 1)
+        self._history: np.ndarray | None = None   # P * B
+        self._fdl: np.ndarray | None = None       # P x B + 1, newest first
 
     def _taps_spectrum(self, size: int) -> np.ndarray:
         spectrum = self._spectra.get(size)
@@ -315,8 +317,8 @@ class BlockFIR:
     def _input_tail(self) -> np.ndarray:
         """The last len(taps) - 1 input samples; drops the delay line."""
         if self._history is not None:
-            k = self._tail.shape[1]
-            self._tail = self._history[:, self._history.shape[1] - k :].copy()
+            k = len(self._tail)
+            self._tail = self._history[len(self._history) - k :].copy()
             self._history = self._fdl = None
         return self._tail
 
@@ -329,52 +331,41 @@ class BlockFIR:
         before the next block; the last slot is shifted out unread.
         """
         tail = self._input_tail()
-        rows = len(self.taps)
-        history = np.zeros((rows, count * size))
-        history[:, history.shape[1] - tail.shape[1] :] = tail
-        pairs = np.lib.stride_tricks.sliding_window_view(
-            history, 2 * size, axis=1)[:, ::size]
-        fdl = np.zeros((count, rows, size + 1), dtype=complex)
-        fdl[: count - 1] = sp_fft.rfft(pairs, axis=2).transpose(1, 0, 2)[::-1]
+        history = np.zeros(count * size)
+        history[len(history) - len(tail) :] = tail
+        pairs = np.lib.stride_tricks.sliding_window_view(history, 2 * size)[::size]
+        fdl = np.zeros((count, size + 1), dtype=complex)
+        fdl[: count - 1] = sp_fft.rfft(pairs, axis=1)[::-1]
         self._history, self._fdl = history, fdl
 
     def process(self, block: np.ndarray) -> np.ndarray:
-        """Filter one block: 1-D for a single FIR, else rows x samples."""
+        """Filter one 1-D block; returns rows x samples."""
         block = np.asarray(block, dtype=float)
-        rows = block if block.ndim == 2 else block[None, :]
-        if len(rows) != len(self.taps):
-            raise ValueError(
-                f"{len(rows)} rows to filter, but {len(self.taps)} FIRs")
-        n = rows.shape[1]
-        if 0 < n < self.taps.shape[1]:
-            out = self._process_partitioned(rows)
-        else:
-            out = self._process_whole(rows)
-        return out if block.ndim == 2 else out[0]
+        if 0 < len(block) < self.taps.shape[1]:
+            return self._process_partitioned(block)
+        return self._process_whole(block)
 
-    def _process_whole(self, rows: np.ndarray) -> np.ndarray:
+    def _process_whole(self, block: np.ndarray) -> np.ndarray:
         tail = self._input_tail()
-        n = rows.shape[1]
-        k = tail.shape[1]
-        ext = np.concatenate([tail, rows], axis=1) if k else rows
+        n, k = len(block), len(tail)
+        ext = np.concatenate([tail, block]) if k else block
         size = sp_fft.next_fast_len(n + k, real=True)
-        spectrum = sp_fft.rfft(ext, size, axis=1)
-        spectrum *= self._taps_spectrum(size)
+        spectrum = sp_fft.rfft(ext, size) * self._taps_spectrum(size)
         if k:
-            self._tail = ext[:, -k:]
+            self._tail = ext[-k:]
         return sp_fft.irfft(spectrum, size, axis=1)[:, k : k + n]
 
-    def _process_partitioned(self, rows: np.ndarray) -> np.ndarray:
-        size = rows.shape[1]
+    def _process_partitioned(self, block: np.ndarray) -> np.ndarray:
+        size = len(block)
         parts = self._partition_spectra(size)
-        if self._fdl is None or self._fdl.shape[2] != size + 1:
+        if self._fdl is None or self._fdl.shape[1] != size + 1:
             self._rebuild_delay_line(size, len(parts))
         history, fdl = self._history, self._fdl
-        history[:, :-size] = history[:, size:]
-        history[:, -size:] = rows
+        history[:-size] = history[size:]
+        history[-size:] = block
         fdl[1:] = fdl[:-1]
-        fdl[0] = sp_fft.rfft(history[:, -2 * size :], axis=1)
-        spectrum = (fdl * parts).sum(axis=0)
+        fdl[0] = sp_fft.rfft(history[-2 * size :])
+        spectrum = (fdl[:, None, :] * parts).sum(axis=0)
         return sp_fft.irfft(spectrum, 2 * size, axis=1)[:, size:]
 
 

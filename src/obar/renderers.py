@@ -4,9 +4,12 @@ pressure matching, and diffuse decorrelation.
 Each renderer reduces to a DrivingFunction (per-speaker gain, delay, optional
 FIR). render_block executes a driving function block by block with state so a
 long signal can stream without discontinuities, processing all of a drive's
-speakers in one batched pass: one delay line over every speaker and one
-multi-row overlap-save FIR whose tap transforms are kept for the drive's
-lifetime.
+speakers in one batched pass. Gain, the 4-tap Lagrange delay and the FIR are
+linear and fixed for the drive's lifetime, so a drive with FIRs (pressure
+matching, diffuse) folds them into one row of taps per speaker and runs as
+one overlap-save filter bank fed the mono block, whose tap transforms are kept
+for the drive's lifetime. A drive without FIRs (VBAP, AmbiMM, AP1, WFS) stays
+on the gains and one delay line over every speaker, which is exact.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 from .dsp import (
     BlockFIR,
     DelayState,
+    _delay_plan,
     decorrelator_fir,
     delay_state,
     fractional_delay,
@@ -350,48 +354,58 @@ class DrivingFunction:
 class RenderState:
     """Streaming state for one driving function.
 
-    One delay line over all speakers (None when no speaker is delayed) and
-    one multi-row FIR over the filtered speakers (None when none is);
-    fir_rows lists those speakers, or is None when every speaker is filtered.
+    A drive with FIRs runs as one filter bank (fir) fed the mono block: row
+    r's taps fold its gain, delay and FIR into one filter (_folded_taps).
+    A drive without FIRs (VBAP, AmbiMM, AP1, WFS) keeps the gains and one
+    delay line over its rows (delay; None when no row is delayed).
     """
 
     fingerprint: tuple
     delay: DelayState | None = None
     fir: BlockFIR | None = None
-    fir_rows: np.ndarray | None = None
+
+
+def _folded_taps(gain: float, delay_s: float, fir, sample_rate: int) -> np.ndarray:
+    """One row's gain, delay and FIR as one filter: gain x (m zeros, then
+    the Lagrange kernel convolved with the FIR), from the same _delay_plan
+    as the delay line. A row without a FIR folds to gain x its delay."""
+    m, kernel = _delay_plan(delay_s * sample_rate)
+    taps = np.ones(1) if fir is None else np.asarray(fir, dtype=float)
+    if kernel is not None:
+        taps = np.convolve(kernel, taps)
+    return gain * np.concatenate([np.zeros(m), taps])
 
 
 def new_render_state(drive: DrivingFunction) -> RenderState:
-    firs = drive.firs or (None,) * len(drive.speaker_ids)
-    filtered = [i for i, f in enumerate(firs) if f is not None]
+    if any(f is not None for f in drive.firs):
+        return RenderState(fingerprint=drive.fingerprint(), fir=BlockFIR([
+            _folded_taps(g, d, f, drive.sample_rate)
+            for g, d, f in zip(drive.gains, drive.delays_s, drive.firs)]))
     return RenderState(
         fingerprint=drive.fingerprint(),
         delay=(delay_state(drive.delays_s, drive.sample_rate)
                if np.any(drive.delays_s) else None),
-        fir=BlockFIR([firs[i] for i in filtered]) if filtered else None,
-        fir_rows=None if len(filtered) == len(firs) else np.array(filtered),
     )
 
 
 def render_block(stem_block: np.ndarray, drive: DrivingFunction,
                  state: RenderState) -> np.ndarray:
-    """One block through a driving function: gain, delay, then filter.
+    """One block through a driving function, all speakers together.
 
-    All speakers go through together: one outer product of the gains and
-    the block, one fractional_delay call over every speaker and one BlockFIR
-    pass over the filtered ones. Returns the samples, block length x subset
-    speakers in drive order. The state must have been created for this
-    exact driving function.
+    A drive with FIRs is one BlockFIR.process call of the mono block
+    against every row's folded taps. A drive without FIRs is one outer
+    product of the gains and the block, then, when a row is delayed, one
+    fractional_delay call over every row. Returns the samples, block length
+    x subset speakers in drive order. The state must have been created for
+    this exact driving function.
     """
     if state.fingerprint != drive.fingerprint():
         raise StateMismatch("render state belongs to a different driving function")
-    rows = np.outer(drive.gains, np.asarray(stem_block, dtype=float))
+    block = np.asarray(stem_block, dtype=float)
+    if state.fir is not None:
+        return state.fir.process(block).T
+    rows = np.outer(drive.gains, block)
     if state.delay is not None:
         rows, state.delay = fractional_delay(
             rows, state.delay, drive.delays_s, drive.sample_rate)
-    if state.fir is not None:
-        if state.fir_rows is None:
-            rows = state.fir.process(rows)
-        else:
-            rows[state.fir_rows] = state.fir.process(rows[state.fir_rows])
     return rows.T

@@ -248,35 +248,42 @@ class TestBlockFIR:
         x = rng.standard_normal(10000)
         h = rng.standard_normal(1024) * 0.03
         full = np.convolve(x, h)[: len(x)]
-        fir = dsp.BlockFIR(h)
+        fir = dsp.BlockFIR([h])
         parts = [fir.process(x[i : i + 1024]) for i in range(0, len(x), 1024)]
-        assert np.max(np.abs(np.concatenate(parts) - full)) < 1e-9
+        assert np.max(np.abs(np.concatenate(parts, axis=1)[0] - full)) < 1e-9
 
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 1100),
            st.lists(st.integers(1, 3000), min_size=1, max_size=6),
-           st.integers(1, 4), st.integers(0, 2**32 - 1))
+           st.integers(1, 12), st.integers(0, 2**32 - 1))
     def test_changing_block_lengths_equal_full_convolution(
             self, n_taps, lengths, rows, seed):
-        """Blocks shorter than the taps take the partitioned path, longer
-        ones the single-transform path; both, in any order, equal one
-        np.convolve of the whole input."""
+        """One input row feeds every row of taps. Blocks shorter than the
+        taps take the partitioned path, longer ones the single-transform
+        path; both, in any order, give row r = np.convolve(x, h[r])."""
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((rows, sum(lengths)))
-        h = rng.standard_normal((rows, n_taps)) / math.sqrt(n_taps)
+        x = rng.standard_normal(sum(lengths))
+        h = [rng.standard_normal(rng.integers(1, n_taps + 1)) / math.sqrt(n_taps)
+             for _ in range(rows)]
         fir = dsp.BlockFIR(h)
         edges = np.cumsum([0] + lengths)
         out = np.concatenate(
-            [fir.process(x[:, a:b]) for a, b in zip(edges[:-1], edges[1:])], axis=1)
+            [fir.process(x[a:b]) for a, b in zip(edges[:-1], edges[1:])], axis=1)
+        assert out.shape == (rows, len(x))
         for r in range(rows):
-            full = np.convolve(x[r], h[r])[: x.shape[1]]
+            full = np.convolve(x, h[r])[: len(x)]
             assert np.max(np.abs(out[r] - full)) < 1e-12
+
+    @pytest.mark.parametrize("taps", [[], np.array([]), [[]], [np.zeros(0)] * 2])
+    def test_no_taps_rejected(self, taps):
+        with pytest.raises(ValueError, match="at least one tap"):
+            dsp.BlockFIR(taps)
 
     def test_partitioned_block_costs_one_forward_transform(self, monkeypatch):
         rng = np.random.default_rng(3)
         h = rng.standard_normal((3, 1024)) * 0.03
-        x = rng.standard_normal((3, 256 * 12))
+        x = rng.standard_normal(256 * 12)
         sizes = []
         rfft = dsp.sp_fft.rfft
 
@@ -285,11 +292,11 @@ class TestBlockFIR:
             return rfft(a, n, axis, **kwargs)
 
         fir = dsp.BlockFIR(h)
-        fir.process(x[:, :256])          # designs the partitions and delay line
+        fir.process(x[:256])          # designs the partitions and delay line
         monkeypatch.setattr(dsp.sp_fft, "rfft", counting_rfft)
-        out = [fir.process(x[:, i : i + 256]) for i in range(256, x.shape[1], 256)]
+        out = [fir.process(x[i : i + 256]) for i in range(256, len(x), 256)]
         assert sizes == [512] * len(out)
-        full = np.convolve(x[1], h[1])[: x.shape[1]]
+        full = np.convolve(x, h[1])[: len(x)]
         assert np.max(np.abs(np.concatenate(out, axis=1)[1] - full[256:])) < 1e-12
 
 

@@ -13,7 +13,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obar import dsp
+from obar import dsp, renderers
 from obar.errors import (
     NotBracketed,
     RankDeficient,
@@ -455,24 +455,62 @@ class TestRenderBlock:
         assert np.max(np.abs(combined - separate)) < 1e-6
 
     def test_taps_transformed_once_per_drive(self, monkeypatch):
-        """Twenty equal blocks cost twenty forward transforms of the input
-        and one of the taps, not one of the taps per block."""
+        """Twenty equal blocks cost one transform of the taps for the whole
+        drive and one forward transform of the mono input per block, not
+        one per speaker or per block. The folded taps (1024 decorrelator
+        taps after a delay of up to 113.76 samples) are longer than the
+        block, so the partitioned path runs: its delay line is built once,
+        from the one input row, and each transform is told apart by the
+        shape of what it transforms."""
         gains, firs = diffuse_gains(4)
         drive = self._drive(gains, [0.0, 0.001, 0.0, 0.00237], firs=firs)
         state = new_render_state(drive)
+        assert state.fir.taps.shape == (4, 112 + 1024 + 3)
         rfft = scipy.fft.rfft
-        of_taps = []
+        shapes = []
 
         def counting(x, *args, **kwargs):
-            of_taps.append(np.shares_memory(x, state.fir.taps))
+            shapes.append(np.shape(x))
             return rfft(x, *args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, "rfft", counting)
         rng = np.random.default_rng(8)
         for _ in range(20):
             render_block(rng.standard_normal(1024), drive, state)
-        assert len(of_taps) == 20 + 1
-        assert sum(of_taps) == 1
+        assert shapes == (
+            [(2, 4, 1024)]        # the taps: 2 partitions x 4 rows x 1024
+            + [(1, 2048)]         # the delay line: 1 block pair of the input
+            + [(2048,)] * 20)     # each block: the newest input pair
+
+    def test_filtered_drive_is_one_filter_call_per_block(self, monkeypatch):
+        """A drive with FIRs, delays and an unfiltered row renders each
+        block with one BlockFIR.process call on the mono block and no
+        fractional_delay call; a drive without FIRs keeps the delay line."""
+        rng = np.random.default_rng(5)
+        calls = []
+        process = dsp.BlockFIR.process
+        delay = renderers.fractional_delay
+
+        def counting_process(fir, block):
+            calls.append(("fir", np.ndim(block)))
+            return process(fir, block)
+
+        def counting_delay(*args):
+            calls.append(("delay",))
+            return delay(*args)
+
+        monkeypatch.setattr(dsp.BlockFIR, "process", counting_process)
+        monkeypatch.setattr(renderers, "fractional_delay", counting_delay)
+        wet = self._drive([0.8, -0.3, 0.5], [0.0015, 0.0, 0.00071],
+                          firs=(rng.standard_normal(64), None, rng.standard_normal(9)))
+        state = new_render_state(wet)
+        for n in (256, 1024, 100):
+            render_block(rng.standard_normal(n), wet, state)
+        assert calls == [("fir", 1)] * 3
+        calls.clear()
+        dry = self._drive([0.8, -0.3], [0.0015, 0.0])
+        render_block(rng.standard_normal(256), dry, new_render_state(dry))
+        assert calls == [("delay",)]
 
     @settings(max_examples=40, deadline=None)
     @given(_batched_cases())
