@@ -15,7 +15,8 @@ lines, so diffing the output of two checkouts is a bit-identity gate:
     python3 scripts/output_fingerprints.py --seeds 0 1 7 > fingerprints.txt
 
 --dump DIR also saves each render's float64 samples (before the WAV's
-float32 rounding) as DIR/<workload>-seed<n>.npy and its metrics and report
+float32 rounding, captured by wrapping obar.engine.write_wav, to which the
+engine streams them) as DIR/<workload>-seed<n>.npy and its metrics and report
 digests as DIR/<workload>-seed<n>.json. --compare DIR loads the same files
 from another checkout's dump and prints, after each line,
 
@@ -49,6 +50,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
+import obar.engine  # noqa: E402
 from obar.engine import RenderJob, run_render  # noqa: E402
 from perfbench.workloads import WORKLOADS, generate  # noqa: E402
 
@@ -76,13 +78,34 @@ def report_digest(report_path: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def render_samples(job: RenderJob):
+    """run_render(job) and its float64 samples, copied from the blocks the
+    engine streams through obar.engine.write_wav (it keeps none itself)."""
+    blocks = []
+    write = obar.engine.write_wav
+
+    def capture(path, sample_rate, channels):
+        def copied():
+            for block in channels:
+                blocks.append(np.array(block))
+                yield block
+        write(path, sample_rate, copied())
+
+    obar.engine.write_wav = capture
+    try:
+        result = run_render(job)
+    finally:
+        obar.engine.write_wav = write
+    return result, np.concatenate(blocks)
+
+
 def fingerprint(name: str, seed: int, dest: str) -> tuple[str, dict, np.ndarray]:
     """The fingerprint line of one render, its metrics and report digests
     and its float64 samples."""
     work = os.path.join(dest, f"{name}-seed{seed}")
     files = generate(name, seed, work)
     out = os.path.join(work, "out.wav")
-    result = run_render(RenderJob(
+    result, output = render_samples(RenderJob(
         scene_path=files.scene, scenario_path=files.scenario, out_path=out,
         rulebook_path=files.rulebook, selection_path=files.selection,
         block_size=WORKLOADS[name].block_size))
@@ -90,7 +113,7 @@ def fingerprint(name: str, seed: int, dest: str) -> tuple[str, dict, np.ndarray]
                "report": report_digest(result.report_path)}
     line = (f"{name} seed={seed} wav={_sha256_file(out)} "
             f"metrics={digests['metrics']} report={digests['report']}")
-    return line, digests, result.output
+    return line, digests, output
 
 
 def max_abs_diff(output: np.ndarray, path: str) -> float | None:

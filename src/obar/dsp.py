@@ -271,8 +271,10 @@ class BlockFIR:
     - A shorter block of B samples uses uniformly partitioned overlap-save:
       the taps are cut into P = ceil(len(taps) / B) partitions of B, and a
       frequency-domain delay line keeps the spectra of the last P input
-      block pairs. Each block costs one forward FFT of 2B points, P
-      spectrum products per row and one multi-row inverse FFT.
+      block pairs. Each block costs one forward FFT of 2B points, one
+      spectrum product per row for each partition from the first one not
+      zero in every row (leading zeros are a bulk delay), and one
+      multi-row inverse FFT.
 
     The taps' transforms for each size are computed on first use and kept.
     Block lengths may change between calls: the delay line is rebuilt from
@@ -301,18 +303,23 @@ class BlockFIR:
             spectrum = self._spectra[size] = sp_fft.rfft(self.taps, size, axis=1)
         return spectrum
 
-    def _partition_spectra(self, size: int) -> np.ndarray:
-        """P x rows x (size + 1) transforms of the taps cut into partitions
-        of size samples, each zero-padded to 2 * size."""
-        spectra = self._partitions.get(size)
-        if spectra is None:
+    def _partition_spectra(self, size: int) -> tuple[int, int, np.ndarray]:
+        """(P, first, spectra): the taps cut into P partitions of size
+        samples, and the transforms, each zero-padded to 2 * size, of
+        partitions first..P-1 as (P - first) x rows x (size + 1). The
+        partitions before first are zero in every row (a bulk delay), so
+        their products would add exact zeros."""
+        entry = self._partitions.get(size)
+        if entry is None:
             rows, length = self.taps.shape
             count = -(-length // size)
             padded = np.zeros((rows, count * size))
             padded[:, :length] = self.taps
             parts = padded.reshape(rows, count, size).transpose(1, 0, 2)
-            spectra = self._partitions[size] = sp_fft.rfft(parts, 2 * size, axis=2)
-        return spectra
+            first = int(np.argmax(np.any(parts != 0.0, axis=(1, 2))))
+            entry = self._partitions[size] = (
+                count, first, sp_fft.rfft(parts[first:], 2 * size, axis=2))
+        return entry
 
     def _input_tail(self) -> np.ndarray:
         """The last len(taps) - 1 input samples; drops the delay line."""
@@ -357,15 +364,15 @@ class BlockFIR:
 
     def _process_partitioned(self, block: np.ndarray) -> np.ndarray:
         size = len(block)
-        parts = self._partition_spectra(size)
+        count, first, parts = self._partition_spectra(size)
         if self._fdl is None or self._fdl.shape[1] != size + 1:
-            self._rebuild_delay_line(size, len(parts))
+            self._rebuild_delay_line(size, count)
         history, fdl = self._history, self._fdl
         history[:-size] = history[size:]
         history[-size:] = block
         fdl[1:] = fdl[:-1]
         fdl[0] = sp_fft.rfft(history[-2 * size :])
-        spectrum = (fdl[:, None, :] * parts).sum(axis=0)
+        spectrum = (fdl[first:, None, :] * parts).sum(axis=0)
         return sp_fft.irfft(spectrum, 2 * size, axis=1)[:, size:]
 
 

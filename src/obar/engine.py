@@ -12,7 +12,13 @@ read for one interval plus, when its lane fades out, the crossfade. So each
 interval filters a chain only over that window, started early enough for
 the filters to settle (dsp.directive_margins), and the windows are dropped
 once no lane reads them; objects without directives read their stems in
-place. The report is written only when every number in it is finite.
+place.
+
+Each finished block is checked for finiteness and streamed into the WAV;
+the engine keeps only the output of the metric window still open (about
+one interval), not the whole programme. The WAV is written beside its
+target and takes its name only when the render has finished and every
+number in the report is finite, so a failed render leaves no output.
 """
 
 from __future__ import annotations
@@ -89,7 +95,6 @@ class RenderResult:
     report_path: str
     metrics_path: str
     report: dict
-    output: np.ndarray
     sample_rate: int
 
 
@@ -305,13 +310,72 @@ def run_render(job: RenderJob) -> RenderResult:
     n_total = scene.duration_samples
     if n_total <= 0:
         raise JobError("scene.objects carry no audio samples to render")
-    block = int(job.block_size)
-    interval = int(round(CONTEXT_INTERVAL_S * fs))
-    n_blocks = math.ceil(n_total / block)
-
     # Geometry is fixed for the run, so one scenario serves every interval;
     # the noise state changes and is handed to the tracker with each update.
     scenario = build_scenario(layout, listeners, room_decay_tau_s)
+
+    report_path = job.report_path or job.out_path + ".report.json"
+    metrics_path = job.metrics_path or job.out_path + ".metrics.csv"
+    intervals: list[dict] = []
+    levels: list[tuple[float, list[float]]] = []
+    # The WAV streams into a file beside out_path and takes its name only
+    # once the render and its report are known good.
+    partial = job.out_path + ".partial"
+    try:
+        write_wav(partial, fs, _render_blocks(
+            job, scene, scenario, timeline, rulebook, selection,
+            intervals, levels))
+        report = {
+            "schema": REPORT_SCHEMA_VERSION,
+            "scene": os.path.abspath(job.scene_path),
+            "scenario": os.path.abspath(job.scenario_path),
+            "sample_rate": fs,
+            "duration_samples": n_total,
+            "block_size": int(job.block_size),
+            "crossfade_s": job.crossfade_s,
+            "seed": DEFAULT_SEED,
+            "listener": scenario.listener.listener_id,
+            "channels": [s.speaker_id for s in scenario.layout.speakers],
+            "intervals": intervals,
+            "timing": {"render_s": round(time.perf_counter() - wall_start, 6)},
+        }
+        try:
+            report_text = json.dumps(report, indent=2, allow_nan=False)
+        except ValueError as exc:
+            raise JobError(f"report holds a non-finite number: {exc}") from exc
+        os.replace(partial, job.out_path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
+    with open(report_path, "w", encoding="utf-8") as fh:
+        fh.write(report_text)
+        fh.write("\n")
+    with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(METRICS_HEADER)
+        for t_s, name, value in _metric_rows(intervals, levels):
+            writer.writerow([f"{t_s:.6f}", name, f"{value:.6f}"])
+
+    return RenderResult(
+        out_path=job.out_path, report_path=report_path,
+        metrics_path=metrics_path, report=report, sample_rate=fs)
+
+
+def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
+                   intervals, levels):
+    """Render the scene block by block.
+
+    Yields each finished block of output, samples x channels (float64), up
+    to the scene's end; a view that is overwritten once the next block is
+    asked for. Appends each interval's report record to intervals and, once
+    output has passed the interval's metric window, (t_s, each channel's
+    RMS dB over the window) to levels.
+    """
+    fs = scene.sample_rate
+    n_total = scene.duration_samples
+    block = int(job.block_size)
+    interval = int(round(CONTEXT_INTERVAL_S * fs))
+    n_blocks = math.ceil(n_total / block)
     chan_index = {s.speaker_id: i for i, s in enumerate(scenario.layout.speakers)}
     n_channels = len(scenario.layout.speakers)
     # Stems are fixed for the run, so each object's band analysis is too.
@@ -325,10 +389,13 @@ def run_render(job: RenderJob) -> RenderResult:
     fade_reads = math.ceil(job.crossfade_s * fs) + block + 1
     lanes: dict[str, _Lane] = {}
     prev_assign: dict = {}
-    intervals: list[dict] = []
-    interval_spans: list[tuple[float, int]] = []
-    out = np.zeros((n_blocks * block, n_channels))
     next_update = 0
+    # Output from the start of the oldest metric window still open (row 0
+    # is sample base). A window is interval samples from an update block,
+    # so it closes within interval + block samples of its start.
+    buf = np.zeros((interval + block, n_channels))
+    base = 0
+    windows: list[tuple[float, int]] = []   # (t_s, first sample), open
 
     for b in range(n_blocks):
         t0 = b * block
@@ -387,15 +454,17 @@ def run_render(job: RenderJob) -> RenderResult:
             intervals.append(_interval_record(
                 t_s, noise, ctx, measured, projected,
                 assignments, adapt_report, schedules))
-            interval_spans.append((t_s, t0))
+            windows.append((t_s, t0))
             next_update += interval
 
+        out = buf[t0 - base : t0 - base + block]
+        out.fill(0.0)
         times = None
         for lane in lanes.values():
             seg = lane.source.segment(t0, block) * lane.gain
             rendered = render_block(seg, lane.drive, lane.state)
             if lane.old is None:
-                out[t0 : t0 + block, lane.cols] += rendered
+                out[:, lane.cols] += rendered
                 continue
             if times is None:
                 times = (t0 + np.arange(block)) / fs
@@ -403,54 +472,28 @@ def run_render(job: RenderJob) -> RenderResult:
                 (times - lane.fade_start_s)
                 / (lane.fade_end_s - lane.fade_start_s), 0.0, 1.0)
             w_old, w_new = crossfade_gains(position, lane.fade_coherent)
-            out[t0 : t0 + block, lane.cols] += rendered * w_new[:, None]
+            out[:, lane.cols] += rendered * w_new[:, None]
             old_drive, old_state, old_source, old_gain, old_cols = lane.old
             old_seg = old_source.segment(t0, block) * old_gain
             old_rendered = render_block(old_seg, old_drive, old_state)
-            out[t0 : t0 + block, old_cols] += old_rendered * w_old[:, None]
+            out[:, old_cols] += old_rendered * w_old[:, None]
             if times[-1] >= lane.fade_end_s:
                 lane.old = None
 
-    out = out[:n_total]
-    if not np.all(np.isfinite(out)):
-        raise JobError("rendered output contains non-finite samples")
+        end = min(t0 + block, n_total)
+        if not np.all(np.isfinite(out[: end - t0])):
+            raise JobError("rendered output contains non-finite samples")
+        yield out[: end - t0]
 
-    metrics = _metric_rows(intervals, interval_spans, out, interval, n_channels)
-    report = {
-        "schema": REPORT_SCHEMA_VERSION,
-        "scene": os.path.abspath(job.scene_path),
-        "scenario": os.path.abspath(job.scenario_path),
-        "sample_rate": fs,
-        "duration_samples": n_total,
-        "block_size": block,
-        "crossfade_s": job.crossfade_s,
-        "seed": DEFAULT_SEED,
-        "listener": scenario.listener.listener_id,
-        "channels": [s.speaker_id for s in scenario.layout.speakers],
-        "intervals": intervals,
-        "timing": {"render_s": round(time.perf_counter() - wall_start, 6)},
-    }
-
-    report_path = job.report_path or job.out_path + ".report.json"
-    metrics_path = job.metrics_path or job.out_path + ".metrics.csv"
-    try:
-        report_text = json.dumps(report, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise JobError(f"report holds a non-finite number: {exc}") from exc
-    write_wav(job.out_path, fs, out)
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(report_text)
-        fh.write("\n")
-    with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER)
-        for t_s, name, value in metrics:
-            writer.writerow([f"{t_s:.6f}", name, f"{value:.6f}"])
-
-    return RenderResult(
-        out_path=job.out_path, report_path=report_path,
-        metrics_path=metrics_path, report=report,
-        output=out, sample_rate=fs)
+        while windows and min(windows[0][1] + interval, n_total) <= end:
+            t_s, w0 = windows.pop(0)
+            w1 = min(w0 + interval, n_total)
+            levels.append((t_s, [rms_db(buf[w0 - base : w1 - base, i])
+                                 for i in range(n_channels)]))
+        keep = windows[0][1] if windows else t0 + block
+        if keep > base:
+            buf[: t0 + block - keep] = buf[keep - base : t0 + block - base]
+            base = keep
 
 
 def _interval_record(t_s, noise, ctx, measured, projected,
@@ -508,10 +551,10 @@ def _interval_record(t_s, noise, ctx, measured, projected,
     }
 
 
-def _metric_rows(intervals, interval_spans, out, interval, n_channels):
+def _metric_rows(intervals, levels):
     """Flatten per-interval metrics, ordered by time then metric name."""
     rows = []
-    for record, (t_s, t0) in zip(intervals, interval_spans):
+    for record, (t_s, channel_db) in zip(intervals, levels):
         rows.append((t_s, "noise_broadband_db", record["noise_broadband_db"]))
         if record["measured_intelligibility"] is not None:
             rows.append((t_s, "intelligibility_proxy",
@@ -521,7 +564,6 @@ def _metric_rows(intervals, interval_spans, out, interval, n_channels):
                          record["projected_intelligibility"]))
         rows.append((t_s, "intelligibility_deficit",
                      record["intelligibility_deficit"]))
-        t1 = min(t0 + interval, len(out))
-        for i in range(n_channels):
-            rows.append((t_s, f"rms_db_ch{i}", rms_db(out[t0:t1, i])))
+        for i, db in enumerate(channel_db):
+            rows.append((t_s, f"rms_db_ch{i}", db))
     return rows

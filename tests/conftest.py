@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from obar import engine
 from obar.wavio import write_wav
 
 FS = 48000
@@ -53,6 +54,28 @@ def write_stem(dirpath, name, samples, fs=FS):
     os.makedirs(os.path.dirname(path), exist_ok=True)
     write_wav(path, fs, np.asarray(samples, dtype=np.float32))
     return name
+
+
+def render_output(job):
+    """run_render(job) and its float64 output, samples x channels.
+
+    The engine streams its output to engine.write_wav block by block and
+    keeps none of it; this wraps that name to copy each block as it passes.
+    """
+    blocks = []
+    write = engine.write_wav
+
+    def capture(path, sample_rate, channels):
+        def copied():
+            for block in channels:
+                blocks.append(np.array(block))
+                yield block
+        write(path, sample_rate, copied())
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "write_wav", capture)
+        result = engine.run_render(job)
+    return result, np.concatenate(blocks)
 
 
 def object_doc(oid, otype, stem_refs, **over):

@@ -67,6 +67,7 @@ from obar.scene import (
 from conftest import (
     FS,
     object_doc,
+    render_output,
     ring_speakers,
     scenario_doc,
     scene_doc,
@@ -409,7 +410,7 @@ def test_6_crossfade_flatness(tmp_path):
             d, scenario_doc(ring_speakers(5), noise_timeline=timeline),
             "scenario.json")
         select = write_json(d, selection, "select.json")
-        result = run_render(RenderJob(
+        result, output = render_output(RenderJob(
             scene_path=scene, scenario_path=scenario,
             out_path=os.path.join(d, "out.wav"), selection_path=select))
 
@@ -421,7 +422,7 @@ def test_6_crossfade_flatness(tmp_path):
 
         def window_power(lo, hi):
             return float(np.mean(np.sum(
-                np.square(result.output[lo:hi]), axis=1)))
+                np.square(output[lo:hi]), axis=1)))
 
         steady_pre = window_power(int(0.5 * FS), fade_start)
         transition = window_power(fade_start, fade_start + fade_len)

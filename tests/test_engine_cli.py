@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from conftest import (
     music_like,
     noise_like,
     object_doc,
+    render_output,
     ring_speakers,
     scenario_doc,
     scene_doc,
@@ -79,16 +81,38 @@ def two_object_docs(d, duration_s=2.5):
 class TestEngine:
     def test_output_matches_layout_and_scene_duration(self, tmp_path):
         job = make_job(tmp_path, two_object_docs(str(tmp_path)))
-        result = run_render(job)
+        result, output = render_output(job)
         n = int(2.5 * FS)
-        assert result.output.shape == (n, 3)
+        assert output.shape == (n, 3)
         assert result.report["duration_samples"] == n
         assert result.report["channels"] == ["s0", "s1", "s2"]
         rate, data = wavfile.read(job.out_path)
         assert rate == FS
         assert data.dtype == np.float32
         assert data.shape == (n, 3)
-        assert np.allclose(data, result.output.astype(np.float32))
+        assert np.allclose(data, output.astype(np.float32))
+
+    def test_memory_does_not_grow_with_duration(self, tmp_path):
+        """The output streams to the WAV through a window of about one
+        interval, so rendering 8 s more of a 12-speaker ring adds only the
+        longer stem and its mix to the peak allocation, far below the 37 MB
+        that 8 s x 12 channels of float64 output would take."""
+        def peak_bytes(name, duration_s):
+            d = str(tmp_path / name)
+            os.makedirs(d)
+            stem = write_stem(d, "hum.wav", music_like(duration_s))
+            job = make_job(d, [object_doc(
+                "hum", "music", [stem],
+                position={"az": 20.0, "el": 0.0, "dist": None})], speakers=12)
+            tracemalloc.start()
+            try:
+                run_render(job)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        growth = peak_bytes("long", 12.0) - peak_bytes("short", 4.0)
+        assert growth < 12e6, growth
 
     def test_one_assignment_record_per_object_per_interval(self, tmp_path):
         job = make_job(tmp_path, two_object_docs(str(tmp_path), 5.0))
@@ -137,7 +161,7 @@ class TestEngine:
             objects = [object_doc("band", "music", [mus], level_db=level_db,
                                   position={"az": -35.0, "el": 0.0, "dist": None})]
             job = make_job(tmp_path, objects, out_name=name)
-            return run_render(job).output
+            return render_output(job)[1]
         loud = render(0.0, "a.wav")
         soft = render(-6.0, "b.wav")
         ratio = np.sum(np.square(soft)) / np.sum(np.square(loud))
@@ -155,8 +179,8 @@ class TestEngine:
                          out_name="multi.wav")
         mono = make_job(tmp_path, [object_doc("x", "effect", [sm], position=pos)],
                         out_name="mono.wav")
-        out_multi = run_render(multi).output
-        out_mono = run_render(mono).output
+        out_multi = render_output(multi)[1]
+        out_mono = render_output(mono)[1]
         assert np.allclose(out_multi, out_mono, atol=1e-12)
 
     def test_listener_flag_selects_dominant(self, tmp_path):
@@ -232,7 +256,7 @@ class TestEngine:
         job = make_job(tmp_path, objects, speakers=5,
                        noise_timeline=step_timeline(2.0, -50.0),
                        rulebook=rulebook)
-        result = run_render(job)
+        result, output = render_output(job)
         report = result.report
         assert len(report["intervals"][0]["assignments"]) == 1
         assert report["intervals"][1]["assignments"] == []
@@ -240,8 +264,8 @@ class TestEngine:
         assert {"object_id": "wash", "property": "scale", "total": 1.0} in deltas
         # the lane disappears at the block containing the boundary
         boundary = (int(2.0 * FS) // job.block_size + 1) * job.block_size
-        assert np.max(np.abs(result.output[:boundary])) > 0.0
-        assert np.max(np.abs(result.output[boundary:])) == 0.0
+        assert np.max(np.abs(output[:boundary])) > 0.0
+        assert np.max(np.abs(output[boundary:])) == 0.0
 
     def test_each_distinct_signal_and_geometry_is_computed_once(
             self, tmp_path, monkeypatch):
@@ -420,23 +444,23 @@ class TestWindowedSources:
         monkeypatch.setattr(engine, "apply_directives", counting)
 
         def render(name):
-            return run_render(RenderJob(
+            return render_output(RenderJob(
                 scene_path=scene, scenario_path=scenario,
                 out_path=os.path.join(d, name), rulebook_path=rulebook,
                 selection_path=selection, block_size=block,
                 crossfade_s=crossfade_s))
 
-        windowed = render("windowed.wav")
+        windowed, windowed_output = render("windowed.wav")
         filtered.clear()
         monkeypatch.setattr(engine, "_Sources", _WholeStemSources)
-        reference = render("reference.wav")
+        reference, reference_output = render("reference.wav")
 
         shifts = {dr.value for _, chain in filtered for dr in chain
                   if dr.kind == "time_shift"}
         assert {-37.3, -61.7, -12.01} <= shifts
         fades = [f for iv in reference.report["intervals"] for f in iv["crossfades"]]
         assert len(fades) >= 4
-        assert np.max(np.abs(windowed.output - reference.output)) <= 1e-9
+        assert np.max(np.abs(windowed_output - reference_output)) <= 1e-9
         for key in ("intervals", "channels", "duration_samples"):
             assert windowed.report[key] == reference.report[key]
         with open(windowed.metrics_path) as a, open(reference.metrics_path) as b:
@@ -772,6 +796,47 @@ class TestCLI:
         assert "report holds a non-finite number" in err
         assert not os.path.exists(out)
         assert not os.path.exists(out + ".report.json")
+
+    def test_non_finite_block_mid_stream_leaves_no_output(
+            self, tmp_path, capsys, monkeypatch):
+        """A block that turns non-finite after the first interval, when
+        part of the WAV has already streamed, ends in a one-line error and
+        leaves no WAV, partial file, report or metrics CSV behind."""
+        d = str(tmp_path)
+        scene = demo.write_demo_scene(d, duration_s=5.0)
+        scenario = demo.write_demo_scenario(d)
+        before = set(os.listdir(d))
+        calls = []
+        render = engine.render_block
+
+        def counting(stem_block, drive, state):
+            calls.append(len(stem_block))
+            return render(stem_block, drive, state)
+
+        monkeypatch.setattr(engine, "render_block", counting)
+        out = os.path.join(d, "clean.wav")
+        assert cli_main(["render", "--scene", scene, "--scenario", scenario,
+                         "--out", out]) == 0
+        bad_call = len(calls) * 3 // 4   # at about 3.75 s of 5 s
+        for name in ("clean.wav", "clean.wav.report.json", "clean.wav.metrics.csv"):
+            os.remove(os.path.join(d, name))
+        capsys.readouterr()
+        calls.clear()
+
+        def poisoned(stem_block, drive, state):
+            rendered = counting(stem_block, drive, state)
+            return rendered * np.nan if len(calls) == bad_call else rendered
+
+        monkeypatch.setattr(engine, "render_block", poisoned)
+        rc = cli_main(["render", "--scene", scene, "--scenario", scenario,
+                       "--out", os.path.join(d, "x.wav")])
+        assert rc == 1
+        assert len(calls) == bad_call
+        err = capsys.readouterr().err.strip()
+        assert "Traceback" not in err
+        assert err.count("\n") == 0, err
+        assert "rendered output contains non-finite samples" in err
+        assert set(os.listdir(d)) == before
 
     def test_missing_stem_single_line_diagnostic(self, tmp_path, capsys):
         d, scene, scenario = self.demo_paths(tmp_path)

@@ -23,6 +23,7 @@ from obar.errors import (
     TooFewSpeakers,
 )
 from obar.geometry import Direction3, angle_between_deg
+from obar.routing import pm_control_points
 from obar.renderers import (
     DrivingFunction,
     ambi_encode,
@@ -481,6 +482,48 @@ class TestRenderBlock:
             [(2, 4, 1024)]        # the taps: 2 partitions x 4 rows x 1024
             + [(1, 2048)]         # the delay line: 1 block pair of the input
             + [(2048,)] * 20)     # each block: the newest input pair
+
+    def test_distant_pm_source_skips_leading_zero_partitions(self):
+        """A pressure-matching source at 10 m on a 2 m ring puts a bulk delay
+        of about 1100 samples into every row's folded taps as leading
+        zeros. Rendered in 256-sample blocks, the first four partitions are
+        zero in every row; the partitioned path leaves out their products,
+        and the output equals the overlap-save sum over every partition
+        exactly."""
+        size = 256
+        speakers = [Direction3(d.az_deg, 0.0, 2.0) for d in ring(6)]
+        source = Direction3(30.0, 0.0, 10.0)
+        design = pm_filters(speakers, pm_control_points(), source, sample_rate=FS)
+        delays = np.array(design.align_delays_s)
+        assert delays.min() > 0.02
+        firs = tuple(f * 4.0 * math.pi * 10.0 for f in design.firs)
+        drive = self._drive(np.ones(6), delays, firs=firs)
+        state = new_render_state(drive)
+        taps = state.fir.taps
+        assert np.flatnonzero(np.any(taps != 0.0, axis=0))[0] >= 4 * size
+
+        x = np.random.default_rng(11).standard_normal(40 * size)
+        out = np.concatenate([render_block(x[i : i + size], drive, state)
+                              for i in range(0, len(x), size)])
+
+        rows, length = taps.shape
+        count = -(-length // size)
+        padded = np.zeros((rows, count * size))
+        padded[:, :length] = taps
+        parts = scipy.fft.rfft(
+            padded.reshape(rows, count, size).transpose(1, 0, 2), 2 * size, axis=2)
+        history = np.zeros(count * size)
+        fdl = np.zeros((count, size + 1), dtype=complex)
+        expected = []
+        for i in range(0, len(x), size):
+            history[:-size] = history[size:]
+            history[-size:] = x[i : i + size]
+            fdl[1:] = fdl[:-1]
+            fdl[0] = scipy.fft.rfft(history[-2 * size :])
+            spectrum = (fdl[:, None, :] * parts).sum(axis=0)
+            expected.append(scipy.fft.irfft(spectrum, 2 * size, axis=1)[:, size:].T)
+        assert np.array_equal(out, np.concatenate(expected))
+        assert np.max(np.abs(out)) > 0.1
 
     def test_filtered_drive_is_one_filter_call_per_block(self, monkeypatch):
         """A drive with FIRs, delays and an unfiltered row renders each
