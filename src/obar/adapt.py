@@ -117,54 +117,45 @@ def clamp_to_tolerances(action: AdaptationAction,
                         constraints: EditorialConstraints) -> AdaptationAction:
     """Clamp an action into the object's editorial tolerances.
 
-    Scalar magnitudes clamp into [-tol, +tol]; ReverbTailScale factors into
-    [1 - tol, 1 + tol]; Reposition displacement vectors are rescaled so their
-    norm fits the position tolerance. Prune and Regroup pass through.
+    With b = tolerance_bound(kind): gain, tilt and time shift clamp into
+    [-b, +b]; Decorrelate amounts into [0, b]; ReverbTailScale factors into
+    [1 - b, 1 + b]; Reposition displacement vectors are rescaled so their
+    norm fits b. Prune and Regroup pass through.
     """
-    tol = constraints.tolerances
     kind = action.kind
-    if kind not in ACTION_PROPERTY:
-        raise UnknownProperty(f"unknown action kind {kind!r}")
+    bound = tolerance_bound(kind, constraints)
     if kind in ("Prune", "Regroup"):
         return action
-    if kind == "GainOffset":
-        return replace(action, value=_clip(action.value, -tol.level_db, tol.level_db))
-    if kind == "SpectralTilt":
-        return replace(action, value=_clip(
-            action.value, -tol.spectral_tilt_db, tol.spectral_tilt_db))
-    if kind == "TimeShift":
-        return replace(action, value=_clip(
-            action.value, -tol.time_shift_ms, tol.time_shift_ms))
     if kind == "Decorrelate":
-        return replace(action, value=_clip(action.value, 0.0, 1.0))
+        return replace(action, value=_clip(action.value, 0.0, bound))
     if kind == "ReverbTailScale":
-        value = _clip(action.value, 1.0 - tol.reverb_scale, 1.0 + tol.reverb_scale)
-        # 1 - tol need not be representable; walk back until the factor's
+        value = _clip(action.value, 1.0 - bound, 1.0 + bound)
+        # 1 - b need not be representable; walk back until the factor's
         # distance from 1 honors the bound exactly
-        while abs(value - 1.0) > tol.reverb_scale:
+        while abs(value - 1.0) > bound:
             value = math.nextafter(value, 1.0)
         return replace(action, value=value)
+    if kind != "Reposition":
+        return replace(action, value=_clip(action.value, -bound, bound))
     norm = math.hypot(action.daz_deg, action.del_deg)
-    if norm <= tol.position_deg or norm == 0.0:
+    if norm <= bound or norm == 0.0:
         return action
-    s = tol.position_deg / norm
+    s = bound / norm
     daz, dle = action.daz_deg * s, action.del_deg * s
     # rounding in the rescale can leave the norm a few ulp over the bound;
     # shrinking s until it fits keeps the clamp ceiling hard and idempotent
-    while math.hypot(daz, dle) > tol.position_deg:
+    while math.hypot(daz, dle) > bound:
         s = math.nextafter(s, 0.0)
         daz, dle = action.daz_deg * s, action.del_deg * s
     return replace(action, daz_deg=daz, del_deg=dle)
 
 
-def resolve_priority(requested, constraints: EditorialConstraints,
-                     budget: int | None = None) -> list[AdaptationAction]:
+def resolve_priority(requested,
+                     constraints: EditorialConstraints) -> list[AdaptationAction]:
     """Order actions so the most expendable perceptual properties go first.
 
     constraints.priority_order lists properties most-protected first; the
-    result is a stable sort by descending position in that order. A budget
-    truncates from the end, so the actions touching the most protected
-    properties are the ones dropped.
+    result is a stable sort by descending position in that order.
     """
     order = constraints.priority_order
 
@@ -177,10 +168,7 @@ def resolve_priority(requested, constraints: EditorialConstraints,
                 f"property {prop!r} not in priority order {order}")
         return -order.index(prop)
 
-    ranked = sorted(requested, key=rank)
-    if budget is not None and max(budget, 0) < len(ranked):
-        ranked = ranked[:max(budget, 0)]
-    return ranked
+    return sorted(requested, key=rank)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +335,7 @@ def personalize_levels(scene: Scene, listener: ListenerInfo,
 # ---------------------------------------------------------------------------
 # reverb adaptation
 
-def adapt_reverb(reverb: ReverbMetadata, room_decay_tau_s, target_tau_s,
-                 scale_tolerance: float | None = None):
+def adapt_reverb(reverb: ReverbMetadata, room_decay_tau_s, target_tau_s):
     """Refit production decay constants so production + room lands on target.
 
     Exponential envelopes multiply, so decay rates add: the combined constant
@@ -357,8 +344,7 @@ def adapt_reverb(reverb: ReverbMetadata, room_decay_tau_s, target_tau_s,
     tau_p' = tau_t * tau_r / (tau_r - tau_t) when tau_r > tau_t; otherwise the
     room alone already rings past the target, the band is marked infeasible,
     and the constant pins at MAX_TAU_S. room_decay_tau_s and target_tau_s
-    align with reverb.tail_bands. scale_tolerance, when given, clamps each new
-    constant to within that factor of the band's original value.
+    align with reverb.tail_bands.
 
     Returns (new ReverbMetadata, per-band feasibility flags).
     """
@@ -380,10 +366,6 @@ def adapt_reverb(reverb: ReverbMetadata, room_decay_tau_s, target_tau_s,
         else:
             tau_p = MAX_TAU_S
             ok = False
-        if scale_tolerance is not None:
-            factor = _clip(tau_p / band.decay_tau_s,
-                           1.0 - scale_tolerance, 1.0 + scale_tolerance)
-            tau_p = band.decay_tau_s * factor
         new_bands.append(replace(band, decay_tau_s=tau_p))
         feasible.append(ok)
     return replace(reverb, tail_bands=tuple(new_bands)), tuple(feasible)

@@ -12,11 +12,11 @@ import sys
 from .context import build_scenario, parse_scenario
 from .devices import enumerate_devices
 from .dsp import BLOCK_SIZE
-from .engine import RenderJob, run_render
+from .engine import DEFAULT_CROSSFADE_S, RenderJob, run_render
 from .errors import ObarError
 from .geometry import Direction3, wrap_azimuth
 from .renderclass import RendererKind
-from .routing import DEFAULT_CROSSFADE_S, infeasibility_reasons, max_ambi_order
+from .routing import infeasibility_reasons, max_ambi_order
 from .scene import AudioObject, ObjectType, parse_scene, validate_scene
 
 PROBE_AZIMUTHS_DEG = (0, 45, 90, 135, 180, 225, 270, 315)

@@ -376,20 +376,19 @@ class BlockFIR:
         return sp_fft.irfft(spectrum, 2 * size, axis=1)[:, size:]
 
 
-def decorrelator_fir(index: int, n_taps: int = DECORRELATOR_TAPS, base_seed: int = DEFAULT_SEED) -> np.ndarray:
-    """Random-phase all-pass FIR for one speaker index.
+def decorrelator_fir(index: int) -> np.ndarray:
+    """Random-phase all-pass FIR (DECORRELATOR_TAPS taps) for one speaker index.
 
     Unit magnitude in every DFT bin (so unit energy) with phases drawn from a
-    generator seeded by base_seed + index; the same index always yields the
-    same taps.
+    generator seeded by DEFAULT_SEED + index; the same index always yields
+    the same taps.
     """
-    rng = np.random.default_rng(base_seed + int(index))
-    nbins = n_taps // 2 + 1
-    phases = rng.uniform(-np.pi, np.pi, nbins)
+    rng = np.random.default_rng(DEFAULT_SEED + int(index))
+    phases = rng.uniform(-np.pi, np.pi, DECORRELATOR_TAPS // 2 + 1)
     phases[0] = 0.0
-    if n_taps % 2 == 0:
+    if DECORRELATOR_TAPS % 2 == 0:
         phases[-1] = 0.0
-    return np.fft.irfft(np.exp(1j * phases), n_taps)
+    return np.fft.irfft(np.exp(1j * phases), DECORRELATOR_TAPS)
 
 
 # signal directives ------------------------------------------------------
@@ -469,10 +468,11 @@ def apply_directives(
             if shift >= 0:
                 out = delay_signal(out, d.value * 1e-3, sample_rate)
             else:
-                # advance: delay by the fractional complement, then shift left
+                # advance: delay by the fractional complement, then shift left;
+                # an advance past the stem's end leaves it all zeros
                 whole = int(math.ceil(-shift))
                 out = delay_signal(out, (whole + shift) / sample_rate, sample_rate)
-                out = np.concatenate([out[whole:], np.zeros(whole)])
+                out = np.concatenate([out[whole:], np.zeros(min(whole, len(out)))])
         elif d.kind == "decorrelate":
             amount = min(max(d.value, 0.0), 1.0)
             if amount > 0.0:

@@ -3,9 +3,10 @@
 Every context interval the engine re-measures the listening conditions,
 re-derives the adaptation from the pristine scene, and re-routes objects to
 renderers; between updates it streams fixed-size blocks through per-object
-renderer lanes. A routing change starts a timed crossfade between the old
-and new lane; metadata-only changes (levels, positions, directives) step at
-the block boundary instead.
+renderer lanes. When an object's assignment differs from the one its lane
+holds from the previous interval, the lane starts a timed crossfade from the
+old drive to the new one; metadata-only changes (levels, positions,
+directives) step at the block boundary instead.
 
 An adapted object's directive chain (tilt, time shift, decorrelation) is
 read for one interval plus, when its lane fades out, the crossfade. So each
@@ -53,7 +54,7 @@ from .dsp import (
 )
 from .errors import JobError
 from .renderers import DrivingFunction, new_render_state, render_block
-from .routing import DEFAULT_CROSSFADE_S, BandFractions, build_drive, route
+from .routing import BandFractions, build_drive, route
 from .rules import (
     default_rulebook,
     default_selection_rules,
@@ -66,6 +67,7 @@ from .wavio import write_wav
 CONTEXT_INTERVAL_S = 2.0
 REPORT_SCHEMA_VERSION = "render-report v1"
 METRICS_HEADER = ("t_s", "metric", "value")
+DEFAULT_CROSSFADE_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -295,8 +297,9 @@ def run_render(job: RenderJob) -> RenderResult:
     wall_start = time.perf_counter()
     if int(job.block_size) <= 0:
         raise JobError(f"options.block_size must be >= 1, got {job.block_size}")
-    if job.crossfade_s <= 0.0:
-        raise JobError(f"options.crossfade_s must be > 0, got {job.crossfade_s}")
+    if not math.isfinite(job.crossfade_s) or job.crossfade_s <= 0.0:
+        raise JobError(
+            f"options.crossfade_s must be finite and > 0, got {job.crossfade_s}")
 
     scene = parse_scene(job.scene_path)
     layout, listeners, room_decay_tau_s, timeline = parse_scenario(job.scenario_path)
@@ -386,9 +389,9 @@ def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
     # The outgoing lane of a crossfade reads its source until the block
     # holding the fade's end: the fade, one block, and one sample for the
     # rounding of the end time.
-    fade_reads = math.ceil(job.crossfade_s * fs) + block + 1
+    fade_s = float(job.crossfade_s)
+    fade_reads = math.ceil(fade_s * fs) + block + 1
     lanes: dict[str, _Lane] = {}
-    prev_assign: dict = {}
     next_update = 0
     # Output from the start of the oldest metric window still open (row 0
     # is sample base). A window is interval samples from an update block,
@@ -420,17 +423,14 @@ def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
             ctx = tracker.update(scenario, scene, noise, measured)
             adapted, adapt_report = apply_rules(
                 scene, ctx, rulebook, preview_window=window)
-            assignments, schedules = route(
-                adapted, scenario, ctx, selection,
-                previous=prev_assign, now_s=t_s, crossfade_s=job.crossfade_s,
-                band_fractions=band_fractions)
-            prev_assign = {a.object_id: a for a in assignments}
+            assignments = route(adapted, scenario, ctx, selection,
+                                band_fractions=band_fractions)
 
             adapted_sources = sources.for_scene(adapted, *reads)
             projected = _interval_proxy(
                 adapted, adapted_sources, window[0], window[1], noise, fs)
 
-            fading = {s.object_id: s for s in schedules}
+            crossfades = []
             for assignment in assignments:
                 oid = assignment.object_id
                 obj = adapted.object_by_id(oid)
@@ -439,10 +439,16 @@ def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
                 lane = lanes.get(oid)
                 if lane is None:
                     lanes[oid] = _Lane(assignment, drive, source, gain, chan_index)
-                elif oid in fading:
+                elif lane.assignment != assignment:
+                    crossfades.append({
+                        "object_id": oid,
+                        "from": lane.assignment.renderer.label(),
+                        "to": assignment.renderer.label(),
+                        "start_s": t_s,
+                        "duration_s": fade_s,
+                    })
                     lane.begin_fade(assignment, drive, source, gain,
-                                    start_s=t_s,
-                                    duration_s=fading[oid].duration_s)
+                                    start_s=t_s, duration_s=fade_s)
                 else:
                     lane.update(assignment, drive, source, gain)
             live = {a.object_id for a in assignments}
@@ -453,7 +459,7 @@ def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
 
             intervals.append(_interval_record(
                 t_s, noise, ctx, measured, projected,
-                assignments, adapt_report, schedules))
+                assignments, adapt_report, crossfades))
             windows.append((t_s, t0))
             next_update += interval
 
@@ -497,7 +503,7 @@ def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
 
 
 def _interval_record(t_s, noise, ctx, measured, projected,
-                     assignments, adapt_report, schedules) -> dict:
+                     assignments, adapt_report, crossfades) -> dict:
     return {
         "t_s": round(t_s, 6),
         "noise_broadband_db": round(noise.broadband_db(), 6),
@@ -538,16 +544,7 @@ def _interval_record(t_s, noise, ctx, measured, projected,
                 for oid, prop, total in adapt_report.deltas
             ],
         },
-        "crossfades": [
-            {
-                "object_id": s.object_id,
-                "from": s.old.renderer.label(),
-                "to": s.new.renderer.label(),
-                "start_s": s.start_s,
-                "duration_s": s.duration_s,
-            }
-            for s in schedules
-        ],
+        "crossfades": crossfades,
     }
 
 

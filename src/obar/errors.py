@@ -82,16 +82,6 @@ class ExpressionError(ObarError):
     component = "scene_adapter"
 
 
-# object router ---------------------------------------------------------
-
-class SameRenderer(ObarError):
-    component = "object_router"
-
-
-class NonPositiveDuration(ObarError):
-    component = "object_router"
-
-
 # renderer bank ---------------------------------------------------------
 
 class NotBracketed(ObarError):

@@ -1,5 +1,4 @@
-"""Object router: feasibility checks, per-object renderer selection, and
-crossfade scheduling between assignments.
+"""Object router: feasibility checks and per-object renderer selection.
 
 Selection walks an ordered table of (match, renderer) rows and takes the first
 row whose predicate holds and whose driving function can actually be built on
@@ -16,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import HighLevelContext, ReproductionScenario, SpeakerLayout
-from .errors import (
-    NonPositiveDuration,
-    NotBracketed,
-    ObarError,
-    SameRenderer,
-    SourceInsideArray,
-)
+from .errors import NotBracketed, ObarError, SourceInsideArray
 from .geometry import Direction3
 from .renderclass import RendererClass, RendererKind
 from .renderers import (
@@ -51,7 +44,6 @@ WFS_MAX_GAP_M = 0.5
 WFS_MIN_SPEAKERS = 4
 BACKDROP_MIN_ABS_AZ_DEG = 90.0
 BAND_LIMIT_POWER_FRACTION = 1e-3      # -30 dB of mono-mix energy below a speaker's low edge
-DEFAULT_CROSSFADE_S = 1.0
 PM_ZONE_RADIUS_M = 0.15
 PM_ZONE_POINTS = 8
 PM_DESIGN_MEMO_SIZE = 64
@@ -66,15 +58,6 @@ class RendererAssignment:
 
     def param(self, name, default=None):
         return dict(self.params).get(name, default)
-
-
-@dataclass(frozen=True)
-class CrossfadeSchedule:
-    object_id: str
-    old: RendererAssignment
-    new: RendererAssignment
-    start_s: float
-    duration_s: float
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +216,12 @@ def _resolve_subset(rule_subset: str, layout: SpeakerLayout, obj: AudioObject,
     return band_capable_subset(speakers, obj, sample_rate, band_fractions)
 
 
-def pm_control_points(radius_m: float = PM_ZONE_RADIUS_M,
-                      count: int = PM_ZONE_POINTS) -> tuple[Direction3, ...]:
+def pm_control_points() -> tuple[Direction3, ...]:
     """Control zone: a small ring around the listening origin."""
     return tuple(
-        Direction3(((360.0 * i / count + 180.0) % 360.0) - 180.0,
-                   0.0, radius_m)
-        for i in range(count))
+        Direction3(((360.0 * i / PM_ZONE_POINTS + 180.0) % 360.0) - 180.0,
+                   0.0, PM_ZONE_RADIUS_M)
+        for i in range(PM_ZONE_POINTS))
 
 
 @functools.lru_cache(maxsize=PM_DESIGN_MEMO_SIZE)
@@ -430,45 +412,20 @@ def select_renderer(obj: AudioObject, layout: SpeakerLayout,
     return fallback
 
 
-def schedule_crossfade(old: RendererAssignment, new: RendererAssignment,
-                       start_s: float, duration_s: float) -> CrossfadeSchedule:
-    if old.object_id != new.object_id:
-        raise ValueError("crossfades connect assignments of one object")
-    if old == new:
-        raise SameRenderer(
-            f"object {old.object_id}: old and new assignments are identical")
-    if duration_s <= 0.0:
-        raise NonPositiveDuration(f"crossfade duration must be > 0, got {duration_s}")
-    if start_s < 0.0:
-        raise NonPositiveDuration(f"crossfade start must be >= 0, got {start_s}")
-    return CrossfadeSchedule(object_id=old.object_id, old=old, new=new,
-                             start_s=float(start_s), duration_s=float(duration_s))
-
-
 def route(scene: Scene, scenario: ReproductionScenario, ctx: HighLevelContext,
-          selection_rules=None, previous=None, now_s: float = 0.0,
-          crossfade_s: float = DEFAULT_CROSSFADE_S,
-          band_fractions: BandFractions | None = None):
-    """Assign one renderer per object; emit crossfade schedules on changes.
+          selection_rules=None, band_fractions: BandFractions | None = None):
+    """Assign one renderer per object; returns the assignments ordered by
+    object_id.
 
-    previous maps object_id -> RendererAssignment from the last routing pass.
     band_fractions is the run's band analysis memo for this layout (a fresh
-    one per call when None). Returns (assignments ordered by object_id,
-    schedules).
+    one per call when None).
     """
-    previous = previous or {}
     if band_fractions is None:
         band_fractions = BandFractions.for_speakers(scenario.layout.speakers)
     shared_ns = context_namespace(ctx, scene)
-    assignments = []
-    schedules = []
-    for obj in sorted(scene.objects, key=lambda o: o.object_id):
-        assignment = select_renderer(
-            obj, scenario.layout, ctx.nearest_device, selection_rules,
-            namespace=shared_ns, sample_rate=scene.sample_rate,
-            band_fractions=band_fractions)
-        assignments.append(assignment)
-        old = previous.get(obj.object_id)
-        if old is not None and old != assignment:
-            schedules.append(schedule_crossfade(old, assignment, now_s, crossfade_s))
-    return assignments, schedules
+    return [
+        select_renderer(obj, scenario.layout, ctx.nearest_device, selection_rules,
+                        namespace=shared_ns, sample_rate=scene.sample_rate,
+                        band_fractions=band_fractions)
+        for obj in sorted(scene.objects, key=lambda o: o.object_id)
+    ]

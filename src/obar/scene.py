@@ -225,13 +225,11 @@ def _check_num(records, obj_id, name, value, lo=None, hi=None,
         records.append(Violation(obj_id, name, f"{name}={echo(value)} above range"))
 
 
-def _validate_direction(records, obj_id, name, d: Direction3, need_distance=False):
+def _validate_direction(records, obj_id, name, d: Direction3):
     _check_num(records, obj_id, f"{name}.az", d.az_deg, -180.0, 180.0, lo_open=True)
     _check_num(records, obj_id, f"{name}.el", d.el_deg, -90.0, 90.0)
     if d.distance_m is not None:
         _check_num(records, obj_id, f"{name}.dist", d.distance_m, 0.0, lo_open=True)
-    elif need_distance:
-        records.append(Violation(obj_id, f"{name}.dist", "distance required"))
 
 
 def validate_scene(scene: Scene) -> list[Violation]:
@@ -591,12 +589,10 @@ def scene_from_dict(doc: dict, stem_dir: str = ".", load_stems: bool = True,
     return scene
 
 
-def parse_scene(path: str, stem_dir: str | None = None, load_stems: bool = True,
-                validate: bool = True) -> Scene:
-    """Parse a scene document; stem references resolve against stem_dir."""
+def parse_scene(path: str, validate: bool = True) -> Scene:
+    """Parse a scene document; stem references resolve against its directory."""
     doc = read_document(path, "scene file")
-    base = stem_dir if stem_dir is not None else os.path.dirname(os.path.abspath(path))
-    return scene_from_dict(doc, stem_dir=base, load_stems=load_stems,
+    return scene_from_dict(doc, stem_dir=os.path.dirname(os.path.abspath(path)),
                            validate=validate)
 
 

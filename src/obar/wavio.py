@@ -37,6 +37,8 @@ def read_stem(path: str) -> tuple[int, np.ndarray]:
         raise SchemaError(f"stem {path} must be IEEE float32, got {data.dtype}")
     if data.ndim != 1:
         raise SchemaError(f"stem {path} must be mono, got {data.ndim} channels")
+    if not np.all(np.isfinite(data)):
+        raise SchemaError(f"stem {path} holds non-finite samples")
     return int(rate), data.astype(np.float64)
 
 

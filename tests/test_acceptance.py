@@ -534,7 +534,7 @@ def test_9_same_type_divergence(tmp_path):
         demo.write_demo_scenario(d, speakers=5))
     scenario = build_scenario(layout, listeners)
     ctx = ContextTracker().update(scenario, scene)
-    assignments, _ = route(scene, scenario, ctx)
+    assignments = route(scene, scenario, ctx)
 
     assert len(assignments) == 2
     types = {scene.object_by_id(a.object_id).object_type for a in assignments}

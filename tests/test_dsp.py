@@ -346,6 +346,13 @@ class TestDirectives:
         back = dsp.apply_directives(x, [dsp.Directive("time_shift", -10.0)], FS)
         assert np.array_equal(back[: len(x) - 480], x[480:])
 
+    @pytest.mark.parametrize("shift_ms", [-42.0, -41.99, -100.0])
+    def test_advance_past_the_stem_end_keeps_its_length(self, shift_ms):
+        x = np.random.default_rng(2).standard_normal(2000)
+        y = dsp.apply_directives(x, [dsp.Directive("time_shift", shift_ms)], FS)
+        assert y.shape == x.shape
+        assert not np.any(y)
+
     def test_decorrelate_zero_is_identity_and_full_preserves_power(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal(4 * FS)

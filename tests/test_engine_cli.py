@@ -239,6 +239,55 @@ class TestEngine:
         assert fades[0]["from"] == "VBAP"
         assert fades[0]["to"] == "AmbiMM(2)"
         assert fades[0]["duration_s"] == 1.0
+        # the fade starts at the update block's first sample, unrounded
+        update = -(-2 * FS // job.block_size) * job.block_size
+        assert fades[0]["start_s"] == update / FS
+        assert report["intervals"][1]["t_s"] == round(update / FS, 6)
+        assert report["intervals"][1]["t_s"] != update / FS
+
+        # a whole number of seconds is still reported as a float
+        job = make_job(tmp_path, objects, speakers=5,
+                       noise_timeline=step_timeline(2.0, -50.0),
+                       selection=selection, crossfade_s=1, out_name="int.wav")
+        result = run_render(job)
+        with open(result.report_path) as fh:
+            fade = json.load(fh)["intervals"][1]["crossfades"][0]
+        assert type(fade["duration_s"]) is float and fade["duration_s"] == 1.0
+        assert result.report["intervals"][1]["crossfades"][0] == fade
+
+    def test_object_back_from_prune_starts_without_crossfade(self, tmp_path):
+        """An object pruned for one interval comes back on a fresh lane: its
+        renderer differs from the one it had before the prune, yet no
+        crossfade is recorded."""
+        d = str(tmp_path)
+        stem = write_stem(d, "wash.wav", noise_like(6.0))
+        objects = [object_doc("wash", "ambience", [stem], priority=0,
+                              position={"az": 180.0, "el": 0.0, "dist": None})]
+        rulebook = {
+            "schema": "rulebook v1",
+            "rules": [{"rule_id": "drop-filler",
+                       "when": "noise_broadband_db > -45",
+                       "actions": [{"kind": "prune",
+                                    "select": "type == 'ambience'"}]}],
+        }
+        selection = {
+            "schema": "selection v1",
+            "rules": [{"match": "noise_broadband_db > -60",
+                       "renderer": "AmbiMM", "order": 2},
+                      {"match": "true", "renderer": "VBAP"}],
+        }
+        # broadband -71.5 dB, then -41.5 (pruned), then -51.5
+        timeline = [{"t_s": t, "band_levels_db": [level] * 7}
+                    for t, level in ((0.0, -80.0), (2.0, -50.0), (4.0, -60.0))]
+        job = make_job(tmp_path, objects, speakers=5, noise_timeline=timeline,
+                       rulebook=rulebook, selection=selection)
+        result, output = render_output(job)
+        intervals = result.report["intervals"]
+        assert [[a["renderer"] for a in iv["assignments"]] for iv in intervals] \
+            == [["VBAP"], [], ["AmbiMM(2)"]]
+        assert all(iv["crossfades"] == [] for iv in intervals)
+        update = -(-4 * FS // job.block_size) * job.block_size
+        assert np.max(np.abs(output[update:])) > 0.0
 
     def test_prune_empties_lane_at_boundary(self, tmp_path):
         d = str(tmp_path)
@@ -836,6 +885,40 @@ class TestCLI:
         assert "Traceback" not in err
         assert err.count("\n") == 0, err
         assert "rendered output contains non-finite samples" in err
+        assert set(os.listdir(d)) == before
+
+    @pytest.mark.parametrize("xfade", ["nan", "inf"])
+    def test_non_finite_crossfade_fails_in_one_line(self, tmp_path, capsys,
+                                                    xfade):
+        d, scene, scenario = self.demo_paths(tmp_path)
+        before = set(os.listdir(d))
+        rc = cli_main(["render", "--scene", scene, "--scenario", scenario,
+                       "--out", os.path.join(d, "x.wav"), "--xfade", xfade])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert "Traceback" not in err
+        assert err.count("\n") == 0, err
+        assert err.startswith("error [cli_io]: options.crossfade_s "), err
+        assert set(os.listdir(d)) == before
+
+    def test_non_finite_stem_fails_at_parse_time(self, tmp_path, capsys):
+        """One NaN sample in a stem fails validate (exit 2) and render
+        (exit 1) with one line naming the stem, before any block renders."""
+        d, scene, scenario = self.demo_paths(tmp_path)
+        path = os.path.join(d, "narrator.wav")
+        rate, samples = wavfile.read(path)
+        samples[len(samples) // 2] = np.nan
+        wavfile.write(path, rate, samples)
+        before = set(os.listdir(d))
+        for argv, code in (
+                (["validate", "--scene", scene], 2),
+                (["render", "--scene", scene, "--scenario", scenario,
+                  "--out", os.path.join(d, "x.wav")], 1)):
+            assert cli_main(argv) == code
+            err = capsys.readouterr().err.strip()
+            assert err.count("\n") == 0, err
+            assert err.startswith("error [scene_model]: "), err
+            assert "narrator.wav" in err and "non-finite" in err
         assert set(os.listdir(d)) == before
 
     def test_missing_stem_single_line_diagnostic(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Object router tests: feasibility, selection table, subsets, crossfades."""
+"""Object router tests: feasibility, selection table, subsets, routing."""
 
 import numpy as np
 import pytest
@@ -13,14 +13,13 @@ from obar.context import (
     build_scenario,
 )
 from obar import renderers, routing
-from obar.errors import NonPositiveDuration, SameRenderer, SourceInsideArray
+from obar.errors import SourceInsideArray
 from obar.geometry import Direction3
 from obar.renderclass import KNOWN_RENDERER_NAMES, RendererClass, RendererKind
 from obar.routing import (
     BAND_LIMIT_POWER_FRACTION,
     PM_ZONE_RADIUS_M,
     BandFractions,
-    CrossfadeSchedule,
     RendererAssignment,
     band_capable_subset,
     build_drive,
@@ -30,7 +29,6 @@ from obar.routing import (
     pm_control_points,
     pm_design,
     route,
-    schedule_crossfade,
     select_renderer,
     wfs_segment,
 )
@@ -553,25 +551,8 @@ class TestPMDesignMemo:
 
 
 class TestCrossfadesAndRouting:
-    def _assignment(self, kind, subset=("s0",), order=None, oid="o"):
-        return RendererAssignment(oid, RendererClass(kind, order), subset)
-
-    def test_schedule(self):
-        old = self._assignment(RendererKind.AP3_VBAP)
-        new = self._assignment(RendererKind.AMBI_MM, order=1)
-        sched = schedule_crossfade(old, new, 5.0, 1.0)
-        assert sched.start_s == 5.0 and sched.duration_s == 1.0
-
-    def test_identical_assignments_rejected(self):
-        a = self._assignment(RendererKind.AP3_VBAP)
-        with pytest.raises(SameRenderer):
-            schedule_crossfade(a, a, 0.0, 1.0)
-
-    def test_non_positive_duration_rejected(self):
-        old = self._assignment(RendererKind.AP3_VBAP)
-        new = self._assignment(RendererKind.AMBI_MM, order=1)
-        with pytest.raises(NonPositiveDuration):
-            schedule_crossfade(old, new, 0.0, 0.0)
+    """Routing re-selects from the current scene alone; the engine
+    crossfades each object whose assignment changed (test_engine_cli)."""
 
     def _demo(self, basic_scene_dir):
         scene = parse_scene(basic_scene_dir[1])
@@ -586,36 +567,26 @@ class TestCrossfadesAndRouting:
 
     def test_route_assigns_every_object(self, basic_scene_dir):
         scene, scenario, ctx = self._demo(basic_scene_dir)
-        assignments, schedules = route(scene, scenario, ctx)
+        assignments = route(scene, scenario, ctx)
         assert [a.object_id for a in assignments] == ["band", "narrator"]
-        assert schedules == []
         classes = {a.renderer.kind for a in assignments}
         assert len(classes) >= 2
 
     def test_route_is_idempotent(self, basic_scene_dir):
         scene, scenario, ctx = self._demo(basic_scene_dir)
-        first, _ = route(scene, scenario, ctx)
-        previous = {a.object_id: a for a in first}
-        second, schedules = route(scene, scenario, ctx, previous=previous)
-        assert second == first
-        assert schedules == []
+        assert route(scene, scenario, ctx) == route(scene, scenario, ctx)
 
     def test_route_emits_crossfade_on_change(self, basic_scene_dir):
+        """A new table changes the assignments the engine crossfades on."""
         scene, scenario, ctx = self._demo(basic_scene_dir)
-        first, _ = route(scene, scenario, ctx)
-        previous = {a.object_id: a for a in first}
+        first = route(scene, scenario, ctx)
         everything_diffuse = parse_selection_rules({
             "schema": "selection v1",
             "rules": [{"match": "true", "renderer": "Diffuse"},
                       {"match": "true", "renderer": "AP1"}],
         })
-        second, schedules = route(scene, scenario, ctx,
-                                  selection_rules=everything_diffuse,
-                                  previous=previous, now_s=6.0)
-        changed = [a for a, b in zip(sorted(first, key=lambda x: x.object_id),
-                                     sorted(second, key=lambda x: x.object_id))
-                   if a != b]
-        assert len(schedules) == len(changed) > 0
-        for sched in schedules:
-            assert sched.start_s == 6.0
-            assert sched.duration_s == 1.0
+        second = route(scene, scenario, ctx, selection_rules=everything_diffuse)
+        assert [a.object_id for a in second] == [a.object_id for a in first]
+        changed = [b for a, b in zip(first, second) if a != b]
+        assert changed
+        assert all(b.renderer.kind is RendererKind.DIFFUSE for b in changed)
