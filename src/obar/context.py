@@ -63,26 +63,24 @@ class Bandwidth:
     high_hz: float
 
 
-# Default capability per device kind: usable bandwidth, intrinsic latency
-# (ms) and a nominal connection rate (kbps). Editable data, not behaviour.
+# Default capability per device kind: usable bandwidth and intrinsic latency
+# (ms). Editable data, not behaviour.
 DEVICE_DEFAULTS = {
-    DeviceKind.DISCRETE: (Bandwidth(40.0, 20000.0), 0.0, 10000.0),
-    DeviceKind.TV: (Bandwidth(100.0, 16000.0), 10.0, 5000.0),
-    DeviceKind.PHONE: (Bandwidth(300.0, 8000.0), 30.0, 1000.0),
-    DeviceKind.TABLET: (Bandwidth(250.0, 12000.0), 25.0, 2000.0),
-    DeviceKind.LAPTOP: (Bandwidth(200.0, 14000.0), 20.0, 3000.0),
-    DeviceKind.SOUNDBAR: (Bandwidth(60.0, 18000.0), 15.0, 5000.0),
+    DeviceKind.DISCRETE: (Bandwidth(40.0, 20000.0), 0.0),
+    DeviceKind.TV: (Bandwidth(100.0, 16000.0), 10.0),
+    DeviceKind.PHONE: (Bandwidth(300.0, 8000.0), 30.0),
+    DeviceKind.TABLET: (Bandwidth(250.0, 12000.0), 25.0),
+    DeviceKind.LAPTOP: (Bandwidth(200.0, 14000.0), 20.0),
+    DeviceKind.SOUNDBAR: (Bandwidth(60.0, 18000.0), 15.0),
 }
 
 
 @dataclass(frozen=True)
 class LoudspeakerDescriptor:
     speaker_id: str
-    position: Direction3           # distance required
-    orientation_deg: float = 0.0
+    position: Direction3           # distance required, > 0
     bandwidth_hz: Bandwidth = Bandwidth(40.0, 20000.0)
     latency_ms: float = 0.0
-    connection_kbps: float = 10000.0
     device_kind: DeviceKind = DeviceKind.DISCRETE
 
 
@@ -93,9 +91,17 @@ class SpeakerLayout:
     def __post_init__(self):
         if not self.speakers:
             raise EmptyLayout("layout must contain at least one speaker")
+        seen = set()
         for s in self.speakers:
+            if s.speaker_id in seen:
+                raise SchemaError(f"speaker id {s.speaker_id!r} appears twice in the layout")
+            seen.add(s.speaker_id)
             if s.position.distance_m is None:
                 raise SchemaError(f"speaker {s.speaker_id} position needs a distance")
+            if not s.position.distance_m > 0.0:
+                raise SchemaError(
+                    f"speaker {s.speaker_id} distance must be > 0, "
+                    f"got {echo(s.position.distance_m)}")
             if s.bandwidth_hz.low_hz >= s.bandwidth_hz.high_hz:
                 raise SchemaError(
                     f"speaker {s.speaker_id} bandwidth low >= high")
@@ -114,10 +120,8 @@ class SpeakerLayout:
 class ListenerInfo:
     listener_id: str
     position: Direction3
-    language: str | None = None
     hearing_impaired: bool = False
     intelligibility_preference: float = 0.0
-    envelopment_preference: float = 0.0
     team_preference: str | None = None
 
 
@@ -231,9 +235,13 @@ def build_scenario(layout: SpeakerLayout, listeners,
     listener = listeners[0]
     if listener.position.distance_m and listener.position.distance_m > 0.0:
         origin = _to_point(listener.position)
-        layout = SpeakerLayout(tuple(
-            replace(s, position=_rereference(s.position, origin))
-            for s in layout.speakers))
+        speakers = tuple(replace(s, position=_rereference(s.position, origin))
+                         for s in layout.speakers)
+        for s in speakers:
+            if s.position.distance_m == 0.0:
+                raise SchemaError(
+                    f"listener {listener.listener_id} sits on speaker {s.speaker_id}")
+        layout = SpeakerLayout(speakers)
         listener = replace(listener, position=Direction3(0.0, 0.0, 0.0))
     return ReproductionScenario(layout, listener, room_decay_tau_s)
 
@@ -311,40 +319,46 @@ def parse_speaker(doc, where, device=False) -> LoudspeakerDescriptor | None:
         kind = DeviceKind(kind_name)
     except ValueError:
         raise SchemaError(f"unknown device kind {echo(kind_name)} in {where}")
-    bandwidth, latency_ms, connection_kbps = DEVICE_DEFAULTS[
+    bandwidth, latency_ms = DEVICE_DEFAULTS[
         kind if device else DeviceKind.DISCRETE]
     bw_where = f"{where}.bandwidth_hz"
     bw = get_field(doc, "bandwidth_hz", where, parse_mapping, {}, nullable=device) or {}
     require_keys(bw, {"low", "high"}, bw_where)
+    get_field(doc, "orientation_deg", where, parse_number)
+    get_field(doc, "connection_kbps", where, parse_number)
     return LoudspeakerDescriptor(
         speaker_id=get_field(doc, "id", where, parse_string),
         position=get_field(doc, "position", where, parse_direction),
-        orientation_deg=get_field(doc, "orientation_deg", where, parse_number, 0.0),
         bandwidth_hz=Bandwidth(
             get_field(bw, "low", bw_where, parse_number, bandwidth.low_hz),
             get_field(bw, "high", bw_where, parse_number, bandwidth.high_hz)),
         latency_ms=get_field(doc, "latency_ms", where, parse_number, latency_ms),
-        connection_kbps=get_field(doc, "connection_kbps", where, parse_number,
-                                  connection_kbps),
         device_kind=kind,
     )
 
 
+def _parse_preference(value, field) -> float:
+    preference = parse_number(value, field)
+    if not 0.0 <= preference <= 1.0:
+        raise SchemaError(f"{field} must lie in 0..1, got {echo(value)}")
+    return preference
+
+
 def _parse_listener(doc, where) -> ListenerInfo:
+    """A listener; language and envelopment_preference are checked, unread."""
     allowed = {"id", "position", "language", "hearing_impaired",
                "intelligibility_preference", "envelopment_preference",
                "team_preference"}
     require_keys(doc, allowed, where)
+    get_field(doc, "language", where, parse_string, nullable=True)
+    get_field(doc, "envelopment_preference", where, _parse_preference)
     return ListenerInfo(
         listener_id=get_field(doc, "id", where, parse_string, required=True),
         position=get_field(doc, "position", where, parse_direction,
                            Direction3(0.0, 0.0, 0.0)),
-        language=get_field(doc, "language", where, parse_string, nullable=True),
         hearing_impaired=get_field(doc, "hearing_impaired", where, parse_bool, False),
         intelligibility_preference=get_field(doc, "intelligibility_preference", where,
-                                             parse_number, 0.0),
-        envelopment_preference=get_field(doc, "envelopment_preference", where,
-                                         parse_number, 0.0),
+                                             _parse_preference, 0.0),
         team_preference=get_field(doc, "team_preference", where, parse_string,
                                   nullable=True),
     )

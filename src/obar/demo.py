@@ -78,16 +78,6 @@ def ambience_like(duration_s: float = DEMO_DURATION_S,
     return rms * x / _rms(x)
 
 
-def noise_like(duration_s: float = DEMO_DURATION_S,
-               sample_rate: int = DEMO_SAMPLE_RATE, seed: int = 14,
-               rms: float = 0.1) -> np.ndarray:
-    """Stationary white noise."""
-    rng = np.random.default_rng(seed)
-    n = int(round(duration_s * sample_rate))
-    x = rng.standard_normal(n)
-    return rms * x / _rms(x)
-
-
 def _write_json(path: str, doc: dict) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)

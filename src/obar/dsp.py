@@ -518,16 +518,3 @@ def directive_margins(directives, sample_rate: int = DEFAULT_SAMPLE_RATE) -> tup
         else:
             raise ValueError(f"unknown directive kind {d.kind!r}")
     return warmup, lookahead
-
-
-def exponential_tail(
-    duration_s: float,
-    tau_s: float,
-    sample_rate: int = DEFAULT_SAMPLE_RATE,
-    seed: int = DEFAULT_SEED,
-) -> np.ndarray:
-    """Noise burst with an exponential decay envelope exp(-t / tau)."""
-    n = int(round(duration_s * sample_rate))
-    rng = np.random.default_rng(seed)
-    t = np.arange(n) / sample_rate
-    return rng.standard_normal(n) * np.exp(-t / tau_s)

@@ -15,17 +15,6 @@ class RendererKind(enum.Enum):
     DIFFUSE = "Diffuse"
 
 
-# gain_delay renderers drive speakers with a gain and a delay; filter_based
-# ones with per-speaker filters; decorrelating ones with decorrelation filters.
-FAMILY = {
-    RendererKind.AP1_NEAREST: "gain_delay",
-    RendererKind.AP3_VBAP: "gain_delay",
-    RendererKind.AMBI_MM: "gain_delay",
-    RendererKind.WFS_GAIN_DELAY: "gain_delay",
-    RendererKind.PM_SINGLE_ZONE: "filter_based",
-    RendererKind.DIFFUSE: "decorrelating",
-}
-
 KNOWN_RENDERER_NAMES = tuple(k.value for k in RendererKind)
 
 
@@ -36,22 +25,8 @@ class RendererClass:
     kind: RendererKind
     order: int | None = None
 
-    @property
-    def family(self) -> str:
-        return FAMILY[self.kind]
-
     def label(self) -> str:
         if self.kind is RendererKind.AMBI_MM and self.order is not None:
             return f"{self.kind.value}({self.order})"
         return self.kind.value
 
-    @staticmethod
-    def from_name(name: str) -> "RendererClass":
-        base = name.split("(")[0]
-        for kind in RendererKind:
-            if kind.value == base:
-                order = None
-                if "(" in name:
-                    order = int(name.rstrip(")").split("(")[1])
-                return RendererClass(kind, order)
-        raise ValueError(f"unknown renderer class {name!r}")

@@ -33,6 +33,7 @@ from .renderers import (
 )
 from .rules import (
     SelectionRule,
+    compile_expression,
     context_namespace,
     default_selection_rules,
     object_namespace,
@@ -126,23 +127,6 @@ def infeasibility_reasons(layout: SpeakerLayout, obj: AudioObject) -> dict[str, 
     if count < 2:
         reasons["Diffuse"] = "needs at least 2 speakers"
     return reasons
-
-
-def feasible_renderers(layout: SpeakerLayout, obj: AudioObject) -> frozenset[RendererClass]:
-    """Renderer classes whose arrangement requirements this layout satisfies
-    for this object: every kind infeasibility_reasons does not name, with
-    mode matching at each order from 1 to max_ambi_order."""
-    reasons = infeasibility_reasons(layout, obj)
-    found = set()
-    for kind in RendererKind:
-        if kind.value in reasons:
-            continue
-        if kind is RendererKind.AMBI_MM:
-            found.update(RendererClass(kind, order) for order in
-                         range(1, max_ambi_order(len(layout.speakers)) + 1))
-        else:
-            found.add(RendererClass(kind))
-    return frozenset(found)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +297,7 @@ def _candidate(rule: SelectionRule, layout: SpeakerLayout, obj: AudioObject,
                              band_fractions)
     if not subset:
         return None
-    kind = RendererClass.from_name(rule.renderer).kind
+    kind = RendererKind(rule.renderer)
     params: list[tuple] = [("subset_kind", rule.subset)]
     order = None
     if kind is RendererKind.AMBI_MM:
@@ -367,13 +351,11 @@ def _preferred_rule(obj: AudioObject) -> SelectionRule | None:
     name = obj.advanced.preferred_renderer
     if not name:
         return None
-    preferred = RendererClass.from_name(name)
-    from .rules import compile_expression
+    kind = RendererKind(name)
     return SelectionRule(
         match=compile_expression("true"),
-        renderer=preferred.kind.value,
-        order=preferred.order if preferred.order else (
-            "highest" if preferred.kind is RendererKind.AMBI_MM else None),
+        renderer=kind.value,
+        order="highest" if kind is RendererKind.AMBI_MM else None,
         subset="all",
     )
 

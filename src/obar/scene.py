@@ -2,8 +2,7 @@
 
 A scene is a set of audio objects, each pairing mono stems with rendering
 metadata, plus scene-wide reproduction targets. The on-disk form is JSON
-(documented in docs/scene-schema-v1.md); serialization is deterministic so
-identical scenes produce identical bytes.
+(documented in docs/scene-schema-v1.md).
 """
 
 from __future__ import annotations
@@ -95,13 +94,8 @@ class AdvancedMetadata:
     onscreen: bool = False
     interactivity_restriction: bool = False
     preferred_renderer: str | None = None
-    target_device: str | None = None
     language: str | None = None
     object_quality: float = 1.0
-    extra: tuple[tuple[str, object], ...] = ()
-
-    def extra_dict(self) -> dict:
-        return dict(self.extra)
 
 
 @dataclass(frozen=True)
@@ -141,7 +135,7 @@ class AudioObject:
     advanced: AdvancedMetadata = AdvancedMetadata()
     constraints: EditorialConstraints = EditorialConstraints()
     reverb: ReverbMetadata | None = None
-    # Render-time signal edits queued by adaptation; never serialized.
+    # Render-time signal edits queued by adaptation.
     directives: tuple[Directive, ...] = ()
 
 
@@ -442,20 +436,20 @@ def parse_direction(doc, where) -> Direction3:
 # scene documents
 
 def _parse_advanced(doc, where) -> AdvancedMetadata:
+    """Advanced metadata; target_device and extra are checked, unread."""
     allowed = {"importance", "onscreen", "interactivity_restriction", "preferred_renderer",
                "target_device", "language", "object_quality", "extra"}
     require_keys(doc, allowed, where)
-    extra = get_field(doc, "extra", where, parse_mapping, {})
+    get_field(doc, "target_device", where, parse_string, nullable=True)
+    get_field(doc, "extra", where, parse_mapping)
     return AdvancedMetadata(
         importance=get_field(doc, "importance", where, parse_integer, 5),
         onscreen=get_field(doc, "onscreen", where, parse_bool, False),
         interactivity_restriction=get_field(doc, "interactivity_restriction", where,
                                             parse_bool, False),
         preferred_renderer=get_field(doc, "preferred_renderer", where),
-        target_device=get_field(doc, "target_device", where, parse_string, nullable=True),
         language=get_field(doc, "language", where, parse_string, nullable=True),
         object_quality=get_field(doc, "object_quality", where, default=1.0),
-        extra=tuple(sorted((str(k), v) for k, v in extra.items())),
     )
 
 
@@ -595,74 +589,3 @@ def parse_scene(path: str, validate: bool = True) -> Scene:
     return scene_from_dict(doc, stem_dir=os.path.dirname(os.path.abspath(path)),
                            validate=validate)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def _direction_to_dict(d: Direction3) -> dict:
-    return {"az": d.az_deg, "el": d.el_deg, "dist": d.distance_m}
-
-
-def scene_to_dict(scene: Scene) -> dict:
-    objects = []
-    for obj in scene.objects:
-        objects.append({
-            "id": obj.object_id,
-            "type": obj.object_type.value,
-            "channels": obj.channels,
-            "group": obj.group,
-            "priority": obj.priority,
-            "level_db": obj.level_db,
-            "position": None if obj.position is None else _direction_to_dict(obj.position),
-            "extent_deg": obj.extent_deg,
-            "diffuseness": obj.diffuseness,
-            "advanced": {
-                "importance": obj.advanced.importance,
-                "onscreen": obj.advanced.onscreen,
-                "interactivity_restriction": obj.advanced.interactivity_restriction,
-                "preferred_renderer": obj.advanced.preferred_renderer,
-                "target_device": obj.advanced.target_device,
-                "language": obj.advanced.language,
-                "object_quality": obj.advanced.object_quality,
-                "extra": obj.advanced.extra_dict(),
-            },
-            "constraints": {
-                "tolerances": {
-                    "level_db": obj.constraints.tolerances.level_db,
-                    "position_deg": obj.constraints.tolerances.position_deg,
-                    "time_shift_ms": obj.constraints.tolerances.time_shift_ms,
-                    "spectral_tilt_db": obj.constraints.tolerances.spectral_tilt_db,
-                    "reverb_scale": obj.constraints.tolerances.reverb_scale,
-                },
-                "priority_order": list(obj.constraints.priority_order),
-            },
-            "reverb": None if obj.reverb is None else {
-                "reflections": [
-                    {"delay_ms": r.delay_ms,
-                     "direction": _direction_to_dict(r.direction),
-                     "level_db": r.level_db}
-                    for r in obj.reverb.reflections
-                ],
-                "tail_bands": [
-                    {"band_center_hz": b.band_center_hz, "onset_ms": b.onset_ms,
-                     "attack_ms": b.attack_ms, "level_db": b.level_db,
-                     "decay_tau_s": b.decay_tau_s}
-                    for b in obj.reverb.tail_bands
-                ],
-            },
-            "stems": [s.ref for s in obj.stems],
-        })
-    return {
-        "schema": SCHEMA_VERSION,
-        "sample_rate": scene.sample_rate,
-        "targets": {
-            "envelopment": scene.targets.envelopment,
-            "intelligibility": scene.targets.intelligibility,
-        },
-        "objects": objects,
-    }
-
-
-def serialize_scene(scene: Scene) -> str:
-    """Deterministic textual form: sorted keys, fixed indentation."""
-    return json.dumps(scene_to_dict(scene), sort_keys=True, indent=2) + "\n"

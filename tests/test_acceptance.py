@@ -35,13 +35,12 @@ from obar.context import (
 from obar.dsp import (
     BLOCK_SIZE,
     apply_directives,
-    exponential_tail,
     octave_band_levels,
     power_sum_db,
 )
 from obar.engine import CONTEXT_INTERVAL_S, RenderJob, run_render
 from obar.geometry import Direction3
-from obar.renderclass import RendererClass
+from obar.renderclass import RendererKind
 from obar.renderers import (
     PM_BETA_DEFAULT,
     SPEED_OF_SOUND_MS,
@@ -52,7 +51,7 @@ from obar.renderers import (
     vbap_feasible,
     vbap_gains,
 )
-from obar.routing import feasible_renderers, route
+from obar.routing import infeasibility_reasons, max_ambi_order, route
 from obar.rules import default_rulebook
 from obar.scene import (
     DEFAULT_PRIORITY_ORDER,
@@ -435,6 +434,14 @@ def test_6_crossfade_flatness(tmp_path):
 # ---------------------------------------------------------------------------
 # 7. reverb refit: analytic identity and rendered decay recovery
 
+def exponential_tail(duration_s, tau_s, sample_rate, seed):
+    """Noise burst with an exponential decay envelope exp(-t / tau)."""
+    n = int(round(duration_s * sample_rate))
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / sample_rate
+    return rng.standard_normal(n) * np.exp(-t / tau_s)
+
+
 def test_7_reverb_adaptation_identity():
     rng = np.random.default_rng(7)
     for _ in range(300):
@@ -481,6 +488,12 @@ def test_7_reverb_adaptation_identity():
 # ---------------------------------------------------------------------------
 # 8. end-to-end render: fast, deterministic, feasible assignments
 
+def renderer_label(label):
+    """A report's renderer label, such as "AmbiMM(2)", as (kind, order or None)."""
+    name, _, order = label.partition("(")
+    return RendererKind(name), int(order.rstrip(")")) if order else None
+
+
 def test_8_determinism_end_to_end(tmp_path):
     d = str(tmp_path)
     scene_path = demo.write_demo_scene(d, duration_s=10.0)
@@ -517,11 +530,16 @@ def test_8_determinism_end_to_end(tmp_path):
     scene = parse_scene(scene_path)
     layout, listeners, _, _ = parse_scenario(scenario_path)
     scenario = build_scenario(layout, listeners)
+    top_order = max_ambi_order(len(scenario.layout.speakers))
     for iv in report_a["intervals"]:
         for record in iv["assignments"]:
-            renderer = RendererClass.from_name(record["renderer"])
+            kind, order = renderer_label(record["renderer"])
             obj = scene.object_by_id(record["object_id"])
-            assert renderer in feasible_renderers(scenario.layout, obj)
+            assert kind.value not in infeasibility_reasons(scenario.layout, obj)
+            if kind is RendererKind.AMBI_MM:
+                assert order is not None and 1 <= order <= top_order
+            else:
+                assert order is None
 
 
 # ---------------------------------------------------------------------------

@@ -95,10 +95,8 @@ def _listener(listener_id="l0", az=0.0, dist=0.0, **over):
     return ListenerInfo(
         listener_id=listener_id,
         position=Direction3(az, 0.0, dist),
-        language=over.get("language"),
         hearing_impaired=over.get("hearing_impaired", False),
         intelligibility_preference=over.get("intelligibility_preference", 0.0),
-        envelopment_preference=over.get("envelopment_preference", 0.0),
         team_preference=over.get("team_preference"),
     )
 
@@ -118,6 +116,12 @@ class TestBuildScenario:
         assert front.position.distance_m == pytest.approx(1.0, abs=1e-12)
         assert front.position.az_deg == pytest.approx(0.0, abs=1e-9)
         assert scenario.listener.position.distance_m == 0.0
+
+    def test_listener_on_a_speaker_rejected(self):
+        """Re-referenced around a listener on it, a speaker would sit at
+        distance 0, where it has no direction."""
+        with pytest.raises(SchemaError, match="listener l0 sits on speaker s1"):
+            build_scenario(_layout(count=4, radius=2.0), [_listener(az=90.0, dist=2.0)])
 
     def test_no_listener_rejected(self):
         with pytest.raises(NoListener):
@@ -216,6 +220,18 @@ class TestScenarioDocuments:
         doc = scenario_doc([{"id": "s0", "position": {"az": 0.0, "el": 0.0}}])
         with pytest.raises(SchemaError):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["intelligibility_preference",
+                                       "envelopment_preference"])
+    def test_listener_preferences_span_zero_to_one(self, field):
+        doc = scenario_doc(ring_speakers(3))
+        for value in (0, 0.0, 0.5, 1, 1.0):
+            doc["listeners"][0][field] = value
+            scenario_from_dict(doc)
+        for value in (-1e-9, 1.000001, 5):
+            doc["listeners"][0][field] = value
+            with pytest.raises(SchemaError, match=field):
+                scenario_from_dict(doc)
 
 
 class TestDeviceEnumeration:

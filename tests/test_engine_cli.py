@@ -921,6 +921,34 @@ class TestCLI:
             assert "narrator.wav" in err and "non-finite" in err
         assert set(os.listdir(d)) == before
 
+    @pytest.mark.parametrize("path, value, named", [
+        (("layout", "speakers", 1, "id"), "s0", "speaker id 's0' appears twice"),
+        (("layout", "speakers", 1, "position", "dist"), 0, "speaker s1 distance must be > 0"),
+        (("layout", "speakers", 1, "position", "dist"), -2.0, "speaker s1 distance must be > 0"),
+        (("listeners", 0, "intelligibility_preference"), 7.0,
+         "listeners[0].intelligibility_preference must lie in 0..1"),
+        (("listeners", 0, "envelopment_preference"), -0.5,
+         "listeners[0].envelopment_preference must lie in 0..1"),
+    ], ids=["repeated-speaker-id", "zero-distance", "negative-distance",
+            "intelligibility-preference", "envelopment-preference"])
+    def test_invalid_scenario_fails_in_one_line(self, tmp_path, capsys, path,
+                                                value, named):
+        """A scenario the renderer cannot honour fails validate (exit 2) and
+        render (exit 1) with one line naming the culprit, writing nothing."""
+        d, scene, scenario = self.demo_paths(tmp_path)
+        doc = json.load(open(scenario))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        bad = write_json(d, doc, "bad-scenario.json")
+        before = set(os.listdir(d))
+        self._one_line_failures(
+            capsys, ["--scene", scene, "--scenario", bad],
+            ["--scene", scene, "--scenario", bad, "--out", os.path.join(d, "x.wav")],
+            named)
+        assert set(os.listdir(d)) == before
+
     def test_missing_stem_single_line_diagnostic(self, tmp_path, capsys):
         d, scene, scenario = self.demo_paths(tmp_path)
         doc = json.load(open(scene))

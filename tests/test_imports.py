@@ -1,11 +1,19 @@
-"""Every name a module of the package imports is read somewhere in it."""
+"""Every name a module of the package imports is read somewhere in it, and
+every name a module defines at top level is read somewhere in the program."""
 
 import ast
+import collections
 import pathlib
+import re
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).parents[1] / "src" / "obar").glob("*.py"))
+ROOT = pathlib.Path(__file__).parents[1]
+SOURCES = sorted((ROOT / "src" / "obar").glob("*.py"))
+# The program: the package, its scripts and its benchmark; not the tests.
+PROGRAM = SOURCES + sorted((ROOT / "scripts").glob("*.py")) + sorted(
+    p for p in (ROOT / "perfbench").rglob("*.py")
+    if not any(part.startswith(".") for part in p.relative_to(ROOT).parts))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -27,3 +35,28 @@ def _unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_module_reads_every_name_it_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _top_level_names(source: str) -> list[str]:
+    """Functions, classes and assigned names a module defines at top level,
+    dunder names excepted."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_every_top_level_name_is_read():
+    """A name whose only occurrence in the program is its definition is
+    dead code, or code that only tests reach."""
+    words = collections.Counter(re.findall(
+        r"\w+", "\n".join(p.read_text(encoding="utf-8") for p in PROGRAM)))
+    unread = sorted(f"{path.stem}.{name}" for path in SOURCES
+                    for name in _top_level_names(path.read_text(encoding="utf-8"))
+                    if words[name] < 2)
+    assert unread == []

@@ -23,7 +23,6 @@ from obar.routing import (
     RendererAssignment,
     band_capable_subset,
     build_drive,
-    feasible_renderers,
     infeasibility_reasons,
     max_ambi_order,
     pm_control_points,
@@ -102,39 +101,31 @@ def probe_objects(draw):
         draw(st.floats(-180.0, 180.0)), draw(st.floats(-30.0, 30.0)), dist))
 
 
-def kinds(renderer_set):
-    return {r.kind for r in renderer_set}
-
-
 class TestFeasibility:
     def test_stereo_pair(self):
         layout = make_layout([
             {"id": "l", "position": {"az": 45.0, "el": 0.0, "dist": 2.0}},
             {"id": "r", "position": {"az": -45.0, "el": 0.0, "dist": 2.0}},
         ])
-        found = feasible_renderers(layout, make_object(az=10.0))
-        assert kinds(found) == {RendererKind.AP1_NEAREST, RendererKind.AP3_VBAP,
-                                RendererKind.DIFFUSE}
+        reasons = infeasibility_reasons(layout, make_object(az=10.0))
+        assert set(reasons) == {"AmbiMM", "WFS", "PM"}
 
     def test_single_speaker_with_distant_source(self):
         layout = make_layout(ring_speakers(1))
-        found = feasible_renderers(layout, make_object(az=0.0, dist=5.0))
-        assert kinds(found) == {RendererKind.AP1_NEAREST,
-                                RendererKind.PM_SINGLE_ZONE}
+        reasons = infeasibility_reasons(layout, make_object(az=0.0, dist=5.0))
+        assert set(reasons) == {"VBAP", "AmbiMM", "WFS", "Diffuse"}
 
     def test_eight_ring_carries_orders_one_to_three(self):
         layout = make_layout(ring_speakers(8))
-        found = feasible_renderers(layout, make_object(az=10.0))
-        orders = {r.order for r in found if r.kind is RendererKind.AMBI_MM}
-        assert orders == {1, 2, 3}
+        assert "AmbiMM" not in infeasibility_reasons(layout, make_object(az=10.0))
         assert max_ambi_order(8) == 3
 
     def test_object_without_position_cannot_pan(self):
         layout = make_layout(ring_speakers(5))
-        found = feasible_renderers(layout, make_object(position=None))
-        assert RendererKind.AP3_VBAP not in kinds(found)
-        assert RendererKind.PM_SINGLE_ZONE not in kinds(found)
-        assert RendererKind.AP1_NEAREST in kinds(found)
+        reasons = infeasibility_reasons(layout, make_object(position=None))
+        assert "VBAP" in reasons
+        assert "PM" in reasons
+        assert "AP1" not in reasons
 
     def test_wide_ring_has_no_wfs_segment(self):
         assert wfs_segment(make_layout(ring_speakers(5, radius=2.0))) is None
@@ -143,8 +134,7 @@ class TestFeasibility:
         layout = make_layout(line_array(6, 0.3))
         segment = wfs_segment(layout)
         assert segment is not None and len(segment) == 6
-        found = feasible_renderers(layout, make_object(az=0.0, dist=6.0))
-        assert RendererKind.WFS_GAIN_DELAY in kinds(found)
+        assert "WFS" not in infeasibility_reasons(layout, make_object(az=0.0, dist=6.0))
 
     def test_dense_ring_wraps_around(self):
         layout = make_layout(ring_speakers(16, radius=1.0))
@@ -388,16 +378,20 @@ class TestSelection:
     @settings(max_examples=60, deadline=None)
     @given(layout=jittered_layouts(), obj=probe_objects())
     def test_assignments_respect_feasibility(self, layout, obj):
-        """Property: the selected renderer sits in the feasible set, and the
-        renderer kinds split between the feasible set and the reasons."""
+        """Property: the selected renderer is feasible (its kind has no
+        reason, and mode matching runs at an order the layout carries), and
+        the reasons name exactly the kinds the layout cannot drive."""
         assignment = select_renderer(obj, layout, layout.ids()[0])
-        feasible = feasible_renderers(layout, obj)
-        stripped = RendererClass(assignment.renderer.kind,
-                                 assignment.renderer.order)
-        assert stripped in feasible, (assignment, layout.ids())
-        feasible_kinds = {r.kind.value for r in feasible}
         reasons = infeasibility_reasons(layout, obj)
-        assert set(reasons) == set(KNOWN_RENDERER_NAMES) - feasible_kinds
+        renderer = assignment.renderer
+        top_order = max_ambi_order(len(layout.speakers))
+        assert renderer.kind.value not in reasons, (assignment, layout.ids())
+        if renderer.kind is RendererKind.AMBI_MM:
+            assert 1 <= renderer.order <= top_order, (assignment, layout.ids())
+        else:
+            assert renderer.order is None, assignment
+        assert set(reasons) <= set(KNOWN_RENDERER_NAMES) - {"AP1"}
+        assert ("AmbiMM" in reasons) == (top_order < 1)
 
     def test_custom_table(self):
         table = parse_selection_rules({
@@ -558,9 +552,9 @@ class TestCrossfadesAndRouting:
         scene = parse_scene(basic_scene_dir[1])
         layout = make_layout(ring_speakers(5))
         listener = ListenerInfo(
-            listener_id="l", position=Direction3(0, 0, 0), language=None,
+            listener_id="l", position=Direction3(0, 0, 0),
             hearing_impaired=False, intelligibility_preference=0.0,
-            envelopment_preference=0.0, team_preference=None)
+            team_preference=None)
         scenario = build_scenario(layout, [listener])
         ctx = ContextTracker().update(scenario, scene)
         return scene, scenario, ctx

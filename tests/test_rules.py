@@ -233,9 +233,9 @@ class TestNamespaces:
         layout = SpeakerLayout(tuple(
             parse_speaker(s, "s") for s in ring_speakers(5)))
         listener = ListenerInfo(
-            listener_id="l", position=Direction3(0, 0, 0), language=None,
+            listener_id="l", position=Direction3(0, 0, 0),
             hearing_impaired=True, intelligibility_preference=0.9,
-            envelopment_preference=0.0, team_preference="home")
+            team_preference="home")
         scenario = build_scenario(layout, [listener])
         ctx = ContextTracker().update(scenario, scene)
         ns = context_namespace(ctx, scene)
@@ -258,9 +258,9 @@ class TestNamespaces:
         layout = SpeakerLayout(tuple(
             parse_speaker(s, "s") for s in ring_speakers(5)))
         listener = ListenerInfo(
-            listener_id="l", position=Direction3(0, 0, 0), language=None,
+            listener_id="l", position=Direction3(0, 0, 0),
             hearing_impaired=False, intelligibility_preference=0.0,
-            envelopment_preference=0.0, team_preference=None)
+            team_preference=None)
         scenario = build_scenario(layout, [listener])
         ctx = ContextTracker().update(scenario, scene)
         ns = context_namespace(ctx, scene)
