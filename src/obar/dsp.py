@@ -256,29 +256,21 @@ def crossfade_gains(position, coherent: bool):
 # streaming FIR ----------------------------------------------------------
 
 class BlockFIR:
-    """Streaming FIR filter bank by overlap-save: one input row feeds one
-    row of taps per output row (single-input multiple-output).
+    """Streaming FIR filter bank by uniformly partitioned overlap-save (Wefers
+    2015, ch. 5): one input row feeds one row of taps per output row
+    (single-input multiple-output).
 
     taps is a sequence of FIRs, one per output row; shorter rows are
     zero-padded to the longest. process() takes a 1-D block and returns
-    rows x samples. Each block is transformed once and its spectrum
-    multiplied against every row's tap spectrum (Wefers 2015, ch. 5):
-
-    - A block at least as long as the taps goes through one forward real
-      FFT of size next_fast_len(block length + len(taps) - 1), over the
-      last len(taps) - 1 input samples followed by the block, and one
-      multi-row inverse FFT; the output is the part no wrap-around reaches.
-    - A shorter block of B samples uses uniformly partitioned overlap-save:
-      the taps are cut into P = ceil(len(taps) / B) partitions of B, and a
-      frequency-domain delay line keeps the spectra of the last P input
-      block pairs. Each block costs one forward FFT of 2B points, one
-      spectrum product per row for each partition from the first one not
-      zero in every row (leading zeros are a bulk delay), and one
-      multi-row inverse FFT.
-
-    The taps' transforms for each size are computed on first use and kept.
-    Block lengths may change between calls: the delay line is rebuilt from
-    the last len(taps) - 1 input samples.
+    rows x samples. The first block's length B fixes the partition size:
+    the taps are cut into P = ceil(len(taps) / B) partitions of B and
+    transformed once, and every later block must be B samples long too; an
+    empty block or one of another length raises ValueError. The last 2B
+    input samples are the only history, and a frequency-domain delay line,
+    zeros at the start, keeps the spectra of the last P input block pairs.
+    Each block costs one forward FFT of 2B points, one spectrum product per
+    row for each partition from the first one not zero in every row
+    (leading zeros are a bulk delay), and one multi-row inverse FFT.
     """
 
     def __init__(self, taps):
@@ -289,90 +281,43 @@ class BlockFIR:
         self.taps = np.zeros((len(rows), length))
         for i, r in enumerate(rows):
             self.taps[i, : len(r)] = r
-        self._spectra: dict[int, np.ndarray] = {}
-        self._partitions: dict[int, np.ndarray] = {}
-        # The last len(taps) - 1 input samples, current while no delay line
-        # is; the partitioned path keeps its input in _history instead.
-        self._tail = np.zeros(length - 1)
-        self._history: np.ndarray | None = None   # P * B
-        self._fdl: np.ndarray | None = None       # P x B + 1, newest first
+        self._first = 0                             # leading zero partitions
+        self._parts: np.ndarray | None = None       # (P - first) x rows x B + 1
+        self._history: np.ndarray | None = None     # 2B
+        self._fdl: np.ndarray | None = None         # P x B + 1, newest first
 
-    def _taps_spectrum(self, size: int) -> np.ndarray:
-        spectrum = self._spectra.get(size)
-        if spectrum is None:
-            spectrum = self._spectra[size] = sp_fft.rfft(self.taps, size, axis=1)
-        return spectrum
-
-    def _partition_spectra(self, size: int) -> tuple[int, int, np.ndarray]:
-        """(P, first, spectra): the taps cut into P partitions of size
-        samples, and the transforms, each zero-padded to 2 * size, of
-        partitions first..P-1 as (P - first) x rows x (size + 1). The
-        partitions before first are zero in every row (a bulk delay), so
-        their products would add exact zeros."""
-        entry = self._partitions.get(size)
-        if entry is None:
-            rows, length = self.taps.shape
-            count = -(-length // size)
-            padded = np.zeros((rows, count * size))
-            padded[:, :length] = self.taps
-            parts = padded.reshape(rows, count, size).transpose(1, 0, 2)
-            first = int(np.argmax(np.any(parts != 0.0, axis=(1, 2))))
-            entry = self._partitions[size] = (
-                count, first, sp_fft.rfft(parts[first:], 2 * size, axis=2))
-        return entry
-
-    def _input_tail(self) -> np.ndarray:
-        """The last len(taps) - 1 input samples; drops the delay line."""
-        if self._history is not None:
-            k = len(self._tail)
-            self._tail = self._history[len(self._history) - k :].copy()
-            self._history = self._fdl = None
-        return self._tail
-
-    def _rebuild_delay_line(self, size: int, count: int) -> None:
-        """Delay line for blocks of size samples, from the input tail.
-
-        _history holds the last count blocks of input; samples older than
-        the tail are zeros, as they meet only zero taps. Slot j of the
-        delay line holds the spectrum of the block pair ending j blocks
-        before the next block; the last slot is shifted out unread.
-        """
-        tail = self._input_tail()
-        history = np.zeros(count * size)
-        history[len(history) - len(tail) :] = tail
-        pairs = np.lib.stride_tricks.sliding_window_view(history, 2 * size)[::size]
-        fdl = np.zeros((count, size + 1), dtype=complex)
-        fdl[: count - 1] = sp_fft.rfft(pairs, axis=1)[::-1]
-        self._history, self._fdl = history, fdl
+    def _partition(self, size: int) -> None:
+        """Cut the taps into partitions of size samples and transform
+        partitions first..P-1, each zero-padded to 2 * size; the partitions
+        before first are zero in every row (a bulk delay), so their products
+        would add exact zeros."""
+        rows, length = self.taps.shape
+        count = -(-length // size)
+        padded = np.zeros((rows, count * size))
+        padded[:, :length] = self.taps
+        parts = padded.reshape(rows, count, size).transpose(1, 0, 2)
+        self._first = int(np.argmax(np.any(parts != 0.0, axis=(1, 2))))
+        self._parts = sp_fft.rfft(parts[self._first :], 2 * size, axis=2)
+        self._history = np.zeros(2 * size)
+        self._fdl = np.zeros((count, size + 1), dtype=complex)
 
     def process(self, block: np.ndarray) -> np.ndarray:
         """Filter one 1-D block; returns rows x samples."""
         block = np.asarray(block, dtype=float)
-        if 0 < len(block) < self.taps.shape[1]:
-            return self._process_partitioned(block)
-        return self._process_whole(block)
-
-    def _process_whole(self, block: np.ndarray) -> np.ndarray:
-        tail = self._input_tail()
-        n, k = len(block), len(tail)
-        ext = np.concatenate([tail, block]) if k else block
-        size = sp_fft.next_fast_len(n + k, real=True)
-        spectrum = sp_fft.rfft(ext, size) * self._taps_spectrum(size)
-        if k:
-            self._tail = ext[-k:]
-        return sp_fft.irfft(spectrum, size, axis=1)[:, k : k + n]
-
-    def _process_partitioned(self, block: np.ndarray) -> np.ndarray:
         size = len(block)
-        count, first, parts = self._partition_spectra(size)
-        if self._fdl is None or self._fdl.shape[1] != size + 1:
-            self._rebuild_delay_line(size, count)
+        if self._history is None:
+            if not size:
+                raise ValueError("an empty block cannot fix the block length")
+            self._partition(size)
+        elif 2 * size != len(self._history):
+            raise ValueError(f"a block of {size} samples; this filter takes "
+                             f"blocks of {len(self._history) // 2}")
         history, fdl = self._history, self._fdl
-        history[:-size] = history[size:]
-        history[-size:] = block
+        history[:size] = history[size:]
+        history[size:] = block
         fdl[1:] = fdl[:-1]
-        fdl[0] = sp_fft.rfft(history[-2 * size :])
-        spectrum = (fdl[first:, None, :] * parts).sum(axis=0)
+        fdl[0] = sp_fft.rfft(history)
+        spectrum = (fdl[self._first :, None, :] * self._parts).sum(axis=0)
         return sp_fft.irfft(spectrum, 2 * size, axis=1)[:, size:]
 
 

@@ -18,8 +18,9 @@ place.
 Each finished block is checked for finiteness and streamed into the WAV;
 the engine keeps only the output of the metric window still open (about
 one interval), not the whole programme. The WAV is written beside its
-target and takes its name only when the render has finished and every
-number in the report is finite, so a failed render leaves no output.
+target and takes its name only when the render has finished, every
+number in the report is finite and the report and metrics are written, so
+a failed render leaves no output.
 """
 
 from __future__ import annotations
@@ -322,8 +323,10 @@ def run_render(job: RenderJob) -> RenderResult:
     intervals: list[dict] = []
     levels: list[tuple[float, list[float]]] = []
     # The WAV streams into a file beside out_path and takes its name only
-    # once the render and its report are known good.
+    # once the render is known good and its report and metrics are written;
+    # a failure removes the partial WAV and whichever of those it wrote.
     partial = job.out_path + ".partial"
+    written = [partial]
     try:
         write_wav(partial, fs, _render_blocks(
             job, scene, scenario, timeline, rulebook, selection,
@@ -346,18 +349,22 @@ def run_render(job: RenderJob) -> RenderResult:
             report_text = json.dumps(report, indent=2, allow_nan=False)
         except ValueError as exc:
             raise JobError(f"report holds a non-finite number: {exc}") from exc
+        with open(report_path, "w", encoding="utf-8") as fh:
+            written.append(report_path)
+            fh.write(report_text)
+            fh.write("\n")
+        with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
+            written.append(metrics_path)
+            writer = csv.writer(fh)
+            writer.writerow(METRICS_HEADER)
+            for t_s, name, value in _metric_rows(intervals, levels):
+                writer.writerow([f"{t_s:.6f}", name, f"{value:.6f}"])
         os.replace(partial, job.out_path)
+        written.clear()
     finally:
-        if os.path.exists(partial):
-            os.remove(partial)
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(report_text)
-        fh.write("\n")
-    with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER)
-        for t_s, name, value in _metric_rows(intervals, levels):
-            writer.writerow([f"{t_s:.6f}", name, f"{value:.6f}"])
+        for path in written:
+            if os.path.exists(path):
+                os.remove(path)
 
     return RenderResult(
         out_path=job.out_path, report_path=report_path,
@@ -516,7 +523,7 @@ def _interval_record(t_s, noise, ctx, measured, projected,
                 "object_id": a.object_id,
                 "renderer": a.renderer.label(),
                 "speakers": list(a.speaker_subset),
-                "subset": a.param("subset_kind", "all"),
+                "subset": a.subset_kind,
             }
             for a in assignments
         ],

@@ -356,8 +356,11 @@ class RenderState:
 
     A drive with FIRs runs as one filter bank (fir) fed the mono block: row
     r's taps fold its gain, delay and FIR into one filter (_folded_taps).
-    A drive without FIRs (VBAP, AmbiMM, AP1, WFS) keeps the gains and one
-    delay line over its rows (delay; None when no row is delayed).
+    The first block's length fixes the filter's partition size, so every
+    block rendered with this state must have that length. A drive without
+    FIRs (VBAP, AmbiMM, AP1, WFS) keeps the gains and one delay line over
+    its rows (delay; None when no row is delayed), which takes blocks of any
+    length.
     """
 
     fingerprint: tuple
@@ -377,6 +380,8 @@ def _folded_taps(gain: float, delay_s: float, fir, sample_rate: int) -> np.ndarr
 
 
 def new_render_state(drive: DrivingFunction) -> RenderState:
+    """Streaming state for a drive, before its first block: a filter bank
+    whose block length the first render_block call fixes, or a delay line."""
     if any(f is not None for f in drive.firs):
         return RenderState(fingerprint=drive.fingerprint(), fir=BlockFIR([
             _folded_taps(g, d, f, drive.sample_rate)
@@ -397,7 +402,8 @@ def render_block(stem_block: np.ndarray, drive: DrivingFunction,
     product of the gains and the block, then, when a row is delayed, one
     fractional_delay call over every row. Returns the samples, block length
     x subset speakers in drive order. The state must have been created for
-    this exact driving function.
+    this exact driving function; with FIRs, every block must have the
+    length of the first one rendered with it (a ValueError otherwise).
     """
     if state.fingerprint != drive.fingerprint():
         raise StateMismatch("render state belongs to a different driving function")

@@ -52,13 +52,15 @@ PM_DESIGN_MEMO_SIZE = 64
 
 @dataclass(frozen=True)
 class RendererAssignment:
+    """One object's renderer and speakers. subset_kind names the selection
+    row's subset rule the speakers came from; it is "all" for the AP1
+    backstop and when a row's subset was too small for the ambisonic order
+    and the whole band-capable layout stood in."""
+
     object_id: str
     renderer: RendererClass
     speaker_subset: tuple[str, ...]
-    params: tuple = ()
-
-    def param(self, name, default=None):
-        return dict(self.params).get(name, default)
+    subset_kind: str = "all"
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +267,7 @@ def build_drive(assignment: RendererAssignment, layout: SpeakerLayout,
     elif kind is RendererKind.PM_SINGLE_ZONE:
         if obj.position is None or obj.position.distance_m is None:
             raise SourceInsideArray("pressure matching needs a source distance")
-        beta = float(assignment.param("beta", PM_BETA_DEFAULT))
-        design = pm_design(tuple(dirs), obj.position, beta, sample_rate)
+        design = pm_design(tuple(dirs), obj.position, PM_BETA_DEFAULT, sample_rate)
         # calibrate so the reproduced zone pressure sits at stem level
         scale = 4.0 * math.pi * float(obj.position.distance_m)
         firs = tuple(f * scale for f in design.firs)
@@ -298,7 +299,7 @@ def _candidate(rule: SelectionRule, layout: SpeakerLayout, obj: AudioObject,
     if not subset:
         return None
     kind = RendererKind(rule.renderer)
-    params: list[tuple] = [("subset_kind", rule.subset)]
+    subset_kind = rule.subset
     order = None
     if kind is RendererKind.AMBI_MM:
         if rule.order == "highest" or rule.order is None:
@@ -307,7 +308,7 @@ def _candidate(rule: SelectionRule, layout: SpeakerLayout, obj: AudioObject,
                 subset = band_capable_subset(layout.speakers, obj, sample_rate,
                                              band_fractions)
                 order = max_ambi_order(len(subset))
-                params[0] = ("subset_kind", "all")
+                subset_kind = "all"
             if order < 1:
                 return None
         else:
@@ -315,7 +316,7 @@ def _candidate(rule: SelectionRule, layout: SpeakerLayout, obj: AudioObject,
             if len(subset) < 2 * order + 1:
                 subset = band_capable_subset(layout.speakers, obj, sample_rate,
                                              band_fractions)
-                params[0] = ("subset_kind", "all")
+                subset_kind = "all"
             if len(subset) < 2 * order + 1:
                 return None
     elif kind is RendererKind.WFS_GAIN_DELAY:
@@ -324,15 +325,12 @@ def _candidate(rule: SelectionRule, layout: SpeakerLayout, obj: AudioObject,
             return None
         by_id = {s.speaker_id: s for s in subset}
         subset = [by_id[sid] for sid in segment]
-        params.append(("segment", True))
-    elif kind is RendererKind.PM_SINGLE_ZONE:
-        params.append(("beta", PM_BETA_DEFAULT))
 
     return RendererAssignment(
         object_id=obj.object_id,
         renderer=RendererClass(kind, order),
         speaker_subset=tuple(s.speaker_id for s in subset),
-        params=tuple(params),
+        subset_kind=subset_kind,
     )
 
 
@@ -389,7 +387,6 @@ def select_renderer(obj: AudioObject, layout: SpeakerLayout,
         object_id=obj.object_id,
         renderer=RendererClass(RendererKind.AP1_NEAREST),
         speaker_subset=tuple(layout.ids()),
-        params=(("subset_kind", "all"),),
     )
     return fallback
 

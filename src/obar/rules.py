@@ -326,9 +326,6 @@ class RuleAction:
     params: tuple = ()
     select: Expression | None = None
 
-    def param(self, name):
-        return dict(self.params)[name]
-
 
 @dataclass(frozen=True)
 class AdaptationRule:

@@ -11,7 +11,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from obar import demo
 from obar.adapt import (

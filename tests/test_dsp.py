@@ -244,36 +244,56 @@ class TestCrossfades:
 
 class TestBlockFIR:
     def test_blockwise_equals_full_convolution(self):
+        """1024-sample blocks against 1024 taps: one partition per row. The
+        signal's last block is zero-padded to the block length, as the
+        engine pads a stem's end."""
         rng = np.random.default_rng(9)
         x = rng.standard_normal(10000)
         h = rng.standard_normal(1024) * 0.03
         full = np.convolve(x, h)[: len(x)]
         fir = dsp.BlockFIR([h])
-        parts = [fir.process(x[i : i + 1024]) for i in range(0, len(x), 1024)]
-        assert np.max(np.abs(np.concatenate(parts, axis=1)[0] - full)) < 1e-9
-
+        padded = np.concatenate([x, np.zeros(-len(x) % 1024)])
+        parts = [fir.process(padded[i : i + 1024]) for i in range(0, len(x), 1024)]
+        out = np.concatenate(parts, axis=1)[0, : len(x)]
+        assert np.max(np.abs(out - full)) < 1e-9
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 1100),
-           st.lists(st.integers(1, 3000), min_size=1, max_size=6),
-           st.integers(1, 12), st.integers(0, 2**32 - 1))
-    def test_changing_block_lengths_equal_full_convolution(
-            self, n_taps, lengths, rows, seed):
-        """One input row feeds every row of taps. Blocks shorter than the
-        taps take the partitioned path, longer ones the single-transform
-        path; both, in any order, give row r = np.convolve(x, h[r])."""
+    @given(st.integers(1, 1100), st.booleans(), st.integers(1, 6),
+           st.integers(1, 12), st.integers(0, 2**32 - 1), st.data())
+    def test_any_block_length_equals_full_convolution(
+            self, n_taps, shorter, blocks, rows, seed, data):
+        """One input row feeds every row of taps, in blocks of one length
+        drawn up to the tap count (several partitions) or from it up (one
+        partition); row r = np.convolve(x, h[r]) either way."""
+        size = data.draw(st.integers(1, n_taps) if shorter
+                         else st.integers(n_taps, 3000))
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal(sum(lengths))
+        x = rng.standard_normal(size * blocks)
         h = [rng.standard_normal(rng.integers(1, n_taps + 1)) / math.sqrt(n_taps)
              for _ in range(rows)]
         fir = dsp.BlockFIR(h)
-        edges = np.cumsum([0] + lengths)
         out = np.concatenate(
-            [fir.process(x[a:b]) for a, b in zip(edges[:-1], edges[1:])], axis=1)
+            [fir.process(x[i : i + size]) for i in range(0, len(x), size)], axis=1)
         assert out.shape == (rows, len(x))
         for r in range(rows):
             full = np.convolve(x, h[r])[: len(x)]
             assert np.max(np.abs(out[r] - full)) < 1e-12
+
+    @pytest.mark.parametrize("first", [100, 1024, 3000])
+    def test_block_length_change_rejected(self, first):
+        fir = dsp.BlockFIR([np.ones(1024)])
+        fir.process(np.zeros(first))
+        for other in (first - 1, first + 1, 0):
+            with pytest.raises(ValueError, match=f"blocks of {first}"):
+                fir.process(np.zeros(other))
+        assert fir.process(np.ones(first)).shape == (1, first)
+
+    def test_empty_first_block_rejected(self):
+        fir = dsp.BlockFIR([np.ones(8)])
+        with pytest.raises(ValueError, match="empty block"):
+            fir.process(np.zeros(0))
+        out = fir.process(np.ones(4))
+        assert np.max(np.abs(out[0] - [1.0, 2.0, 3.0, 4.0])) < 1e-12
 
     @pytest.mark.parametrize("taps", [[], np.array([]), [[]], [np.zeros(0)] * 2])
     def test_no_taps_rejected(self, taps):
@@ -292,7 +312,7 @@ class TestBlockFIR:
             return rfft(a, n, axis, **kwargs)
 
         fir = dsp.BlockFIR(h)
-        fir.process(x[:256])          # designs the partitions and delay line
+        fir.process(x[:256])          # fixes the block length, transforms the taps
         monkeypatch.setattr(dsp.sp_fft, "rfft", counting_rfft)
         out = [fir.process(x[i : i + 256]) for i in range(256, len(x), 256)]
         assert sizes == [512] * len(out)

@@ -846,6 +846,24 @@ class TestCLI:
         assert not os.path.exists(out)
         assert not os.path.exists(out + ".report.json")
 
+    @pytest.mark.parametrize("flag", ["--report", "--metrics"])
+    def test_unwritable_report_or_metrics_leaves_no_output(
+            self, tmp_path, capsys, flag):
+        """A report or metrics path in a missing directory ends in one
+        cli_io line and exit 1, and leaves no WAV, partial file, report or
+        metrics CSV behind."""
+        d, scene, scenario = self.demo_paths(tmp_path)
+        before = set(os.listdir(d))
+        rc = cli_main(["render", "--scene", scene, "--scenario", scenario,
+                       "--out", os.path.join(d, "x.wav"),
+                       flag, os.path.join(d, "no", "such", "dir", "r.json")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert "Traceback" not in err
+        assert err.count("\n") == 0, err
+        assert err.startswith("error [cli_io]: "), err
+        assert set(os.listdir(d)) == before
+
     def test_non_finite_block_mid_stream_leaves_no_output(
             self, tmp_path, capsys, monkeypatch):
         """A block that turns non-finite after the first interval, when

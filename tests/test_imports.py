@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is read somewhere in it, and
-every name a module defines at top level is read somewhere in the program."""
+"""Every name a module of the package or of the tests imports is read
+somewhere in it, and every name a module of the package defines at top level
+is read somewhere in the program."""
 
 import ast
 import collections
@@ -10,6 +11,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).parents[1]
 SOURCES = sorted((ROOT / "src" / "obar").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 # The program: the package, its scripts and its benchmark; not the tests.
 PROGRAM = SOURCES + sorted((ROOT / "scripts").glob("*.py")) + sorted(
     p for p in (ROOT / "perfbench").rglob("*.py")
@@ -32,7 +34,9 @@ def _unused_imports(source: str) -> list[str]:
                   if name not in read)
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+@pytest.mark.parametrize(
+    "path", SOURCES + TESTS,
+    ids=[p.name for p in SOURCES] + [f"tests/{p.name}" for p in TESTS])
 def test_module_reads_every_name_it_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -381,8 +381,10 @@ def _per_speaker_fractional_delay(block, history, delay_s, sample_rate=FS):
 def _batched_cases(draw):
     """(gains, delays_s, firs, block lengths, signal seed) for 1-12 speakers:
     delays of each kind (none, whole samples, under one sample, fractional),
-    FIR rows of 1-1100 taps mixed with unfiltered rows, and blocks whose
-    length changes from call to call."""
+    FIR rows of 1-1100 taps mixed with unfiltered rows, and 1-5 blocks of
+    one length from 1 to 3000 (a render state takes one block length),
+    shorter or longer than the folded taps, so the filter runs with several
+    partitions or with one."""
     count = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     delays = []
@@ -397,7 +399,7 @@ def _batched_cases(draw):
                  for n in lengths)
     if draw(st.booleans()) and all(f is None for f in firs):
         firs = ()
-    blocks = draw(st.lists(st.integers(1, 3000), min_size=1, max_size=5))
+    blocks = [draw(st.integers(1, 3000))] * draw(st.integers(1, 5))
     return (rng.uniform(-1.0, 1.0, count), np.array(delays), firs, blocks,
             draw(st.integers(0, 2**32 - 1)))
 
@@ -459,10 +461,10 @@ class TestRenderBlock:
         """Twenty equal blocks cost one transform of the taps for the whole
         drive and one forward transform of the mono input per block, not
         one per speaker or per block. The folded taps (1024 decorrelator
-        taps after a delay of up to 113.76 samples) are longer than the
-        block, so the partitioned path runs: its delay line is built once,
-        from the one input row, and each transform is told apart by the
-        shape of what it transforms."""
+        taps after a delay of up to 113.76 samples) span two partitions of
+        the block; the delay line starts at zeros, so nothing else is
+        transformed, and each transform is told apart by the shape of what
+        it transforms."""
         gains, firs = diffuse_gains(4)
         drive = self._drive(gains, [0.0, 0.001, 0.0, 0.00237], firs=firs)
         state = new_render_state(drive)
@@ -480,7 +482,6 @@ class TestRenderBlock:
             render_block(rng.standard_normal(1024), drive, state)
         assert shapes == (
             [(2, 4, 1024)]        # the taps: 2 partitions x 4 rows x 1024
-            + [(1, 2048)]         # the delay line: 1 block pair of the input
             + [(2048,)] * 20)     # each block: the newest input pair
 
     def test_distant_pm_source_skips_leading_zero_partitions(self):
@@ -528,7 +529,8 @@ class TestRenderBlock:
     def test_filtered_drive_is_one_filter_call_per_block(self, monkeypatch):
         """A drive with FIRs, delays and an unfiltered row renders each
         block with one BlockFIR.process call on the mono block and no
-        fractional_delay call; a drive without FIRs keeps the delay line."""
+        fractional_delay call, with blocks shorter and longer than the
+        folded taps; a drive without FIRs keeps the delay line."""
         rng = np.random.default_rng(5)
         calls = []
         process = dsp.BlockFIR.process
@@ -546,10 +548,11 @@ class TestRenderBlock:
         monkeypatch.setattr(renderers, "fractional_delay", counting_delay)
         wet = self._drive([0.8, -0.3, 0.5], [0.0015, 0.0, 0.00071],
                           firs=(rng.standard_normal(64), None, rng.standard_normal(9)))
-        state = new_render_state(wet)
-        for n in (256, 1024, 100):
-            render_block(rng.standard_normal(n), wet, state)
-        assert calls == [("fir", 1)] * 3
+        for n in (100, 1024):
+            state = new_render_state(wet)
+            for _ in range(3):
+                render_block(rng.standard_normal(n), wet, state)
+        assert calls == [("fir", 1)] * 6
         calls.clear()
         dry = self._drive([0.8, -0.3], [0.0015, 0.0])
         render_block(rng.standard_normal(256), dry, new_render_state(dry))

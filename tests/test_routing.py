@@ -36,8 +36,6 @@ from obar.scene import (
     AdvancedMetadata,
     AudioObject,
     ObjectType,
-    Scene,
-    SceneTargets,
     Stem,
     parse_scene,
 )
@@ -283,7 +281,7 @@ class TestSelection:
         assignment = select_renderer(narrator, layout, nearest_device="s1")
         assert assignment.renderer.kind is RendererKind.AP1_NEAREST
         assert assignment.speaker_subset == ("s1",)
-        assert assignment.param("subset_kind") == "nearest_device"
+        assert assignment.subset_kind == "nearest_device"
 
     def test_onscreen_dialogue_pans(self):
         layout = self._ring()
@@ -310,7 +308,7 @@ class TestSelection:
         assignment = select_renderer(bed, layout, "s0")
         assert assignment.renderer.kind is RendererKind.AMBI_MM
         # backdrop (|az| > 90) on an 8-ring leaves 3 speakers: order 1
-        assert assignment.param("subset_kind") == "backdrop"
+        assert assignment.subset_kind == "backdrop"
         assert assignment.renderer.order == 1
 
     def test_ambience_backdrop_falls_back_to_full_ring(self):
@@ -318,7 +316,7 @@ class TestSelection:
         bed = make_object("bed", ObjectType.AMBIENCE, az=180.0)
         assignment = select_renderer(bed, layout, "s0")
         assert assignment.renderer.kind is RendererKind.AMBI_MM
-        assert assignment.param("subset_kind") == "all"
+        assert assignment.subset_kind == "all"
         assert assignment.renderer.order == 2
 
     def test_diffuse_type_decorrelates(self):
@@ -349,7 +347,6 @@ class TestSelection:
         score = make_object("score", ObjectType.MUSIC, az=15.0, dist=4.0)
         assignment = select_renderer(score, self._ring(), "s0")
         assert assignment.renderer.kind is RendererKind.PM_SINGLE_ZONE
-        assert assignment.param("beta") == pytest.approx(1e-3)
 
     def test_music_without_position_mode_matches(self):
         score = make_object("score", ObjectType.MUSIC, position=None)
@@ -434,8 +431,7 @@ class TestDriveBuilding:
         zone: per-frequency mismatch stays under 20% through the mid band."""
         layout = make_layout(ring_speakers(5))
         assignment = RendererAssignment(
-            "o", RendererClass(RendererKind.PM_SINGLE_ZONE), layout.ids(),
-            params=(("beta", 1e-3),))
+            "o", RendererClass(RendererKind.PM_SINGLE_ZONE), layout.ids())
         source = Direction3(0.0, 0.0, 4.0)
         drive = build_drive(assignment, layout, make_object(position=source), FS)
         assert len(drive.firs) == 5
@@ -466,11 +462,11 @@ class TestDriveBuilding:
             assert err < 0.2, (f_hz, err)
 
 
-def _fresh_pm_drive(layout, ids, source, beta):
+def _fresh_pm_drive(layout, ids, source):
     """build_drive's PM branch on an unmemoised pm_filters solve."""
     design = renderers.pm_filters(
         [layout.by_id(s).position for s in ids], pm_control_points(), source,
-        beta=beta, sample_rate=FS)
+        beta=renderers.PM_BETA_DEFAULT, sample_rate=FS)
     scale = 4.0 * np.pi * source.distance_m
     delays = np.array(design.align_delays_s, dtype=float)
     if delays.min() < 0.0:
@@ -481,14 +477,13 @@ def _fresh_pm_drive(layout, ids, source, beta):
 class TestPMDesignMemo:
     @settings(max_examples=25, deadline=None)
     @given(count=st.integers(3, 12), az=st.floats(-180.0, 180.0),
-           dist=st.floats(2.5, 8.0), beta=st.sampled_from([1e-4, 1e-3, 1e-2]))
-    def test_memoised_drive_equals_fresh_solve(self, count, az, dist, beta):
+           dist=st.floats(2.5, 8.0))
+    def test_memoised_drive_equals_fresh_solve(self, count, az, dist):
         layout = make_layout(ring_speakers(count))
         source = Direction3(az, 0.0, dist)
         assignment = RendererAssignment(
-            "o", RendererClass(RendererKind.PM_SINGLE_ZONE), layout.ids(),
-            params=(("beta", beta),))
-        firs, delays = _fresh_pm_drive(layout, layout.ids(), source, beta)
+            "o", RendererClass(RendererKind.PM_SINGLE_ZONE), layout.ids())
+        firs, delays = _fresh_pm_drive(layout, layout.ids(), source)
         pm_design.cache_clear()
         for _ in range(3):
             drive = build_drive(assignment, layout, make_object(position=source), FS)
@@ -524,8 +519,7 @@ class TestPMDesignMemo:
     def test_each_geometry_is_solved_once_through_the_module_global(self, solves):
         layout = make_layout(ring_speakers(6))
         assignment = RendererAssignment(
-            "o", RendererClass(RendererKind.PM_SINGLE_ZONE), layout.ids(),
-            params=(("beta", 1e-3),))
+            "o", RendererClass(RendererKind.PM_SINGLE_ZONE), layout.ids())
         near, far = Direction3(20.0, 0.0, 3.0), Direction3(20.0, 0.0, 4.0)
         for source in (near, far, near, far, near):
             build_drive(assignment, layout, make_object(position=source), FS)
@@ -534,8 +528,7 @@ class TestPMDesignMemo:
     def test_source_inside_array_raises_on_every_call(self, solves):
         layout = make_layout(ring_speakers(5))
         assignment = RendererAssignment(
-            "o", RendererClass(RendererKind.PM_SINGLE_ZONE), layout.ids(),
-            params=(("beta", 1e-3),))
+            "o", RendererClass(RendererKind.PM_SINGLE_ZONE), layout.ids())
         # a control point of the zone: the source coincides with it
         inside = make_object(position=Direction3(0.0, 0.0, PM_ZONE_RADIUS_M))
         for _ in range(3):
