@@ -271,6 +271,8 @@ class BlockFIR:
     Each block costs one forward FFT of 2B points, one spectrum product per
     row for each partition from the first one not zero in every row
     (leading zeros are a bulk delay), and one multi-row inverse FFT.
+    spectrum() stops before the inverse FFT, so filters whose outputs are
+    summed can share one output() call.
     """
 
     def __init__(self, taps):
@@ -301,8 +303,10 @@ class BlockFIR:
         self._history = np.zeros(2 * size)
         self._fdl = np.zeros((count, size + 1), dtype=complex)
 
-    def process(self, block: np.ndarray) -> np.ndarray:
-        """Filter one 1-D block; returns rows x samples."""
+    def spectrum(self, block: np.ndarray) -> np.ndarray:
+        """Take one 1-D block into the filter; returns its output spectrum,
+        rows x B + 1, before the inverse transform. The filter is linear,
+        so output() of a sum of spectra is the sum of the blocks' outputs."""
         block = np.asarray(block, dtype=float)
         size = len(block)
         if self._history is None:
@@ -317,8 +321,18 @@ class BlockFIR:
         history[size:] = block
         fdl[1:] = fdl[:-1]
         fdl[0] = sp_fft.rfft(history)
-        spectrum = (fdl[self._first :, None, :] * self._parts).sum(axis=0)
-        return sp_fft.irfft(spectrum, 2 * size, axis=1)[:, size:]
+        return (fdl[self._first :, None, :] * self._parts).sum(axis=0)
+
+    @staticmethod
+    def output(spectrum: np.ndarray) -> np.ndarray:
+        """The samples of an output spectrum, rows x B + 1 -> rows x B: the
+        last B points of its 2B-point inverse transform."""
+        size = spectrum.shape[-1] - 1
+        return sp_fft.irfft(spectrum, 2 * size, axis=-1)[..., size:]
+
+    def process(self, block: np.ndarray) -> np.ndarray:
+        """Filter one 1-D block; returns rows x samples."""
+        return self.output(self.spectrum(block))
 
 
 def decorrelator_fir(index: int) -> np.ndarray:

@@ -8,6 +8,13 @@ holds from the previous interval, the lane starts a timed crossfade from the
 old drive to the new one; metadata-only changes (levels, positions,
 directives) step at the block boundary instead.
 
+Each block mixes in three parts (_mix_block). Steady lanes with FIRs
+(pressure matching, diffuse) sum their output spectra per channel and share
+one inverse transform; steady gain-only lanes (VBAP, AmbiMM, AP1) are one
+matrix product of their mono segments and channel gain rows; fading lanes
+and delay-line lanes (WFS) render one by one, because a fade weighs each
+sample after the filter.
+
 An adapted object's directive chain (tilt, time shift, decorrelation) is
 read for one interval plus, when its lane fades out, the crossfade. So each
 interval filters a chain only over that window, started early enough for
@@ -46,6 +53,7 @@ from .context import (
 from .dsp import (
     BLOCK_SIZE,
     DEFAULT_SEED,
+    BlockFIR,
     apply_directives,
     crossfade_gains,
     directive_margins,
@@ -54,7 +62,12 @@ from .dsp import (
     rms_db,
 )
 from .errors import JobError
-from .renderers import DrivingFunction, new_render_state, render_block
+from .renderers import (
+    DrivingFunction,
+    new_render_state,
+    render_block,
+    render_spectrum,
+)
 from .routing import BandFractions, build_drive, route
 from .rules import (
     default_rulebook,
@@ -69,6 +82,8 @@ CONTEXT_INTERVAL_S = 2.0
 REPORT_SCHEMA_VERSION = "render-report v1"
 METRICS_HEADER = ("t_s", "metric", "value")
 DEFAULT_CROSSFADE_S = 1.0
+# Stages whose wall seconds the report sums under "timing", beside render_s.
+STAGES = ("measure_s", "adapt_s", "route_s", "build_s", "mix_s")
 
 
 @dataclass(frozen=True)
@@ -114,7 +129,9 @@ class _Lane:
     Holds the live driving function plus, during a crossfade, the outgoing
     one. Source is the directive-processed mono signal (a _Source); gain is
     the linear object level applied at mix time; cols are the drive's
-    output columns.
+    output columns. gain_row is the drive's gains spread over every output
+    channel (zeros off its subset) when the drive has neither FIRs nor a
+    delay line, else None.
     """
 
     def __init__(self, assignment, drive, source, gain, chan_index):
@@ -132,6 +149,10 @@ class _Lane:
         self.drive = drive
         self.state = new_render_state(drive)
         self.cols = _columns(drive, self.chan_index)
+        self.gain_row = None
+        if _gains_only(drive):
+            self.gain_row = np.zeros(len(self.chan_index))
+            self.gain_row[self.cols] = drive.gains
 
     def begin_fade(self, assignment, drive, source, gain, start_s, duration_s):
         # A change arriving mid-fade snaps the previous fade to its endpoint.
@@ -158,6 +179,59 @@ class _Lane:
 def _columns(drive: DrivingFunction, chan_index: dict) -> np.ndarray:
     """The output column index of each of a drive's speakers."""
     return np.array([chan_index[sid] for sid in drive.speaker_ids], dtype=np.intp)
+
+
+def _mix_block(lanes, t0: int, fs: int, out: np.ndarray) -> None:
+    """Add the block of every lane that starts at sample t0 into out
+    (block samples x channels, zeroed by the caller).
+
+    Every renderer is linear, so lanes mix in three groups:
+    - a steady lane (no fade running) whose drive has FIRs adds its output
+      spectrum (render_spectrum) into one spectrum per channel, and one
+      BlockFIR.output turns the sum into samples;
+    - a steady lane with neither FIRs nor a delay line is one row of a
+      matrix product: the lane-gain-scaled mono segments, stacked, times
+      their lanes' gain_rows;
+    - a fading lane renders both of its drives with render_block, because
+      the fade weights act after the filter, and so does a steady lane on
+      a delay line (WFS).
+    Each lane's segment is read once per drive it renders.
+    """
+    block, n_channels = out.shape
+    spectrum = None
+    segments, gain_rows = [], []
+    times = None
+    for lane in lanes:
+        seg = lane.source.segment(t0, block) * lane.gain
+        if lane.old is None:
+            if lane.state.fir is not None:
+                if spectrum is None:
+                    spectrum = np.zeros((n_channels, block + 1), dtype=complex)
+                spectrum[lane.cols] += render_spectrum(seg, lane.drive, lane.state)
+            elif lane.gain_row is not None:
+                segments.append(seg)
+                gain_rows.append(lane.gain_row)
+            else:
+                out[:, lane.cols] += render_block(seg, lane.drive, lane.state)
+            continue
+        if times is None:
+            times = (t0 + np.arange(block)) / fs
+        position = np.clip(
+            (times - lane.fade_start_s)
+            / (lane.fade_end_s - lane.fade_start_s), 0.0, 1.0)
+        w_old, w_new = crossfade_gains(position, lane.fade_coherent)
+        rendered = render_block(seg, lane.drive, lane.state)
+        out[:, lane.cols] += rendered * w_new[:, None]
+        old_drive, old_state, old_source, old_gain, old_cols = lane.old
+        old_seg = old_source.segment(t0, block) * old_gain
+        old_rendered = render_block(old_seg, old_drive, old_state)
+        out[:, old_cols] += old_rendered * w_old[:, None]
+        if times[-1] >= lane.fade_end_s:
+            lane.old = None
+    if segments:
+        out += np.array(segments).T @ np.array(gain_rows)
+    if spectrum is not None:
+        out += BlockFIR.output(spectrum).T
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +354,23 @@ def _interval_proxy(scene, sources, t0, t1, noise, sample_rate):
     return band_snr_score(octave_band_levels(speech, sample_rate), combined)
 
 
+class _StageClock:
+    """Wall seconds summed per stage (STAGES). start() sets a mark;
+    lap(stage) charges the time since the mark to stage and moves it."""
+
+    def __init__(self):
+        self.totals = dict.fromkeys(STAGES, 0.0)
+        self._mark = time.perf_counter()
+
+    def start(self) -> None:
+        self._mark = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.totals[stage] += now - self._mark
+        self._mark = now
+
+
 def _promote_listener(listeners, listener_id):
     """Move the named listener into the dominant (first) slot."""
     if listener_id is None:
@@ -327,10 +418,11 @@ def run_render(job: RenderJob) -> RenderResult:
     # a failure removes the partial WAV and whichever of those it wrote.
     partial = job.out_path + ".partial"
     written = [partial]
+    clock = _StageClock()
     try:
         write_wav(partial, fs, _render_blocks(
             job, scene, scenario, timeline, rulebook, selection,
-            intervals, levels))
+            intervals, levels, clock))
         report = {
             "schema": REPORT_SCHEMA_VERSION,
             "scene": os.path.abspath(job.scene_path),
@@ -343,7 +435,11 @@ def run_render(job: RenderJob) -> RenderResult:
             "listener": scenario.listener.listener_id,
             "channels": [s.speaker_id for s in scenario.layout.speakers],
             "intervals": intervals,
-            "timing": {"render_s": round(time.perf_counter() - wall_start, 6)},
+            "timing": {
+                "render_s": round(time.perf_counter() - wall_start, 6),
+                **{stage: round(seconds, 6)
+                   for stage, seconds in clock.totals.items()},
+            },
         }
         try:
             report_text = json.dumps(report, indent=2, allow_nan=False)
@@ -372,14 +468,21 @@ def run_render(job: RenderJob) -> RenderResult:
 
 
 def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
-                   intervals, levels):
+                   intervals, levels, clock):
     """Render the scene block by block.
 
     Yields each finished block of output, samples x channels (float64), up
     to the scene's end; a view that is overwritten once the next block is
     asked for. Appends each interval's report record to intervals and, once
     output has passed the interval's metric window, (t_s, each channel's
-    RMS dB over the window) to levels.
+    RMS dB over the window) to levels. clock (a _StageClock) sums the time
+    of each context update's stages and of the block mixes:
+    - measure_s: the pristine and adapted sources' proxy measurements and
+      the context tracker's update, with the pristine sources' reads;
+    - adapt_s: apply_rules and the adapted directive chains;
+    - route_s: route;
+    - build_s: the drives and the lanes built from them;
+    - mix_s: _mix_block.
     """
     fs = scene.sample_rate
     n_total = scene.duration_samples
@@ -423,19 +526,25 @@ def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
             # Measure on the pristine mix so the adaptation derived from it
             # is a fixed point: the same noise always yields the same deficit
             # and hence the same actions, with no duck/release oscillation.
+            clock.start()
             pristine_sources = sources.for_scene(scene, *reads)
             measured = _interval_proxy(
                 scene, pristine_sources, window[0], window[1], noise, fs)
-
             ctx = tracker.update(scenario, scene, noise, measured)
+            clock.lap("measure_s")
+
             adapted, adapt_report = apply_rules(
                 scene, ctx, rulebook, preview_window=window)
+            clock.lap("adapt_s")
             assignments = route(adapted, scenario, ctx, selection,
                                 band_fractions=band_fractions)
+            clock.lap("route_s")
 
             adapted_sources = sources.for_scene(adapted, *reads)
+            clock.lap("adapt_s")
             projected = _interval_proxy(
                 adapted, adapted_sources, window[0], window[1], noise, fs)
+            clock.lap("measure_s")
 
             crossfades = []
             for assignment in assignments:
@@ -463,6 +572,7 @@ def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
                 if oid not in live:  # pruned objects stop at the boundary
                     del lanes[oid]
             sources.end_interval()
+            clock.lap("build_s")
 
             intervals.append(_interval_record(
                 t_s, noise, ctx, measured, projected,
@@ -472,26 +582,9 @@ def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
 
         out = buf[t0 - base : t0 - base + block]
         out.fill(0.0)
-        times = None
-        for lane in lanes.values():
-            seg = lane.source.segment(t0, block) * lane.gain
-            rendered = render_block(seg, lane.drive, lane.state)
-            if lane.old is None:
-                out[:, lane.cols] += rendered
-                continue
-            if times is None:
-                times = (t0 + np.arange(block)) / fs
-            position = np.clip(
-                (times - lane.fade_start_s)
-                / (lane.fade_end_s - lane.fade_start_s), 0.0, 1.0)
-            w_old, w_new = crossfade_gains(position, lane.fade_coherent)
-            out[:, lane.cols] += rendered * w_new[:, None]
-            old_drive, old_state, old_source, old_gain, old_cols = lane.old
-            old_seg = old_source.segment(t0, block) * old_gain
-            old_rendered = render_block(old_seg, old_drive, old_state)
-            out[:, old_cols] += old_rendered * w_old[:, None]
-            if times[-1] >= lane.fade_end_s:
-                lane.old = None
+        clock.start()
+        _mix_block(lanes.values(), t0, fs, out)
+        clock.lap("mix_s")
 
         end = min(t0 + block, n_total)
         if not np.all(np.isfinite(out[: end - t0])):

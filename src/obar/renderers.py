@@ -10,6 +10,9 @@ matching, diffuse) folds them into one row of taps per speaker and runs as
 one overlap-save filter bank fed the mono block, whose tap transforms are kept
 for the drive's lifetime. A drive without FIRs (VBAP, AmbiMM, AP1, WFS) stays
 on the gains and one delay line over every speaker, which is exact.
+render_spectrum stops a FIR drive's block before its inverse transform, so
+the engine can sum steady FIR lanes in one spectrum per output channel and
+invert once per block.
 """
 
 from __future__ import annotations
@@ -393,6 +396,11 @@ def new_render_state(drive: DrivingFunction) -> RenderState:
     )
 
 
+def _check_state(drive: DrivingFunction, state: RenderState) -> None:
+    if state.fingerprint != drive.fingerprint():
+        raise StateMismatch("render state belongs to a different driving function")
+
+
 def render_block(stem_block: np.ndarray, drive: DrivingFunction,
                  state: RenderState) -> np.ndarray:
     """One block through a driving function, all speakers together.
@@ -404,9 +412,12 @@ def render_block(stem_block: np.ndarray, drive: DrivingFunction,
     x subset speakers in drive order. The state must have been created for
     this exact driving function; with FIRs, every block must have the
     length of the first one rendered with it (a ValueError otherwise).
+
+    The engine calls this only for lanes that fade or sit on a delay line;
+    a steady lane with FIRs goes through render_spectrum, and a steady
+    gain-only lane needs no state at all (engine._mix_block).
     """
-    if state.fingerprint != drive.fingerprint():
-        raise StateMismatch("render state belongs to a different driving function")
+    _check_state(drive, state)
     block = np.asarray(stem_block, dtype=float)
     if state.fir is not None:
         return state.fir.process(block).T
@@ -415,3 +426,15 @@ def render_block(stem_block: np.ndarray, drive: DrivingFunction,
         rows, state.delay = fractional_delay(
             rows, state.delay, drive.delays_s, drive.sample_rate)
     return rows.T
+
+
+def render_spectrum(stem_block: np.ndarray, drive: DrivingFunction,
+                    state: RenderState) -> np.ndarray:
+    """One block through a drive with FIRs, stopped before the inverse
+    transform: the output spectrum, subset speakers x block length + 1
+    (BlockFIR.spectrum). BlockFIR.output of it is render_block's result,
+    transposed; spectra of several drives summed into shared rows give
+    their summed output from one inverse transform. The state is checked
+    and advanced exactly as render_block does."""
+    _check_state(drive, state)
+    return state.fir.spectrum(stem_block)

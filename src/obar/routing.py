@@ -212,17 +212,18 @@ def pm_control_points() -> tuple[Direction3, ...]:
 
 @functools.lru_cache(maxsize=PM_DESIGN_MEMO_SIZE)
 def pm_design(speaker_dirs: tuple[Direction3, ...], source: Direction3,
-              beta: float, sample_rate: int) -> PMDesign:
-    """Pressure-matching filters over the pm_control_points() zone.
+              sample_rate: int) -> PMDesign:
+    """Pressure-matching filters over the pm_control_points() zone, solved
+    at PM_BETA_DEFAULT.
 
-    Memoised on (speaker directions, source position, beta, sample rate),
-    the whole input of the solve, so a geometry that repeats across
+    Memoised on (speaker directions, source position, sample rate), the
+    whole input of the solve, so a geometry that repeats across
     intervals and trial builds is solved once. Designs are shared, so their
     arrays are read-only; errors are raised again on every call, never
     cached. Each miss calls pm_filters through this module's global name.
     """
     design = pm_filters(speaker_dirs, pm_control_points(), source,
-                        beta=beta, sample_rate=sample_rate)
+                        beta=PM_BETA_DEFAULT, sample_rate=sample_rate)
     for array in (design.freqs, design.spectra, design.firs, design.align_delays_s):
         array.flags.writeable = False
     return design
@@ -267,7 +268,7 @@ def build_drive(assignment: RendererAssignment, layout: SpeakerLayout,
     elif kind is RendererKind.PM_SINGLE_ZONE:
         if obj.position is None or obj.position.distance_m is None:
             raise SourceInsideArray("pressure matching needs a source distance")
-        design = pm_design(tuple(dirs), obj.position, PM_BETA_DEFAULT, sample_rate)
+        design = pm_design(tuple(dirs), obj.position, sample_rate)
         # calibrate so the reproduced zone pressure sits at stem level
         scale = 4.0 * math.pi * float(obj.position.distance_m)
         firs = tuple(f * scale for f in design.firs)

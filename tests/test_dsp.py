@@ -288,6 +288,22 @@ class TestBlockFIR:
                 fir.process(np.zeros(other))
         assert fir.process(np.ones(first)).shape == (1, first)
 
+    def test_summed_spectra_equal_summed_outputs(self):
+        """Filters fed different signals: output() of their spectra summed
+        is the sum of what process() returns for each, block after block;
+        process() is output(spectrum()) of one filter."""
+        rng = np.random.default_rng(11)
+        taps = [rng.standard_normal((3, n)) * 0.05 for n in (900, 60)]
+        split = [dsp.BlockFIR(h) for h in taps]
+        whole = [dsp.BlockFIR(h) for h in taps]
+        for _ in range(5):
+            xs = [rng.standard_normal(256) for _ in taps]
+            summed = dsp.BlockFIR.output(
+                sum(f.spectrum(x) for f, x in zip(split, xs)))
+            separate = sum(f.process(x) for f, x in zip(whole, xs))
+            assert summed.shape == (3, 256)
+            assert np.max(np.abs(summed - separate)) < 1e-12
+
     def test_empty_first_block_rejected(self):
         fir = dsp.BlockFIR([np.ones(8)])
         with pytest.raises(ValueError, match="empty block"):

@@ -5,6 +5,7 @@ import collections
 import csv
 import hashlib
 import json
+import math
 import os
 import tracemalloc
 
@@ -121,6 +122,20 @@ class TestEngine:
         for iv in report["intervals"]:
             ids = [a["object_id"] for a in iv["assignments"]]
             assert ids == ["band", "narrator"]
+
+    def test_report_times_each_stage(self, tmp_path):
+        """report["timing"] holds render_s and one wall time per stage;
+        the stages are disjoint parts of the render, so they sum to no
+        more than render_s, and a render that mixes blocks spends time
+        mixing them."""
+        job = make_job(tmp_path, two_object_docs(str(tmp_path)))
+        timing = run_render(job).report["timing"]
+        assert list(timing) == ["render_s", *engine.STAGES]
+        assert engine.STAGES == (
+            "measure_s", "adapt_s", "route_s", "build_s", "mix_s")
+        assert all(math.isfinite(v) and v >= 0.0 for v in timing.values())
+        assert sum(timing[stage] for stage in engine.STAGES) <= timing["render_s"]
+        assert timing["mix_s"] > 0.0
 
     def test_metrics_csv_rows(self, tmp_path):
         job = make_job(tmp_path, two_object_docs(str(tmp_path)))
@@ -516,6 +531,110 @@ class TestWindowedSources:
             assert a.read() == b.read()
 
 
+class TestMixBlock:
+    """engine._mix_block against its oracle: the sum of every lane's
+    render_block output, each drive on a fresh state, with the fade weights
+    applied after the filter."""
+
+    CHANNELS = tuple(f"s{i}" for i in range(6))
+    BLOCK = 256
+
+    @staticmethod
+    def _drive(ids, gains, delays_s=None, firs=()):
+        return renderers.DrivingFunction(
+            tuple(ids), np.asarray(gains, dtype=float),
+            np.zeros(len(ids)) if delays_s is None
+            else np.asarray(delays_s, dtype=float),
+            tuple(firs), FS)
+
+    def test_block_mix_equals_sum_of_lane_renders(self, monkeypatch):
+        """Gain-only lanes on all channels and on a subset, a PM-like and
+        a Diffuse lane on subsets, a delay-line (WFS) lane and one fade
+        from a gain-only to a FIR drive that ends in the third block. The
+        stems end inside the last block, which reads zeros past them.
+        Only the delay-line lane and the two drives of the fade go through
+        render_block; the fading lane's FIR drive joins the shared spectrum
+        once its fade has ended, on the state render_block advanced."""
+        rng = np.random.default_rng(18)
+        block, n_blocks = self.BLOCK, 5
+        stem_len = (n_blocks - 1) * block + 100
+        chan_index = {sid: i for i, sid in enumerate(self.CHANNELS)}
+        _, diffuse_firs = renderers.diffuse_gains(3)
+
+        def source():
+            return engine._Source(rng.standard_normal(stem_len), 0, stem_len)
+
+        steady = [
+            (self._drive(self.CHANNELS, rng.uniform(-1, 1, 6)), source(), 0.7),
+            (self._drive(("s4", "s1"), [0.6, 0.8]), source(), 1.3),
+            (self._drive(("s0", "s2", "s3"), [1.0, 1.0, 1.0],
+                         [0.0, 0.0003, 0.0011],
+                         [rng.standard_normal(300) * 0.05 for _ in range(3)]),
+             source(), 0.9),
+            (self._drive(("s5", "s1", "s3"), np.full(3, 3 ** -0.5),
+                         firs=diffuse_firs), source(), 1.1),
+            (self._drive(("s2", "s4", "s5"), [0.5, 0.6, 0.62],
+                         [0.0, 0.00052, 0.0021]), source(), 0.8),
+        ]
+        old = (self._drive(("s0", "s1"), [0.8, 0.6]), source(), 1.2)
+        new = (self._drive(("s1", "s2", "s3"), [0.9, 0.7, 1.0],
+                           firs=[rng.standard_normal(200) * 0.05, None,
+                                 rng.standard_normal(40) * 0.05]),
+               source(), 0.6)
+        fade_start_s, fade_s = 0.5 * block / FS, 1.5 * block / FS
+
+        lanes = [engine._Lane(None, d, src, g, chan_index) for d, src, g in steady]
+        fading = engine._Lane(None, *old, chan_index)
+        fading.begin_fade(None, *new, start_s=fade_start_s, duration_s=fade_s)
+        lanes.append(fading)
+        assert [lane.gain_row is not None for lane in lanes] == [
+            True, True, False, False, False, False]
+
+        def rendered(drive, src, gain, state, t0):
+            return renderers.render_block(
+                src.segment(t0, block) * gain, drive, state)
+
+        def cols(drive):
+            return [chan_index[sid] for sid in drive.speaker_ids]
+
+        states = [renderers.new_render_state(d) for d, _, _ in steady]
+        old_state = renderers.new_render_state(old[0])
+        new_state = renderers.new_render_state(new[0])
+        calls = []
+        render = engine.render_block
+
+        def counting(stem_block, drive, state):
+            calls.append(drive.speaker_ids)
+            return render(stem_block, drive, state)
+
+        monkeypatch.setattr(engine, "render_block", counting)
+        fade_end_s = fade_start_s + fade_s
+        old_live = True
+        for b in range(n_blocks):
+            t0 = b * block
+            expected = np.zeros((block, len(self.CHANNELS)))
+            for (drive, src, gain), state in zip(steady, states):
+                expected[:, cols(drive)] += rendered(drive, src, gain, state, t0)
+            times = (t0 + np.arange(block)) / FS
+            position = np.clip((times - fade_start_s) / fade_s, 0.0, 1.0)
+            w_old, w_new = dsp.crossfade_gains(position, coherent=False)
+            expected[:, cols(new[0])] += (
+                rendered(*new, new_state, t0) * w_new[:, None])
+            if old_live:
+                expected[:, cols(old[0])] += (
+                    rendered(*old, old_state, t0) * w_old[:, None])
+                old_live = times[-1] < fade_end_s
+
+            calls.clear()
+            out = np.zeros((block, len(self.CHANNELS)))
+            engine._mix_block(lanes, t0, FS, out)
+            assert np.max(np.abs(out - expected)) < 1e-12, b
+            wfs = [("s2", "s4", "s5")]
+            assert calls == (wfs + [("s1", "s2", "s3"), ("s0", "s1")]
+                             if b < 3 else wfs), b
+            assert (fading.old is None) == (b >= 2), b
+
+
 class TestCLI:
     def demo_paths(self, tmp_path):
         d = str(tmp_path)
@@ -868,19 +987,23 @@ class TestCLI:
             self, tmp_path, capsys, monkeypatch):
         """A block that turns non-finite after the first interval, when
         part of the WAV has already streamed, ends in a one-line error and
-        leaves no WAV, partial file, report or metrics CSV behind."""
+        leaves no WAV, partial file, report or metrics CSV behind. The NaN
+        enters through a lane's segment read, which every lane makes each
+        block whichever way it mixes; reads of another length are the
+        intelligibility proxy's windows, and pass untouched."""
         d = str(tmp_path)
         scene = demo.write_demo_scene(d, duration_s=5.0)
         scenario = demo.write_demo_scenario(d)
         before = set(os.listdir(d))
         calls = []
-        render = engine.render_block
+        segment = engine._Source.segment
 
-        def counting(stem_block, drive, state):
-            calls.append(len(stem_block))
-            return render(stem_block, drive, state)
+        def counting(source, t0, n):
+            if n == dsp.BLOCK_SIZE:
+                calls.append(t0)
+            return segment(source, t0, n)
 
-        monkeypatch.setattr(engine, "render_block", counting)
+        monkeypatch.setattr(engine._Source, "segment", counting)
         out = os.path.join(d, "clean.wav")
         assert cli_main(["render", "--scene", scene, "--scenario", scenario,
                          "--out", out]) == 0
@@ -890,11 +1013,13 @@ class TestCLI:
         capsys.readouterr()
         calls.clear()
 
-        def poisoned(stem_block, drive, state):
-            rendered = counting(stem_block, drive, state)
-            return rendered * np.nan if len(calls) == bad_call else rendered
+        def poisoned(source, t0, n):
+            seg = counting(source, t0, n)
+            if n == dsp.BLOCK_SIZE and len(calls) == bad_call:
+                return seg * np.nan
+            return seg
 
-        monkeypatch.setattr(engine, "render_block", poisoned)
+        monkeypatch.setattr(engine._Source, "segment", poisoned)
         rc = cli_main(["render", "--scene", scene, "--scenario", scenario,
                        "--out", os.path.join(d, "x.wav")])
         assert rc == 1

@@ -34,6 +34,7 @@ from obar.renderers import (
     pm_default_freqs,
     pm_filters,
     render_block,
+    render_spectrum,
     vbap_feasible,
     vbap_gains,
     wfs_drive,
@@ -441,6 +442,31 @@ class TestRenderBlock:
         state = new_render_state(a)
         with pytest.raises(StateMismatch):
             render_block(np.zeros(1024), b, state)
+
+    def test_state_mismatch_detected_on_spectrum_path(self):
+        """render_spectrum reads the same state as render_block and checks
+        it the same way, before the state moves."""
+        fir = np.random.default_rng(5).standard_normal(64)
+        a = self._drive([1.0, 0.5], [0.0, 0.001], firs=(fir, fir))
+        b = self._drive([1.0, 0.4], [0.0, 0.001], firs=(fir, fir))
+        state = new_render_state(a)
+        with pytest.raises(StateMismatch):
+            render_spectrum(np.zeros(1024), b, state)
+        assert state.fir._history is None
+        assert render_spectrum(np.zeros(1024), a, state).shape == (2, 1025)
+
+    def test_spectrum_path_equals_render_block(self):
+        """BlockFIR.output of render_spectrum is render_block's block, to
+        the bit, block after block."""
+        rng = np.random.default_rng(6)
+        gains, firs = diffuse_gains(3)
+        drive = self._drive(gains, [0.0, 0.0004, 0.0013], firs=firs)
+        direct, split = new_render_state(drive), new_render_state(drive)
+        for _ in range(4):
+            x = rng.standard_normal(300)
+            spectrum = render_spectrum(x, drive, split)
+            assert np.array_equal(dsp.BlockFIR.output(spectrum).T,
+                                  render_block(x, drive, direct))
 
     def test_linearity(self):
         rng = np.random.default_rng(3)

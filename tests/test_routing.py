@@ -495,8 +495,8 @@ class TestPMDesignMemo:
 
     def test_shared_design_is_read_only(self):
         dirs = tuple(s.position for s in make_layout(ring_speakers(5)).speakers)
-        design = pm_design(dirs, Direction3(10.0, 0.0, 3.0), 1e-3, FS)
-        assert pm_design(dirs, Direction3(10.0, 0.0, 3.0), 1e-3, FS) is design
+        design = pm_design(dirs, Direction3(10.0, 0.0, 3.0), FS)
+        assert pm_design(dirs, Direction3(10.0, 0.0, 3.0), FS) is design
         for array in (design.freqs, design.spectra, design.firs,
                       design.align_delays_s):
             with pytest.raises(ValueError):
