@@ -261,18 +261,21 @@ class BlockFIR:
     (single-input multiple-output).
 
     taps is a sequence of FIRs, one per output row; shorter rows are
-    zero-padded to the longest. process() takes a 1-D block and returns
-    rows x samples. The first block's length B fixes the partition size:
-    the taps are cut into P = ceil(len(taps) / B) partitions of B and
-    transformed once, and every later block must be B samples long too; an
-    empty block or one of another length raises ValueError. The last 2B
-    input samples are the only history, and a frequency-domain delay line,
-    zeros at the start, keeps the spectra of the last P input block pairs.
-    Each block costs one forward FFT of 2B points, one spectrum product per
-    row for each partition from the first one not zero in every row
-    (leading zeros are a bulk delay), and one multi-row inverse FFT.
-    spectrum() stops before the inverse FFT, so filters whose outputs are
-    summed can share one output() call.
+    zero-padded to the longest. process() takes a span of input: one 1-D
+    block, or K x B frames that are K consecutive blocks, and returns rows x
+    samples. The first block's length B fixes the partition size: the taps
+    are cut into P = ceil(len(taps) / B) partitions of B and transformed
+    once, and every later block must be B samples long too; an empty block
+    or one of another length raises ValueError. The last B input samples
+    are the only history, and a frequency-domain delay line, zeros at the
+    start, keeps the spectra of the last P - 1 input block pairs. A span of
+    K blocks costs one forward FFT of K 2B-point windows, one spectrum
+    product per block and row for each partition from the first one not
+    zero in every row (leading zeros are a bulk delay), and one inverse
+    FFT; each block's arithmetic is the same whether it comes alone or in
+    a span, so the output is too, to the bit. spectrum() stops before the
+    inverse FFT, so filters whose outputs are summed can share one output()
+    call.
     """
 
     def __init__(self, taps):
@@ -285,8 +288,8 @@ class BlockFIR:
             self.taps[i, : len(r)] = r
         self._first = 0                             # leading zero partitions
         self._parts: np.ndarray | None = None       # (P - first) x rows x B + 1
-        self._history: np.ndarray | None = None     # 2B
-        self._fdl: np.ndarray | None = None         # P x B + 1, newest first
+        self._history: np.ndarray | None = None     # the last block, B
+        self._fdl: np.ndarray | None = None         # P - 1 x B + 1, oldest first
 
     def _partition(self, size: int) -> None:
         """Cut the taps into partitions of size samples and transform
@@ -300,39 +303,54 @@ class BlockFIR:
         parts = padded.reshape(rows, count, size).transpose(1, 0, 2)
         self._first = int(np.argmax(np.any(parts != 0.0, axis=(1, 2))))
         self._parts = sp_fft.rfft(parts[self._first :], 2 * size, axis=2)
-        self._history = np.zeros(2 * size)
-        self._fdl = np.zeros((count, size + 1), dtype=complex)
+        self._history = np.zeros(size)
+        self._fdl = np.zeros((count - 1, size + 1), dtype=complex)
 
-    def spectrum(self, block: np.ndarray) -> np.ndarray:
-        """Take one 1-D block into the filter; returns its output spectrum,
-        rows x B + 1, before the inverse transform. The filter is linear,
-        so output() of a sum of spectra is the sum of the blocks' outputs."""
-        block = np.asarray(block, dtype=float)
-        size = len(block)
+    def spectrum(self, frames: np.ndarray) -> np.ndarray:
+        """Take a span into the filter: one 1-D block, whose output
+        spectrum is rows x B + 1, or K x B frames, whose K spectra are rows
+        x K x B + 1; each spectrum is its block's output before the
+        inverse transform. The filter is linear, so output() of a sum of
+        spectra is the sum of the blocks' outputs."""
+        frames = np.asarray(frames, dtype=float)
+        blocks = frames if frames.ndim == 2 else frames[None, :]
+        count, size = blocks.shape
         if self._history is None:
-            if not size:
+            if not blocks.size:
                 raise ValueError("an empty block cannot fix the block length")
             self._partition(size)
-        elif 2 * size != len(self._history):
-            raise ValueError(f"a block of {size} samples; this filter takes "
-                             f"blocks of {len(self._history) // 2}")
-        history, fdl = self._history, self._fdl
-        history[:size] = history[size:]
-        history[size:] = block
-        fdl[1:] = fdl[:-1]
-        fdl[0] = sp_fft.rfft(history)
-        return (fdl[self._first :, None, :] * self._parts).sum(axis=0)
+        elif size != len(self._history) or not count:
+            raise ValueError(f"{count} blocks of {size} samples; this filter "
+                             f"takes one or more blocks of {len(self._history)}")
+        stream = np.concatenate([self._history, blocks.ravel()])
+        # windows[k] is the pair (block k - 1, block k), 2B samples
+        windows = np.lib.stride_tricks.sliding_window_view(
+            stream, 2 * size)[::size]
+        depth = len(self._fdl)
+        # spectra[depth + k] is block k's pair; partition p reads the pair
+        # p blocks older, spectra[depth + k - p]
+        spectra = np.concatenate([self._fdl, sp_fft.rfft(windows, axis=-1)])
+        self._history = stream[-size:]
+        self._fdl = spectra[len(spectra) - depth :]
+        terms = (spectra[None, depth - p : depth - p + count] * part[:, None]
+                 for p, part in enumerate(self._parts, self._first))
+        out = next(terms)
+        for term in terms:
+            out += term
+        return out if frames.ndim == 2 else out[:, 0]
 
     @staticmethod
     def output(spectrum: np.ndarray) -> np.ndarray:
-        """The samples of an output spectrum, rows x B + 1 -> rows x B: the
-        last B points of its 2B-point inverse transform."""
+        """The samples of output spectra, ... x rows x B + 1 -> ... x rows x
+        B: the last B points of each 2B-point inverse transform."""
         size = spectrum.shape[-1] - 1
         return sp_fft.irfft(spectrum, 2 * size, axis=-1)[..., size:]
 
-    def process(self, block: np.ndarray) -> np.ndarray:
-        """Filter one 1-D block; returns rows x samples."""
-        return self.output(self.spectrum(block))
+    def process(self, frames: np.ndarray) -> np.ndarray:
+        """Filter a span, one 1-D block or K x B frames; returns rows x
+        samples, K x B samples for frames."""
+        out = self.output(self.spectrum(frames))
+        return out.reshape(len(out), -1)
 
 
 def decorrelator_fir(index: int) -> np.ndarray:

@@ -2,18 +2,24 @@
 
 Every context interval the engine re-measures the listening conditions,
 re-derives the adaptation from the pristine scene, and re-routes objects to
-renderers; between updates it streams fixed-size blocks through per-object
-renderer lanes. When an object's assignment differs from the one its lane
-holds from the previous interval, the lane starts a timed crossfade from the
-old drive to the new one; metadata-only changes (levels, positions,
+renderers, at the first block that starts at or after the interval's
+boundary. When an object's assignment differs from the one its lane holds
+from the previous interval, the lane starts a timed crossfade from the old
+drive to the new one; metadata-only changes (levels, positions,
 directives) step at the block boundary instead.
 
-Each block mixes in three parts (_mix_block). Steady lanes with FIRs
-(pressure matching, diffuse) sum their output spectra per channel and share
-one inverse transform; steady gain-only lanes (VBAP, AmbiMM, AP1) are one
-matrix product of their mono segments and channel gain rows; fading lanes
-and delay-line lanes (WFS) render one by one, because a fade weighs each
-sample after the filter.
+Between updates the engine streams fixed-size blocks through per-object
+renderer lanes, mixing a span of whole blocks per pass (_mix_block). A span
+ends at the first of: the block before the next update, the block holding
+the end of a running fade (after which the outgoing drive is dropped), and
+SPAN_SAMPLES. Every renderer takes the span's K blocks as K x block frames
+and gives the samples it would give those blocks one by one, so the span
+length does not change the output. Each span mixes in three parts. Steady
+lanes with FIRs (pressure matching, diffuse) sum their output spectra per
+block and channel and share one inverse transform; steady gain-only lanes
+(VBAP, AmbiMM, AP1) are one matrix product of their mono segments and
+channel gain rows; fading lanes and delay-line lanes (WFS) render one by
+one, because a fade weighs each sample after the filter.
 
 An adapted object's directive chain (tilt, time shift, decorrelation) is
 read for one interval plus, when its lane fades out, the crossfade. So each
@@ -22,12 +28,12 @@ the filters to settle (dsp.directive_margins), and the windows are dropped
 once no lane reads them; objects without directives read their stems in
 place.
 
-Each finished block is checked for finiteness and streamed into the WAV;
+Each finished span is checked for finiteness and streamed into the WAV;
 the engine keeps only the output of the metric window still open (about
-one interval), not the whole programme. The WAV is written beside its
-target and takes its name only when the render has finished, every
-number in the report is finite and the report and metrics are written, so
-a failed render leaves no output.
+one interval) and of the span being mixed, not the whole programme. The
+WAV is written beside its target and takes its name only when the render
+has finished, every number in the report is finite and the report and
+metrics are written, so a failed render leaves no output.
 """
 
 from __future__ import annotations
@@ -82,6 +88,10 @@ CONTEXT_INTERVAL_S = 2.0
 REPORT_SCHEMA_VERSION = "render-report v1"
 METRICS_HEADER = ("t_s", "metric", "value")
 DEFAULT_CROSSFADE_S = 1.0
+# The most samples mixed in one pass (rounded down to whole blocks, at
+# least one block): longer spans cut the per-block overhead, shorter ones
+# keep each lane's spectra in cache.
+SPAN_SAMPLES = 8192
 # Stages whose wall seconds the report sums under "timing", beside render_s.
 STAGES = ("measure_s", "adapt_s", "route_s", "build_s", "mix_s")
 
@@ -181,14 +191,19 @@ def _columns(drive: DrivingFunction, chan_index: dict) -> np.ndarray:
     return np.array([chan_index[sid] for sid in drive.speaker_ids], dtype=np.intp)
 
 
-def _mix_block(lanes, t0: int, fs: int, out: np.ndarray) -> None:
-    """Add the block of every lane that starts at sample t0 into out
-    (block samples x channels, zeroed by the caller).
+def _mix_block(lanes, t0: int, block: int, fs: int, out: np.ndarray) -> None:
+    """Add the span of every lane that starts at sample t0 into out (span
+    samples x channels, zeroed by the caller). The span is K whole blocks
+    of block samples, and each lane renders it as K x block frames, which
+    every renderer turns into the samples of those K blocks rendered one
+    by one. A lane drops its outgoing drive after the span whose last
+    sample reaches its fade's end, so no running fade may end in a block
+    before the span's last one (_span_blocks).
 
     Every renderer is linear, so lanes mix in three groups:
     - a steady lane (no fade running) whose drive has FIRs adds its output
-      spectrum (render_spectrum) into one spectrum per channel, and one
-      BlockFIR.output turns the sum into samples;
+      spectra (render_spectrum) into one spectrum per block and channel,
+      and one BlockFIR.output turns the sum into samples;
     - a steady lane with neither FIRs nor a delay line is one row of a
       matrix product: the lane-gain-scaled mono segments, stacked, times
       their lanes' gain_rows;
@@ -197,41 +212,61 @@ def _mix_block(lanes, t0: int, fs: int, out: np.ndarray) -> None:
       a delay line (WFS).
     Each lane's segment is read once per drive it renders.
     """
-    block, n_channels = out.shape
+    n, n_channels = out.shape
+    count = n // block
     spectrum = None
     segments, gain_rows = [], []
     times = None
     for lane in lanes:
-        seg = lane.source.segment(t0, block) * lane.gain
+        seg = lane.source.segment(t0, n) * lane.gain
+        frames = seg.reshape(count, block)
         if lane.old is None:
             if lane.state.fir is not None:
                 if spectrum is None:
-                    spectrum = np.zeros((n_channels, block + 1), dtype=complex)
-                spectrum[lane.cols] += render_spectrum(seg, lane.drive, lane.state)
+                    spectrum = np.zeros((n_channels, count, block + 1),
+                                        dtype=complex)
+                rows = render_spectrum(frames, lane.drive, lane.state)
+                # row by row in place: a fancy-index add would gather, add
+                # and scatter back the whole rows x K x block + 1 array
+                for row, col in zip(rows, lane.cols):
+                    spectrum[col] += row
             elif lane.gain_row is not None:
                 segments.append(seg)
                 gain_rows.append(lane.gain_row)
             else:
-                out[:, lane.cols] += render_block(seg, lane.drive, lane.state)
+                out[:, lane.cols] += render_block(frames, lane.drive, lane.state)
             continue
         if times is None:
-            times = (t0 + np.arange(block)) / fs
+            times = (t0 + np.arange(n)) / fs
         position = np.clip(
             (times - lane.fade_start_s)
             / (lane.fade_end_s - lane.fade_start_s), 0.0, 1.0)
         w_old, w_new = crossfade_gains(position, lane.fade_coherent)
-        rendered = render_block(seg, lane.drive, lane.state)
+        rendered = render_block(frames, lane.drive, lane.state)
         out[:, lane.cols] += rendered * w_new[:, None]
         old_drive, old_state, old_source, old_gain, old_cols = lane.old
-        old_seg = old_source.segment(t0, block) * old_gain
-        old_rendered = render_block(old_seg, old_drive, old_state)
+        old_seg = old_source.segment(t0, n) * old_gain
+        old_rendered = render_block(
+            old_seg.reshape(count, block), old_drive, old_state)
         out[:, old_cols] += old_rendered * w_old[:, None]
         if times[-1] >= lane.fade_end_s:
             lane.old = None
     if segments:
         out += np.array(segments).T @ np.array(gain_rows)
     if spectrum is not None:
-        out += BlockFIR.output(spectrum).T
+        out += BlockFIR.output(spectrum).reshape(n_channels, n).T
+
+
+def _span_blocks(lanes, t0: int, block: int, fs: int, limit: int) -> int:
+    """The number of blocks in the span that starts at t0: limit, or fewer
+    so that the span ends with the block holding the end of the first
+    running fade to end (the first block whose last sample time reaches
+    it, as _mix_block tests it)."""
+    ends = [lane.fade_end_s for lane in lanes if lane.old is not None]
+    if not ends:
+        return limit
+    last = (t0 + block * np.arange(1, limit + 1) - 1) / fs
+    return min(limit, int(np.searchsorted(last, min(ends))) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -469,14 +504,20 @@ def run_render(job: RenderJob) -> RenderResult:
 
 def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
                    intervals, levels, clock):
-    """Render the scene block by block.
+    """Render the scene span by span.
 
-    Yields each finished block of output, samples x channels (float64), up
-    to the scene's end; a view that is overwritten once the next block is
-    asked for. Appends each interval's report record to intervals and, once
-    output has passed the interval's metric window, (t_s, each channel's
-    RMS dB over the window) to levels. clock (a _StageClock) sums the time
-    of each context update's stages and of the block mixes:
+    A span is whole blocks mixed in one _mix_block pass: from its first
+    block to the first of the block before the next context update, the
+    block holding the end of a running fade (_span_blocks), and
+    SPAN_SAMPLES (rounded down to whole blocks, at least one block). So no
+    span reads a lane's source past the samples its interval filtered, and
+    the output is the same as block by block. Yields each finished span of
+    output, samples x channels (float64), up to the scene's end; a view
+    that is overwritten once the next span is asked for. Appends each
+    interval's report record to intervals and, once output has passed the
+    interval's metric window, (t_s, each channel's RMS dB over the window)
+    to levels. clock (a _StageClock) sums the time
+    of each context update's stages and of the span mixes:
     - measure_s: the pristine and adapted sources' proxy measurements and
       the context tracker's update, with the pristine sources' reads;
     - adapt_s: apply_rules and the adapted directive chains;
@@ -488,7 +529,6 @@ def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
     n_total = scene.duration_samples
     block = int(job.block_size)
     interval = int(round(CONTEXT_INTERVAL_S * fs))
-    n_blocks = math.ceil(n_total / block)
     chan_index = {s.speaker_id: i for i, s in enumerate(scenario.layout.speakers)}
     n_channels = len(scenario.layout.speakers)
     # Stems are fixed for the run, so each object's band analysis is too.
@@ -503,15 +543,17 @@ def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
     fade_reads = math.ceil(fade_s * fs) + block + 1
     lanes: dict[str, _Lane] = {}
     next_update = 0
+    span_blocks = max(1, SPAN_SAMPLES // block)
     # Output from the start of the oldest metric window still open (row 0
     # is sample base). A window is interval samples from an update block,
-    # so it closes within interval + block samples of its start.
-    buf = np.zeros((interval + block, n_channels))
+    # and the span that closes it starts before its end, so the window and
+    # that span fit in interval + one span of samples.
+    buf = np.zeros((interval + span_blocks * block, n_channels))
     base = 0
     windows: list[tuple[float, int]] = []   # (t_s, first sample), open
 
-    for b in range(n_blocks):
-        t0 = b * block
+    t0 = 0
+    while t0 < n_total:
         if t0 >= next_update:
             t_s = t0 / fs
             noise = noise_at(timeline, t_s)
@@ -580,13 +622,19 @@ def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
             windows.append((t_s, t0))
             next_update += interval
 
-        out = buf[t0 - base : t0 - base + block]
+        # The span stops before the block of the next update and at the
+        # block holding the first fade end.
+        count = min(span_blocks, -(-(n_total - t0) // block),
+                    max(1, -(-(next_update - t0) // block)))
+        count = _span_blocks(lanes.values(), t0, block, fs, count)
+        t1 = t0 + count * block
+        out = buf[t0 - base : t1 - base]
         out.fill(0.0)
         clock.start()
-        _mix_block(lanes.values(), t0, fs, out)
+        _mix_block(lanes.values(), t0, block, fs, out)
         clock.lap("mix_s")
 
-        end = min(t0 + block, n_total)
+        end = min(t1, n_total)
         if not np.all(np.isfinite(out[: end - t0])):
             raise JobError("rendered output contains non-finite samples")
         yield out[: end - t0]
@@ -596,10 +644,11 @@ def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
             w1 = min(w0 + interval, n_total)
             levels.append((t_s, [rms_db(buf[w0 - base : w1 - base, i])
                                  for i in range(n_channels)]))
-        keep = windows[0][1] if windows else t0 + block
+        keep = windows[0][1] if windows else t1
         if keep > base:
-            buf[: t0 + block - keep] = buf[keep - base : t0 + block - base]
+            buf[: t1 - keep] = buf[keep - base : t1 - base]
             base = keep
+        t0 = t1
 
 
 def _interval_record(t_s, noise, ctx, measured, projected,

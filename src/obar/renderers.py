@@ -2,17 +2,18 @@
 pressure matching, and diffuse decorrelation.
 
 Each renderer reduces to a DrivingFunction (per-speaker gain, delay, optional
-FIR). render_block executes a driving function block by block with state so a
-long signal can stream without discontinuities, processing all of a drive's
-speakers in one batched pass. Gain, the 4-tap Lagrange delay and the FIR are
-linear and fixed for the drive's lifetime, so a drive with FIRs (pressure
-matching, diffuse) folds them into one row of taps per speaker and runs as
-one overlap-save filter bank fed the mono block, whose tap transforms are kept
-for the drive's lifetime. A drive without FIRs (VBAP, AmbiMM, AP1, WFS) stays
+FIR). render_block executes a driving function span by span (one block or
+several consecutive ones) with state so a long signal can stream without
+discontinuities, processing all of a drive's speakers in one batched pass.
+Gain, the 4-tap Lagrange delay and the FIR are linear and fixed for the
+drive's lifetime, so a drive with FIRs (pressure matching, diffuse) folds
+them into one row of taps per speaker and runs as one overlap-save filter
+bank fed the mono block, whose tap transforms are kept for the drive's
+lifetime. A drive without FIRs (VBAP, AmbiMM, AP1, WFS) stays
 on the gains and one delay line over every speaker, which is exact.
-render_spectrum stops a FIR drive's block before its inverse transform, so
+render_spectrum stops a FIR drive's span before its inverse transform, so
 the engine can sum steady FIR lanes in one spectrum per output channel and
-invert once per block.
+invert once per span.
 """
 
 from __future__ import annotations
@@ -403,15 +404,18 @@ def _check_state(drive: DrivingFunction, state: RenderState) -> None:
 
 def render_block(stem_block: np.ndarray, drive: DrivingFunction,
                  state: RenderState) -> np.ndarray:
-    """One block through a driving function, all speakers together.
+    """A span through a driving function, all speakers together.
 
-    A drive with FIRs is one BlockFIR.process call of the mono block
-    against every row's folded taps. A drive without FIRs is one outer
-    product of the gains and the block, then, when a row is delayed, one
-    fractional_delay call over every row. Returns the samples, block length
-    x subset speakers in drive order. The state must have been created for
-    this exact driving function; with FIRs, every block must have the
-    length of the first one rendered with it (a ValueError otherwise).
+    stem_block is one mono block, or K x B frames holding K consecutive
+    blocks of B samples. A drive with FIRs is one BlockFIR.process call of
+    the span against every row's folded taps. A drive without FIRs takes
+    the span as one run of samples: one outer product of the gains and the
+    samples, then, when a row is delayed, one fractional_delay call over
+    every row. Returns the samples, span length x subset speakers in drive
+    order, equal to the span's blocks rendered one by one. The state must
+    have been created for this exact driving function; with FIRs, every
+    block must have the length of the first one rendered with it (a
+    ValueError otherwise).
 
     The engine calls this only for lanes that fade or sit on a delay line;
     a steady lane with FIRs goes through render_spectrum, and a steady
@@ -430,11 +434,13 @@ def render_block(stem_block: np.ndarray, drive: DrivingFunction,
 
 def render_spectrum(stem_block: np.ndarray, drive: DrivingFunction,
                     state: RenderState) -> np.ndarray:
-    """One block through a drive with FIRs, stopped before the inverse
-    transform: the output spectrum, subset speakers x block length + 1
-    (BlockFIR.spectrum). BlockFIR.output of it is render_block's result,
-    transposed; spectra of several drives summed into shared rows give
-    their summed output from one inverse transform. The state is checked
-    and advanced exactly as render_block does."""
+    """A span through a drive with FIRs, stopped before the inverse
+    transform (BlockFIR.spectrum): for one block, its output spectrum,
+    subset speakers x block length + 1; for K x B frames, subset speakers
+    x K x block length + 1.
+    BlockFIR.output of a block's spectrum is render_block's result for the
+    block, transposed; spectra of several drives summed into shared rows
+    give their summed output from one inverse transform. The state is
+    checked and advanced exactly as render_block does."""
     _check_state(drive, state)
     return state.fir.spectrum(stem_block)

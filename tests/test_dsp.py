@@ -286,7 +286,45 @@ class TestBlockFIR:
         for other in (first - 1, first + 1, 0):
             with pytest.raises(ValueError, match=f"blocks of {first}"):
                 fir.process(np.zeros(other))
+            with pytest.raises(ValueError, match=f"blocks of {first}"):
+                fir.process(np.zeros((3, other)))
+        with pytest.raises(ValueError, match=f"blocks of {first}"):
+            fir.process(np.zeros((0, first)))
         assert fir.process(np.ones(first)).shape == (1, first)
+        assert fir.process(np.ones((3, first))).shape == (1, 3 * first)
+
+    @pytest.mark.parametrize("size, lead", [(256, 0), (100, 0), (256, 700),
+                                            (100, 700), (2000, 0)])
+    def test_span_equals_its_blocks_one_by_one(self, size, lead):
+        """One call on K x B frames gives, to the bit, the samples and the
+        spectra of K one-block calls, with one partition (B = 2000) or
+        many, spans longer and shorter than the frequency-domain delay
+        line, leading zero partitions (a bulk delay of 700 samples in every
+        row) and spans after single blocks on the same state."""
+        rng = np.random.default_rng(size + lead)
+        h = np.concatenate([np.zeros((3, lead)),
+                            rng.standard_normal((3, 900)) * 0.03], axis=1)
+        x = rng.standard_normal((12, size))
+        single, spanned = dsp.BlockFIR(h), dsp.BlockFIR(h)
+        expected = np.concatenate([single.process(b) for b in x], axis=1)
+        out = [spanned.process(x[0]), spanned.process(x[1]),
+               spanned.process(x[2:7]), spanned.process(x[7:])]
+        assert spanned._first == lead // size
+        assert [o.shape for o in out] == [(3, size), (3, size),
+                                          (3, 5 * size), (3, 5 * size)]
+        assert np.array_equal(np.concatenate(out, axis=1), expected)
+
+        single, spanned = dsp.BlockFIR(h), dsp.BlockFIR(h)
+        blockwise = np.stack([single.spectrum(b) for b in x], axis=1)
+        spectra = np.concatenate([spanned.spectrum(x[:1]),
+                                  spanned.spectrum(x[1:4]),
+                                  spanned.spectrum(x[4:])], axis=1)
+        assert spectra.shape == (3, 12, size + 1)
+        assert np.array_equal(spectra, blockwise)
+        assert np.array_equal(
+            dsp.BlockFIR.output(spectra[:, 4:6]),
+            np.stack([dsp.BlockFIR.output(blockwise[:, k]) for k in (4, 5)],
+                     axis=1))
 
     def test_summed_spectra_equal_summed_outputs(self):
         """Filters fed different signals: output() of their spectra summed

@@ -123,6 +123,67 @@ class TestEngine:
             ids = [a["object_id"] for a in iv["assignments"]]
             assert ids == ["band", "narrator"]
 
+    def test_spans_stop_at_updates_and_fade_ends(self, tmp_path, monkeypatch):
+        """The block loop mixes spans of whole blocks, at most SPAN_SAMPLES
+        long (or one block), that tile the render. No span crosses the
+        block of a context update or the block holding a fade's end, where
+        the outgoing lane's reads stop: here the outgoing lanes read
+        decorrelated chains filtered only up to that block, the block
+        length divides neither the interval nor the 0.3 s fade, and the
+        render finishes."""
+        d = str(tmp_path)
+        stem = write_stem(d, "n.wav", noise_like(7.3))
+        objects = [object_doc("hiss", "effect", [stem],
+                              position={"az": 20.0, "el": 0.0, "dist": None})]
+        rulebook = {"schema": "rulebook v1", "rules": [
+            {"rule_id": "wide", "when": "true", "actions": [
+                {"kind": "decorrelate", "amount": 0.5,
+                 "select": "type == 'effect'"}]}]}
+        selection = {"schema": "selection v1", "rules": [
+            {"match": "noise_broadband_db > -45",
+             "renderer": "AmbiMM", "order": 2},
+            {"match": "true", "renderer": "VBAP"},
+        ]}
+        timeline = [{"t_s": t, "band_levels_db": [level] * 7}
+                    for t, level in ((0.0, -80.0), (2.0, -40.0),
+                                     (4.0, -80.0), (6.0, -40.0))]
+        block = 700
+        job = make_job(tmp_path, objects, speakers=5, noise_timeline=timeline,
+                       rulebook=rulebook, selection=selection,
+                       block_size=block, crossfade_s=0.3)
+        spans = []
+        mix = engine._mix_block
+
+        def recording(lanes, t0, size, fs, out):
+            assert size == block
+            spans.append((t0, t0 + len(out)))
+            return mix(lanes, t0, size, fs, out)
+
+        monkeypatch.setattr(engine, "_mix_block", recording)
+        report = run_render(job).report
+
+        n_total = report["duration_samples"]
+        starts = [a for a, _ in spans]
+        ends = [b for _, b in spans]
+        assert starts == [0] + ends[:-1]
+        assert ends[-1] >= n_total > starts[-1]
+        longest = max(1, engine.SPAN_SAMPLES // block) * block
+        assert all(b - a <= longest and (b - a) % block == 0
+                   for a, b in spans)
+        interval = int(engine.CONTEXT_INTERVAL_S * FS)
+        updates = [-(-k * interval // block) * block
+                   for k in range(-(-n_total // interval))]
+        assert set(updates) <= set(starts)
+        fades = [f for iv in report["intervals"] for f in iv["crossfades"]]
+        assert len(fades) == 3
+        for fade in fades:
+            end_s = fade["start_s"] + fade["duration_s"]
+            t = round(fade["start_s"] * FS)
+            while (t + block - 1) / FS < end_s:
+                t += block
+            assert t + block in ends, fade
+        assert len(spans) > len(updates) + len(fades)
+
     def test_report_times_each_stage(self, tmp_path):
         """report["timing"] holds render_s and one wall time per stage;
         the stages are disjoint parts of the render, so they sum to no
@@ -532,9 +593,11 @@ class TestWindowedSources:
 
 
 class TestMixBlock:
-    """engine._mix_block against its oracle: the sum of every lane's
-    render_block output, each drive on a fresh state, with the fade weights
-    applied after the filter."""
+    """engine._mix_block over spans against its oracle: the same lanes
+    mixed one block at a time, which must give the same samples to the
+    bit; and, independently, the sum of every lane's render_block output,
+    each drive on a fresh state, with the fade weights applied after the
+    filter."""
 
     CHANNELS = tuple(f"s{i}" for i in range(6))
     BLOCK = 256
@@ -550,11 +613,13 @@ class TestMixBlock:
     def test_block_mix_equals_sum_of_lane_renders(self, monkeypatch):
         """Gain-only lanes on all channels and on a subset, a PM-like and
         a Diffuse lane on subsets, a delay-line (WFS) lane and one fade
-        from a gain-only to a FIR drive that ends in the third block. The
-        stems end inside the last block, which reads zeros past them.
-        Only the delay-line lane and the two drives of the fade go through
-        render_block; the fading lane's FIR drive joins the shared spectrum
-        once its fade has ended, on the state render_block advanced."""
+        from a gain-only to a FIR drive that ends in the third block, over
+        five blocks cut three ways into spans that end at the fade's end
+        block. The stems end inside the last block, which reads zeros past
+        them. Only the delay-line lane and the two drives of the fade go
+        through render_block, once per span; the fading lane's FIR drive
+        joins the shared spectrum once its fade has ended, on the state
+        render_block advanced."""
         rng = np.random.default_rng(18)
         block, n_blocks = self.BLOCK, 5
         stem_len = (n_blocks - 1) * block + 100
@@ -582,14 +647,24 @@ class TestMixBlock:
                                  rng.standard_normal(40) * 0.05]),
                source(), 0.6)
         fade_start_s, fade_s = 0.5 * block / FS, 1.5 * block / FS
+        fade_end_s = fade_start_s + fade_s
 
-        lanes = [engine._Lane(None, d, src, g, chan_index) for d, src, g in steady]
-        fading = engine._Lane(None, *old, chan_index)
-        fading.begin_fade(None, *new, start_s=fade_start_s, duration_s=fade_s)
-        lanes.append(fading)
-        assert [lane.gain_row is not None for lane in lanes] == [
-            True, True, False, False, False, False]
+        def lanes():
+            built = [engine._Lane(None, d, src, g, chan_index)
+                     for d, src, g in steady]
+            fading = engine._Lane(None, *old, chan_index)
+            fading.begin_fade(None, *new, start_s=fade_start_s,
+                              duration_s=fade_s)
+            return built + [fading]
 
+        # the oracle: one block per call
+        per_block = lanes()
+        blockwise = np.zeros((n_blocks * block, len(self.CHANNELS)))
+        for b in range(n_blocks):
+            engine._mix_block(per_block, b * block, block, FS,
+                              blockwise[b * block : (b + 1) * block])
+
+        # the sum of every lane's own render
         def rendered(drive, src, gain, state, t0):
             return renderers.render_block(
                 src.segment(t0, block) * gain, drive, state)
@@ -600,19 +675,11 @@ class TestMixBlock:
         states = [renderers.new_render_state(d) for d, _, _ in steady]
         old_state = renderers.new_render_state(old[0])
         new_state = renderers.new_render_state(new[0])
-        calls = []
-        render = engine.render_block
-
-        def counting(stem_block, drive, state):
-            calls.append(drive.speaker_ids)
-            return render(stem_block, drive, state)
-
-        monkeypatch.setattr(engine, "render_block", counting)
-        fade_end_s = fade_start_s + fade_s
+        summed = np.zeros_like(blockwise)
         old_live = True
         for b in range(n_blocks):
             t0 = b * block
-            expected = np.zeros((block, len(self.CHANNELS)))
+            expected = summed[t0 : t0 + block]
             for (drive, src, gain), state in zip(steady, states):
                 expected[:, cols(drive)] += rendered(drive, src, gain, state, t0)
             times = (t0 + np.arange(block)) / FS
@@ -625,14 +692,55 @@ class TestMixBlock:
                     rendered(*old, old_state, t0) * w_old[:, None])
                 old_live = times[-1] < fade_end_s
 
-            calls.clear()
-            out = np.zeros((block, len(self.CHANNELS)))
-            engine._mix_block(lanes, t0, FS, out)
-            assert np.max(np.abs(out - expected)) < 1e-12, b
-            wfs = [("s2", "s4", "s5")]
-            assert calls == (wfs + [("s1", "s2", "s3"), ("s0", "s1")]
-                             if b < 3 else wfs), b
-            assert (fading.old is None) == (b >= 2), b
+        calls = []
+        render = engine.render_block
+
+        def counting(stem_block, drive, state):
+            calls.append((drive.speaker_ids, np.shape(stem_block)))
+            return render(stem_block, drive, state)
+
+        monkeypatch.setattr(engine, "render_block", counting)
+        for spans in ((3, 2), (1, 2, 2), (2, 1, 1, 1)):
+            spanned = lanes()
+            assert [lane.gain_row is not None for lane in spanned] == [
+                True, True, False, False, False, False]
+            out = np.zeros_like(blockwise)
+            b = 0
+            for count in spans:
+                t0 = b * block
+                calls.clear()
+                engine._mix_block(spanned, t0, block, FS,
+                                  out[t0 : t0 + count * block])
+                b += count
+                frames = (count, block)
+                wfs = [(("s2", "s4", "s5"), frames)]
+                assert calls == (wfs + [(("s1", "s2", "s3"), frames),
+                                        (("s0", "s1"), frames)]
+                                 if b <= 3 else wfs), (spans, b)
+                assert (spanned[-1].old is None) == (b >= 3), (spans, b)
+            assert np.array_equal(out, blockwise), spans
+            assert np.max(np.abs(out - summed)) < 1e-12, spans
+
+    def test_span_blocks_end_at_the_first_fade_end(self):
+        """_span_blocks keeps the limit without a running fade and
+        otherwise ends the span with the block whose last sample time
+        first reaches a fade's end, the block after which _mix_block drops
+        the outgoing drive."""
+        chan_index = {"s0": 0}
+        drive = self._drive(("s0",), [1.0])
+        src = engine._Source(np.zeros(10), 0, 10)
+        lane = engine._Lane(None, drive, src, 1.0, chan_index)
+        block = 100
+        assert engine._span_blocks([lane], 1000, block, FS, 32) == 32
+        fading = engine._Lane(None, drive, src, 1.0, chan_index)
+        fading.begin_fade(None, drive, src, 1.0, start_s=1000 / FS,
+                          duration_s=250 / FS)
+        # the fade ends at sample 1250, in the block [1200, 1300)
+        assert engine._span_blocks([lane, fading], 1000, block, FS, 32) == 3
+        assert engine._span_blocks([fading], 1000, block, FS, 2) == 2
+        # a fade ending on a block's last sample ends that block
+        fading.fade_end_s = 1199 / FS
+        assert engine._span_blocks([fading], 1000, block, FS, 32) == 2
 
 
 class TestCLI:
@@ -985,12 +1093,13 @@ class TestCLI:
 
     def test_non_finite_block_mid_stream_leaves_no_output(
             self, tmp_path, capsys, monkeypatch):
-        """A block that turns non-finite after the first interval, when
+        """A span that turns non-finite after the first interval, when
         part of the WAV has already streamed, ends in a one-line error and
         leaves no WAV, partial file, report or metrics CSV behind. The NaN
         enters through a lane's segment read, which every lane makes each
-        block whichever way it mixes; reads of another length are the
-        intelligibility proxy's windows, and pass untouched."""
+        span whichever way it mixes; a span is at most SPAN_SAMPLES long,
+        and longer reads are the intelligibility proxy's windows, which
+        pass untouched."""
         d = str(tmp_path)
         scene = demo.write_demo_scene(d, duration_s=5.0)
         scenario = demo.write_demo_scenario(d)
@@ -999,7 +1108,7 @@ class TestCLI:
         segment = engine._Source.segment
 
         def counting(source, t0, n):
-            if n == dsp.BLOCK_SIZE:
+            if n <= engine.SPAN_SAMPLES:
                 calls.append(t0)
             return segment(source, t0, n)
 
@@ -1007,7 +1116,13 @@ class TestCLI:
         out = os.path.join(d, "clean.wav")
         assert cli_main(["render", "--scene", scene, "--scenario", scenario,
                          "--out", out]) == 0
-        bad_call = len(calls) * 3 // 4   # at about 3.75 s of 5 s
+        clean = list(calls)
+        bad_call = len(clean) * 3 // 4   # at about 3.75 s of 5 s
+        # the render stops once the poisoned span is mixed: the span's
+        # other reads still happen, no later span's do
+        bad_span = clean[bad_call - 1]
+        stop = max(i for i, t0 in enumerate(clean) if t0 == bad_span) + 1
+        assert 0 < bad_span and stop < len(clean)
         for name in ("clean.wav", "clean.wav.report.json", "clean.wav.metrics.csv"):
             os.remove(os.path.join(d, name))
         capsys.readouterr()
@@ -1015,7 +1130,7 @@ class TestCLI:
 
         def poisoned(source, t0, n):
             seg = counting(source, t0, n)
-            if n == dsp.BLOCK_SIZE and len(calls) == bad_call:
+            if n <= engine.SPAN_SAMPLES and len(calls) == bad_call:
                 return seg * np.nan
             return seg
 
@@ -1023,7 +1138,7 @@ class TestCLI:
         rc = cli_main(["render", "--scene", scene, "--scenario", scenario,
                        "--out", os.path.join(d, "x.wav")])
         assert rc == 1
-        assert len(calls) == bad_call
+        assert calls == clean[:stop]
         err = capsys.readouterr().err.strip()
         assert "Traceback" not in err
         assert err.count("\n") == 0, err

@@ -484,17 +484,22 @@ class TestRenderBlock:
         assert np.max(np.abs(combined - separate)) < 1e-6
 
     def test_taps_transformed_once_per_drive(self, monkeypatch):
-        """Twenty equal blocks cost one transform of the taps for the whole
-        drive and one forward transform of the mono input per block, not
-        one per speaker or per block. The folded taps (1024 decorrelator
-        taps after a delay of up to 113.76 samples) span two partitions of
-        the block; the delay line starts at zeros, so nothing else is
-        transformed, and each transform is told apart by the shape of what
-        it transforms."""
+        """Twenty equal blocks, rendered as spans of 1, 4, 7 and 8 blocks,
+        cost one transform of the taps for the whole drive and one forward
+        transform of the mono input per span, of the span's K input block
+        pairs at once, not one per speaker or per block; the spans give the
+        samples of the blocks rendered one by one. The folded taps (1024
+        decorrelator taps after a delay of up to 113.76 samples) span two
+        partitions of the block; the delay line starts at zeros, so nothing
+        else is transformed, and each transform is told apart by the shape
+        of what it transforms."""
         gains, firs = diffuse_gains(4)
         drive = self._drive(gains, [0.0, 0.001, 0.0, 0.00237], firs=firs)
         state = new_render_state(drive)
         assert state.fir.taps.shape == (4, 112 + 1024 + 3)
+        x = np.random.default_rng(8).standard_normal((20, 1024))
+        by_block = new_render_state(drive)
+        blockwise = np.concatenate([render_block(b, drive, by_block) for b in x])
         rfft = scipy.fft.rfft
         shapes = []
 
@@ -503,12 +508,14 @@ class TestRenderBlock:
             return rfft(x, *args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, "rfft", counting)
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            render_block(rng.standard_normal(1024), drive, state)
-        assert shapes == (
-            [(2, 4, 1024)]        # the taps: 2 partitions x 4 rows x 1024
-            + [(2048,)] * 20)     # each block: the newest input pair
+        spans = [render_block(x[0], drive, state)]
+        for a, b in ((1, 5), (5, 12), (12, 20)):
+            spans.append(render_block(x[a:b], drive, state))
+        assert shapes == [
+            (2, 4, 1024),         # the taps: 2 partitions x 4 rows x 1024
+            (1, 2048),            # each span: its K newest input pairs
+            (4, 2048), (7, 2048), (8, 2048)]
+        assert np.array_equal(np.concatenate(spans), blockwise)
 
     def test_distant_pm_source_skips_leading_zero_partitions(self):
         """A pressure-matching source at 10 m on a 2 m ring puts a bulk delay
