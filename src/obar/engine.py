@@ -6,7 +6,10 @@ renderers, at the first block that starts at or after the interval's
 boundary. When an object's assignment differs from the one its lane holds
 from the previous interval, the lane starts a timed crossfade from the old
 drive to the new one; metadata-only changes (levels, positions,
-directives) step at the block boundary instead.
+directives) step at the block boundary instead. Stems are fixed for the
+run, so before the first block the engine mixes each object to mono once
+and analyses each mix's band energy once (routing.band_table); every
+interval reads those mixes and that table.
 
 Between updates the engine streams fixed-size blocks through per-object
 renderer lanes, mixing a span of whole blocks per pass (_mix_block). A span
@@ -74,7 +77,7 @@ from .renderers import (
     render_block,
     render_spectrum,
 )
-from .routing import BandFractions, build_drive, route
+from .routing import band_table, build_drive, route
 from .rules import (
     default_rulebook,
     default_selection_rules,
@@ -323,18 +326,19 @@ def _chain_window(base: np.ndarray, directives, sample_rate: int,
 class _Sources:
     """The processed mono signal of every object, for one run.
 
-    An object without directives reads its whole mono mix, kept for the run
-    (a read-only view of the stem for a single-stem object). A directive
-    chain is filtered only over the samples [lo, hi) that the current
-    interval reads, once per interval. end_interval() drops the interval's
-    chains; the lanes still reading one hold it.
+    Every object's mono mix is made once, when the run starts (a read-only
+    view of the stem for a single-stem object). An object without
+    directives reads its whole mix. A directive chain is filtered only over
+    the samples [lo, hi) that the current interval reads, once per
+    interval. end_interval() drops the interval's chains; the lanes still
+    reading one hold it.
     """
 
-    def __init__(self, sample_rate: int):
-        self.sample_rate = sample_rate
+    def __init__(self, scene: Scene):
+        self.sample_rate = scene.sample_rate
         # object_id -> mono mix; adaptation never touches an object's stems,
         # so the pristine and adapted objects share it.
-        self.mixes: dict = {}
+        self.mixes = {obj.object_id: mono_mix(obj) for obj in scene.objects}
         self.chains: dict = {}
 
     def for_scene(self, scene: Scene, lo: int, hi: int) -> dict:
@@ -342,9 +346,7 @@ class _Sources:
         out = {}
         for obj in scene.objects:
             oid = obj.object_id
-            mix = self.mixes.get(oid)
-            if mix is None:
-                mix = self.mixes[oid] = mono_mix(obj)
+            mix = self.mixes[oid]
             if obj.directives:
                 source = self._chain(mix, (oid, obj.directives), lo, hi)
             else:
@@ -454,10 +456,16 @@ def run_render(job: RenderJob) -> RenderResult:
     partial = job.out_path + ".partial"
     written = [partial]
     clock = _StageClock()
+    # Stems are fixed for the run, so each object's mono mix and its band
+    # analysis are too: both are made once, before the first block.
+    sources = _Sources(scene)
+    clock.lap("measure_s")
+    bands = band_table(sources.mixes, scenario.layout.speakers, fs)
+    clock.lap("route_s")
     try:
         write_wav(partial, fs, _render_blocks(
             job, scene, scenario, timeline, rulebook, selection,
-            intervals, levels, clock))
+            sources, bands, intervals, levels, clock))
         report = {
             "schema": REPORT_SCHEMA_VERSION,
             "scene": os.path.abspath(job.scene_path),
@@ -503,7 +511,7 @@ def run_render(job: RenderJob) -> RenderResult:
 
 
 def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
-                   intervals, levels, clock):
+                   sources, bands, intervals, levels, clock):
     """Render the scene span by span.
 
     A span is whole blocks mixed in one _mix_block pass: from its first
@@ -516,12 +524,15 @@ def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
     that is overwritten once the next span is asked for. Appends each
     interval's report record to intervals and, once output has passed the
     interval's metric window, (t_s, each channel's RMS dB over the window)
-    to levels. clock (a _StageClock) sums the time
+    to levels. sources (a _Sources) holds every object's mono mix and bands
+    (routing.band_table) their band analysis; run_render builds both once,
+    before the first span. clock (a _StageClock) sums the time of those,
     of each context update's stages and of the span mixes:
-    - measure_s: the pristine and adapted sources' proxy measurements and
-      the context tracker's update, with the pristine sources' reads;
+    - measure_s: the mono mixes, the pristine and adapted sources' proxy
+      measurements and the context tracker's update, with the pristine
+      sources' reads;
     - adapt_s: apply_rules and the adapted directive chains;
-    - route_s: route;
+    - route_s: route, and the band table;
     - build_s: the drives and the lanes built from them;
     - mix_s: _mix_block.
     """
@@ -531,11 +542,8 @@ def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
     interval = int(round(CONTEXT_INTERVAL_S * fs))
     chan_index = {s.speaker_id: i for i, s in enumerate(scenario.layout.speakers)}
     n_channels = len(scenario.layout.speakers)
-    # Stems are fixed for the run, so each object's band analysis is too.
-    band_fractions = BandFractions.for_speakers(scenario.layout.speakers)
 
     tracker = ContextTracker()
-    sources = _Sources(fs)
     # The outgoing lane of a crossfade reads its source until the block
     # holding the fade's end: the fade, one block, and one sample for the
     # rounding of the end time.
@@ -578,8 +586,7 @@ def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
             adapted, adapt_report = apply_rules(
                 scene, ctx, rulebook, preview_window=window)
             clock.lap("adapt_s")
-            assignments = route(adapted, scenario, ctx, selection,
-                                band_fractions=band_fractions)
+            assignments = route(adapted, scenario, ctx, selection, bands)
             clock.lap("route_s")
 
             adapted_sources = sources.for_scene(adapted, *reads)

@@ -35,10 +35,9 @@ from .rules import (
     SelectionRule,
     compile_expression,
     context_namespace,
-    default_selection_rules,
     object_namespace,
 )
-from .scene import AudioObject, Scene, mono_mix
+from .scene import AudioObject, Scene
 
 MAX_AMBI_ORDER = 3
 WFS_MAX_GAP_M = 0.5
@@ -120,10 +119,17 @@ def infeasibility_reasons(layout: SpeakerLayout, obj: AudioObject) -> dict[str, 
         reasons["VBAP"] = "no speaker pair or triplet brackets the direction"
     if max_ambi_order(count) < 1:
         reasons["AmbiMM"] = f"order 1 needs 3 speakers, layout has {count}"
+    segment = wfs_segment(layout)
     if count < WFS_MIN_SPEAKERS:
         reasons["WFS"] = f"needs {WFS_MIN_SPEAKERS} speakers, layout has {count}"
-    elif wfs_segment(layout) is None:
+    elif segment is None:
         reasons["WFS"] = f"no contiguous run of {WFS_MIN_SPEAKERS}+ speakers spaced <= {WFS_MAX_GAP_M} m"
+    else:
+        try:
+            wfs_drive([layout.by_id(sid).position for sid in segment],
+                      _object_direction(obj))
+        except SourceInsideArray as exc:
+            reasons["WFS"] = str(exc)
     if obj.position is None or obj.position.distance_m is None:
         reasons["PM"] = "object has no position with distance"
     if count < 2:
@@ -146,51 +152,30 @@ def _below_edge_fractions(samples: np.ndarray, sample_rate: int, edges_hz) -> di
     return {edge: float(np.sum(spectrum[freqs < edge])) / total for edge in edges_hz}
 
 
-class BandFractions:
-    """Band analysis memo: object id -> {speaker low edge Hz: energy fraction}.
-
-    An object's mono mix is transformed once, the first time it reaches band
-    analysis, and only its fractions below the given edges are kept. Keying
-    on the object id assumes the stems do not change while the memo lives,
-    which holds within a render: adaptation edits metadata, not stems.
-    """
-
-    def __init__(self, edges_hz):
-        self.edges_hz = tuple(sorted({float(e) for e in edges_hz}))
-        self.by_object: dict[str, dict[float, float]] = {}
-
-    @classmethod
-    def for_speakers(cls, speakers) -> "BandFractions":
-        return cls(s.bandwidth_hz.low_hz for s in speakers)
-
-    def of(self, obj: AudioObject, sample_rate: int) -> dict[float, float]:
-        fractions = self.by_object.get(obj.object_id)
-        if fractions is None:
-            fractions = _below_edge_fractions(mono_mix(obj), sample_rate, self.edges_hz)
-            self.by_object[obj.object_id] = fractions
-        return fractions
+def band_table(mixes: dict, speakers, sample_rate: int) -> dict:
+    """object id -> {speaker low edge Hz: fraction of the object's mono-mix
+    energy below it}, from one transform per mix (mixes maps object id to
+    mono mix). Stems are fixed for a render, so one table serves it."""
+    edges = sorted({float(s.bandwidth_hz.low_hz) for s in speakers})
+    return {oid: _below_edge_fractions(mix, sample_rate, edges)
+            for oid, mix in mixes.items()}
 
 
-def band_capable_subset(speakers, obj: AudioObject, sample_rate: int,
-                        band_fractions: BandFractions | None = None):
+def band_capable_subset(speakers, band_fractions: dict):
     """Drop speakers whose low edge cuts into significant mono-mix energy.
 
-    band_fractions must cover every speaker's low edge; without one, a memo
-    for these speakers is made for this call. If every speaker would be
-    dropped the full subset is restored (a bad speaker beats silence).
+    band_fractions is the object's row of band_table and covers every
+    speaker's low edge. If every speaker would be dropped the full subset
+    is restored (a bad speaker beats silence).
     """
     speakers = list(speakers)
-    if band_fractions is None:
-        band_fractions = BandFractions.for_speakers(speakers)
-    below = band_fractions.of(obj, sample_rate)
     kept = [s for s in speakers
-            if below[s.bandwidth_hz.low_hz] <= BAND_LIMIT_POWER_FRACTION]
+            if band_fractions[s.bandwidth_hz.low_hz] <= BAND_LIMIT_POWER_FRACTION]
     return kept if kept else speakers
 
 
-def _resolve_subset(rule_subset: str, layout: SpeakerLayout, obj: AudioObject,
-                    nearest_device: str | None, sample_rate: int,
-                    band_fractions: BandFractions):
+def _resolve_subset(rule_subset: str, layout: SpeakerLayout,
+                    nearest_device: str | None, band_fractions: dict):
     speakers = list(layout.speakers)
     if rule_subset == "nearest_device" and nearest_device is not None:
         return [layout.by_id(nearest_device)]
@@ -199,7 +184,7 @@ def _resolve_subset(rule_subset: str, layout: SpeakerLayout, obj: AudioObject,
                     if abs(s.position.az_deg) > BACKDROP_MIN_ABS_AZ_DEG]
         if backdrop:
             speakers = backdrop
-    return band_capable_subset(speakers, obj, sample_rate, band_fractions)
+    return band_capable_subset(speakers, band_fractions)
 
 
 def pm_control_points() -> tuple[Direction3, ...]:
@@ -293,10 +278,9 @@ def build_drive(assignment: RendererAssignment, layout: SpeakerLayout,
 # selection
 
 def _candidate(rule: SelectionRule, layout: SpeakerLayout, obj: AudioObject,
-               nearest_device: str | None, sample_rate: int,
-               band_fractions: BandFractions) -> RendererAssignment | None:
-    subset = _resolve_subset(rule.subset, layout, obj, nearest_device, sample_rate,
-                             band_fractions)
+               nearest_device: str | None,
+               band_fractions: dict) -> RendererAssignment | None:
+    subset = _resolve_subset(rule.subset, layout, nearest_device, band_fractions)
     if not subset:
         return None
     kind = RendererKind(rule.renderer)
@@ -306,8 +290,7 @@ def _candidate(rule: SelectionRule, layout: SpeakerLayout, obj: AudioObject,
         if rule.order == "highest" or rule.order is None:
             order = max_ambi_order(len(subset))
             if order < 1:
-                subset = band_capable_subset(layout.speakers, obj, sample_rate,
-                                             band_fractions)
+                subset = band_capable_subset(layout.speakers, band_fractions)
                 order = max_ambi_order(len(subset))
                 subset_kind = "all"
             if order < 1:
@@ -315,8 +298,7 @@ def _candidate(rule: SelectionRule, layout: SpeakerLayout, obj: AudioObject,
         else:
             order = int(rule.order)
             if len(subset) < 2 * order + 1:
-                subset = band_capable_subset(layout.speakers, obj, sample_rate,
-                                             band_fractions)
+                subset = band_capable_subset(layout.speakers, band_fractions)
                 subset_kind = "all"
             if len(subset) < 2 * order + 1:
                 return None
@@ -360,28 +342,22 @@ def _preferred_rule(obj: AudioObject) -> SelectionRule | None:
 
 
 def select_renderer(obj: AudioObject, layout: SpeakerLayout,
-                    nearest_device: str | None,
-                    selection_rules=None, namespace=None,
-                    sample_rate: int = 48000,
-                    band_fractions: BandFractions | None = None) -> RendererAssignment:
+                    nearest_device: str | None, selection_rules, namespace,
+                    sample_rate: int, band_fractions: dict) -> RendererAssignment:
     """First workable row of the selection table wins; AP1 backstops.
 
-    band_fractions carries the object's band analysis between calls; without
-    one, a memo for this layout is made for this call.
+    band_fractions is the object's row of band_table.
     """
-    if band_fractions is None:
-        band_fractions = BandFractions.for_speakers(layout.speakers)
-    rules = list(selection_rules or default_selection_rules())
+    rules = list(selection_rules)
     preferred = _preferred_rule(obj)
     if preferred is not None:
         rules.insert(0, preferred)
-    ns = dict(namespace or {})
+    ns = dict(namespace)
     ns.update(object_namespace(obj))
     for rule in rules:
         if not rule.match.holds(ns):
             continue
-        candidate = _candidate(rule, layout, obj, nearest_device, sample_rate,
-                               band_fractions)
+        candidate = _candidate(rule, layout, obj, nearest_device, band_fractions)
         if _try_build(candidate, layout, obj, sample_rate):
             return candidate
     fallback = RendererAssignment(
@@ -393,19 +369,16 @@ def select_renderer(obj: AudioObject, layout: SpeakerLayout,
 
 
 def route(scene: Scene, scenario: ReproductionScenario, ctx: HighLevelContext,
-          selection_rules=None, band_fractions: BandFractions | None = None):
+          selection_rules, bands: dict):
     """Assign one renderer per object; returns the assignments ordered by
     object_id.
 
-    band_fractions is the run's band analysis memo for this layout (a fresh
-    one per call when None).
+    bands is the run's band_table for this layout, with a row for every
+    object of the scene.
     """
-    if band_fractions is None:
-        band_fractions = BandFractions.for_speakers(scenario.layout.speakers)
     shared_ns = context_namespace(ctx, scene)
     return [
         select_renderer(obj, scenario.layout, ctx.nearest_device, selection_rules,
-                        namespace=shared_ns, sample_rate=scene.sample_rate,
-                        band_fractions=band_fractions)
+                        shared_ns, scene.sample_rate, bands[obj.object_id])
         for obj in sorted(scene.objects, key=lambda o: o.object_id)
     ]

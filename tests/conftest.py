@@ -6,7 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from obar import engine
+from obar import engine, routing
+from obar.rules import default_selection_rules
+from obar.scene import mono_mix
 from obar.wavio import write_wav
 
 FS = 48000
@@ -76,6 +78,21 @@ def render_output(job):
         patch.setattr(engine, "write_wav", capture)
         result = engine.run_render(job)
     return result, np.concatenate(blocks)
+
+
+def band_table_of(objects, speakers, fs=FS):
+    """routing.band_table of the objects' mono mixes, as the engine builds
+    it before a render's first block."""
+    return routing.band_table({o.object_id: mono_mix(o) for o in objects},
+                              speakers, fs)
+
+
+def route_scene(scene, scenario, ctx, selection_rules=None):
+    """routing.route with the default selection table (or the given one)
+    and the scene's band table."""
+    return routing.route(
+        scene, scenario, ctx, selection_rules or default_selection_rules(),
+        band_table_of(scene.objects, scenario.layout.speakers, scene.sample_rate))
 
 
 def object_doc(oid, otype, stem_refs, **over):

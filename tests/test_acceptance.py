@@ -50,7 +50,7 @@ from obar.renderers import (
     vbap_feasible,
     vbap_gains,
 )
-from obar.routing import infeasibility_reasons, max_ambi_order, route
+from obar.routing import infeasibility_reasons, max_ambi_order
 from obar.rules import default_rulebook
 from obar.scene import (
     DEFAULT_PRIORITY_ORDER,
@@ -67,6 +67,7 @@ from conftest import (
     object_doc,
     render_output,
     ring_speakers,
+    route_scene,
     scenario_doc,
     scene_doc,
     write_json,
@@ -551,7 +552,7 @@ def test_9_same_type_divergence(tmp_path):
         demo.write_demo_scenario(d, speakers=5))
     scenario = build_scenario(layout, listeners)
     ctx = ContextTracker().update(scenario, scene)
-    assignments = route(scene, scenario, ctx)
+    assignments = route_scene(scene, scenario, ctx)
 
     assert len(assignments) == 2
     types = {scene.object_by_id(a.object_id).object_type for a in assignments}

@@ -147,6 +147,9 @@ class TestContextTracker:
         ctx = ContextTracker().update(scenario, scene, measured=0.5)
         assert ctx.intelligibility_deficit == pytest.approx(0.3)
         assert ctx.effective_intelligibility_target == 0.8
+        # above target the deficit goes negative; it is not floored at 0
+        ctx = ContextTracker().update(scenario, scene, measured=0.85)
+        assert ctx.intelligibility_deficit == pytest.approx(-0.05)
 
     def test_listener_preference_can_exceed_scene_target(self, basic_scene_dir):
         scene = parse_scene(basic_scene_dir[1])
@@ -164,8 +167,12 @@ class TestContextTracker:
         loud = NoiseState(2.0, (-30.0,) * 7)
         first = tracker.update(scenario, scene, quiet)
         second = tracker.update(scenario, scene, loud)
+        # the noise held 10 dB above the first update: no change since the
+        # previous one
+        held = tracker.update(scenario, scene, NoiseState(4.0, (-30.0,) * 7))
         assert first.noise_delta_db == 0.0
         assert second.noise_delta_db == pytest.approx(10.0, abs=1e-9)
+        assert held.noise_delta_db == 0.0
 
     def test_nearest_device_tracks_listener(self, basic_scene_dir):
         scene = parse_scene(basic_scene_dir[1])

@@ -184,6 +184,50 @@ class TestEngine:
             assert t + block in ends, fade
         assert len(spans) > len(updates) + len(fades)
 
+    def test_band_table_is_built_once_before_the_first_span(
+            self, tmp_path, monkeypatch):
+        """Over a render of three updates, each object's mono mix (a
+        multi-stem object's mean of its stems) is transformed for band
+        analysis exactly once, and every transform comes before the first
+        span is mixed."""
+        d = str(tmp_path)
+        dlg = write_stem(d, "dlg.wav", speech_like(4.5))
+        left = write_stem(d, "l.wav", music_like(4.5, seed=5))
+        right = write_stem(d, "r.wav", music_like(4.5, seed=6))
+        wash = write_stem(d, "wash.wav", noise_like(4.5, lo=40.0))
+        job = make_job(tmp_path, [
+            object_doc("narrator", "dialogue", [dlg], priority=9,
+                       position={"az": 0.0, "el": 0.0, "dist": None}),
+            object_doc("band", "music", [left, right], priority=4,
+                       position={"az": -40.0, "el": 0.0, "dist": None}),
+            object_doc("wash", "ambience", [wash], priority=2,
+                       position={"az": 150.0, "el": 0.0, "dist": None}),
+        ], speakers=5, noise_timeline=step_timeline(), intelligibility=0.9)
+        events = []
+        fractions = routing._below_edge_fractions
+        mix = engine._mix_block
+
+        def analysing(samples, sample_rate, edges_hz):
+            events.append(("band", np.array(samples)))
+            return fractions(samples, sample_rate, edges_hz)
+
+        def mixing(*args):
+            events.append(("mix", None))
+            return mix(*args)
+
+        monkeypatch.setattr(routing, "_below_edge_fractions", analysing)
+        monkeypatch.setattr(engine, "_mix_block", mixing)
+        report = run_render(job).report
+        assert len(report["intervals"]) == 3
+        kinds = [kind for kind, _ in events]
+        first_mix = kinds.index("mix")
+        assert kinds[:first_mix] == ["band"] * 3
+        assert "band" not in kinds[first_mix:]
+        scene = parse_scene(job.scene_path)
+        assert len(scene.object_by_id("band").stems) == 2
+        for (_, samples), obj in zip(events, scene.objects):
+            assert np.array_equal(samples, mono_mix(obj))
+
     def test_report_times_each_stage(self, tmp_path):
         """report["timing"] holds render_s and one wall time per stage;
         the stages are disjoint parts of the render, so they sum to no
@@ -455,8 +499,9 @@ def _whole_stem_object_sources(scene, cache):
 class _WholeStemSources:
     """engine._Sources with the whole-stem reference behind it."""
 
-    def __init__(self, sample_rate):
+    def __init__(self, scene):
         self.cache = {}
+        self.mixes = {obj.object_id: mono_mix(obj) for obj in scene.objects}
 
     def for_scene(self, scene, lo, hi):
         return {
@@ -806,6 +851,20 @@ class TestCLI:
         assert cli_main(["probe", "--scenario", scenario]) == 0
         out = capsys.readouterr().out
         assert "AmbiMM(3) ok" in out
+
+    def test_probe_rejects_wfs_for_a_source_on_the_ring(self, tmp_path, capsys):
+        """A 32-speaker ring of radius 2 m is one WFS segment, but the probe
+        object at 2 m is not behind it, so build_drive would reject WFS."""
+        d = str(tmp_path)
+        scenario = write_json(
+            d, scenario_doc(demo.ring_layout_doc(32, 2.0)["speakers"]),
+            "ring32.json")
+        assert cli_main(["probe", "--scenario", scenario]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines()
+                 if l.startswith("az")]
+        assert len(lines) == 8
+        assert all("WFS no (source at 2.0 m is not behind a speaker at 2.0 m)"
+                   in l for l in lines)
 
     def test_devices_listing(self, tmp_path, capsys):
         config = demo.write_demo_devices(str(tmp_path))

@@ -4,6 +4,7 @@ is read somewhere in the program."""
 
 import ast
 import collections
+import importlib
 import pathlib
 import re
 
@@ -64,3 +65,13 @@ def test_every_top_level_name_is_read():
                     for name in _top_level_names(path.read_text(encoding="utf-8"))
                     if words[name] < 2)
     assert unread == []
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    """The benchmark's tracer wraps module attributes by name; one that a
+    refactor renames or moves would drop its layer from a traced run."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    tracer = importlib.import_module("perfbench.tracer")
+    missing = [(module, attr) for _, module, attr in tracer.TARGETS
+               if tracer._resolve(module, attr) is None]
+    assert missing == []

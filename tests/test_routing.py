@@ -19,7 +19,6 @@ from obar.renderclass import KNOWN_RENDERER_NAMES, RendererClass, RendererKind
 from obar.routing import (
     BAND_LIMIT_POWER_FRACTION,
     PM_ZONE_RADIUS_M,
-    BandFractions,
     RendererAssignment,
     band_capable_subset,
     build_drive,
@@ -27,11 +26,10 @@ from obar.routing import (
     max_ambi_order,
     pm_control_points,
     pm_design,
-    route,
     select_renderer,
     wfs_segment,
 )
-from obar.rules import parse_selection_rules
+from obar.rules import default_selection_rules, parse_selection_rules
 from obar.scene import (
     AdvancedMetadata,
     AudioObject,
@@ -40,7 +38,15 @@ from obar.scene import (
     parse_scene,
 )
 
-from conftest import FS, music_like, noise_like, ring_speakers, speech_like
+from conftest import (
+    FS,
+    band_table_of,
+    music_like,
+    noise_like,
+    ring_speakers,
+    route_scene,
+    speech_like,
+)
 
 
 def make_layout(docs):
@@ -61,6 +67,19 @@ def line_array(count, spacing_m, y_offset=2.0, prefix="w", jitter=None):
         docs.append({"id": f"{prefix}{i}",
                      "position": {"az": float(az), "el": 0.0, "dist": dist}})
     return docs
+
+
+def band_row(obj, speakers):
+    """obj's row of the band table over these speakers."""
+    return band_table_of([obj], speakers)[obj.object_id]
+
+
+def select(obj, layout, nearest_device, selection_rules=None):
+    """select_renderer with the default table (or the given one), an empty
+    context namespace and obj's band row."""
+    return select_renderer(obj, layout, nearest_device,
+                           selection_rules or default_selection_rules(), {},
+                           FS, band_row(obj, layout.speakers))
 
 
 def make_object(oid="obj", otype=ObjectType.EFFECT, az=0.0, dist=None,
@@ -147,6 +166,27 @@ class TestFeasibility:
         assert len(segment) == 5
         assert all(sid.startswith("b") for sid in segment)
 
+    @pytest.mark.parametrize("radius_m", [1.5, 2.0, 2.5])
+    def test_wfs_reason_iff_drive_cannot_be_built(self, radius_m):
+        """A 32-speaker ring is one WFS segment at these radii; the source
+        at 2 m must also lie behind every speaker of it, as build_drive
+        requires."""
+        layout = make_layout(ring_speakers(32, radius=radius_m))
+        segment = wfs_segment(layout)
+        assert segment is not None and len(segment) == 32
+        obj = make_object(az=30.0, dist=2.0)
+        reasons = infeasibility_reasons(layout, obj)
+        assignment = RendererAssignment(
+            obj.object_id, RendererClass(RendererKind.WFS_GAIN_DELAY), segment)
+        if radius_m < 2.0:
+            assert "WFS" not in reasons
+            build_drive(assignment, layout, obj, FS)
+        else:
+            assert reasons["WFS"] == (
+                f"source at 2.0 m is not behind a speaker at {radius_m} m")
+            with pytest.raises(SourceInsideArray, match="not behind"):
+                build_drive(assignment, layout, obj, FS)
+
     def test_reasons_for_missing_renderers(self):
         layout = make_layout(ring_speakers(2))
         reasons = infeasibility_reasons(layout, make_object(az=0.0))
@@ -166,18 +206,21 @@ class TestBandCapability:
 
     def test_bassy_stem_drops_narrow_speakers(self):
         bass = noise_like(0.25, seed=9, lo=60.0, hi=200.0)
-        kept = band_capable_subset(self._speakers(), make_object(samples=bass), FS)
+        obj = make_object(samples=bass)
+        kept = band_capable_subset(self._speakers(), band_row(obj, self._speakers()))
         assert [s.speaker_id for s in kept] == ["full"]
 
     def test_bright_stem_keeps_everyone(self):
         bright = noise_like(0.25, seed=9, lo=1000.0, hi=6000.0)
-        kept = band_capable_subset(self._speakers(), make_object(samples=bright), FS)
+        obj = make_object(samples=bright)
+        kept = band_capable_subset(self._speakers(), band_row(obj, self._speakers()))
         assert [s.speaker_id for s in kept] == ["full", "phone"]
 
     def test_emptied_subset_is_restored(self):
         speakers = [s for s in self._speakers() if s.speaker_id == "phone"]
         bass = noise_like(0.25, seed=9, lo=60.0, hi=200.0)
-        kept = band_capable_subset(speakers, make_object(samples=bass), FS)
+        kept = band_capable_subset(speakers,
+                                   band_row(make_object(samples=bass), speakers))
         assert [s.speaker_id for s in kept] == ["phone"]
 
     def test_multi_stem_object_is_analysed_as_its_mono_mix(self):
@@ -193,20 +236,8 @@ class TestBandCapability:
         obj = AudioObject(object_id=obj.object_id, object_type=obj.object_type,
                           stems=(obj.stems[0], Stem("bass.wav", FS, bass)),
                           position=obj.position)
-        kept = band_capable_subset(speakers, obj, FS)
+        kept = band_capable_subset(speakers, band_row(obj, speakers))
         assert [s.speaker_id for s in kept] == ["full"]
-
-    def test_band_analysis_transforms_each_object_once(self, monkeypatch):
-        speakers = self._speakers()
-        memo = BandFractions.for_speakers(speakers)
-        obj = make_object(samples=noise_like(0.25, seed=9, lo=60.0, hi=200.0))
-        calls = []
-        rfft = np.fft.rfft
-        monkeypatch.setattr(np.fft, "rfft",
-                            lambda x, *a, **k: calls.append(1) or rfft(x, *a, **k))
-        for subset in (speakers, speakers[1:], speakers, speakers[:1]):
-            band_capable_subset(subset, obj, FS, memo)
-        assert len(calls) == 1
 
 
 def _reference_below_edge_fraction(samples, sample_rate, edge_hz):
@@ -237,7 +268,7 @@ def _band_stem(n, seed, cut_hz, leak_db):
     return np.fft.irfft(spec, n)
 
 
-class TestBandMemoProperty:
+class TestBandTableProperty:
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(0, 4096),
@@ -246,8 +277,8 @@ class TestBandMemoProperty:
         st.floats(-90.0, 0.0),
         st.lists(st.floats(20.0, 4000.0), min_size=1, max_size=8),
     )
-    def test_memoised_subset_matches_per_speaker_analysis(self, n, seed, cut_hz,
-                                                          leak_db, edges):
+    def test_table_subset_matches_per_speaker_analysis(self, n, seed, cut_hz,
+                                                       leak_db, edges):
         samples = _band_stem(n, seed, cut_hz, leak_db) if n else np.zeros(0)
         obj = make_object(samples=samples)
         speakers = make_layout([
@@ -255,19 +286,17 @@ class TestBandMemoProperty:
              "bandwidth_hz": {"low": edge, "high": 20000.0}}
             for i, edge in enumerate(edges)
         ]).speakers
-        memo = BandFractions.for_speakers(speakers)
+        fractions = band_row(obj, speakers)
         for subset in (speakers, speakers[::2], speakers[1:]):
-            got = band_capable_subset(subset, obj, FS, memo)
+            got = band_capable_subset(subset, fractions)
             assert got == _reference_subset(subset, samples, FS)
-        without_memo = band_capable_subset(speakers, obj, FS)
-        assert without_memo == _reference_subset(speakers, samples, FS)
-        for fractions in memo.by_object.values():
-            assert all(type(k) is float and type(v) is float
-                       for k, v in fractions.items())
-            if n:
-                assert fractions == {
-                    edge: _reference_below_edge_fraction(samples, FS, edge)
-                    for edge in fractions}
+        assert all(type(k) is float and type(v) is float
+                   for k, v in fractions.items())
+        assert set(fractions) == {s.bandwidth_hz.low_hz for s in speakers}
+        if n:
+            assert fractions == {
+                edge: _reference_below_edge_fraction(samples, FS, edge)
+                for edge in fractions}
 
 
 class TestSelection:
@@ -278,7 +307,7 @@ class TestSelection:
         layout = self._ring()
         narrator = make_object("narrator", ObjectType.DIALOGUE, az=0.0,
                                samples=speech_like(0.25))
-        assignment = select_renderer(narrator, layout, nearest_device="s1")
+        assignment = select(narrator, layout, nearest_device="s1")
         assert assignment.renderer.kind is RendererKind.AP1_NEAREST
         assert assignment.speaker_subset == ("s1",)
         assert assignment.subset_kind == "nearest_device"
@@ -288,7 +317,7 @@ class TestSelection:
         actor = make_object("actor", ObjectType.DIALOGUE, az=20.0,
                             samples=speech_like(0.25),
                             advanced=AdvancedMetadata(onscreen=True))
-        assignment = select_renderer(actor, layout, nearest_device="s0")
+        assignment = select(actor, layout, nearest_device="s0")
         assert assignment.renderer.kind is RendererKind.AP3_VBAP
 
     def test_two_dialogue_objects_diverge(self):
@@ -298,14 +327,14 @@ class TestSelection:
         actor = make_object("actor", ObjectType.DIALOGUE, az=20.0,
                             samples=speech_like(0.25),
                             advanced=AdvancedMetadata(onscreen=True))
-        a = select_renderer(narrator, layout, "s0").renderer
-        b = select_renderer(actor, layout, "s0").renderer
+        a = select(narrator, layout, "s0").renderer
+        b = select(actor, layout, "s0").renderer
         assert a.kind is not b.kind
 
     def test_ambience_takes_highest_feasible_order(self):
         layout = self._ring(8)
         bed = make_object("bed", ObjectType.AMBIENCE, az=180.0)
-        assignment = select_renderer(bed, layout, "s0")
+        assignment = select(bed, layout, "s0")
         assert assignment.renderer.kind is RendererKind.AMBI_MM
         # backdrop (|az| > 90) on an 8-ring leaves 3 speakers: order 1
         assert assignment.subset_kind == "backdrop"
@@ -314,62 +343,62 @@ class TestSelection:
     def test_ambience_backdrop_falls_back_to_full_ring(self):
         layout = self._ring(5)   # backdrop has only 2 speakers
         bed = make_object("bed", ObjectType.AMBIENCE, az=180.0)
-        assignment = select_renderer(bed, layout, "s0")
+        assignment = select(bed, layout, "s0")
         assert assignment.renderer.kind is RendererKind.AMBI_MM
         assert assignment.subset_kind == "all"
         assert assignment.renderer.order == 2
 
     def test_diffuse_type_decorrelates(self):
-        assignment = select_renderer(
+        assignment = select(
             make_object("wash", ObjectType.DIFFUSE, position=None),
             self._ring(), "s0")
         assert assignment.renderer.kind is RendererKind.DIFFUSE
 
     def test_high_diffuseness_decorrelates_any_type(self):
-        assignment = select_renderer(
+        assignment = select(
             make_object("pad", ObjectType.EFFECT, az=10.0, diffuseness=0.8),
             self._ring(), "s0")
         assert assignment.renderer.kind is RendererKind.DIFFUSE
 
     def test_positioned_effect_without_distance_pans(self):
-        assignment = select_renderer(
+        assignment = select(
             make_object("thud", ObjectType.EFFECT, az=-40.0), self._ring(), "s0")
         assert assignment.renderer.kind is RendererKind.AP3_VBAP
 
     def test_distant_effect_uses_wfs_on_dense_array(self):
         layout = make_layout(line_array(6, 0.3))
         hit = make_object("hit", ObjectType.EFFECT, az=0.0, dist=6.0)
-        assignment = select_renderer(hit, layout, "w0")
+        assignment = select(hit, layout, "w0")
         assert assignment.renderer.kind is RendererKind.WFS_GAIN_DELAY
         assert len(assignment.speaker_subset) == 6
 
     def test_music_with_distance_pressure_matches(self):
         score = make_object("score", ObjectType.MUSIC, az=15.0, dist=4.0)
-        assignment = select_renderer(score, self._ring(), "s0")
+        assignment = select(score, self._ring(), "s0")
         assert assignment.renderer.kind is RendererKind.PM_SINGLE_ZONE
 
     def test_music_without_position_mode_matches(self):
         score = make_object("score", ObjectType.MUSIC, position=None)
-        assignment = select_renderer(score, self._ring(), "s0")
+        assignment = select(score, self._ring(), "s0")
         assert assignment.renderer.kind is RendererKind.AMBI_MM
 
     def test_distant_music_still_pressure_matches(self):
         """Bulk path delay is carried by the delay line, not the filter, so
         far sources keep their assignment."""
         score = make_object("score", ObjectType.MUSIC, az=0.0, dist=30.0)
-        assignment = select_renderer(score, self._ring(), "s0")
+        assignment = select(score, self._ring(), "s0")
         assert assignment.renderer.kind is RendererKind.PM_SINGLE_ZONE
 
     def test_preferred_renderer_wins_when_feasible(self):
         score = make_object("score", ObjectType.MUSIC, az=15.0, dist=4.0,
                             advanced=AdvancedMetadata(preferred_renderer="Diffuse"))
-        assignment = select_renderer(score, self._ring(), "s0")
+        assignment = select(score, self._ring(), "s0")
         assert assignment.renderer.kind is RendererKind.DIFFUSE
 
     def test_infeasible_preference_falls_through(self):
         score = make_object("score", ObjectType.MUSIC, az=15.0, dist=4.0,
                             advanced=AdvancedMetadata(preferred_renderer="WFS"))
-        assignment = select_renderer(score, self._ring(), "s0")
+        assignment = select(score, self._ring(), "s0")
         assert assignment.renderer.kind is RendererKind.PM_SINGLE_ZONE
 
     @settings(max_examples=60, deadline=None)
@@ -378,7 +407,7 @@ class TestSelection:
         """Property: the selected renderer is feasible (its kind has no
         reason, and mode matching runs at an order the layout carries), and
         the reasons name exactly the kinds the layout cannot drive."""
-        assignment = select_renderer(obj, layout, layout.ids()[0])
+        assignment = select(obj, layout, layout.ids()[0])
         reasons = infeasibility_reasons(layout, obj)
         renderer = assignment.renderer
         top_order = max_ambi_order(len(layout.speakers))
@@ -396,7 +425,7 @@ class TestSelection:
             "rules": [{"match": "true", "renderer": "Diffuse"},
                       {"match": "true", "renderer": "AP1"}],
         })
-        assignment = select_renderer(
+        assignment = select(
             make_object("x", ObjectType.MUSIC, az=0.0), self._ring(), "s0",
             selection_rules=table)
         assert assignment.renderer.kind is RendererKind.DIFFUSE
@@ -554,25 +583,25 @@ class TestCrossfadesAndRouting:
 
     def test_route_assigns_every_object(self, basic_scene_dir):
         scene, scenario, ctx = self._demo(basic_scene_dir)
-        assignments = route(scene, scenario, ctx)
+        assignments = route_scene(scene, scenario, ctx)
         assert [a.object_id for a in assignments] == ["band", "narrator"]
         classes = {a.renderer.kind for a in assignments}
         assert len(classes) >= 2
 
     def test_route_is_idempotent(self, basic_scene_dir):
         scene, scenario, ctx = self._demo(basic_scene_dir)
-        assert route(scene, scenario, ctx) == route(scene, scenario, ctx)
+        assert route_scene(scene, scenario, ctx) == route_scene(scene, scenario, ctx)
 
     def test_route_emits_crossfade_on_change(self, basic_scene_dir):
         """A new table changes the assignments the engine crossfades on."""
         scene, scenario, ctx = self._demo(basic_scene_dir)
-        first = route(scene, scenario, ctx)
+        first = route_scene(scene, scenario, ctx)
         everything_diffuse = parse_selection_rules({
             "schema": "selection v1",
             "rules": [{"match": "true", "renderer": "Diffuse"},
                       {"match": "true", "renderer": "AP1"}],
         })
-        second = route(scene, scenario, ctx, selection_rules=everything_diffuse)
+        second = route_scene(scene, scenario, ctx, everything_diffuse)
         assert [a.object_id for a in second] == [a.object_id for a in first]
         changed = [b for a, b in zip(first, second) if a != b]
         assert changed
