@@ -194,6 +194,13 @@ def _columns(drive: DrivingFunction, chan_index: dict) -> np.ndarray:
     return np.array([chan_index[sid] for sid in drive.speaker_ids], dtype=np.intp)
 
 
+def _add_columns(out: np.ndarray, cols: np.ndarray, samples: np.ndarray) -> None:
+    """out[:, cols] += samples, one column at a time: a fancy-index add
+    would gather, add and scatter back all of the span's columns."""
+    for col, column in zip(cols, samples.T):
+        out[:, col] += column
+
+
 def _mix_block(lanes, t0: int, block: int, fs: int, out: np.ndarray) -> None:
     """Add the span of every lane that starts at sample t0 into out (span
     samples x channels, zeroed by the caller). The span is K whole blocks
@@ -237,7 +244,8 @@ def _mix_block(lanes, t0: int, block: int, fs: int, out: np.ndarray) -> None:
                 segments.append(seg)
                 gain_rows.append(lane.gain_row)
             else:
-                out[:, lane.cols] += render_block(frames, lane.drive, lane.state)
+                _add_columns(out, lane.cols,
+                             render_block(frames, lane.drive, lane.state))
             continue
         if times is None:
             times = (t0 + np.arange(n)) / fs
@@ -246,12 +254,12 @@ def _mix_block(lanes, t0: int, block: int, fs: int, out: np.ndarray) -> None:
             / (lane.fade_end_s - lane.fade_start_s), 0.0, 1.0)
         w_old, w_new = crossfade_gains(position, lane.fade_coherent)
         rendered = render_block(frames, lane.drive, lane.state)
-        out[:, lane.cols] += rendered * w_new[:, None]
+        _add_columns(out, lane.cols, rendered * w_new[:, None])
         old_drive, old_state, old_source, old_gain, old_cols = lane.old
         old_seg = old_source.segment(t0, n) * old_gain
         old_rendered = render_block(
             old_seg.reshape(count, block), old_drive, old_state)
-        out[:, old_cols] += old_rendered * w_old[:, None]
+        _add_columns(out, old_cols, old_rendered * w_old[:, None])
         if times[-1] >= lane.fade_end_s:
             lane.old = None
     if segments:

@@ -118,6 +118,12 @@ class UnsupportedRate(ObarError):
     component = "dsp_core"
 
 
+class TiltOutOfReach(ObarError, ValueError):
+    """A spectral tilt beyond what the first-order shelf can realise."""
+
+    component = "dsp_core"
+
+
 # cli / io --------------------------------------------------------------
 
 class DuplicateDeviceId(ObarError):

@@ -3,6 +3,10 @@
 Band levels are checked against direct FFT band power, delays against
 analytically shifted sines, and the tilt shelf against sine-probe level
 measurements, so none of the expectations reuse the implementation's own math.
+The numpy kernels are also checked against the scipy.signal computations
+they replace: band levels against the filter bank run by sosfilt, the band
+design against butter, the tilt design against a root-found one, the tilt
+filter against lfilter and the decorrelator against fftconvolve.
 """
 
 import math
@@ -13,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import signal
+from scipy.optimize import brentq
 
 from obar import dsp
-from obar.errors import NegativeDelay, UnsupportedRate
+from obar.errors import NegativeDelay, ObarError, TiltOutOfReach, UnsupportedRate
 
 from conftest import FS, noise_like
 
@@ -75,13 +80,21 @@ class TestOctaveBands:
         levels = dsp.octave_band_levels(np.zeros(FS // 4), FS)
         assert np.all(levels == -120.0)
 
+    @pytest.mark.parametrize("n", [0, 1, 601, 2 * FS])
+    def test_silence_and_sub_floor_input_floor_exactly(self, n):
+        """At lengths where every band, some bands or no band is convolved
+        directly."""
+        assert np.all(dsp.octave_band_levels(np.zeros(n), FS) == -120.0)
+        quiet = np.random.default_rng(n).uniform(-1.0, 1.0, n) * 1e-7
+        assert np.all(dsp.octave_band_levels(quiet, FS) == -120.0)
+
     def test_low_rate_rejected(self):
         with pytest.raises(UnsupportedRate):
             dsp.octave_band_levels(np.zeros(1000), 16000)
 
 
 def reference_band_levels(block, sample_rate):
-    """The unmemoised measurement, copied: per band rms_db(sosfilt(...))."""
+    """The filter bank's measurement: per band rms_db(sosfilt(...))."""
     def rms_db(x):
         if x.size == 0:
             return -120.0
@@ -98,11 +111,83 @@ def reference_band_levels(block, sample_rate):
     return np.array(levels)
 
 
+# The band kernel's bound against the filter bank, in dB.
+BANK_TOL_DB = 1e-9
+
+
+def assert_matches_bank(levels, block, sample_rate):
+    reference = reference_band_levels(block, sample_rate)
+    assert np.max(np.abs(levels - reference)) <= BANK_TOL_DB, (levels, reference)
+
+
+class TestBandKernel:
+    """The numpy band kernel against the filter bank it replaces."""
+
+    @pytest.mark.parametrize("rate", [44100, FS])
+    def test_band_design_matches_butter(self, rate):
+        """The poles against butter's, and the responses the kernel uses (the
+        truncated impulse response's spectrum and the Parseval weights)
+        against butter's zeros, poles and gain evaluated as products."""
+        for band in dsp._octave_bank(rate):
+            lo, hi = band.edges_hz
+            z, p, k = signal.butter(7, [lo, hi], btype="bandpass", fs=rate,
+                                    output="zpk")
+            assert np.array_equal(z, np.concatenate([np.ones(7), -np.ones(7)]))
+            poles = dsp._band_poles(lo, hi, rate)
+            assert np.max(np.abs(np.sort_complex(poles) - np.sort_complex(p))) <= 1e-12
+            size = band.ring_size
+            _, h = signal.freqz_zpk(
+                z, p, k, worN=2.0 * np.pi * np.arange(size // 2 + 1) / size)
+            assert np.max(np.abs(band.ring_spectrum - h)) <= 1e-12
+            weights = dsp._band_weights(rate, size)[dsp._octave_bank(rate).index(band)]
+            scale = np.full(size // 2 + 1, 2.0 / size)
+            scale[0] = scale[-1] = 1.0 / size
+            assert np.max(np.abs(weights / scale - np.abs(h) ** 2)) <= 1e-12
+
+    def test_response_lengths_reach_the_transient_floor(self):
+        bank = dsp._octave_bank(FS)
+        assert [len(b.response) for b in bank][::6] == [42505, 602]
+        for band in bank:
+            pole = np.max(np.abs(dsp._band_poles(*band.edges_hz, FS)))
+            length = len(band.response)
+            assert pole ** length < dsp.TRANSIENT_FLOOR <= pole ** (length - 1)
+
+    @pytest.mark.parametrize("kind", ["noise", "band", "tail", "onset", "click"])
+    def test_full_windows_match_the_bank(self, kind):
+        """Two-second windows: steady noise, band-limited noise, a burst in
+        the last 5 ms (nearly all of the 125 Hz band's energy rings out past
+        the window, so that band is convolved directly), silence then
+        noise, and one click in the middle."""
+        rng = np.random.default_rng(5)
+        n = 2 * FS
+        x = {"noise": lambda: rng.standard_normal(n) * 0.1,
+             "band": lambda: noise_like(2.0, seed=3, lo=200.0, hi=6000.0),
+             "tail": lambda: np.concatenate([np.zeros(n - 240),
+                                             rng.standard_normal(240) * 0.5]),
+             "onset": lambda: np.concatenate([np.zeros(n // 2),
+                                              rng.standard_normal(n // 2) * 0.1]),
+             "click": lambda: np.eye(1, n, n // 2)[0] * 0.9}[kind]()
+        assert_matches_bank(dsp.octave_band_levels(x, FS), x, FS)
+
+    @pytest.mark.parametrize("n", [601, 602, 603, 2641, 2643, 42504, 42506])
+    def test_windows_around_the_response_lengths_match_the_bank(self, n):
+        """Bands whose truncated response is longer than the window are
+        convolved directly; the others take the Parseval difference."""
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        assert_matches_bank(dsp.octave_band_levels(x, FS), x, FS)
+
+    def test_low_rate_rejected_for_any_length(self):
+        for n in (0, 1, 1000, 50000):
+            with pytest.raises(UnsupportedRate):
+                dsp.octave_band_levels(np.ones(n), 16000)
+
+
 class TestBandLevelMemo:
     """octave_band_levels answers a repeated signal from its memo table.
 
     A hit returns the very array of the first measurement, so `is` tells a
-    hit from a miss without instrumenting the filter.
+    hit from a miss without instrumenting the measurement; every miss
+    matches the filter bank to within BANK_TOL_DB.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -111,7 +196,7 @@ class TestBandLevelMemo:
            index=st.integers(0, 10**6), rate=st.sampled_from([44100, FS]))
     def test_memo_matches_reference_and_keys_on_exact_bytes(self, x, index, rate):
         first = dsp.octave_band_levels(x, rate)
-        assert first.tobytes() == reference_band_levels(x, rate).tobytes()
+        assert_matches_bank(first, x, rate)
         assert not first.flags.writeable
         # the same bytes again, from a fresh buffer: a hit
         assert dsp.octave_band_levels(x.copy(), rate) is first
@@ -120,12 +205,12 @@ class TestBandLevelMemo:
         nudged[index % len(x)] = np.nextafter(nudged[index % len(x)], np.inf)
         moved = dsp.octave_band_levels(nudged, rate)
         assert moved is not first
-        assert moved.tobytes() == reference_band_levels(nudged, rate).tobytes()
+        assert_matches_bank(moved, nudged, rate)
         # the other sample rate: a miss
         other = 44100 if rate == FS else FS
         elsewhere = dsp.octave_band_levels(x, other)
         assert elsewhere is not first
-        assert elsewhere.tobytes() == reference_band_levels(x, other).tobytes()
+        assert_matches_bank(elsewhere, x, other)
         # the same samples followed by silence: a miss
         padded = dsp.octave_band_levels(np.concatenate([x, np.zeros(7)]), rate)
         assert padded is not first
@@ -137,7 +222,7 @@ class TestBandLevelMemo:
     def test_strided_view_is_measured_as_its_samples(self, x, step):
         view = x[::step]
         levels = dsp.octave_band_levels(view, FS)
-        assert levels.tobytes() == reference_band_levels(view, FS).tobytes()
+        assert_matches_bank(levels, view, FS)
         assert dsp.octave_band_levels(np.ascontiguousarray(view), FS) is levels
 
     def test_results_are_read_only(self):
@@ -458,6 +543,71 @@ class TestDirectives:
         for arr in (b, a):
             with pytest.raises(ValueError):
                 arr[0] = 2.0
+
+
+def root_found_tilt_ba(tilt_db, sample_rate):
+    """The shelf design the closed form replaced: the shelf's ratio r
+    root-found on the digital response measured at the two probes."""
+    w0 = 2.0 * math.pi * math.sqrt(dsp.TILT_PROBE_HZ * dsp.TILT_REF_HZ)
+    probes = np.array([dsp.TILT_REF_HZ, dsp.TILT_PROBE_HZ])
+
+    def design(x):
+        r = math.exp(x)
+        return signal.bilinear([r / w0, 1.0], [1.0 / (w0 * r), 1.0], sample_rate)
+
+    def measured(x):
+        _, h = signal.freqz(*design(x), worN=probes, fs=sample_rate)
+        return 20.0 * math.log10(abs(h[1]) / abs(h[0])) - tilt_db
+
+    return design(brentq(measured, -8.0, 8.0, xtol=1e-12))
+
+
+TILTS_DB = [-23.5, -17.0, -6.0, -2.5, -1e-3, 1e-3, 0.7, 3.0, 6.0, 12.0, 23.5]
+
+
+class TestTiltKernels:
+    @pytest.mark.parametrize("rate", [44100, FS, 96000])
+    def test_closed_form_matches_the_root_found_design(self, rate):
+        for tilt in TILTS_DB:
+            b, a = dsp.design_tilt_ba(tilt, rate)
+            ref_b, ref_a = root_found_tilt_ba(tilt, rate)
+            assert np.max(np.abs(b - ref_b)) <= 1e-10, tilt
+            assert np.max(np.abs(a - ref_a)) <= 1e-10, tilt
+
+    @pytest.mark.parametrize("tilt", [23.6, -23.6, 30.0, -40.0])
+    def test_tilt_beyond_the_shelf_reach_is_an_obar_error(self, tilt):
+        with pytest.raises(TiltOutOfReach, match="reach") as caught:
+            dsp.design_tilt_ba(tilt, FS)
+        assert isinstance(caught.value, ObarError)
+        assert isinstance(caught.value, ValueError)
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=arrays(np.float64, st.integers(1, 5000),
+                    elements=st.floats(-1.0, 1.0, allow_subnormal=False)),
+           tilt=st.sampled_from(TILTS_DB))
+    def test_recursion_matches_lfilter(self, x, tilt):
+        b, a = dsp.design_tilt_ba(tilt, FS)
+        y = dsp.apply_directives(x, [dsp.Directive("spectral_tilt", tilt)], FS)
+        ref = signal.lfilter(b, a, x)
+        assert y.shape == x.shape
+        assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("tilt", TILTS_DB)
+    def test_recursion_matches_lfilter_on_long_noise(self, tilt):
+        x = np.random.default_rng(1).standard_normal(3 * FS)
+        b, a = dsp.design_tilt_ba(tilt, FS)
+        y = dsp.apply_directives(x, [dsp.Directive("spectral_tilt", tilt)], FS)
+        ref = signal.lfilter(b, a, x)
+        assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 7, 1023, 1024, 5000, 2 * FS + 4321])
+    @pytest.mark.parametrize("amount", [0.3, 1.0])
+    def test_decorrelation_matches_fftconvolve(self, n, amount):
+        x = np.random.default_rng(n).standard_normal(n)
+        y = dsp.apply_directives(x, [dsp.Directive("decorrelate", amount, seed=9)], FS)
+        wet = signal.fftconvolve(x, dsp.decorrelator_fir(9))[:n]
+        ref = math.sqrt(1.0 - amount) * x + math.sqrt(amount) * wet
+        assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestDirectiveMargins:

@@ -11,7 +11,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
@@ -440,8 +439,9 @@ class TestEngine:
             self, tmp_path, monkeypatch):
         """The loop measures many signals more than once (pristine and
         adapted mixes, ladder previews) and builds every PM drive twice per
-        interval; filter passes equal the distinct signals and PM solves the
-        distinct geometries."""
+        interval; band analyses (one pass of the band kernel over all
+        bands) equal the distinct signals and PM solves the distinct
+        geometries."""
         measured = []
 
         def recording(block, sample_rate=FS):
@@ -450,11 +450,11 @@ class TestEngine:
             return dsp.octave_band_levels(block, sample_rate)
 
         passes = []
-        sosfilt = scipy.signal.sosfilt
+        band_energies = dsp._band_energies
 
-        def counting_sosfilt(*args, **kwargs):
+        def counting_passes(*args, **kwargs):
             passes.append(1)
-            return sosfilt(*args, **kwargs)
+            return band_energies(*args, **kwargs)
 
         solves = []
 
@@ -468,13 +468,13 @@ class TestEngine:
         scenario = demo.write_demo_scenario(d, noise_step_db=10.0)
         monkeypatch.setattr(engine, "octave_band_levels", recording)
         monkeypatch.setattr(context, "octave_band_levels", recording)
-        monkeypatch.setattr(scipy.signal, "sosfilt", counting_sosfilt)
+        monkeypatch.setattr(dsp, "_band_energies", counting_passes)
         monkeypatch.setattr(routing, "pm_filters", counting_pm)
         monkeypatch.setattr(dsp, "_band_levels_memo", collections.OrderedDict())
         routing.pm_design.cache_clear()
         run_render(RenderJob(scene, scenario, os.path.join(d, "out.wav")))
         assert len(measured) > len(set(measured))
-        assert len(passes) == len(dsp.OCTAVE_CENTERS_HZ) * len(set(measured))
+        assert len(passes) == len(set(measured))
         assert solves and len(solves) == len(set(solves))
 
 
@@ -865,6 +865,31 @@ class TestCLI:
         assert len(lines) == 8
         assert all("WFS no (source at 2.0 m is not behind a speaker at 2.0 m)"
                    in l for l in lines)
+
+    def test_tilt_beyond_the_shelf_reach_fails_in_one_line(self, tmp_path,
+                                                           capsys):
+        """A direct spectral_tilt rule past the first-order shelf's reach,
+        inside every object's tolerance, ends the render with one diagnostic
+        line and leaves no WAV, partial WAV, report or metrics behind."""
+        d, scene, scenario = self.demo_paths(tmp_path)
+        doc = json.load(open(scene))
+        for obj in doc["objects"]:
+            constraints = obj.setdefault("constraints", {})
+            constraints.setdefault("tolerances", {})["spectral_tilt_db"] = 40.0
+        wide = write_json(d, doc, "wide-scene.json")
+        rules = write_json(d, {"schema": "rulebook v1", "rules": [
+            {"rule_id": "steep", "when": "true", "actions": [
+                {"kind": "spectral_tilt", "db": 30.0}]}]}, "rules.json")
+        before = set(os.listdir(d))
+        out = os.path.join(d, "x.wav")
+        assert cli_main(["render", "--scene", wide, "--scenario", scenario,
+                         "--out", out, "--rules", rules]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        err = captured.err.strip()
+        assert err.count("\n") == 0 and err.startswith("error [dsp_core]:"), err
+        assert "30 dB exceeds the first-order shelf's reach" in err, err
+        assert set(os.listdir(d)) == before
 
     def test_devices_listing(self, tmp_path, capsys):
         config = demo.write_demo_devices(str(tmp_path))

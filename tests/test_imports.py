@@ -5,8 +5,11 @@ is read somewhere in the program."""
 import ast
 import collections
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -75,3 +78,41 @@ def test_every_traced_name_resolves(monkeypatch):
     missing = [(module, attr) for _, module, attr in tracer.TARGETS
                if tracer._resolve(module, attr) is None]
     assert missing == []
+
+
+# The subpackages that only obar.demo and the tests may import.
+DEMO_ONLY = ("scipy.signal", "scipy.optimize")
+
+
+def test_render_path_does_not_import_scipy_signal():
+    """A fresh interpreter, since the test modules import scipy.signal
+    themselves: importing the engine and the CLI loads neither subpackage."""
+    code = ("import sys, obar.engine, obar.cli; print(' '.join(sorted("
+            f"m for m in sys.modules if m.startswith({DEMO_ONLY!r}))))")
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
+
+
+def _imported_modules(source: str) -> list[str]:
+    """Every module an import statement names, from X import Y as X.Y."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.extend(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "demo.py"],
+    ids=[p.name for p in SOURCES if p.name != "demo.py"])
+def test_only_the_demo_imports_scipy_signal(path):
+    """No other module imports scipy.signal or scipy.optimize, at the top or
+    inside a function."""
+    names = _imported_modules(path.read_text(encoding="utf-8"))
+    assert [n for n in names if n in DEMO_ONLY
+            or n.startswith(tuple(m + "." for m in DEMO_ONLY))] == []
