@@ -26,11 +26,10 @@ from .scene import (
     ObjectType,
     ReverbMetadata,
     Scene,
-    mono_mix,
 )
 
 # Intelligibility ladder sizing. The escalation direction is fixed (duck, then
-# tilt, then displace, then decorrelate); these constants size the steps.
+# tilt, then displace and decorrelate); these constants size the steps.
 LADDER_STEP_CAP_DB = 6.0
 LADDER_SLOPE_DB_PER_DEFICIT = 20.0
 LADDER_REPOSITION_DEG_PER_DB = 5.0
@@ -174,12 +173,12 @@ def resolve_priority(requested,
 # ---------------------------------------------------------------------------
 # intelligibility ladder
 
-def _preview_mix(objs, sample_rate, window, length, gains_db=None, tilts_db=None):
+def _preview_mix(objs, mixes, sample_rate, window, length, gains_db=None, tilts_db=None):
     gains_db = gains_db or {}
     tilts_db = tilts_db or {}
     mix = np.zeros(length)
     for obj in objs:
-        sig = mono_mix(obj, window)
+        sig = mixes[obj.object_id][window[0]:window[1]]
         if not len(sig):
             continue
         sig = sig * 10.0 ** ((obj.level_db + gains_db.get(obj.object_id, 0.0)) / 20.0)
@@ -190,44 +189,10 @@ def _preview_mix(objs, sample_rate, window, length, gains_db=None, tilts_db=None
     return mix
 
 
-def _ladder_baseline(scene: Scene, dialogue, others, window):
-    """The rung-invariant part of every ladder preview.
-
-    Returns (preview length, dialogue mix, proxy score of the dialogue
-    against the unadapted maskers); none of them changes between rungs.
-    """
-    length = max(
-        max(((len(s.samples) if window is None else window[1] - window[0])
-             for o in (*dialogue, *others) for s in o.stems), default=0),
-        MIN_NOISE_BLOCK,
-    )
-    speech = _preview_mix(dialogue, scene.sample_rate, window, length)
-    before = _preview_mix(others, scene.sample_rate, window, length)
-    return length, speech, estimate_intelligibility(speech, before, scene.sample_rate)
-
-
-def _projected_residual(scene: Scene, deficit: float, others, emitted,
-                        window, baseline) -> float:
-    """deficit minus the proxy-intelligibility gain of the emitted actions.
-
-    baseline is _ladder_baseline of the same scene, dialogue, maskers and
-    window. Previews are mono mixdowns, so only level and spectral changes
-    register; spatial and decorrelation rungs project as zero gain
-    (conservative).
-    """
-    gains: dict[str, float] = {}
-    tilts: dict[str, float] = {}
-    for action in emitted:
-        clamped = clamp_to_tolerances(
-            action, scene.object_by_id(action.object_id).constraints)
-        if clamped.kind == "GainOffset":
-            gains[clamped.object_id] = gains.get(clamped.object_id, 0.0) + clamped.value
-        elif clamped.kind == "SpectralTilt":
-            tilts[clamped.object_id] = tilts.get(clamped.object_id, 0.0) + clamped.value
-    length, speech, score_before = baseline
-    after = _preview_mix(others, scene.sample_rate, window, length, gains, tilts)
-    score_after = estimate_intelligibility(speech, after, scene.sample_rate)
-    return deficit - max(score_after - score_before, 0.0)
+def _clamped_values(actions, others) -> dict[str, float]:
+    """object_id -> each action's value, clamped to its object's tolerances."""
+    return {o.object_id: clamp_to_tolerances(a, o.constraints).value
+            for a, o in zip(actions, others)}
 
 
 def _rung_reposition(others, dialogue, step_db, reason):
@@ -250,17 +215,22 @@ def _rung_reposition(others, dialogue, step_db, reason):
     return actions
 
 
-def intelligibility_boost(scene: Scene, ctx: HighLevelContext,
-                          window: tuple[int, int] | None = None,
+def intelligibility_boost(scene: Scene, ctx: HighLevelContext, mixes,
+                          window: tuple[int, int],
                           reason: str = "intelligibility_ladder"):
     """Escalating masker adaptations sized by the intelligibility deficit.
 
     Rung 1 ducks every non-dialogue object by step = min(deficit * 20 dB,
-    6 dB); rungs 2-4 (spectral tilt -step, reposition away from the nearest
-    dialogue azimuth by step * 5 degrees, decorrelate 0.5) are appended one at
-    a time while the preceding rungs, clamped to each object's tolerances,
-    leave a projected deficit above 0.05. window limits the preview to a
-    sample range of the stems.
+    6 dB). Rung 2 tilts them by -step. Rung 3 moves them away from the
+    nearest dialogue azimuth by step * 5 degrees and decorrelates them by
+    0.5. Each later rung is emitted only while the rungs before it, clamped
+    to each object's tolerances, leave a projected deficit above 0.05.
+
+    The projection previews the mono mix of mixes (object_id -> the
+    object's mono mix) over the sample range window: the proxy gain of the
+    ducked, then ducked and tilted, maskers over the unadapted ones. A mono
+    preview cannot register reposition or decorrelation, so rung 3 is one
+    step and the ladder makes at most three proxy scores.
     """
     deficit = ctx.intelligibility_deficit
     if deficit <= 0.0:
@@ -272,26 +242,31 @@ def intelligibility_boost(scene: Scene, ctx: HighLevelContext,
     if not others:
         return []
     step = min(deficit * LADDER_SLOPE_DB_PER_DEFICIT, LADDER_STEP_CAP_DB)
+    fs = scene.sample_rate
+    length = max(window[1] - window[0], MIN_NOISE_BLOCK)
+    speech = _preview_mix(dialogue, mixes, fs, window, length)
+    score_before = estimate_intelligibility(
+        speech, _preview_mix(others, mixes, fs, window, length), fs)
 
-    emitted = [AdaptationAction(o.object_id, "GainOffset", -step, reason=reason)
-               for o in others]
-    later_rungs = (
-        lambda: [AdaptationAction(o.object_id, "SpectralTilt", -step, reason=reason)
-                 for o in others],
-        lambda: _rung_reposition(others, dialogue, step, reason),
-        lambda: [AdaptationAction(o.object_id, "Decorrelate",
-                                  LADDER_DECORRELATE_AMOUNT, reason=reason)
-                 for o in others],
-    )
-    baseline = _ladder_baseline(scene, dialogue, others, window)
-    for build in later_rungs:
-        residual = _projected_residual(scene, deficit, others, emitted, window, baseline)
-        if residual <= LADDER_RESIDUAL_THRESHOLD:
-            break
-        rung = build()
-        # a rung can be empty (nothing to reposition); escalation continues
-        emitted.extend(rung)
-    return emitted
+    def residual(gains_db, tilts_db) -> float:
+        after = _preview_mix(others, mixes, fs, window, length, gains_db, tilts_db)
+        gain = estimate_intelligibility(speech, after, fs) - score_before
+        return deficit - max(gain, 0.0)
+
+    duck = [AdaptationAction(o.object_id, "GainOffset", -step, reason=reason)
+            for o in others]
+    gains = _clamped_values(duck, others)
+    if residual(gains, {}) <= LADDER_RESIDUAL_THRESHOLD:
+        return duck
+    tilt = [AdaptationAction(o.object_id, "SpectralTilt", -step, reason=reason)
+            for o in others]
+    if residual(gains, _clamped_values(tilt, others)) <= LADDER_RESIDUAL_THRESHOLD:
+        return duck + tilt
+    # a masker without a position is not repositioned, but still decorrelated
+    return duck + tilt + _rung_reposition(others, dialogue, step, reason) + [
+        AdaptationAction(o.object_id, "Decorrelate", LADDER_DECORRELATE_AMOUNT,
+                         reason=reason)
+        for o in others]
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +441,9 @@ def _expand_reverb_fit(scene: Scene, ctx: HighLevelContext, rule_id: str):
 
 
 def _expand(template: RuleAction, scene: Scene, ctx: HighLevelContext,
-            rule_id: str, window):
+            rule_id: str, mixes, window):
     if template.kind == "intelligibility_ladder":
-        return intelligibility_boost(scene, ctx, window=window, reason=rule_id)
+        return intelligibility_boost(scene, ctx, mixes, window, reason=rule_id)
     if template.kind == "personalize":
         return personalize_levels(scene, ctx.listener, reason=rule_id)
     if template.kind == "reverb_fit":
@@ -532,15 +507,17 @@ def _apply_one(scene: Scene, action: AdaptationAction):
     return scene.with_objects(objects), applied, None
 
 
-def apply_rules(scene: Scene, ctx: HighLevelContext, rulebook,
-                preview_window: tuple[int, int] | None = None):
+def apply_rules(scene: Scene, ctx: HighLevelContext, rulebook, mixes,
+                window: tuple[int, int]):
     """Evaluate a rulebook against a scene and apply the fired actions.
 
     Rules run in book order and later rules see the already-adapted scene.
     Each fired rule's actions are ordered by resolve_priority per object,
     clamped to that object's tolerances, then applied; metadata edits land
     directly and signal edits become deferred directives on the object.
-    Returns (adapted scene, AdaptationReport); the input scene is untouched.
+    The intelligibility ladder previews mixes (object_id -> mono mix) over
+    the sample range window. Returns (adapted scene, AdaptationReport); the
+    input scene is untouched.
     """
     adapted = scene
     applied: list[AppliedAction] = []
@@ -553,7 +530,7 @@ def apply_rules(scene: Scene, ctx: HighLevelContext, rulebook,
         for template in rule.actions:
             try:
                 requested.extend(_expand(template, adapted, ctx, rule.rule_id,
-                                         preview_window))
+                                         mixes, window))
             except NoDialogueObject as exc:
                 skipped.append(SkippedAction(
                     AdaptationAction("", "GainOffset", reason=rule.rule_id), str(exc)))
@@ -585,7 +562,6 @@ def apply_rules(scene: Scene, ctx: HighLevelContext, rulebook,
     report = AdaptationReport(
         applied=tuple(applied),
         skipped=tuple(skipped),
-        deltas=tuple((oid, prop, round(total, 12))
-                     for (oid, prop), total in deltas.items()),
+        deltas=tuple((oid, prop, total) for (oid, prop), total in deltas.items()),
     )
     return adapted, report

@@ -42,6 +42,10 @@ SCENARIO_SCHEMA_VERSION = "scenario-schema v1"
 
 MIN_NOISE_BLOCK = 4096
 
+# Loudest noise band level a scenario may give, in dBFS: far above any
+# real noise, far below the ~3083 dB where a band's power overflows a float.
+NOISE_LEVEL_DB_MAX = 200.0
+
 # Octave-band signal-to-noise ratios map to a 0..1 proxy score: each band
 # contributes linearly between -15 dB (useless) and +15 dB (fully usable).
 SNR_FLOOR_DB = -15.0
@@ -396,11 +400,20 @@ def _parse_environment(doc, where) -> tuple[float, ...] | None:
     return get_field(doc, "room_decay_tau_s", where, _parse_decay_taus, nullable=True)
 
 
+def _noise_level(value, field: str) -> float:
+    level = parse_number(value, field)
+    if level > NOISE_LEVEL_DB_MAX:
+        raise SchemaError(
+            f"{field} must be <= {NOISE_LEVEL_DB_MAX:g} dBFS, got {echo(value)}")
+    return level
+
+
 def parse_noise_timeline(entries) -> tuple[NoiseState, ...]:
     """Stepwise noise timeline: each entry holds from its time to the next.
 
-    Times and band levels must be finite numbers; anything else raises
-    SchemaError naming the entry's field.
+    Times and band levels must be finite numbers, and band levels at most
+    NOISE_LEVEL_DB_MAX; anything else raises SchemaError naming the entry's
+    field.
     """
     states = []
     for i, e in enumerate(parse_list(entries, "noise_timeline")):
@@ -409,7 +422,7 @@ def parse_noise_timeline(entries) -> tuple[NoiseState, ...]:
         levels = get_field(e, "band_levels_db", where, parse_list, required=True)
         states.append(NoiseState(
             get_field(e, "t_s", where, parse_number, required=True),
-            tuple(parse_number(level, f"{where}.band_levels_db[{j}]")
+            tuple(_noise_level(level, f"{where}.band_levels_db[{j}]")
                   for j, level in enumerate(levels))))
     if [s.timestamp_s for s in states] != sorted(s.timestamp_s for s in states):
         raise SchemaError("noise_timeline must ascend by t_s")

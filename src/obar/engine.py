@@ -447,6 +447,9 @@ def run_render(job: RenderJob) -> RenderResult:
                  if job.selection_path else default_selection_rules())
 
     fs = scene.sample_rate
+    if not math.isfinite(job.crossfade_s * fs):
+        raise JobError(f"options.crossfade_s={job.crossfade_s} is not a finite "
+                       f"number of samples at {fs} Hz")
     n_total = scene.duration_samples
     if n_total <= 0:
         raise JobError("scene.objects carry no audio samples to render")
@@ -592,7 +595,7 @@ def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
             clock.lap("measure_s")
 
             adapted, adapt_report = apply_rules(
-                scene, ctx, rulebook, preview_window=window)
+                scene, ctx, rulebook, sources.mixes, window)
             clock.lap("adapt_s")
             assignments = route(adapted, scenario, ctx, selection, bands)
             clock.lap("route_s")
@@ -704,7 +707,7 @@ def _interval_record(t_s, noise, ctx, measured, projected,
                 for sk in adapt_report.skipped
             ],
             "deltas": [
-                {"object_id": oid, "property": prop, "total": total}
+                {"object_id": oid, "property": prop, "total": round(total, 6)}
                 for oid, prop, total in adapt_report.deltas
             ],
         },

@@ -139,19 +139,15 @@ class AudioObject:
     directives: tuple[Directive, ...] = ()
 
 
-def mono_mix(obj: AudioObject, window: tuple[int, int] | None = None) -> np.ndarray:
+def mono_mix(obj: AudioObject) -> np.ndarray:
     """The mono signal an object renders as: the mean of its non-empty stems.
 
-    window = (start, stop) limits the mix to that sample range; the result
-    equals the same slice of the full mix. An object with one non-empty
-    stem mixes to that stem itself: the result is a read-only view of the
-    stem's samples (windowed or not), not a copy.
+    An object with one non-empty stem mixes to that stem itself: the result
+    is a read-only view of the stem's samples, not a copy.
     """
     arrays = [np.asarray(s.samples, dtype=float) for s in obj.stems if len(s.samples)]
     if not arrays:
         return np.zeros(0)
-    if window is not None:
-        arrays = [a[window[0]:window[1]] for a in arrays]
     if len(arrays) == 1:
         view = arrays[0].view()
         view.flags.writeable = False

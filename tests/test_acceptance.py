@@ -336,6 +336,7 @@ def test_5_intelligibility_loop(tmp_path):
     fs = scene.sample_rate
     n_total = scene.duration_samples
     interval = int(round(CONTEXT_INTERVAL_S * fs))
+    mixes = {obj.object_id: _mono(obj) for obj in scene.objects}
 
     boundaries = []
     next_update = 0
@@ -356,8 +357,7 @@ def test_5_intelligibility_loop(tmp_path):
         window = (t0, min(t0 + interval, max(n_total, t0 + BLOCK_SIZE)))
         measured = _proxy(scene.objects, window, noise, fs)
         ctx = tracker.update(scenario, scene, noise, measured)
-        adapted_scene, report = apply_rules(scene, ctx, rulebook,
-                                            preview_window=window)
+        adapted_scene, report = apply_rules(scene, ctx, rulebook, mixes, window)
         with_actions = _proxy(adapted_scene.objects, window, noise, fs)
 
         # the engine's reported scores must come from the same signals

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FS, music_like, speech_like
@@ -14,11 +14,12 @@ from obar import adapt
 from obar.adapt import (
     ACTION_PROPERTY,
     LADDER_DECORRELATE_AMOUNT,
+    LADDER_RESIDUAL_THRESHOLD,
+    LADDER_SLOPE_DB_PER_DEFICIT,
+    LADDER_STEP_CAP_DB,
     MAX_TAU_S,
     AdaptationAction,
-    _ladder_baseline,
-    _preview_mix,
-    _projected_residual,
+    _rung_reposition,
     action_magnitude,
     adapt_reverb,
     apply_rules,
@@ -35,7 +36,7 @@ from obar.context import (
     ListenerInfo,
     estimate_intelligibility,
 )
-from obar.dsp import OCTAVE_CENTERS_HZ
+from obar.dsp import OCTAVE_CENTERS_HZ, Directive, apply_directives
 from obar.errors import NoDialogueObject, NonPositiveTau, UnknownProperty
 from obar.geometry import Direction3
 from obar.rules import parse_rulebook
@@ -49,10 +50,12 @@ from obar.scene import (
     Stem,
     TailBand,
     Tolerances,
+    mono_mix,
 )
 
 SPEECH = speech_like()
 MUSIC = music_like()
+LATE_MUSIC = MUSIC * (np.arange(len(MUSIC)) >= len(MUSIC) // 4)
 
 
 def make_object(oid, otype, samples=None, **over):
@@ -85,6 +88,23 @@ def make_ctx(deficit=0.0, speaker_count=5, room=None, targets=SceneTargets()):
 
 def constraints(**tol):
     return EditorialConstraints(tolerances=Tolerances(**tol))
+
+
+def scene_mixes(scene):
+    return {o.object_id: mono_mix(o) for o in scene.objects}
+
+
+def boost(scene, ctx, window=None):
+    """intelligibility_boost over the scene's own mono mixes; window None
+    previews the whole scene."""
+    return intelligibility_boost(scene, ctx, scene_mixes(scene),
+                                 window or (0, scene.duration_samples))
+
+
+def apply(scene, ctx, book):
+    """apply_rules with the ladder previewing the whole scene."""
+    return apply_rules(scene, ctx, book, scene_mixes(scene),
+                       (0, scene.duration_samples))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +218,7 @@ class TestPriority:
 # ---------------------------------------------------------------------------
 # intelligibility ladder
 
-def ladder_scene(music_tol=None, music_az=None, dialogue_az=None):
+def ladder_scene(music_tol=None, music_az=None, dialogue_az=None, music=MUSIC):
     dlg_kw = {}
     if dialogue_az is not None:
         dlg_kw["position"] = Direction3(dialogue_az)
@@ -209,32 +229,32 @@ def ladder_scene(music_tol=None, music_az=None, dialogue_az=None):
         mus_kw["position"] = Direction3(music_az)
     return make_scene(
         make_object("narrator", "dialogue", SPEECH, priority=9, **dlg_kw),
-        make_object("band", "music", MUSIC, priority=4, **mus_kw),
+        make_object("band", "music", music, priority=4, **mus_kw),
     )
 
 
 class TestLadder:
     def test_first_rung_ducks_music_by_six(self):
-        actions = intelligibility_boost(ladder_scene(), make_ctx(deficit=0.3))
+        actions = boost(ladder_scene(), make_ctx(deficit=0.3))
         assert actions[0].object_id == "band"
         assert actions[0].kind == "GainOffset"
         assert actions[0].value == pytest.approx(-6.0)
 
     def test_step_scales_with_deficit(self):
-        actions = intelligibility_boost(ladder_scene(), make_ctx(deficit=0.1))
+        actions = boost(ladder_scene(), make_ctx(deficit=0.1))
         assert actions[0].value == pytest.approx(-2.0)
 
     def test_zero_deficit_emits_nothing(self):
-        assert intelligibility_boost(ladder_scene(), make_ctx(deficit=0.0)) == []
+        assert boost(ladder_scene(), make_ctx(deficit=0.0)) == []
 
     def test_no_dialogue_rejected(self):
         scene = make_scene(make_object("band", "music", MUSIC))
         with pytest.raises(NoDialogueObject):
-            intelligibility_boost(scene, make_ctx(deficit=0.3))
+            boost(scene, make_ctx(deficit=0.3))
 
     def test_dialogue_only_scene_emits_nothing(self):
         scene = make_scene(make_object("narrator", "dialogue", SPEECH))
-        assert intelligibility_boost(scene, make_ctx(deficit=0.3)) == []
+        assert boost(scene, make_ctx(deficit=0.3)) == []
 
     def test_tight_level_tolerance_escalates_to_tilt(self):
         """With the duck clamped to -2 dB the preview still leaves most of the
@@ -244,7 +264,7 @@ class TestLadder:
         gain = (estimate_intelligibility(SPEECH, ducked, FS)
                 - estimate_intelligibility(SPEECH, MUSIC, FS))
         assert 0.3 - gain > 0.05
-        kinds = [a.kind for a in intelligibility_boost(scene, make_ctx(deficit=0.3))]
+        kinds = [a.kind for a in boost(scene, make_ctx(deficit=0.3))]
         assert "SpectralTilt" in kinds
 
     def test_small_deficit_stops_after_duck(self):
@@ -253,13 +273,13 @@ class TestLadder:
         gain = (estimate_intelligibility(SPEECH, ducked, FS)
                 - estimate_intelligibility(SPEECH, MUSIC, FS))
         assert 0.08 - gain <= 0.05
-        actions = intelligibility_boost(ladder_scene(), make_ctx(deficit=0.08))
+        actions = boost(ladder_scene(), make_ctx(deficit=0.08))
         assert {a.kind for a in actions} == {"GainOffset"}
 
     def test_tiny_tolerances_emit_full_ladder_in_order(self):
         scene = ladder_scene(music_tol={"level_db": 0.5, "spectral_tilt_db": 0.5},
                              music_az=30.0, dialogue_az=0.0)
-        actions = intelligibility_boost(scene, make_ctx(deficit=0.3))
+        actions = boost(scene, make_ctx(deficit=0.3))
         kinds = [a.kind for a in actions]
         assert kinds == ["GainOffset", "SpectralTilt", "Reposition", "Decorrelate"]
         assert all(a.object_id == "band" for a in actions)
@@ -268,19 +288,19 @@ class TestLadder:
     def test_reposition_pushes_away_from_dialogue(self):
         scene = ladder_scene(music_tol={"level_db": 0.5, "spectral_tilt_db": 0.5},
                              music_az=30.0, dialogue_az=0.0)
-        repos = [a for a in intelligibility_boost(scene, make_ctx(deficit=0.3))
+        repos = [a for a in boost(scene, make_ctx(deficit=0.3))
                  if a.kind == "Reposition"]
         assert repos[0].daz_deg == pytest.approx(30.0)  # step 6 * 5 deg, away
 
         mirrored = ladder_scene(music_tol={"level_db": 0.5, "spectral_tilt_db": 0.5},
                                 music_az=-20.0, dialogue_az=0.0)
-        repos = [a for a in intelligibility_boost(mirrored, make_ctx(deficit=0.3))
+        repos = [a for a in boost(mirrored, make_ctx(deficit=0.3))
                  if a.kind == "Reposition"]
         assert repos[0].daz_deg == pytest.approx(-30.0)
 
     def test_positionless_masker_skips_reposition_but_decorrelates(self):
         scene = ladder_scene(music_tol={"level_db": 0.5, "spectral_tilt_db": 0.5})
-        kinds = [a.kind for a in intelligibility_boost(scene, make_ctx(deficit=0.3))]
+        kinds = [a.kind for a in boost(scene, make_ctx(deficit=0.3))]
         assert kinds == ["GainOffset", "SpectralTilt", "Decorrelate"]
 
     @pytest.mark.parametrize("duck_db", [0.5, 2.0, 6.0])
@@ -290,39 +310,75 @@ class TestLadder:
         assert after >= before - 1e-12
 
     def test_preview_window_is_honoured(self):
-        actions = intelligibility_boost(
-            ladder_scene(), make_ctx(deficit=0.3), window=(0, 8192))
+        actions = boost(ladder_scene(), make_ctx(deficit=0.3), window=(0, 8192))
         assert actions[0].kind == "GainOffset"
 
     @pytest.mark.parametrize("window", [None, (4096, 12288)])
     def test_rung_residuals_match_per_rung_previews(self, window, monkeypatch):
-        """Scoring the rung-invariant previews once per ladder leaves every
-        rung's residual exactly where rebuilding them per rung put it."""
+        """The ladder scores its baseline once and previews two rungs; each
+        residual is exactly where rebuilding every preview per rung put it,
+        and the reposition rung's preview would repeat the tilt rung's."""
         scene = ladder_scene(music_tol={"level_db": 0.5, "spectral_tilt_db": 0.5},
                              music_az=30.0, dialogue_az=0.0)
-        calls = []
+        scores = []
 
         def counting(*args):
-            calls.append(args)
-            return estimate_intelligibility(*args)
+            scores.append(estimate_intelligibility(*args))
+            return scores[-1]
 
         monkeypatch.setattr(adapt, "estimate_intelligibility", counting)
-        actions = intelligibility_boost(scene, make_ctx(deficit=0.3), window=window)
+        actions = boost(scene, make_ctx(deficit=0.3), window=window)
         kinds = [a.kind for a in actions]
         assert kinds == ["GainOffset", "SpectralTilt", "Reposition", "Decorrelate"]
-        assert len(calls) == 1 + 3   # the baseline, then one preview per rung
+        assert len(scores) == 1 + 2   # the baseline, then the duck and the tilt
 
+        window = window or (0, scene.duration_samples)
         dialogue, others = list(scene.objects[:1]), list(scene.objects[1:])
-        baseline = _ladder_baseline(scene, dialogue, others, window)
-        for rungs in (1, 2, 3):
-            emitted = actions[:rungs]
-            assert (_projected_residual(scene, 0.3, others, emitted, window, baseline)
-                    == _per_rung_residual(scene, 0.3, dialogue, others, emitted, window))
+        for rungs, score in ((1, scores[1]), (2, scores[2]), (3, scores[2])):
+            assert (0.3 - max(score - scores[0], 0.0)
+                    == _per_rung_residual(scene, 0.3, dialogue, others,
+                                          actions[:rungs], window))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        deficit=st.floats(0.0, 0.4),
+        level_db=st.floats(0.0, 8.0),
+        tilt_db=st.floats(0.0, 8.0),
+        music_az=st.one_of(st.none(), st.floats(-180.0, 180.0)),
+        dialogue_az=st.one_of(st.none(), st.floats(-180.0, 180.0)),
+        lo=st.sampled_from(range(0, len(SPEECH), 1000)),
+        width=st.integers(1, len(SPEECH) // 4),
+    )
+    def test_ladder_matches_the_per_rung_loop(self, deficit, level_db, tilt_db,
+                                              music_az, dialogue_az, lo, width):
+        """The ladder emits exactly the per-rung loop's actions. The masker
+        is silent in its first quarter, so where the window falls decides
+        how far the ladder climbs."""
+        scene = ladder_scene(
+            music_tol={"level_db": level_db, "spectral_tilt_db": tilt_db},
+            music_az=music_az, dialogue_az=dialogue_az, music=LATE_MUSIC)
+        ctx = make_ctx(deficit=deficit)
+        window = (lo, lo + width)
+        assert boost(scene, ctx, window) == _per_rung_ladder(scene, ctx, window)
+
+
+def _oracle_mix(objs, window, length, gains_db, tilts_db):
+    mix = np.zeros(length)
+    for obj in objs:
+        sig = mono_mix(obj)[window[0]:window[1]]
+        if not len(sig):
+            continue
+        sig = sig * 10.0 ** ((obj.level_db + gains_db.get(obj.object_id, 0.0)) / 20.0)
+        tilt = tilts_db.get(obj.object_id, 0.0)
+        if abs(tilt) > 1e-12:
+            sig = apply_directives(sig, [Directive("spectral_tilt", tilt)], FS)
+        mix[:len(sig)] += sig
+    return mix
 
 
 def _per_rung_residual(scene, deficit, dialogue, others, emitted, window):
     """Reference: the ladder residual with every preview rebuilt and scored
-    again, as each rung computed it before the baseline was hoisted."""
+    again from the objects' windowed mono mixes."""
     gains, tilts = {}, {}
     for action in emitted:
         clamped = clamp_to_tolerances(
@@ -332,16 +388,45 @@ def _per_rung_residual(scene, deficit, dialogue, others, emitted, window):
         elif clamped.kind == "SpectralTilt":
             tilts[clamped.object_id] = tilts.get(clamped.object_id, 0.0) + clamped.value
     length = max(
-        max(((len(s.samples) if window is None else window[1] - window[0])
-             for o in (*dialogue, *others) for s in o.stems), default=0),
+        max((window[1] - window[0] for o in (*dialogue, *others) for s in o.stems),
+            default=0),
         MIN_NOISE_BLOCK,
     )
-    speech = _preview_mix(dialogue, scene.sample_rate, window, length)
-    before = _preview_mix(others, scene.sample_rate, window, length)
-    after = _preview_mix(others, scene.sample_rate, window, length, gains, tilts)
+    speech = _oracle_mix(dialogue, window, length, {}, {})
+    before = _oracle_mix(others, window, length, {}, {})
+    after = _oracle_mix(others, window, length, gains, tilts)
     score_before = estimate_intelligibility(speech, before, scene.sample_rate)
     score_after = estimate_intelligibility(speech, after, scene.sample_rate)
     return deficit - max(score_after - score_before, 0.0)
+
+
+def _per_rung_ladder(scene, ctx, window):
+    """Reference: the ladder as one loop over rungs 2-4 (tilt, reposition,
+    decorrelate), each appended while _per_rung_residual of the rungs before
+    it stays above the threshold."""
+    deficit = ctx.intelligibility_deficit
+    if deficit <= 0.0:
+        return []
+    dialogue = [o for o in scene.objects if o.object_type is ObjectType.DIALOGUE]
+    others = [o for o in scene.objects if o.object_type is not ObjectType.DIALOGUE]
+    step = min(deficit * LADDER_SLOPE_DB_PER_DEFICIT, LADDER_STEP_CAP_DB)
+    reason = "intelligibility_ladder"
+    emitted = [AdaptationAction(o.object_id, "GainOffset", -step, reason=reason)
+               for o in others]
+    later_rungs = (
+        lambda: [AdaptationAction(o.object_id, "SpectralTilt", -step, reason=reason)
+                 for o in others],
+        lambda: _rung_reposition(others, dialogue, step, reason),
+        lambda: [AdaptationAction(o.object_id, "Decorrelate",
+                                  LADDER_DECORRELATE_AMOUNT, reason=reason)
+                 for o in others],
+    )
+    for build in later_rungs:
+        residual = _per_rung_residual(scene, deficit, dialogue, others, emitted, window)
+        if residual <= LADDER_RESIDUAL_THRESHOLD:
+            break
+        emitted.extend(build())
+    return emitted
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +551,7 @@ def rulebook(*rules):
 class TestApplyRules:
     def test_empty_rulebook_is_identity(self):
         scene = ladder_scene()
-        adapted, report = apply_rules(scene, make_ctx(deficit=0.3), ())
+        adapted, report = apply(scene, make_ctx(deficit=0.3), ())
         assert adapted == scene
         assert report.applied == () and report.skipped == () and report.deltas == ()
 
@@ -478,7 +563,7 @@ class TestApplyRules:
             "when": "intelligibility_deficit > 0 and has_dialogue",
             "actions": [{"kind": "intelligibility_ladder"}],
         })
-        apply_rules(scene, make_ctx(deficit=0.3), book)
+        apply(scene, make_ctx(deficit=0.3), book)
         assert scene == snapshot
 
     def test_ducking_rule_applies_clamped_gain(self):
@@ -488,7 +573,7 @@ class TestApplyRules:
             "when": "intelligibility_deficit > 0 and has_dialogue",
             "actions": [{"kind": "intelligibility_ladder"}],
         })
-        adapted, report = apply_rules(scene, make_ctx(deficit=0.3), book)
+        adapted, report = apply(scene, make_ctx(deficit=0.3), book)
         band = adapted.object_by_id("band")
         assert band.level_db == pytest.approx(-2.0)
         assert adapted.object_by_id("narrator").level_db == 0.0
@@ -512,7 +597,7 @@ class TestApplyRules:
             "actions": [{"kind": "prune",
                          "select": "type == 'ambience' and priority == 0"}],
         })
-        adapted, report = apply_rules(scene, make_ctx(speaker_count=2), book)
+        adapted, report = apply(scene, make_ctx(speaker_count=2), book)
         assert [o.object_id for o in adapted.objects] == ["narrator"]
         assert any(e.action.kind == "Prune" and e.action.object_id == "birds"
                    for e in report.applied)
@@ -527,7 +612,7 @@ class TestApplyRules:
              "actions": [{"kind": "gain_offset", "db": -3.0,
                           "select": "group == 'x'"}]},
         )
-        adapted, _ = apply_rules(scene, make_ctx(), book)
+        adapted, _ = apply(scene, make_ctx(), book)
         assert adapted.object_by_id("a").group == "x"
         assert adapted.object_by_id("a").level_db == pytest.approx(-3.0)
         assert adapted.object_by_id("b").level_db == 0.0
@@ -536,7 +621,7 @@ class TestApplyRules:
         scene = make_scene(make_object("quiet", "music", level_db=-58.0))
         book = rulebook({"rule_id": "duck", "when": "true",
                          "actions": [{"kind": "gain_offset", "db": -6.0}]})
-        adapted, report = apply_rules(scene, make_ctx(), book)
+        adapted, report = apply(scene, make_ctx(), book)
         assert adapted.object_by_id("quiet").level_db == -60.0
         assert report.applied[0].clamped == pytest.approx(2.0)
         assert ("quiet", "level", -2.0) in report.deltas
@@ -551,7 +636,7 @@ class TestApplyRules:
              "actions": [{"kind": "time_shift", "ms": 500.0,
                           "select": "type == 'music'"}]},
         )
-        _, report = apply_rules(scene, make_ctx(deficit=0.3), book)
+        _, report = apply(scene, make_ctx(deficit=0.3), book)
         assert report.applied
         for entry in report.applied:
             obj = scene.object_by_id(entry.action.object_id)
@@ -564,7 +649,7 @@ class TestApplyRules:
         room = tuple([0.6] * len(OCTAVE_CENTERS_HZ))
         book = rulebook({"rule_id": "fit", "when": "has_room_decay",
                          "actions": [{"kind": "reverb_fit"}]})
-        adapted, report = apply_rules(scene, make_ctx(room=room), book)
+        adapted, report = apply(scene, make_ctx(room=room), book)
         # raw refit 0.6 is factor 2.0; default reverb tolerance 0.5 clamps to 1.5
         band = adapted.object_by_id("hall").reverb.tail_bands[0]
         assert band.decay_tau_s == pytest.approx(0.45)
@@ -577,7 +662,7 @@ class TestApplyRules:
         book = rulebook({"rule_id": "move", "when": "true",
                          "actions": [{"kind": "reposition", "daz_deg": 10.0,
                                       "del_deg": 0.0}]})
-        adapted, report = apply_rules(scene, make_ctx(), book)
+        adapted, report = apply(scene, make_ctx(), book)
         assert adapted.object_by_id("band").position is None
         assert report.skipped and "position" in report.skipped[0].reason
 
@@ -588,13 +673,13 @@ class TestApplyRules:
         book = rulebook({"rule_id": "move", "when": "true",
                          "actions": [{"kind": "time_shift", "ms": 10.0}]})
         with pytest.raises(UnknownProperty):
-            apply_rules(scene, make_ctx(), book)
+            apply(scene, make_ctx(), book)
 
     def test_rule_condition_gates_actions(self):
         scene = make_scene(make_object("band", "music"))
         book = rulebook({"rule_id": "duck", "when": "noise_delta_db > 3",
                          "actions": [{"kind": "gain_offset", "db": -6.0}]})
-        adapted, report = apply_rules(scene, make_ctx(), book)
+        adapted, report = apply(scene, make_ctx(), book)
         assert adapted.object_by_id("band").level_db == 0.0
         assert report.applied == ()
 
@@ -602,6 +687,6 @@ class TestApplyRules:
         scene = make_scene(make_object("band", "music", MUSIC))
         book = rulebook({"rule_id": "duck", "when": "intelligibility_deficit > 0",
                          "actions": [{"kind": "intelligibility_ladder"}]})
-        adapted, report = apply_rules(scene, make_ctx(deficit=0.3), book)
+        adapted, report = apply(scene, make_ctx(deficit=0.3), book)
         assert adapted.object_by_id("band").level_db == 0.0
         assert report.skipped and "dialogue" in report.skipped[0].reason

@@ -208,6 +208,15 @@ class TestScenarioDocuments:
                 {"t_s": 1.0, "band_levels_db": [-30.0] * 7},
             ])
 
+    def test_noise_level_ceiling(self):
+        """A band level up to +200 dBFS parses and its broadband power sum is
+        finite; one above it is rejected by name."""
+        timeline = parse_noise_timeline([{"t_s": 0.0, "band_levels_db": [200.0] * 7}])
+        assert timeline[0].broadband_db() == pytest.approx(200.0 + 10 * np.log10(7))
+        with pytest.raises(SchemaError, match=r"band_levels_db\[3\] must be <= 200"):
+            parse_noise_timeline([
+                {"t_s": 0.0, "band_levels_db": [0.0] * 3 + [200.5] + [0.0] * 3}])
+
     def test_unknown_field_rejected(self):
         doc = scenario_doc(ring_speakers(3))
         doc["surprise"] = 1

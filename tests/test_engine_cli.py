@@ -891,6 +891,21 @@ class TestCLI:
         assert "30 dB exceeds the first-order shelf's reach" in err, err
         assert set(os.listdir(d)) == before
 
+    def test_crossfade_too_long_to_count_fails_in_one_line(self, tmp_path,
+                                                            capsys):
+        """An --xfade that is finite in seconds but not in samples ends the
+        render with one diagnostic line and leaves nothing behind."""
+        d, scene, scenario = self.demo_paths(tmp_path)
+        before = set(os.listdir(d))
+        out = os.path.join(d, "x.wav")
+        assert cli_main(["render", "--scene", scene, "--scenario", scenario,
+                         "--out", out, "--xfade", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        err = captured.err.strip()
+        assert err.count("\n") == 0 and "crossfade_s" in err, err
+        assert set(os.listdir(d)) == before
+
     def test_devices_listing(self, tmp_path, capsys):
         config = demo.write_demo_devices(str(tmp_path))
         rc = cli_main(["devices", "--config", config])
@@ -935,6 +950,9 @@ class TestCLI:
         ({"t_s": "0", "band_levels_db": [-60.0] * 7}, "noise_timeline[0].t_s"),
         ({"t_s": 0.0, "band_levels_db": -60.0}, "noise_timeline[0].band_levels_db"),
         ({"band_levels_db": [-60.0] * 7}, "noise_timeline[0]"),
+        # a band power of 10 ** 400 overflows a float
+        ({"t_s": 0.0, "band_levels_db": [4000.0] * 7},
+         "noise_timeline[0].band_levels_db[0]"),
     ])
     def test_bad_noise_timeline_fails_at_parse_time(self, tmp_path, capsys,
                                                     entry, field):

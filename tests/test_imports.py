@@ -3,11 +3,9 @@ somewhere in it, and every name a module of the package defines at top level
 is read somewhere in the program."""
 
 import ast
-import collections
 import importlib
 import os
 import pathlib
-import re
 import subprocess
 import sys
 
@@ -59,14 +57,32 @@ def _top_level_names(source: str) -> list[str]:
     return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
+def _read_names(source: str):
+    """Every name a module reads: loaded names and attributes, imported names,
+    and the parts of dotted identifier strings such as the tracer's targets.
+    A name that only a docstring or a comment mentions is not read."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                yield from parts
+
+
 def test_every_top_level_name_is_read():
-    """A name whose only occurrence in the program is its definition is
-    dead code, or code that only tests reach."""
-    words = collections.Counter(re.findall(
-        r"\w+", "\n".join(p.read_text(encoding="utf-8") for p in PROGRAM)))
+    """A name the program never reads is dead code, or code that only tests
+    reach."""
+    read = set()
+    for path in PROGRAM:
+        read.update(_read_names(path.read_text(encoding="utf-8")))
     unread = sorted(f"{path.stem}.{name}" for path in SOURCES
                     for name in _top_level_names(path.read_text(encoding="utf-8"))
-                    if words[name] < 2)
+                    if name not in read)
     assert unread == []
 
 

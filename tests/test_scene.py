@@ -152,16 +152,12 @@ class TestMonoMix:
         x = speech_like(0.1)
         obj = self._obj(x)
         assert sm.mono_mix(obj).tobytes() == x.tobytes()
-        assert sm.mono_mix(obj, (100, 900)).tobytes() == x[100:900].tobytes()
 
-    def test_empty_stems_are_skipped_and_windows_slice_the_full_mix(self):
+    def test_empty_stems_are_skipped(self):
         a = np.arange(10.0)
         b = np.ones(4)
         obj = self._obj(a, np.zeros(0), b)
-        full = sm.mono_mix(obj)
-        assert np.array_equal(full, (a + np.pad(b, (0, 6))) / 2.0)
-        for window in [(0, 10), (2, 6), (5, 20), (12, 30)]:
-            assert np.array_equal(sm.mono_mix(obj, window), full[window[0]:window[1]])
+        assert np.array_equal(sm.mono_mix(obj), (a + np.pad(b, (0, 6))) / 2.0)
 
     def test_object_without_samples_mixes_to_nothing(self):
         assert len(sm.mono_mix(self._obj(np.zeros(0)))) == 0
@@ -170,11 +166,10 @@ class TestMonoMix:
         x = speech_like(0.1)
         obj = self._obj(np.zeros(0), x)   # an empty stem does not count
         stem = obj.stems[1].samples
-        for window in (None, (100, 900)):
-            mix = sm.mono_mix(obj, window)
-            assert np.shares_memory(mix, stem)
-            with pytest.raises(ValueError):
-                mix[0] = 1.0
+        mix = sm.mono_mix(obj)
+        assert np.shares_memory(mix, stem)
+        with pytest.raises(ValueError):
+            mix[0] = 1.0
         assert stem.flags.writeable
 
     def test_multi_stem_mix_is_a_new_array(self):
