@@ -12,7 +12,10 @@ past the window, with each band's impulse response truncated at
 TRANSIENT_FLOOR. On every two-second window of the benchmark workloads'
 seed-0 stems it matches scipy.signal.sosfilt of butter's sections to within
 6e-12 dB. The tilt shelf is solved in closed form and filtered by a blocked
-scan, and decorrelators convolve by one transform product.
+scan, and decorrelators convolve by one transform product. There is one
+delay, fractional_delay, applied to a whole signal (the time-shift
+directive) or to a drive's filter taps; streaming delays run as those taps
+in BlockFIR, so no delay line carries history between blocks.
 """
 
 from __future__ import annotations
@@ -312,91 +315,17 @@ def _delay_plan(delay_samples: float):
     return m, _lagrange_kernel(delay_samples - m)
 
 
-@dataclass
-class DelayState:
-    """Per-row delay plans and the input history carried between blocks.
-
-    Row r of the blocks is delayed by delays_s[r]; a 1-D signal is one row.
-    delay_state turns each row's _delay_plan into read positions in the
-    history followed by the block: an exact shift copies the block length
-    from starts[r]; an interpolating row (listed in fractional) sums
-    weights[k] times the block length read from tap_starts[k], k = 0..3.
-    """
-
-    sample_rate: int
-    delays_s: np.ndarray      # per row, seconds
-    history: np.ndarray       # rows x the deepest reach, in samples
-    starts: np.ndarray        # per row
-    fractional: np.ndarray    # indices of the interpolating rows
-    tap_starts: np.ndarray    # 4 x interpolating rows
-    weights: np.ndarray       # 4 x interpolating rows x 1
-
-
-def delay_state(delays_s, sample_rate: int = DEFAULT_SAMPLE_RATE) -> DelayState:
-    """Plan a delay line: one delay (1-D signals) or one delay per row."""
-    delays_s = np.atleast_1d(np.asarray(delays_s, dtype=float))
-    sample_rate = int(sample_rate)
-    plans = [_delay_plan(d * sample_rate) for d in delays_s]
-    reach = max(m + (0 if k is None else 3) for m, k in plans)
-    history = np.zeros((len(plans), reach))
-    starts = reach - np.array([m for m, _ in plans], dtype=np.intp)
-    fractional = np.array([i for i, (_, k) in enumerate(plans) if k is not None],
-                          dtype=np.intp)
-    taps = np.arange(4)[:, None]
-    kernels = np.array([plans[i][1] for i in fractional]).reshape(-1, 4)
-    return DelayState(
-        sample_rate=sample_rate, delays_s=delays_s, history=history,
-        starts=starts, fractional=fractional,
-        tap_starts=starts[fractional] - taps, weights=kernels.T[:, :, None])
-
-
-def fractional_delay(
-    block: np.ndarray,
-    state: DelayState | None,
-    delay_s: float | np.ndarray,
-    sample_rate: int = DEFAULT_SAMPLE_RATE,
-) -> tuple[np.ndarray, DelayState]:
-    """Delay a block by delay_s seconds, preserving continuity across blocks.
-
-    block is one signal delayed by the scalar delay_s, or a rows x samples
-    array whose row r is delayed by delay_s[r]. Integer-sample delays are
-    exact shifts; fractional parts use 4-point Lagrange interpolation, and
-    every row goes through the same arithmetic as a 1-D call, so it is
-    bit-identical to delaying that row alone. Pass state=None on the first
-    block (or a state from delay_state); the returned state must be handed
-    to the next call, with the same delays: a state handed other delays
-    raises ValueError.
-    """
-    block = np.asarray(block, dtype=float)
-    rows = block if block.ndim == 2 else block[None, :]
-    if state is None:
-        state = delay_state(delay_s, sample_rate)
-    elif delay_s is not state.delays_s and not np.array_equal(
-            np.atleast_1d(delay_s), state.delays_s):
-        raise ValueError("the delay state was planned for other delays")
-    if len(rows) != len(state.delays_s):
-        raise ValueError(
-            f"{len(rows)} rows to delay, but {len(state.delays_s)} delays")
-    reach = state.history.shape[1]
-    ext = np.concatenate([state.history, rows], axis=1) if reach else rows
-    # windows[r, s] is ext[r, s : s + block length]
-    windows = np.lib.stride_tricks.sliding_window_view(ext, rows.shape[1], axis=1)
-    out = windows[np.arange(len(rows)), state.starts]
-    frac = state.fractional
-    if len(frac):
-        acc = np.zeros((len(frac), rows.shape[1]))
-        for weight, start in zip(state.weights, state.tap_starts):
-            acc += weight * windows[frac, start]
-        out[frac] = acc
-    if reach:
-        state.history = ext[:, -reach:]
-    return (out if block.ndim == 2 else out[0]), state
-
-
-def delay_signal(x: np.ndarray, delay_s: float, sample_rate: int = DEFAULT_SAMPLE_RATE) -> np.ndarray:
-    """One-shot fractional delay of a whole signal."""
-    out, _ = fractional_delay(x, None, delay_s, sample_rate)
-    return out
+def fractional_delay(x: np.ndarray, delay_s: float,
+                     sample_rate: int = DEFAULT_SAMPLE_RATE) -> np.ndarray:
+    """x delayed by delay_s seconds, in full: _delay_plan's m zeros, then x
+    itself for a whole-sample delay, or x convolved with the 4-tap Lagrange
+    kernel for a fractional one (len(x) + 3 samples). Whole-sample delays
+    are exact shifts. Filter taps and whole signals are delayed alike."""
+    x = np.asarray(x, dtype=float)
+    m, kernel = _delay_plan(delay_s * sample_rate)
+    if kernel is not None:
+        x = np.convolve(kernel, x)
+    return np.concatenate([np.zeros(m), x])
 
 
 # crossfades -------------------------------------------------------------
@@ -659,15 +588,21 @@ def apply_directives(
             b, a = design_tilt_ba(d.value, sample_rate)
             out = _first_order_filter(b, a, out)
         elif d.kind == "time_shift":
+            n = len(out)
             shift = d.value * 1e-3 * sample_rate
-            if shift >= 0:
-                out = delay_signal(out, d.value * 1e-3, sample_rate)
+            if shift >= n + 1:
+                # the delay's leading zeros alone (_delay_plan's m >= n)
+                # fill the stem, so none of it is computed
+                out = np.zeros(n)
+            elif shift >= 0:
+                out = fractional_delay(out, d.value * 1e-3, sample_rate)[:n]
             else:
                 # advance: delay by the fractional complement, then shift left;
                 # an advance past the stem's end leaves it all zeros
                 whole = int(math.ceil(-shift))
-                out = delay_signal(out, (whole + shift) / sample_rate, sample_rate)
-                out = np.concatenate([out[whole:], np.zeros(min(whole, len(out)))])
+                out = fractional_delay(out, (whole + shift) / sample_rate,
+                                       sample_rate)
+                out = np.concatenate([out[whole:n], np.zeros(min(whole, n))])
         elif d.kind == "decorrelate":
             amount = min(max(d.value, 0.0), 1.0)
             if amount > 0.0:

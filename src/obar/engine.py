@@ -18,11 +18,11 @@ the end of a running fade (after which the outgoing drive is dropped), and
 SPAN_SAMPLES. Every renderer takes the span's K blocks as K x block frames
 and gives the samples it would give those blocks one by one, so the span
 length does not change the output. Each span mixes in three parts. Steady
-lanes with FIRs (pressure matching, diffuse) sum their output spectra per
-block and channel and share one inverse transform; steady gain-only lanes
-(VBAP, AmbiMM, AP1) are one matrix product of their mono segments and
-channel gain rows; fading lanes and delay-line lanes (WFS) render one by
-one, because a fade weighs each sample after the filter.
+filtered lanes (pressure matching, diffuse, WFS: FIRs and delays folded
+into taps) sum their output spectra per block and channel and share one
+inverse transform; steady gain-only lanes (VBAP, AmbiMM, AP1) are one
+matrix product of their mono segments and channel gain rows; fading lanes
+render one by one, because a fade weighs each sample after the filter.
 
 An adapted object's directive chain (tilt, time shift, decorrelation) is
 read for one interval plus, when its lane fades out, the crossfade. So each
@@ -132,10 +132,6 @@ class RenderResult:
 # ---------------------------------------------------------------------------
 # per-object lanes
 
-def _gains_only(drive: DrivingFunction) -> bool:
-    return not drive.firs and not np.any(np.asarray(drive.delays_s))
-
-
 class _Lane:
     """Streaming render state for one object.
 
@@ -143,8 +139,8 @@ class _Lane:
     one. Source is the directive-processed mono signal (a _Source); gain is
     the linear object level applied at mix time; cols are the drive's
     output columns. gain_row is the drive's gains spread over every output
-    channel (zeros off its subset) when the drive has neither FIRs nor a
-    delay line, else None.
+    channel (zeros off its subset) when the drive has no filter (neither
+    FIRs nor delays: state.fir is None), else None.
     """
 
     def __init__(self, assignment, drive, source, gain, chan_index):
@@ -163,20 +159,21 @@ class _Lane:
         self.state = new_render_state(drive)
         self.cols = _columns(drive, self.chan_index)
         self.gain_row = None
-        if _gains_only(drive):
+        if self.state.fir is None:
             self.gain_row = np.zeros(len(self.chan_index))
             self.gain_row[self.cols] = drive.gains
 
     def begin_fade(self, assignment, drive, source, gain, start_s, duration_s):
         # A change arriving mid-fade snaps the previous fade to its endpoint.
         self.old = (self.drive, self.state, self.source, self.gain, self.cols)
-        # Two gain-only drives carry the same waveform, so amplitudes may sum;
-        # anything with delays or filters mixes power-complementarily instead.
-        self.fade_coherent = _gains_only(self.drive) and _gains_only(drive)
+        old_filtered = self.state.fir is not None
         self.fade_start_s = start_s
         self.fade_end_s = start_s + duration_s
         self.assignment = assignment
         self._set_drive(drive)
+        # Two gain-only drives carry the same waveform, so amplitudes may sum;
+        # anything with delays or filters mixes power-complementarily instead.
+        self.fade_coherent = not old_filtered and self.state.fir is None
         self.source = source
         self.gain = gain
 
@@ -211,15 +208,15 @@ def _mix_block(lanes, t0: int, block: int, fs: int, out: np.ndarray) -> None:
     before the span's last one (_span_blocks).
 
     Every renderer is linear, so lanes mix in three groups:
-    - a steady lane (no fade running) whose drive has FIRs adds its output
-      spectra (render_spectrum) into one spectrum per block and channel,
-      and one BlockFIR.output turns the sum into samples;
-    - a steady lane with neither FIRs nor a delay line is one row of a
-      matrix product: the lane-gain-scaled mono segments, stacked, times
-      their lanes' gain_rows;
+    - a steady lane (no fade running) whose drive has a filter (FIRs or
+      delays folded into taps) adds its output spectra (render_spectrum)
+      into one spectrum per block and channel, and one BlockFIR.output
+      turns the sum into samples;
+    - any other steady lane is gain-only, one row of a matrix product: the
+      lane-gain-scaled mono segments, stacked, times their lanes'
+      gain_rows;
     - a fading lane renders both of its drives with render_block, because
-      the fade weights act after the filter, and so does a steady lane on
-      a delay line (WFS).
+      the fade weights act after the filter.
     Each lane's segment is read once per drive it renders.
     """
     n, n_channels = out.shape
@@ -240,12 +237,9 @@ def _mix_block(lanes, t0: int, block: int, fs: int, out: np.ndarray) -> None:
                 # and scatter back the whole rows x K x block + 1 array
                 for row, col in zip(rows, lane.cols):
                     spectrum[col] += row
-            elif lane.gain_row is not None:
+            else:
                 segments.append(seg)
                 gain_rows.append(lane.gain_row)
-            else:
-                _add_columns(out, lane.cols,
-                             render_block(frames, lane.drive, lane.state))
             continue
         if times is None:
             times = (t0 + np.arange(n)) / fs
@@ -450,6 +444,13 @@ def run_render(job: RenderJob) -> RenderResult:
     if not math.isfinite(job.crossfade_s * fs):
         raise JobError(f"options.crossfade_s={job.crossfade_s} is not a finite "
                        f"number of samples at {fs} Hz")
+    if job.crossfade_s * fs < 1.0:
+        raise JobError(f"options.crossfade_s={job.crossfade_s} is shorter than "
+                       f"one sample at {fs} Hz")
+    interval = int(round(CONTEXT_INTERVAL_S * fs))
+    if int(job.block_size) > interval:
+        raise JobError(f"options.block_size={job.block_size} is longer than one "
+                       f"context interval ({interval} samples at {fs} Hz)")
     n_total = scene.duration_samples
     if n_total <= 0:
         raise JobError("scene.objects carry no audio samples to render")

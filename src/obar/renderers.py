@@ -6,14 +6,14 @@ FIR). render_block executes a driving function span by span (one block or
 several consecutive ones) with state so a long signal can stream without
 discontinuities, processing all of a drive's speakers in one batched pass.
 Gain, the 4-tap Lagrange delay and the FIR are linear and fixed for the
-drive's lifetime, so a drive with FIRs (pressure matching, diffuse) folds
-them into one row of taps per speaker and runs as one overlap-save filter
-bank fed the mono block, whose tap transforms are kept for the drive's
-lifetime. A drive without FIRs (VBAP, AmbiMM, AP1, WFS) stays
-on the gains and one delay line over every speaker, which is exact.
-render_spectrum stops a FIR drive's span before its inverse transform, so
-the engine can sum steady FIR lanes in one spectrum per output channel and
-invert once per span.
+drive's lifetime, so a drive with FIRs or delays (pressure matching,
+diffuse, WFS) folds them into one row of taps per speaker
+(dsp.fractional_delay of the FIR) and runs as one overlap-save filter bank
+fed the mono block, whose tap transforms are kept for the drive's
+lifetime. A drive with neither (VBAP, AmbiMM, AP1) is its gains alone.
+render_spectrum stops a filtered drive's span before its inverse
+transform, so the engine can sum steady filtered lanes in one spectrum per
+output channel and invert once per span.
 """
 
 from __future__ import annotations
@@ -24,14 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .dsp import (
-    BlockFIR,
-    DelayState,
-    _delay_plan,
-    decorrelator_fir,
-    delay_state,
-    fractional_delay,
-)
+from .dsp import BlockFIR, decorrelator_fir, fractional_delay
 from .errors import (
     NotBracketed,
     RankDeficient,
@@ -358,43 +351,37 @@ class DrivingFunction:
 class RenderState:
     """Streaming state for one driving function.
 
-    A drive with FIRs runs as one filter bank (fir) fed the mono block: row
-    r's taps fold its gain, delay and FIR into one filter (_folded_taps).
-    The first block's length fixes the filter's partition size, so every
-    block rendered with this state must have that length. A drive without
-    FIRs (VBAP, AmbiMM, AP1, WFS) keeps the gains and one delay line over
-    its rows (delay; None when no row is delayed), which takes blocks of any
-    length.
+    A drive with FIRs or delays (pressure matching, diffuse, WFS) runs as
+    one filter bank (fir) fed the mono block: row r's taps fold its gain,
+    delay and FIR into one filter (_folded_taps). The first block's length
+    fixes the filter's partition size, so every block rendered with this
+    state must have that length. A drive with neither (VBAP, AmbiMM, AP1)
+    has no filter (fir is None), takes blocks of any length and needs no
+    state beyond its fingerprint.
     """
 
     fingerprint: tuple
-    delay: DelayState | None = None
     fir: BlockFIR | None = None
 
 
 def _folded_taps(gain: float, delay_s: float, fir, sample_rate: int) -> np.ndarray:
-    """One row's gain, delay and FIR as one filter: gain x (m zeros, then
-    the Lagrange kernel convolved with the FIR), from the same _delay_plan
-    as the delay line. A row without a FIR folds to gain x its delay."""
-    m, kernel = _delay_plan(delay_s * sample_rate)
-    taps = np.ones(1) if fir is None else np.asarray(fir, dtype=float)
-    if kernel is not None:
-        taps = np.convolve(kernel, taps)
-    return gain * np.concatenate([np.zeros(m), taps])
+    """One row's gain, delay and FIR as one filter: gain x the FIR delayed
+    by fractional_delay (m zeros, then the Lagrange kernel convolved with
+    the FIR). A row without a FIR folds to gain x its delay."""
+    taps = np.ones(1) if fir is None else fir
+    return gain * fractional_delay(taps, delay_s, sample_rate)
 
 
 def new_render_state(drive: DrivingFunction) -> RenderState:
-    """Streaming state for a drive, before its first block: a filter bank
-    whose block length the first render_block call fixes, or a delay line."""
-    if any(f is not None for f in drive.firs):
-        return RenderState(fingerprint=drive.fingerprint(), fir=BlockFIR([
-            _folded_taps(g, d, f, drive.sample_rate)
-            for g, d, f in zip(drive.gains, drive.delays_s, drive.firs)]))
-    return RenderState(
-        fingerprint=drive.fingerprint(),
-        delay=(delay_state(drive.delays_s, drive.sample_rate)
-               if np.any(drive.delays_s) else None),
-    )
+    """Streaming state for a drive, before its first block: a filter bank,
+    whose block length the first render_block call fixes, when a row has
+    a FIR or a delay; else none."""
+    if all(f is None for f in drive.firs) and not np.any(drive.delays_s):
+        return RenderState(fingerprint=drive.fingerprint())
+    firs = drive.firs or (None,) * len(drive.gains)
+    return RenderState(fingerprint=drive.fingerprint(), fir=BlockFIR([
+        _folded_taps(g, d, f, drive.sample_rate)
+        for g, d, f in zip(drive.gains, drive.delays_s, firs)]))
 
 
 def _check_state(drive: DrivingFunction, state: RenderState) -> None:
@@ -407,34 +394,29 @@ def render_block(stem_block: np.ndarray, drive: DrivingFunction,
     """A span through a driving function, all speakers together.
 
     stem_block is one mono block, or K x B frames holding K consecutive
-    blocks of B samples. A drive with FIRs is one BlockFIR.process call of
-    the span against every row's folded taps. A drive without FIRs takes
-    the span as one run of samples: one outer product of the gains and the
-    samples, then, when a row is delayed, one fractional_delay call over
-    every row. Returns the samples, span length x subset speakers in drive
+    blocks of B samples. A drive with a filter (FIRs or delays) is one
+    BlockFIR.process call of the span against every row's folded taps. A
+    gain-only drive is one outer product of the gains and the span's
+    samples. Returns the samples, span length x subset speakers in drive
     order, equal to the span's blocks rendered one by one. The state must
-    have been created for this exact driving function; with FIRs, every
-    block must have the length of the first one rendered with it (a
+    have been created for this exact driving function; with a filter,
+    every block must have the length of the first one rendered with it (a
     ValueError otherwise).
 
-    The engine calls this only for lanes that fade or sit on a delay line;
-    a steady lane with FIRs goes through render_spectrum, and a steady
-    gain-only lane needs no state at all (engine._mix_block).
+    The engine calls this only for fading lanes; a steady filtered lane
+    goes through render_spectrum, and a steady gain-only lane needs no
+    state at all (engine._mix_block).
     """
     _check_state(drive, state)
     block = np.asarray(stem_block, dtype=float)
     if state.fir is not None:
         return state.fir.process(block).T
-    rows = np.outer(drive.gains, block)
-    if state.delay is not None:
-        rows, state.delay = fractional_delay(
-            rows, state.delay, drive.delays_s, drive.sample_rate)
-    return rows.T
+    return np.outer(drive.gains, block).T
 
 
 def render_spectrum(stem_block: np.ndarray, drive: DrivingFunction,
                     state: RenderState) -> np.ndarray:
-    """A span through a drive with FIRs, stopped before the inverse
+    """A span through a filtered drive, stopped before the inverse
     transform (BlockFIR.spectrum): for one block, its output spectrum,
     subset speakers x block length + 1; for K x B frames, subset speakers
     x K x block length + 1.

@@ -245,15 +245,16 @@ class TestFractionalDelay:
     def test_zero_delay_identity(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(2048)
-        y, _ = dsp.fractional_delay(x, None, 0.0, FS)
+        y = dsp.fractional_delay(x, 0.0, FS)
         assert np.array_equal(y, x)
 
     def test_integer_delay_exact(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(4096)
         for d in (1, 7, 480):
-            y, _ = dsp.fractional_delay(x, None, d / FS, FS)
-            assert np.array_equal(y[d:], x[:-d])
+            y = dsp.fractional_delay(x, d / FS, FS)
+            assert len(y) == len(x) + d
+            assert np.array_equal(y[d:], x)
             assert np.all(y[:d] == 0.0)
 
     @pytest.mark.parametrize("freq", [250.0, 1000.0, 3000.0])
@@ -263,31 +264,14 @@ class TestFractionalDelay:
         t = np.arange(FS) / FS
         x = np.sin(2 * np.pi * freq * t)
         ref = np.sin(2 * np.pi * freq * (t - delay / FS))
-        y, _ = dsp.fractional_delay(x, None, delay / FS, FS)
+        y = dsp.fractional_delay(x, delay / FS, FS)[: len(x)]
         err = y[100:-100] - ref[100:-100]
         rel = np.sqrt(np.mean(err**2) / 0.5)
         assert 20 * np.log10(rel) < -60.0
 
-    def test_blockwise_equals_one_pass(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal(8192)
-        one, _ = dsp.fractional_delay(x, None, 11.37 / FS, FS)
-        state = None
-        parts = []
-        for i in range(0, len(x), 640):
-            out, state = dsp.fractional_delay(x[i : i + 640], state, 11.37 / FS, FS)
-            parts.append(out)
-        assert np.max(np.abs(np.concatenate(parts) - one)) < 1e-9
-
-    def test_state_handed_other_delays_is_rejected(self):
-        x = np.random.default_rng(3).standard_normal(4096)
-        _, state = dsp.fractional_delay(x[:1000], None, 11.37 / FS, FS)
-        with pytest.raises(ValueError, match="other delays"):
-            dsp.fractional_delay(x[1000:], state, 5.5 / FS, FS)
-
     def test_negative_delay_rejected(self):
         with pytest.raises(NegativeDelay):
-            dsp.fractional_delay(np.zeros(16), None, -1e-4, FS)
+            dsp.fractional_delay(np.zeros(16), -1e-4, FS)
 
 
 class TestCrossfades:
@@ -512,6 +496,27 @@ class TestDirectives:
         assert y.shape == x.shape
         assert not np.any(y)
 
+    @pytest.mark.parametrize("shift_ms", [2000 / FS * 1e3, 41.69, 1e12])
+    def test_delay_past_the_stem_end_keeps_its_length(self, shift_ms):
+        """A delay whose leading zeros fill the stem (2000, 2001.12 and
+        4.8e13 samples here) leaves it all zeros, without building the
+        delayed signal: 1e12 ms of zeros would take hundreds of TiB."""
+        x = np.random.default_rng(2).standard_normal(2000)
+        y = dsp.apply_directives(x, [dsp.Directive("time_shift", shift_ms)], FS)
+        assert y.shape == x.shape
+        assert not np.any(y)
+
+    def test_delay_under_one_sample_past_the_stem_end_reaches_it(self):
+        """At 2000.5 samples the Lagrange kernel's first tap still lands
+        the first input sample on the last output sample."""
+        x = np.random.default_rng(2).standard_normal(2000)
+        delay_ms = 2000.5 / FS * 1e3
+        y = dsp.apply_directives(x, [dsp.Directive("time_shift", delay_ms)], FS)
+        _, kernel = dsp._delay_plan(delay_ms * 1e-3 * FS)
+        assert not np.any(y[:-1])
+        assert y[-1] == pytest.approx(kernel[0] * x[0], rel=1e-9)
+        assert y[-1] != 0.0
+
     def test_decorrelate_zero_is_identity_and_full_preserves_power(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal(4 * FS)
@@ -646,7 +651,7 @@ class TestFuzz:
         st.floats(0.0, 50.0),
     )
     def test_delay_never_produces_nan(self, x, delay_samples):
-        y, _ = dsp.fractional_delay(x, None, delay_samples / FS, FS)
+        y = dsp.fractional_delay(x, delay_samples / FS, FS)
         assert np.all(np.isfinite(y))
 
     @settings(max_examples=30, deadline=None)

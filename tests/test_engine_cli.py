@@ -19,6 +19,7 @@ from obar import context, demo, dsp, engine, renderers, routing
 from obar.cli import main as cli_main
 from obar.engine import RenderJob, run_render
 from obar.errors import JobError
+from obar.geometry import Direction3
 from obar.rules import DEFAULT_RULEBOOK_DOC, DEFAULT_SELECTION_DOC
 from obar.scene import mono_mix, parse_scene
 
@@ -285,6 +286,64 @@ class TestEngine:
         soft = render(-6.0, "b.wav")
         ratio = np.sum(np.square(soft)) / np.sum(np.square(loud))
         assert abs(ratio - 10.0 ** (-0.6)) < 1e-9
+
+    def test_wfs_render_equals_a_delay_line_reference(self, tmp_path):
+        """Two effects behind a 28-speaker ring of 2 m (0.45 m apart) route
+        to WFS and one
+        without a distance to VBAP, in 1000-sample blocks, with no rules.
+        The output equals each stem through its speakers' gains and a
+        4-tap Lagrange delay line from rest, summed tap by tap, to 1e-12:
+        the WFS delays run as folded filter taps in the engine."""
+        d = str(tmp_path)
+        far = {"az": 40.0, "el": 0.0, "dist": 6.0}
+        farther = {"az": -130.0, "el": 0.0, "dist": 9.0}
+        panned = {"az": 100.0, "el": 0.0, "dist": None}
+        objects = [
+            object_doc(oid, "effect",
+                       [write_stem(d, f"{oid}.wav", noise_like(2.5, seed=seed))],
+                       position=pos)
+            for oid, seed, pos in (("far", 1, far), ("farther", 2, farther),
+                                   ("panned", 3, panned))]
+        job = make_job(tmp_path, objects, speakers=28, block_size=1000,
+                       rulebook={"schema": "rulebook v1", "rules": []})
+        result, out = render_output(job)
+
+        def delay_line(x, delay_s):
+            m, kernel = dsp._delay_plan(delay_s * FS)
+            padded = np.concatenate([np.zeros(m + 3), x])
+            if kernel is None:
+                return padded[3 : 3 + len(x)]
+            y = np.zeros(len(x))
+            for k in range(4):
+                y += kernel[k] * padded[3 - k : 3 - k + len(x)]
+            return y
+
+        scene = parse_scene(job.scene_path)
+        mixes = {obj.object_id: mono_mix(obj) for obj in scene.objects}
+        speakers = {s["id"]: s["position"] for s in ring_speakers(28)}
+        channels = result.report["channels"]
+        intervals = result.report["intervals"]
+        expected = np.zeros_like(out)
+        for a in intervals[0]["assignments"]:
+            dirs = [Direction3(speakers[sid]["az"], 0.0, speakers[sid]["dist"])
+                    for sid in a["speakers"]]
+            pos = {"far": far, "farther": farther, "panned": panned}[a["object_id"]]
+            x = mixes[a["object_id"]]
+            if pos["dist"] is None:
+                assert a["renderer"] == "VBAP"
+                gains = renderers.vbap_gains(dirs, Direction3(pos["az"]))
+                delays = np.zeros(len(dirs))
+            else:
+                assert a["renderer"] == "WFS"
+                gains, delays = renderers.wfs_drive(
+                    dirs, Direction3(pos["az"], 0.0, pos["dist"]))
+                assert np.count_nonzero(delays) == len(dirs) - 1
+            for sid, g, delay in zip(a["speakers"], gains, delays):
+                expected[:, channels.index(sid)] += g * delay_line(x, delay)
+        assert all(iv["assignments"] == intervals[0]["assignments"]
+                   for iv in intervals)
+        assert np.max(np.abs(out - expected)) <= 1e-12
+        assert np.max(np.abs(out)) > 0.1
 
     def test_multi_stem_object_mixes_to_mono(self, tmp_path):
         d = str(tmp_path)
@@ -656,15 +715,16 @@ class TestMixBlock:
             tuple(firs), FS)
 
     def test_block_mix_equals_sum_of_lane_renders(self, monkeypatch):
-        """Gain-only lanes on all channels and on a subset, a PM-like and
-        a Diffuse lane on subsets, a delay-line (WFS) lane and one fade
-        from a gain-only to a FIR drive that ends in the third block, over
-        five blocks cut three ways into spans that end at the fade's end
-        block. The stems end inside the last block, which reads zeros past
-        them. Only the delay-line lane and the two drives of the fade go
-        through render_block, once per span; the fading lane's FIR drive
-        joins the shared spectrum once its fade has ended, on the state
-        render_block advanced."""
+        """Gain-only lanes on all channels and on a subset, a PM-like, a
+        Diffuse and a WFS-like (gains and delays, no FIRs) lane on subsets
+        and one fade from a gain-only to a FIR drive that ends in the third
+        block, over five blocks cut three ways into spans that end at the
+        fade's end block. The stems end inside the last block, which reads
+        zeros past them. Only the two drives of the fade go through
+        render_block, once per span; the WFS lane's delays are folded into
+        taps, so it joins the shared spectrum, and so does the fading
+        lane's FIR drive once its fade has ended, on the state render_block
+        advanced."""
         rng = np.random.default_rng(18)
         block, n_blocks = self.BLOCK, 5
         stem_len = (n_blocks - 1) * block + 100
@@ -758,10 +818,9 @@ class TestMixBlock:
                                   out[t0 : t0 + count * block])
                 b += count
                 frames = (count, block)
-                wfs = [(("s2", "s4", "s5"), frames)]
-                assert calls == (wfs + [(("s1", "s2", "s3"), frames),
-                                        (("s0", "s1"), frames)]
-                                 if b <= 3 else wfs), (spans, b)
+                assert calls == ([(("s1", "s2", "s3"), frames),
+                                  (("s0", "s1"), frames)]
+                                 if b <= 3 else []), (spans, b)
                 assert (spanned[-1].old is None) == (b >= 3), (spans, b)
             assert np.array_equal(out, blockwise), spans
             assert np.max(np.abs(out - summed)) < 1e-12, spans
@@ -905,6 +964,74 @@ class TestCLI:
         err = captured.err.strip()
         assert err.count("\n") == 0 and "crossfade_s" in err, err
         assert set(os.listdir(d)) == before
+
+    @pytest.mark.parametrize("xfade", ["1e-300", "1e-12", "2e-5"])
+    def test_crossfade_under_one_sample_fails_in_one_line(self, tmp_path,
+                                                          capsys, xfade):
+        """A crossfade shorter than one sample (2e-5 s is 0.96 samples at
+        48 kHz) has no sample to fade over: one diagnostic line, nothing
+        left behind."""
+        d, scene, scenario = self.demo_paths(tmp_path)
+        before = set(os.listdir(d))
+        assert cli_main(["render", "--scene", scene, "--scenario", scenario,
+                         "--out", os.path.join(d, "x.wav"),
+                         "--xfade", xfade]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        err = captured.err.strip()
+        assert err.count("\n") == 0, err
+        assert "crossfade_s" in err and "shorter than one sample" in err, err
+        assert set(os.listdir(d)) == before
+
+    @pytest.mark.parametrize("block", ["96001", "150000", "2000000000"])
+    def test_block_longer_than_an_interval_fails_in_one_line(self, tmp_path,
+                                                             capsys, block):
+        """A block longer than one context interval (96000 samples at 48
+        kHz) would skip updates or allocate its span: one diagnostic line,
+        nothing left behind."""
+        d, scene, scenario = self.demo_paths(tmp_path)
+        before = set(os.listdir(d))
+        assert cli_main(["render", "--scene", scene, "--scenario", scenario,
+                         "--out", os.path.join(d, "x.wav"),
+                         "--block", block]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        err = captured.err.strip()
+        assert err.count("\n") == 0, err
+        assert err.startswith("error [cli_io]: options.block_size="), err
+        assert "longer than one context interval" in err, err
+        assert set(os.listdir(d)) == before
+
+    def test_block_of_one_interval_renders(self, tmp_path):
+        d, scene, scenario = self.demo_paths(tmp_path)
+        out = os.path.join(d, "x.wav")
+        assert cli_main(["render", "--scene", scene, "--scenario", scenario,
+                         "--out", out, "--block", "96000"]) == 0
+        report = json.load(open(out + ".report.json"))
+        assert [iv["t_s"] for iv in report["intervals"]] == [0.0]
+
+    def test_time_shift_longer_than_the_stems_renders(self, tmp_path, capsys):
+        """A time shift of 1e12 ms, inside an equally wide tolerance, delays
+        every object past the end of the programme: the render exits 0 with
+        silent output instead of allocating the delay in zeros."""
+        d = str(tmp_path)
+        scene = demo.write_demo_scene(d, duration_s=4.0)
+        scenario = demo.write_demo_scenario(d)
+        doc = json.load(open(scene))
+        for obj in doc["objects"]:
+            obj.setdefault("constraints", {}).setdefault(
+                "tolerances", {})["time_shift_ms"] = 1e12
+        late = write_json(d, doc, "late-scene.json")
+        rules = write_json(d, {"schema": "rulebook v1", "rules": [
+            {"rule_id": "late", "when": "true", "actions": [
+                {"kind": "time_shift", "ms": 1e12}]}]}, "rules.json")
+        out = os.path.join(d, "x.wav")
+        assert cli_main(["render", "--scene", late, "--scenario", scenario,
+                         "--out", out, "--rules", rules]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        _, samples = wavfile.read(out)
+        assert samples.shape == (4 * 48000, demo.DEMO_RING_SPEAKERS)
+        assert not np.any(samples)
 
     def test_devices_listing(self, tmp_path, capsys):
         config = demo.write_demo_devices(str(tmp_path))

@@ -383,8 +383,8 @@ class TestSelection:
         assert assignment.renderer.kind is RendererKind.AMBI_MM
 
     def test_distant_music_still_pressure_matches(self):
-        """Bulk path delay is carried by the delay line, not the filter, so
-        far sources keep their assignment."""
+        """Bulk path delay is carried by the drive's delays, not the PM
+        filter design, so far sources keep their assignment."""
         score = make_object("score", ObjectType.MUSIC, az=0.0, dist=30.0)
         assignment = select(score, self._ring(), "s0")
         assert assignment.renderer.kind is RendererKind.PM_SINGLE_ZONE
@@ -482,7 +482,7 @@ class TestDriveBuilding:
             g = np.exp(-2j * np.pi * grid[fi] * d_spk / 343.0) / (4 * np.pi * d_spk)
             target = (np.exp(-2j * np.pi * grid[fi] * d_src / 343.0)
                       / (4 * np.pi * d_src)) * 4.0 * np.pi * 4.0
-            # each lane is FIR then delay line; fold both into one transfer
+            # each lane is FIR then delay; fold both into one transfer
             lane = spectra[:, fi] * np.exp(-2j * np.pi * grid[fi] * delays)
             achieved = g @ lane
             # remove the FIR centre-tap linear phase before comparing
