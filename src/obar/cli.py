@@ -64,11 +64,12 @@ def _probe_object(az_deg: float) -> AudioObject:
 
 def cmd_probe(scenario_path: str) -> int:
     """Feasibility of each renderer class for a reference object swept
-    around the compass."""
+    around the compass: a kind is ok when a selection row of it on subset
+    "all" would realize it, mode matching at the order "highest" chooses."""
     layout, listeners, _, _ = parse_scenario(scenario_path)
     scenario = build_scenario(layout, listeners)
     count = len(scenario.layout.speakers)
-    order = max_ambi_order(count)
+    order = max_ambi_order(scenario.layout.speakers)
     print(f"layout: {count} speakers, max ambisonic order {order}")
     for az in PROBE_AZIMUTHS_DEG:
         reasons = infeasibility_reasons(scenario.layout, _probe_object(az))

@@ -127,15 +127,6 @@ def vbap_gains(speaker_dirs, target: Direction3) -> np.ndarray:
     return gains / np.linalg.norm(gains)
 
 
-def vbap_feasible(speaker_dirs, target: Direction3) -> bool:
-    """True when vbap_gains would succeed for this target."""
-    try:
-        vbap_gains(speaker_dirs, target)
-        return True
-    except NotBracketed:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # ambisonic mode matching (2D circular harmonics)
 

@@ -1,9 +1,11 @@
-"""Object router: feasibility checks and per-object renderer selection.
+"""Object router: per-object renderer selection and its feasibility.
 
 Selection walks an ordered table of (match, renderer) rows and takes the first
 row whose predicate holds and whose driving function can actually be built on
 the resolved speaker subset; the final row assigns nearest-speaker panning, so
-every object always gets a renderer.
+every object always gets a renderer. _candidate is the one statement of what a
+row can realize: selection asks it row by row, and infeasibility_reasons (the
+feasibility `obar probe` prints) asks it once per renderer kind.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import HighLevelContext, ReproductionScenario, SpeakerLayout
-from .errors import NotBracketed, ObarError, SourceInsideArray
-from .geometry import Direction3
+from .dsp import DEFAULT_SAMPLE_RATE
+from .errors import NotBracketed, ObarError, SourceInsideArray, TooFewSpeakers
+from .geometry import Direction3, wrap_azimuth
 from .renderclass import RendererClass, RendererKind
 from .renderers import (
     PM_BETA_DEFAULT,
@@ -27,7 +30,6 @@ from .renderers import (
     diffuse_gains,
     nearest_speaker_gains,
     pm_filters,
-    vbap_feasible,
     vbap_gains,
     wfs_drive,
 )
@@ -53,8 +55,8 @@ PM_DESIGN_MEMO_SIZE = 64
 class RendererAssignment:
     """One object's renderer and speakers. subset_kind names the selection
     row's subset rule the speakers came from; it is "all" for the AP1
-    backstop and when a row's subset was too small for the ambisonic order
-    and the whole band-capable layout stood in."""
+    backstop and when a row's subset had too few distinct azimuths for the
+    ambisonic order and the whole band-capable layout stood in."""
 
     object_id: str
     renderer: RendererClass
@@ -100,40 +102,30 @@ def wfs_segment(layout: SpeakerLayout) -> tuple[str, ...] | None:
     return tuple(speakers[i].speaker_id for i in best)
 
 
-def max_ambi_order(speaker_count: int) -> int:
-    return min((speaker_count - 1) // 2, MAX_AMBI_ORDER)
+def _distinct_azimuths(speakers) -> int:
+    return len({wrap_azimuth(s.position.az_deg) for s in speakers})
+
+
+def max_ambi_order(speakers) -> int:
+    """Highest 2-D ambisonic order the speakers carry, at most MAX_AMBI_ORDER:
+    order N needs 2N+1 distinct azimuths (stacked speakers count once)."""
+    return min((_distinct_azimuths(speakers) - 1) // 2, MAX_AMBI_ORDER)
 
 
 def infeasibility_reasons(layout: SpeakerLayout, obj: AudioObject) -> dict[str, str]:
-    """Renderer kind name -> why this layout cannot drive that kind for this
-    object, for every kind it cannot drive. Nearest-speaker panning never
-    appears. The only statement of the arrangement requirements."""
-    count = len(layout.speakers)
-    dirs = [s.position for s in layout.speakers]
+    """Renderer kind name -> why a selection row of that kind on subset "all"
+    (mode matching at order "highest") cannot realize this object on this
+    layout, for every kind it cannot. Each row goes through _candidate, as in
+    selection, with no stem energy below any speaker's low edge and at
+    DEFAULT_SAMPLE_RATE. Nearest-speaker panning never appears."""
+    no_low_energy = {s.bandwidth_hz.low_hz: 0.0 for s in layout.speakers}
     reasons: dict[str, str] = {}
-    if obj.position is None:
-        reasons["VBAP"] = "object has no position to pan to"
-    elif count < 2:
-        reasons["VBAP"] = "needs at least 2 speakers"
-    elif not vbap_feasible(dirs, obj.position):
-        reasons["VBAP"] = "no speaker pair or triplet brackets the direction"
-    if max_ambi_order(count) < 1:
-        reasons["AmbiMM"] = f"order 1 needs 3 speakers, layout has {count}"
-    segment = wfs_segment(layout)
-    if count < WFS_MIN_SPEAKERS:
-        reasons["WFS"] = f"needs {WFS_MIN_SPEAKERS} speakers, layout has {count}"
-    elif segment is None:
-        reasons["WFS"] = f"no contiguous run of {WFS_MIN_SPEAKERS}+ speakers spaced <= {WFS_MAX_GAP_M} m"
-    else:
+    for kind in RendererKind:
         try:
-            wfs_drive([layout.by_id(sid).position for sid in segment],
-                      _object_direction(obj))
-        except SourceInsideArray as exc:
-            reasons["WFS"] = str(exc)
-    if obj.position is None or obj.position.distance_m is None:
-        reasons["PM"] = "object has no position with distance"
-    if count < 2:
-        reasons["Diffuse"] = "needs at least 2 speakers"
+            _candidate(_all_row(kind), layout, obj, None, no_low_energy,
+                       DEFAULT_SAMPLE_RATE)
+        except ObarError as exc:
+            reasons[kind.value] = str(exc)
     return reasons
 
 
@@ -278,61 +270,52 @@ def build_drive(assignment: RendererAssignment, layout: SpeakerLayout,
 # selection
 
 def _candidate(rule: SelectionRule, layout: SpeakerLayout, obj: AudioObject,
-               nearest_device: str | None,
-               band_fractions: dict) -> RendererAssignment | None:
+               nearest_device: str | None, band_fractions: dict,
+               sample_rate: int) -> RendererAssignment:
+    """The assignment this row realizes for obj, after one build of its
+    drive, or the ObarError that says why the row cannot be realized. Mode
+    matching falls back to the whole band-capable layout when the subset has
+    too few distinct azimuths for the order."""
     subset = _resolve_subset(rule.subset, layout, nearest_device, band_fractions)
-    if not subset:
-        return None
     kind = RendererKind(rule.renderer)
     subset_kind = rule.subset
     order = None
     if kind is RendererKind.AMBI_MM:
-        if rule.order == "highest" or rule.order is None:
-            order = max_ambi_order(len(subset))
-            if order < 1:
-                subset = band_capable_subset(layout.speakers, band_fractions)
-                order = max_ambi_order(len(subset))
-                subset_kind = "all"
-            if order < 1:
-                return None
-        else:
-            order = int(rule.order)
-            if len(subset) < 2 * order + 1:
-                subset = band_capable_subset(layout.speakers, band_fractions)
-                subset_kind = "all"
-            if len(subset) < 2 * order + 1:
-                return None
+        highest = rule.order in ("highest", None)
+        order = max(max_ambi_order(subset), 1) if highest else int(rule.order)
+        if _distinct_azimuths(subset) < 2 * order + 1:
+            subset = band_capable_subset(layout.speakers, band_fractions)
+            subset_kind = "all"
+            order = max(max_ambi_order(subset), 1) if highest else order
+        distinct = _distinct_azimuths(subset)
+        if distinct < 2 * order + 1:
+            raise TooFewSpeakers(
+                f"order {order} needs {2 * order + 1} speakers at distinct "
+                f"azimuths, layout has {distinct}")
     elif kind is RendererKind.WFS_GAIN_DELAY:
         segment = wfs_segment(SpeakerLayout(tuple(subset)))
         if segment is None:
-            return None
+            raise TooFewSpeakers(
+                f"needs {WFS_MIN_SPEAKERS} speakers, layout has {len(subset)}"
+                if len(subset) < WFS_MIN_SPEAKERS else
+                f"no contiguous run of {WFS_MIN_SPEAKERS}+ speakers spaced "
+                f"<= {WFS_MAX_GAP_M} m")
         by_id = {s.speaker_id: s for s in subset}
         subset = [by_id[sid] for sid in segment]
 
-    return RendererAssignment(
+    assignment = RendererAssignment(
         object_id=obj.object_id,
         renderer=RendererClass(kind, order),
         speaker_subset=tuple(s.speaker_id for s in subset),
         subset_kind=subset_kind,
     )
+    build_drive(assignment, layout, obj, sample_rate)
+    return assignment
 
 
-def _try_build(assignment: RendererAssignment | None, layout: SpeakerLayout,
-               obj: AudioObject, sample_rate: int) -> bool:
-    if assignment is None:
-        return False
-    try:
-        build_drive(assignment, layout, obj, sample_rate)
-        return True
-    except ObarError:
-        return False
-
-
-def _preferred_rule(obj: AudioObject) -> SelectionRule | None:
-    name = obj.advanced.preferred_renderer
-    if not name:
-        return None
-    kind = RendererKind(name)
+def _all_row(kind: RendererKind) -> SelectionRule:
+    """A row that always holds and asks for kind on every speaker, mode
+    matching at the highest order."""
     return SelectionRule(
         match=compile_expression("true"),
         renderer=kind.value,
@@ -349,23 +332,24 @@ def select_renderer(obj: AudioObject, layout: SpeakerLayout,
     band_fractions is the object's row of band_table.
     """
     rules = list(selection_rules)
-    preferred = _preferred_rule(obj)
-    if preferred is not None:
-        rules.insert(0, preferred)
+    preferred = obj.advanced.preferred_renderer
+    if preferred:
+        rules.insert(0, _all_row(RendererKind(preferred)))
     ns = dict(namespace)
     ns.update(object_namespace(obj))
     for rule in rules:
         if not rule.match.holds(ns):
             continue
-        candidate = _candidate(rule, layout, obj, nearest_device, band_fractions)
-        if _try_build(candidate, layout, obj, sample_rate):
-            return candidate
-    fallback = RendererAssignment(
+        try:
+            return _candidate(rule, layout, obj, nearest_device, band_fractions,
+                              sample_rate)
+        except ObarError:
+            pass
+    return RendererAssignment(
         object_id=obj.object_id,
         renderer=RendererClass(RendererKind.AP1_NEAREST),
         speaker_subset=tuple(layout.ids()),
     )
-    return fallback
 
 
 def route(scene: Scene, scenario: ReproductionScenario, ctx: HighLevelContext,

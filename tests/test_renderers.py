@@ -35,7 +35,6 @@ from obar.renderers import (
     pm_filters,
     render_block,
     render_spectrum,
-    vbap_feasible,
     vbap_gains,
     wfs_drive,
 )
@@ -97,9 +96,12 @@ class TestVbap:
             vbap_gains([Direction3(0), Direction3(90)], Direction3(180))
 
     def test_feasibility_helper_agrees(self):
+        """vbap_gains is the feasibility check: it pans inside the pair's
+        arc and raises NotBracketed outside it."""
         pair = [Direction3(0), Direction3(90)]
-        assert vbap_feasible(pair, Direction3(30))
-        assert not vbap_feasible(pair, Direction3(180))
+        assert np.count_nonzero(vbap_gains(pair, Direction3(30))) == 2
+        with pytest.raises(NotBracketed):
+            vbap_gains(pair, Direction3(180))
 
     @given(st.integers(3, 8), st.floats(-179.99, 180), st.floats(0, 359))
     @settings(max_examples=150)

@@ -94,7 +94,8 @@ def make_object(oid="obj", otype=ObjectType.EFFECT, az=0.0, dist=None,
 @st.composite
 def jittered_layouts(draw):
     """Rings and lines of 1-16 speakers, each moved by up to 0.4 of the
-    nominal spacing along the arrangement."""
+    nominal spacing along the arrangement, with elevated speakers stacked
+    above some of them (same azimuth and distance)."""
     count = draw(st.integers(1, 16))
     jitter = draw(st.lists(st.floats(-0.4, 0.4), min_size=count, max_size=count))
     if draw(st.booleans()):
@@ -105,6 +106,10 @@ def jittered_layouts(draw):
                 for i, j in enumerate(jitter)]
     else:
         docs = line_array(count, draw(st.floats(0.1, 0.8)), jitter=jitter)
+    stacked = draw(st.lists(st.integers(0, count - 1), max_size=count, unique=True))
+    docs += [{"id": f"h{i}",
+              "position": dict(docs[i]["position"], el=draw(st.floats(15.0, 60.0)))}
+             for i in stacked]
     return make_layout(docs)
 
 
@@ -135,7 +140,20 @@ class TestFeasibility:
     def test_eight_ring_carries_orders_one_to_three(self):
         layout = make_layout(ring_speakers(8))
         assert "AmbiMM" not in infeasibility_reasons(layout, make_object(az=10.0))
-        assert max_ambi_order(8) == 3
+        assert max_ambi_order(layout.speakers) == 3
+
+    def test_stacked_speakers_count_once_for_mode_matching(self):
+        """Three speakers, two of them stacked at az 0: two azimuths cannot
+        carry order 1, and the reason is the one selection meets."""
+        layout = make_layout([
+            {"id": "low", "position": {"az": 0.0, "el": 0.0, "dist": 2.0}},
+            {"id": "high", "position": {"az": 0.0, "el": 45.0, "dist": 2.0}},
+            {"id": "side", "position": {"az": 120.0, "el": 0.0, "dist": 2.0}},
+        ])
+        assert max_ambi_order(layout.speakers) == 0
+        reasons = infeasibility_reasons(layout, make_object(az=10.0))
+        assert reasons["AmbiMM"] == (
+            "order 1 needs 3 speakers at distinct azimuths, layout has 2")
 
     def test_object_without_position_cannot_pan(self):
         layout = make_layout(ring_speakers(5))
@@ -348,6 +366,24 @@ class TestSelection:
         assert assignment.subset_kind == "all"
         assert assignment.renderer.order == 2
 
+    def test_ambience_on_5_1_4_counts_azimuths(self):
+        """5.1.4: the backdrop's four speakers stand at two azimuths, so
+        "highest" falls back to the whole layout, whose five azimuths carry
+        order 2 (not the order 3 its nine speakers would suggest); the
+        probe agrees."""
+        bed = [(az, 0.0) for az in (0.0, 30.0, -30.0, 110.0, -110.0)]
+        heights = [(az, 45.0) for az in (30.0, -30.0, 110.0, -110.0)]
+        layout = make_layout([
+            {"id": f"s{i}", "position": {"az": az, "el": el, "dist": 2.0}}
+            for i, (az, el) in enumerate(bed + heights)])
+        bed_obj = make_object("bed", ObjectType.AMBIENCE, az=180.0)
+        assignment = select(bed_obj, layout, "s0")
+        assert assignment.renderer == RendererClass(RendererKind.AMBI_MM, 2)
+        assert assignment.speaker_subset == tuple(layout.ids())
+        assert assignment.subset_kind == "all"
+        assert "AmbiMM" not in infeasibility_reasons(layout, bed_obj)
+        assert max_ambi_order(layout.speakers) == 2
+
     def test_diffuse_type_decorrelates(self):
         assignment = select(
             make_object("wash", ObjectType.DIFFUSE, position=None),
@@ -406,18 +442,31 @@ class TestSelection:
     def test_assignments_respect_feasibility(self, layout, obj):
         """Property: the selected renderer is feasible (its kind has no
         reason, and mode matching runs at an order the layout carries), and
-        the reasons name exactly the kinds the layout cannot drive."""
+        the reasons name exactly the kinds the layout cannot drive: a kind
+        has no reason exactly when a one-row table asking for it on subset
+        "all" (mode matching at order "highest") selects it."""
         assignment = select(obj, layout, layout.ids()[0])
         reasons = infeasibility_reasons(layout, obj)
+        for kind in RendererKind:
+            row = {"match": "true", "renderer": kind.value, "subset": "all"}
+            if kind is RendererKind.AMBI_MM:
+                row["order"] = "highest"
+            table = parse_selection_rules({"schema": "selection v1", "rules": [row]})
+            selected = select(obj, layout, layout.ids()[0], table).renderer.kind
+            assert (kind.value not in reasons) == (selected is kind), (
+                kind, reasons.get(kind.value), layout.speakers)
         renderer = assignment.renderer
-        top_order = max_ambi_order(len(layout.speakers))
+        top_order = max_ambi_order(layout.speakers)
         assert renderer.kind.value not in reasons, (assignment, layout.ids())
         if renderer.kind is RendererKind.AMBI_MM:
             assert 1 <= renderer.order <= top_order, (assignment, layout.ids())
         else:
             assert renderer.order is None, assignment
         assert set(reasons) <= set(KNOWN_RENDERER_NAMES) - {"AP1"}
-        assert ("AmbiMM" in reasons) == (top_order < 1)
+        # The converse fails where the distinct azimuths suffice but the
+        # decode is rank deficient (order 3 on a short jittered line).
+        if top_order < 1:
+            assert "AmbiMM" in reasons
 
     def test_custom_table(self):
         table = parse_selection_rules({
