@@ -536,7 +536,7 @@ def _solve_tilt(tilt_db: float, sample_rate: int):
             np.array([1.0, (1.0 - den) / (1.0 + den)]))
 
 
-def _first_order_filter(b, a, x: np.ndarray) -> np.ndarray:
+def _first_order_filter(b, a, x: np.ndarray, start: int = 0) -> np.ndarray:
     """y[n] = b[0] x[n] + b[1] x[n - 1] + p y[n - 1], p = -a[1], from rest,
     as scipy.signal.lfilter(b, a, x) computes it, without a loop per sample.
 
@@ -546,15 +546,18 @@ def _first_order_filter(b, a, x: np.ndarray) -> np.ndarray:
     Each block then gets its carry, p^(i + 1) times the output at the end of
     the block before. Those ends obey the same recursion with pole p^B,
     whose terms are summed until its power falls below TRANSIENT_FLOOR.
+    x[0] is sample start of its signal, and start % B leading zeros lay the
+    blocks on that signal's grid, so a window rounds as the whole does.
     """
     if len(a) == 1:
         return b[0] * x
     n, p = len(x), -a[1]
     size = max(1, int(math.log(SCAN_GROWTH) / -math.log(abs(p)))) if p else 1
-    count = -(-n // size)
+    lead = start % size
+    count = -(-(lead + n) // size)
     v = np.zeros(count * size)
-    np.multiply(x, b[0], out=v[:n])
-    v[1:n] += b[1] * x[:-1]
+    np.multiply(x, b[0], out=v[lead : lead + n])
+    v[lead + 1 : lead + n] += b[1] * x[:-1]
     i = np.arange(size, dtype=float)
     sums = v.reshape(count, size)
     sums *= p ** -i
@@ -569,15 +572,16 @@ def _first_order_filter(b, a, x: np.ndarray) -> np.ndarray:
         power *= step
     sums[1:] += (p * ends[:-1])[:, None]
     sums *= p**i
-    return sums.ravel()[:n]
+    return sums.ravel()[lead : lead + n]
 
 
 def apply_directives(
     stem: np.ndarray,
     directives,
     sample_rate: int = DEFAULT_SAMPLE_RATE,
+    start: int = 0,
 ) -> np.ndarray:
-    """Apply deferred signal directives to a whole stem, in order.
+    """Apply deferred signal directives, in order, to a stem from sample start.
 
     Always processes from the original signal it is given, so re-running an
     adaptation pass never stacks filters.
@@ -586,7 +590,7 @@ def apply_directives(
     for d in directives:
         if d.kind == "spectral_tilt":
             b, a = design_tilt_ba(d.value, sample_rate)
-            out = _first_order_filter(b, a, out)
+            out = _first_order_filter(b, a, out, start)
         elif d.kind == "time_shift":
             n = len(out)
             shift = d.value * 1e-3 * sample_rate

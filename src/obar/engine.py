@@ -1,15 +1,15 @@
 """Block-based rendering loop: scene in, multichannel speaker file out.
 
-Every context interval the engine re-measures the listening conditions,
-re-derives the adaptation from the pristine scene, and re-routes objects to
-renderers, at the first block that starts at or after the interval's
-boundary. When an object's assignment differs from the one its lane holds
-from the previous interval, the lane starts a timed crossfade from the old
-drive to the new one; metadata-only changes (levels, positions,
-directives) step at the block boundary instead. Stems are fixed for the
-run, so before the first block the engine mixes each object to mono once
-and analyses each mix's band energy once (routing.band_table); every
-interval reads those mixes and that table.
+The engine decides, then mixes. Every context interval a plan (_plans)
+re-measures the listening conditions, re-derives the adaptation from the
+pristine scene, re-routes objects to renderers and builds their drives; it
+records a crossfade for each object whose assignment differs from the
+previous plan's. The mixer (_render_blocks) applies each plan at the first
+block that starts at or after the interval's boundary: it fades exactly
+the recorded objects from the old drive to the new one, and metadata-only
+changes (levels, positions, directives) step there instead. Stems are
+fixed for the run, so before the first plan the engine mixes each object
+to mono once and analyses each mix's band energy once (routing.band_table).
 
 Between updates the engine streams fixed-size blocks through per-object
 renderer lanes, mixing a span of whole blocks per pass (_mix_block). A span
@@ -26,10 +26,9 @@ render one by one, because a fade weighs each sample after the filter.
 
 An adapted object's directive chain (tilt, time shift, decorrelation) is
 read for one interval plus, when its lane fades out, the crossfade. So each
-interval filters a chain only over that window, started early enough for
-the filters to settle (dsp.directive_margins), and the windows are dropped
-once no lane reads them; objects without directives read their stems in
-place.
+plan filters its own chains only over that window, started early enough
+for the filters to settle (dsp.directive_margins); a window is dropped once
+no lane reads it, and objects without directives read their stems in place.
 
 Each finished span is checked for finiteness and streamed into the WAV;
 the engine keeps only the output of the metric window still open (about
@@ -143,9 +142,8 @@ class _Lane:
     FIRs nor delays: state.fir is None), else None.
     """
 
-    def __init__(self, assignment, drive, source, gain, chan_index):
+    def __init__(self, drive, source, gain, chan_index):
         self.chan_index = chan_index
-        self.assignment = assignment
         self._set_drive(drive)
         self.source = source
         self.gain = gain
@@ -163,13 +161,12 @@ class _Lane:
             self.gain_row = np.zeros(len(self.chan_index))
             self.gain_row[self.cols] = drive.gains
 
-    def begin_fade(self, assignment, drive, source, gain, start_s, duration_s):
+    def begin_fade(self, drive, source, gain, start_s, duration_s):
         # A change arriving mid-fade snaps the previous fade to its endpoint.
         self.old = (self.drive, self.state, self.source, self.gain, self.cols)
         old_filtered = self.state.fir is not None
         self.fade_start_s = start_s
         self.fade_end_s = start_s + duration_s
-        self.assignment = assignment
         self._set_drive(drive)
         # Two gain-only drives carry the same waveform, so amplitudes may sum;
         # anything with delays or filters mixes power-complementarily instead.
@@ -177,8 +174,7 @@ class _Lane:
         self.source = source
         self.gain = gain
 
-    def update(self, assignment, drive, source, gain):
-        self.assignment = assignment
+    def update(self, drive, source, gain):
         if drive.fingerprint() != self.drive.fingerprint():
             # Same renderer, new parameters: step at the block boundary.
             self._set_drive(drive)
@@ -321,7 +317,7 @@ def _chain_window(base: np.ndarray, directives, sample_rate: int,
     warmup, lookahead = directive_margins(directives, sample_rate)
     a = max(0, lo - warmup)
     chain = apply_directives(base[a : min(n, hi + lookahead)], directives,
-                             sample_rate)
+                             sample_rate, a)
     return _Source(chain[lo - a : hi - a], lo, n)
 
 
@@ -331,9 +327,8 @@ class _Sources:
     Every object's mono mix is made once, when the run starts (a read-only
     view of the stem for a single-stem object). An object without
     directives reads its whole mix. A directive chain is filtered only over
-    the samples [lo, hi) that the current interval reads, once per
-    interval. end_interval() drops the interval's chains; the lanes still
-    reading one hold it.
+    the samples [lo, hi) an update reads, once per update, into the chains
+    dict the update hands its for_scene calls; lanes hold what they read.
     """
 
     def __init__(self, scene: Scene):
@@ -341,30 +336,20 @@ class _Sources:
         # object_id -> mono mix; adaptation never touches an object's stems,
         # so the pristine and adapted objects share it.
         self.mixes = {obj.object_id: mono_mix(obj) for obj in scene.objects}
-        self.chains: dict = {}
 
-    def for_scene(self, scene: Scene, lo: int, hi: int) -> dict:
-        """object_id -> (_Source covering [lo, hi), linear mix gain)."""
+    def for_scene(self, scene: Scene, lo: int, hi: int, chains: dict) -> dict:
+        """object_id -> (_Source covering [lo, hi), linear mix gain); chains
+        ((object_id, directives) -> _Source) caches the update's chains."""
         out = {}
         for obj in scene.objects:
-            oid = obj.object_id
-            mix = self.mixes[oid]
-            if obj.directives:
-                source = self._chain(mix, (oid, obj.directives), lo, hi)
-            else:
-                source = _Source(mix, 0, len(mix))
-            out[oid] = (source, 10.0 ** (obj.level_db / 20.0))
+            mix = self.mixes[obj.object_id]
+            key = (obj.object_id, obj.directives)
+            if obj.directives and key not in chains:
+                chains[key] = _chain_window(
+                    mix, obj.directives, self.sample_rate, lo, hi)
+            source = chains.get(key, _Source(mix, 0, len(mix)))
+            out[obj.object_id] = (source, 10.0 ** (obj.level_db / 20.0))
         return out
-
-    def _chain(self, mix, key, lo, hi) -> _Source:
-        source = self.chains.get(key)
-        if source is None:
-            source = self.chains[key] = _chain_window(
-                mix, key[1], self.sample_rate, lo, hi)
-        return source
-
-    def end_interval(self) -> None:
-        self.chains = {}
 
 
 def _interval_proxy(scene, sources, t0, t1, noise, sample_rate):
@@ -475,9 +460,10 @@ def run_render(job: RenderJob) -> RenderResult:
     bands = band_table(sources.mixes, scenario.layout.speakers, fs)
     clock.lap("route_s")
     try:
+        plans = _plans(job, scene, scenario, timeline, rulebook, selection,
+                       sources, bands, clock)
         write_wav(partial, fs, _render_blocks(
-            job, scene, scenario, timeline, rulebook, selection,
-            sources, bands, intervals, levels, clock))
+            job, scenario.layout, fs, n_total, plans, intervals, levels, clock))
         report = {
             "schema": REPORT_SCHEMA_VERSION,
             "scene": os.path.abspath(job.scene_path),
@@ -522,47 +508,113 @@ def run_render(job: RenderJob) -> RenderResult:
         metrics_path=metrics_path, report=report, sample_rate=fs)
 
 
-def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
-                   sources, bands, intervals, levels, clock):
-    """Render the scene span by span.
+def _plans(job, scene, scenario, timeline, rulebook, selection, sources,
+           bands, clock):
+    """Decide each context update; mix nothing.
 
-    A span is whole blocks mixed in one _mix_block pass: from its first
-    block to the first of the block before the next context update, the
-    block holding the end of a running fade (_span_blocks), and
-    SPAN_SAMPLES (rounded down to whole blocks, at least one block). So no
-    span reads a lane's source past the samples its interval filtered, and
-    the output is the same as block by block. Yields each finished span of
-    output, samples x channels (float64), up to the scene's end; a view
-    that is overwritten once the next span is asked for. Appends each
-    interval's report record to intervals and, once output has passed the
-    interval's metric window, (t_s, each channel's RMS dB over the window)
-    to levels. sources (a _Sources) holds every object's mono mix and bands
-    (routing.band_table) their band analysis; run_render builds both once,
-    before the first span. clock (a _StageClock) sums the time of those,
-    of each context update's stages and of the span mixes:
-    - measure_s: the mono mixes, the pristine and adapted sources' proxy
-      measurements and the context tracker's update, with the pristine
-      sources' reads;
+    Update k (from 0) runs at the first block at or after k intervals, up
+    to the scene's end, and yields (stop, objects, record): the next
+    update's first sample; each routed object_id, in routing order ->
+    (drive, _Source covering the mixer's reads until stop or, if it fades
+    out there, until its fade ends, linear mix gain); and the update's
+    report record, whose crossfades are the objects whose assignment
+    differs from the previous update's. clock (a _StageClock) sums, with
+    run_render's mono mixes (sources) and band table (bands):
+    - measure_s: the mono mixes, the context tracker's update and both
+      proxy measurements, with the pristine sources' reads;
     - adapt_s: apply_rules and the adapted directive chains;
     - route_s: route, and the band table;
-    - build_s: the drives and the lanes built from them;
-    - mix_s: _mix_block.
+    - build_s: the drives.
     """
     fs = scene.sample_rate
     n_total = scene.duration_samples
     block = int(job.block_size)
     interval = int(round(CONTEXT_INTERVAL_S * fs))
-    chan_index = {s.speaker_id: i for i, s in enumerate(scenario.layout.speakers)}
-    n_channels = len(scenario.layout.speakers)
-
-    tracker = ContextTracker()
+    fade_s = float(job.crossfade_s)
     # The outgoing lane of a crossfade reads its source until the block
     # holding the fade's end: the fade, one block, and one sample for the
     # rounding of the end time.
-    fade_s = float(job.crossfade_s)
     fade_reads = math.ceil(fade_s * fs) + block + 1
+    tracker = ContextTracker()
+    previous: dict = {}   # object_id -> the previous update's assignment
+    t0 = k = 0
+    while t0 < n_total:
+        k += 1
+        stop = -(-k * interval // block) * block
+        t_s = t0 / fs
+        noise = noise_at(timeline, t_s)
+        window = (t0, min(t0 + interval, max(n_total, t0 + block)))
+        # Samples read from this update's sources: the proxy's window, and
+        # each lane's blocks until the next update, or until its fade ends
+        # if it fades out there.
+        reads = (t0, max(stop + fade_reads,
+                         t0 + max(window[1] - t0, MIN_NOISE_BLOCK)))
+        chains: dict = {}
+
+        # Measure on the pristine mix so the adaptation derived from it
+        # is a fixed point: the same noise always yields the same deficit
+        # and hence the same actions, with no duck/release oscillation.
+        clock.start()
+        pristine_sources = sources.for_scene(scene, *reads, chains)
+        measured = _interval_proxy(scene, pristine_sources, *window, noise, fs)
+        ctx = tracker.update(scenario, scene, noise, measured)
+        clock.lap("measure_s")
+
+        adapted, adapt_report = apply_rules(
+            scene, ctx, rulebook, sources.mixes, window)
+        clock.lap("adapt_s")
+        assignments = route(adapted, scenario, ctx, selection, bands)
+        clock.lap("route_s")
+
+        adapted_sources = sources.for_scene(adapted, *reads, chains)
+        clock.lap("adapt_s")
+        projected = _interval_proxy(adapted, adapted_sources, *window, noise, fs)
+        clock.lap("measure_s")
+
+        objects, crossfades = {}, []
+        for assignment in assignments:
+            oid = assignment.object_id
+            drive = build_drive(assignment, scenario.layout,
+                                adapted.object_by_id(oid), fs)
+            objects[oid] = (drive, *adapted_sources[oid])
+            old = previous.get(oid)
+            if old is not None and old != assignment:
+                crossfades.append({
+                    "object_id": oid,
+                    "from": old.renderer.label(),
+                    "to": assignment.renderer.label(),
+                    "start_s": t_s,
+                    "duration_s": fade_s,
+                })
+        previous = {a.object_id: a for a in assignments}
+        clock.lap("build_s")
+        yield stop, objects, _interval_record(
+            t_s, noise, ctx, measured, projected,
+            assignments, adapt_report, crossfades)
+        t0 = stop
+
+
+def _render_blocks(job, layout, fs, n_total, plans, intervals, levels, clock):
+    """Mix the plans (_plans) span by span; decide nothing.
+
+    At each plan's first block the mixer adds a lane for each object new to
+    the plan, starts a crossfade for exactly the objects in the record's
+    crossfades, steps every other lane and drops the lanes of objects the
+    plan does not route. A span is whole blocks mixed in one _mix_block
+    pass, up to the first of the plan's stop, the block holding the end of
+    a running fade (_span_blocks) and SPAN_SAMPLES, so no span reads a
+    source past what its plan filtered. Yields each finished span,
+    samples x channels (float64), up to n_total: a view overwritten once
+    the next is asked for. Appends each record to intervals and, once
+    output passes its metric window, (t_s, each channel's RMS dB over it)
+    to levels. clock adds build_s (lane set-up) and mix_s (_mix_block).
+    """
+    block = int(job.block_size)
+    interval = int(round(CONTEXT_INTERVAL_S * fs))
+    chan_index = {s.speaker_id: i for i, s in enumerate(layout.speakers)}
+    n_channels = len(layout.speakers)
     lanes: dict[str, _Lane] = {}
-    next_update = 0
+    stop = 0
     span_blocks = max(1, SPAN_SAMPLES // block)
     # Output from the start of the oldest metric window still open (row 0
     # is sample base). A window is interval samples from an update block,
@@ -574,77 +626,27 @@ def _render_blocks(job, scene, scenario, timeline, rulebook, selection,
 
     t0 = 0
     while t0 < n_total:
-        if t0 >= next_update:
-            t_s = t0 / fs
-            noise = noise_at(timeline, t_s)
-            window = (t0, min(t0 + interval, max(n_total, t0 + block)))
-            next_start = max(t0 + block, -(-(next_update + interval) // block) * block)
-            # Samples read from this interval's sources: the proxy's window,
-            # and each lane's blocks until the next update, or until its
-            # fade ends if it fades out there.
-            reads = (t0, max(next_start + fade_reads,
-                             t0 + max(window[1] - t0, MIN_NOISE_BLOCK)))
-
-            # Measure on the pristine mix so the adaptation derived from it
-            # is a fixed point: the same noise always yields the same deficit
-            # and hence the same actions, with no duck/release oscillation.
-            clock.start()
-            pristine_sources = sources.for_scene(scene, *reads)
-            measured = _interval_proxy(
-                scene, pristine_sources, window[0], window[1], noise, fs)
-            ctx = tracker.update(scenario, scene, noise, measured)
-            clock.lap("measure_s")
-
-            adapted, adapt_report = apply_rules(
-                scene, ctx, rulebook, sources.mixes, window)
-            clock.lap("adapt_s")
-            assignments = route(adapted, scenario, ctx, selection, bands)
-            clock.lap("route_s")
-
-            adapted_sources = sources.for_scene(adapted, *reads)
-            clock.lap("adapt_s")
-            projected = _interval_proxy(
-                adapted, adapted_sources, window[0], window[1], noise, fs)
-            clock.lap("measure_s")
-
-            crossfades = []
-            for assignment in assignments:
-                oid = assignment.object_id
-                obj = adapted.object_by_id(oid)
-                source, gain = adapted_sources[oid]
-                drive = build_drive(assignment, scenario.layout, obj, fs)
-                lane = lanes.get(oid)
-                if lane is None:
-                    lanes[oid] = _Lane(assignment, drive, source, gain, chan_index)
-                elif lane.assignment != assignment:
-                    crossfades.append({
-                        "object_id": oid,
-                        "from": lane.assignment.renderer.label(),
-                        "to": assignment.renderer.label(),
-                        "start_s": t_s,
-                        "duration_s": fade_s,
-                    })
-                    lane.begin_fade(assignment, drive, source, gain,
-                                    start_s=t_s, duration_s=fade_s)
+        if t0 == stop:
+            stop, objects, record = next(plans)
+            for oid in lanes.keys() - objects:  # pruned: stop at the boundary
+                del lanes[oid]
+            # Popping leaves each drive and source to its lane alone, so the
+            # plan keeps no second copy of a drive a lane did not take.
+            for fade in record["crossfades"]:
+                lanes[fade["object_id"]].begin_fade(
+                    *objects.pop(fade["object_id"]), fade["start_s"], fade["duration_s"])
+            for oid in list(objects):
+                if oid in lanes:
+                    lanes[oid].update(*objects.pop(oid))
                 else:
-                    lane.update(assignment, drive, source, gain)
-            live = {a.object_id for a in assignments}
-            for oid in list(lanes):
-                if oid not in live:  # pruned objects stop at the boundary
-                    del lanes[oid]
-            sources.end_interval()
+                    lanes[oid] = _Lane(*objects.pop(oid), chan_index)
             clock.lap("build_s")
-
-            intervals.append(_interval_record(
-                t_s, noise, ctx, measured, projected,
-                assignments, adapt_report, crossfades))
-            windows.append((t_s, t0))
-            next_update += interval
+            intervals.append(record)
+            windows.append((t0 / fs, t0))
 
         # The span stops before the block of the next update and at the
         # block holding the first fade end.
-        count = min(span_blocks, -(-(n_total - t0) // block),
-                    max(1, -(-(next_update - t0) // block)))
+        count = min(span_blocks, -(-(n_total - t0) // block), (stop - t0) // block)
         count = _span_blocks(lanes.values(), t0, block, fs, count)
         t1 = t0 + count * block
         out = buf[t0 - base : t1 - base]

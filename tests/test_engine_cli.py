@@ -562,15 +562,12 @@ class _WholeStemSources:
         self.cache = {}
         self.mixes = {obj.object_id: mono_mix(obj) for obj in scene.objects}
 
-    def for_scene(self, scene, lo, hi):
+    def for_scene(self, scene, lo, hi, chains):
         return {
             oid: (engine._Source(signal, 0, len(signal)), gain)
             for oid, (signal, gain) in _whole_stem_object_sources(
                 scene, self.cache).items()
         }
-
-    def end_interval(self):
-        pass
 
 
 _DIRECTIVES = st.one_of(
@@ -599,6 +596,18 @@ class TestWindowedSources:
         assert window.start == min(lo, n) and window.stem_len == n
         assert window.samples.shape == whole.shape
         assert np.max(np.abs(window.samples - whole), initial=0.0) <= 1e-12
+
+    def test_stacked_tilts_window_rounds_as_the_whole_stem(self):
+        """Three tilts raise the slice to a peak near 3747, where a few ulp
+        exceed 1e-12: the tilt scan's blocks must lie on the stem's own
+        sample grid, not start at the window's first sample."""
+        stem = np.random.default_rng(0).standard_normal(2000) * 0.1
+        directives = tuple(dsp.Directive("spectral_tilt", db)
+                           for db in (3.0, 23.0, 23.0))
+        whole = dsp.apply_directives(stem, directives, FS)[280:2000]
+        window = engine._chain_window(stem, directives, FS, 280, 2000)
+        assert np.max(np.abs(whole)) > 3000.0
+        assert np.max(np.abs(window.samples - whole)) <= 1e-12
 
     def test_reads_outside_the_window_are_errors(self):
         source = engine._Source(np.arange(10.0), 100, 200)
@@ -666,9 +675,9 @@ class TestWindowedSources:
         filtered = []
         apply = dsp.apply_directives
 
-        def counting(stem, directives, sample_rate):
+        def counting(stem, directives, sample_rate, start=0):
             filtered.append((len(stem), directives))
-            return apply(stem, directives, sample_rate)
+            return apply(stem, directives, sample_rate, start)
 
         monkeypatch.setattr(engine, "apply_directives", counting)
 
@@ -694,6 +703,40 @@ class TestWindowedSources:
             assert windowed.report[key] == reference.report[key]
         with open(windowed.metrics_path) as a, open(reference.metrics_path) as b:
             assert a.read() == b.read()
+
+
+class TestPlans:
+    def test_plans_decide_the_report_without_mixing(self, tmp_path):
+        """Draining engine._plans with no mixer gives the render's report
+        records, each update's stop at the next update's block, with a
+        block that does not divide the 96000-sample interval."""
+        d = str(tmp_path)
+        scene_path = demo.write_demo_scene(d)
+        scenario_path = demo.write_demo_scenario(d, noise_step_db=10.0)
+        job = RenderJob(scene_path=scene_path, scenario_path=scenario_path,
+                        out_path=os.path.join(d, "out.wav"), block_size=1024)
+        scene = parse_scene(scene_path)
+        layout, listeners, decay, timeline = context.parse_scenario(scenario_path)
+        scenario = context.build_scenario(layout, listeners, decay)
+        sources = engine._Sources(scene)
+        bands = routing.band_table(sources.mixes, layout.speakers, FS)
+        plans = list(engine._plans(
+            job, scene, scenario, timeline, engine.default_rulebook(),
+            engine.default_selection_rules(), sources, bands,
+            engine._StageClock()))
+        interval = int(engine.CONTEXT_INTERVAL_S * FS)
+        stops = [-(-k * interval // 1024) * 1024 for k in range(1, len(plans) + 1)]
+        assert [stop for stop, _, _ in plans] == stops
+        assert stops[-2] < scene.duration_samples <= stops[-1]
+        records = [record for _, _, record in plans]
+        assert records == run_render(job).report["intervals"]
+        assert any(record["adaptation"]["applied"] for record in records)
+        for _, objects, record in plans:
+            assert list(objects) == [a["object_id"] for a in record["assignments"]]
+        mixer_reads = set(engine._render_blocks.__code__.co_names)
+        assert not mixer_reads & {"route", "apply_rules", "build_drive",
+                                  "noise_at", "ContextTracker",
+                                  "_interval_proxy"}
 
 
 class TestMixBlock:
@@ -755,10 +798,10 @@ class TestMixBlock:
         fade_end_s = fade_start_s + fade_s
 
         def lanes():
-            built = [engine._Lane(None, d, src, g, chan_index)
+            built = [engine._Lane(d, src, g, chan_index)
                      for d, src, g in steady]
-            fading = engine._Lane(None, *old, chan_index)
-            fading.begin_fade(None, *new, start_s=fade_start_s,
+            fading = engine._Lane(*old, chan_index)
+            fading.begin_fade(*new, start_s=fade_start_s,
                               duration_s=fade_s)
             return built + [fading]
 
@@ -833,11 +876,11 @@ class TestMixBlock:
         chan_index = {"s0": 0}
         drive = self._drive(("s0",), [1.0])
         src = engine._Source(np.zeros(10), 0, 10)
-        lane = engine._Lane(None, drive, src, 1.0, chan_index)
+        lane = engine._Lane(drive, src, 1.0, chan_index)
         block = 100
         assert engine._span_blocks([lane], 1000, block, FS, 32) == 32
-        fading = engine._Lane(None, drive, src, 1.0, chan_index)
-        fading.begin_fade(None, drive, src, 1.0, start_s=1000 / FS,
+        fading = engine._Lane(drive, src, 1.0, chan_index)
+        fading.begin_fade(drive, src, 1.0, start_s=1000 / FS,
                           duration_s=250 / FS)
         # the fade ends at sample 1250, in the block [1200, 1300)
         assert engine._span_blocks([lane, fading], 1000, block, FS, 32) == 3
