@@ -3,7 +3,8 @@
 Everything here is deterministic. All stochastic pieces (decorrelators) draw
 from generators seeded with documented constants so renders repeat bit-exact.
 
-The kernels use numpy and scipy.fft only; no filter runs sample by sample.
+The kernels use numpy only, with numpy.fft for every transform; no filter
+runs sample by sample.
 Band analysis keeps the filter bank's definition (order-7 Butterworth
 band-passes, each filtered from rest over the window) and computes its
 output energy from the identity in octave_band_levels: the Parseval sum of
@@ -28,7 +29,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import NegativeDelay, TiltOutOfReach, UnsupportedRate
 
@@ -88,6 +88,22 @@ def power_sum_db(levels_db) -> float:
     if p <= 10.0 ** (LEVEL_FLOOR_DB / 10.0):
         return LEVEL_FLOOR_DB
     return 10.0 * math.log10(p)
+
+
+def _next_fast_len(n: int) -> int:
+    """The least 5-smooth integer >= n (2^a 3^b 5^c), a length numpy.fft
+    transforms quickly; scipy.fft.next_fast_len(n, real=True) gives the
+    same."""
+    best = 1 << (n - 1).bit_length()
+    odd = 1                                 # 3^b 5^c, below best
+    while odd < best:
+        odd3 = odd
+        while odd3 < best:
+            # the least power of two times odd3 that reaches n
+            best = min(best, odd3 << (-(-n // odd3) - 1).bit_length())
+            odd3 *= 3
+        odd *= 5
+    return best
 
 
 @dataclass(frozen=True)
@@ -160,13 +176,13 @@ def _octave_bank(sample_rate: int) -> tuple[_Band, ...]:
         edges = (fc / math.sqrt(2.0), fc * math.sqrt(2.0))
         slowest = float(np.max(np.abs(_band_poles(*edges, sample_rate))))
         length = math.ceil(math.log(TRANSIENT_FLOOR) / math.log(slowest))
-        size = sp_fft.next_fast_len(2 * length - 2, real=True)
+        size = _next_fast_len(2 * length - 2)
         # the prototype at s = j q; zero at w = 0
         s_lp = 1j * _lowpass_frequency(edges, size, sample_rate)
         spectrum = np.zeros(size // 2 + 1, dtype=complex)
         spectrum[1:] = 1.0 / np.prod(s_lp - prototype, axis=0)
-        response = sp_fft.irfft(spectrum, size)[:length]
-        bank.append(_Band(edges, response, size, sp_fft.rfft(response, size)))
+        response = np.fft.irfft(spectrum, size)[:length]
+        bank.append(_Band(edges, response, size, np.fft.rfft(response, size)))
     return tuple(bank)
 
 
@@ -191,8 +207,8 @@ def _windowed_energy(x: np.ndarray, band: _Band) -> float:
     convolved with the first len(x) samples of h, by one transform."""
     n = len(x)
     taps = band.response[:n]
-    size = sp_fft.next_fast_len(n + len(taps) - 1, real=True)
-    y = sp_fft.irfft(sp_fft.rfft(x, size) * sp_fft.rfft(taps, size), size)[:n]
+    size = _next_fast_len(n + len(taps) - 1)
+    y = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(taps, size), size)[:n]
     return float(np.sum(y * y))
 
 
@@ -206,8 +222,8 @@ def _band_energies(x: np.ndarray, sample_rate: int) -> np.ndarray:
     reach = max((len(b.response) for b in bank if len(b.response) <= n),
                 default=0)
     if reach:
-        size = sp_fft.next_fast_len(n + reach - 1, real=True)
-        spectrum = sp_fft.rfft(x, size)
+        size = _next_fast_len(n + reach - 1)
+        spectrum = np.fft.rfft(x, size)
         # einsum, not a BLAS product: unpinned BLAS threads make these
         # small products many times slower
         totals = np.einsum("bk,k->b", _band_weights(sample_rate, size),
@@ -224,8 +240,8 @@ def _band_energies(x: np.ndarray, sample_rate: int) -> np.ndarray:
             continue
         # the ring-out past the window: the last length - 1 samples
         # convolved with h, from its (length - 1)-th sample on
-        ring = sp_fft.irfft(
-            sp_fft.rfft(x[n - length + 1 :], band.ring_size)
+        ring = np.fft.irfft(
+            np.fft.rfft(x[n - length + 1 :], band.ring_size)
             * band.ring_spectrum, band.ring_size)[length - 1 : 2 * length - 2]
         energies[i] = total - float(np.sum(ring * ring))
         if energies[i] < MIN_WINDOW_SHARE * total:
@@ -397,7 +413,7 @@ class BlockFIR:
         padded[:, :length] = self.taps
         parts = padded.reshape(rows, count, size).transpose(1, 0, 2)
         self._first = int(np.argmax(np.any(parts != 0.0, axis=(1, 2))))
-        self._parts = sp_fft.rfft(parts[self._first :], 2 * size, axis=2)
+        self._parts = np.fft.rfft(parts[self._first :], 2 * size, axis=2)
         self._history = np.zeros(size)
         self._fdl = np.zeros((count - 1, size + 1), dtype=complex)
 
@@ -424,7 +440,7 @@ class BlockFIR:
         depth = len(self._fdl)
         # spectra[depth + k] is block k's pair; partition p reads the pair
         # p blocks older, spectra[depth + k - p]
-        spectra = np.concatenate([self._fdl, sp_fft.rfft(windows, axis=-1)])
+        spectra = np.concatenate([self._fdl, np.fft.rfft(windows, axis=-1)])
         self._history = stream[-size:]
         self._fdl = spectra[len(spectra) - depth :]
         terms = (spectra[None, depth - p : depth - p + count] * part[:, None]
@@ -439,7 +455,7 @@ class BlockFIR:
         """The samples of output spectra, ... x rows x B + 1 -> ... x rows x
         B: the last B points of each 2B-point inverse transform."""
         size = spectrum.shape[-1] - 1
-        return sp_fft.irfft(spectrum, 2 * size, axis=-1)[..., size:]
+        return np.fft.irfft(spectrum, 2 * size, axis=-1)[..., size:]
 
     def process(self, frames: np.ndarray) -> np.ndarray:
         """Filter a span, one 1-D block or K x B frames; returns rows x
@@ -612,11 +628,10 @@ def apply_directives(
             if amount > 0.0:
                 # the first len(out) samples of the linear convolution, from
                 # a transform long enough that none of it wraps around
-                size = sp_fft.next_fast_len(len(out) + DECORRELATOR_TAPS - 1,
-                                            real=True)
-                wet = sp_fft.irfft(
-                    sp_fft.rfft(out, size)
-                    * sp_fft.rfft(decorrelator_fir(d.seed), size), size)[: len(out)]
+                size = _next_fast_len(len(out) + DECORRELATOR_TAPS - 1)
+                wet = np.fft.irfft(
+                    np.fft.rfft(out, size)
+                    * np.fft.rfft(decorrelator_fir(d.seed), size), size)[: len(out)]
                 out = math.sqrt(1.0 - amount) * out + math.sqrt(amount) * wet
         else:
             raise ValueError(f"unknown directive kind {d.kind!r}")

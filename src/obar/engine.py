@@ -25,10 +25,12 @@ matrix product of their mono segments and channel gain rows; fading lanes
 render one by one, because a fade weighs each sample after the filter.
 
 An adapted object's directive chain (tilt, time shift, decorrelation) is
-read for one interval plus, when its lane fades out, the crossfade. So each
-plan filters its own chains only over that window, started early enough
-for the filters to settle (dsp.directive_margins); a window is dropped once
-no lane reads it, and objects without directives read their stems in place.
+read for one interval plus, when its lane fades out at the next update, the
+crossfade. A plan is handed to the mixer only once the next update is
+decided, so it filters each chain only over the window its lane reads,
+started early enough for the filters to settle (dsp.directive_margins); a
+window is dropped once no lane reads it, and objects without directives
+read their stems in place.
 
 Each finished span is checked for finiteness and streamed into the WAV;
 the engine keeps only the output of the metric window still open (about
@@ -49,10 +51,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapt import apply_rules
+from .adapt import AdaptationReport, apply_rules
 from .context import (
     MIN_NOISE_BLOCK,
     ContextTracker,
+    HighLevelContext,
+    NoiseState,
     band_snr_score,
     build_scenario,
     noise_at,
@@ -337,16 +341,20 @@ class _Sources:
         # so the pristine and adapted objects share it.
         self.mixes = {obj.object_id: mono_mix(obj) for obj in scene.objects}
 
-    def for_scene(self, scene: Scene, lo: int, hi: int, chains: dict) -> dict:
-        """object_id -> (_Source covering [lo, hi), linear mix gain); chains
-        ((object_id, directives) -> _Source) caches the update's chains."""
+    def for_scene(self, scene: Scene, lo: int, hi: int, chains: dict,
+                  ends: dict | None = None) -> dict:
+        """object_id -> (_Source covering [lo, hi), or [lo, ends[object_id])
+        for an object in ends, linear mix gain); chains ((object_id,
+        directives) -> _Source) caches the update's chains."""
+        ends = ends or {}
         out = {}
         for obj in scene.objects:
             mix = self.mixes[obj.object_id]
             key = (obj.object_id, obj.directives)
             if obj.directives and key not in chains:
                 chains[key] = _chain_window(
-                    mix, obj.directives, self.sample_rate, lo, hi)
+                    mix, obj.directives, self.sample_rate, lo,
+                    ends.get(obj.object_id, hi))
             source = chains.get(key, _Source(mix, 0, len(mix)))
             out[obj.object_id] = (source, 10.0 ** (obj.level_db / 20.0))
         return out
@@ -508,33 +516,39 @@ def run_render(job: RenderJob) -> RenderResult:
         metrics_path=metrics_path, report=report, sample_rate=fs)
 
 
-def _plans(job, scene, scenario, timeline, rulebook, selection, sources,
-           bands, clock):
-    """Decide each context update; mix nothing.
+@dataclass(frozen=True)
+class _Decision:
+    """One context update decided (_decisions): what it measured, adapted
+    and routed, before any chain of the adapted scene is filtered. reads is
+    the update's source window for every lane that does not fade out at
+    the next update; chains holds the update's chains (_Sources.for_scene)."""
 
-    Update k (from 0) runs at the first block at or after k intervals, up
-    to the scene's end, and yields (stop, objects, record): the next
-    update's first sample; each routed object_id, in routing order ->
-    (drive, _Source covering the mixer's reads until stop or, if it fades
-    out there, until its fade ends, linear mix gain); and the update's
-    report record, whose crossfades are the objects whose assignment
-    differs from the previous update's. clock (a _StageClock) sums, with
-    run_render's mono mixes (sources) and band table (bands):
-    - measure_s: the mono mixes, the context tracker's update and both
-      proxy measurements, with the pristine sources' reads;
-    - adapt_s: apply_rules and the adapted directive chains;
-    - route_s: route, and the band table;
-    - build_s: the drives.
-    """
+    t0: int
+    stop: int
+    window: tuple[int, int]
+    reads: tuple[int, int]
+    chains: dict
+    noise: NoiseState
+    ctx: HighLevelContext
+    measured: float | None
+    adapted: Scene
+    adapt_report: AdaptationReport
+    assignments: list
+    crossfades: list
+
+
+def _decisions(job, scene, scenario, timeline, rulebook, selection, sources,
+               bands, clock):
+    """Measure, adapt and route each context update of _plans, yielding a
+    _Decision; the crossfades are the objects whose assignment differs from
+    the previous update's. Laps measure_s (the pristine sources' reads, the
+    context tracker's update and the pristine proxy), adapt_s (apply_rules)
+    and route_s (route and the crossfades) on clock."""
     fs = scene.sample_rate
     n_total = scene.duration_samples
     block = int(job.block_size)
     interval = int(round(CONTEXT_INTERVAL_S * fs))
     fade_s = float(job.crossfade_s)
-    # The outgoing lane of a crossfade reads its source until the block
-    # holding the fade's end: the fade, one block, and one sample for the
-    # rounding of the end time.
-    fade_reads = math.ceil(fade_s * fs) + block + 1
     tracker = ContextTracker()
     previous: dict = {}   # object_id -> the previous update's assignment
     t0 = k = 0
@@ -545,10 +559,8 @@ def _plans(job, scene, scenario, timeline, rulebook, selection, sources,
         noise = noise_at(timeline, t_s)
         window = (t0, min(t0 + interval, max(n_total, t0 + block)))
         # Samples read from this update's sources: the proxy's window, and
-        # each lane's blocks until the next update, or until its fade ends
-        # if it fades out there.
-        reads = (t0, max(stop + fade_reads,
-                         t0 + max(window[1] - t0, MIN_NOISE_BLOCK)))
+        # each lane's blocks until the next update.
+        reads = (t0, max(stop, t0 + max(window[1] - t0, MIN_NOISE_BLOCK)))
         chains: dict = {}
 
         # Measure on the pristine mix so the adaptation derived from it
@@ -564,34 +576,75 @@ def _plans(job, scene, scenario, timeline, rulebook, selection, sources,
             scene, ctx, rulebook, sources.mixes, window)
         clock.lap("adapt_s")
         assignments = route(adapted, scenario, ctx, selection, bands)
-        clock.lap("route_s")
-
-        adapted_sources = sources.for_scene(adapted, *reads, chains)
-        clock.lap("adapt_s")
-        projected = _interval_proxy(adapted, adapted_sources, *window, noise, fs)
-        clock.lap("measure_s")
-
-        objects, crossfades = {}, []
+        crossfades = []
         for assignment in assignments:
-            oid = assignment.object_id
-            drive = build_drive(assignment, scenario.layout,
-                                adapted.object_by_id(oid), fs)
-            objects[oid] = (drive, *adapted_sources[oid])
-            old = previous.get(oid)
+            old = previous.get(assignment.object_id)
             if old is not None and old != assignment:
                 crossfades.append({
-                    "object_id": oid,
+                    "object_id": assignment.object_id,
                     "from": old.renderer.label(),
                     "to": assignment.renderer.label(),
                     "start_s": t_s,
                     "duration_s": fade_s,
                 })
         previous = {a.object_id: a for a in assignments}
-        clock.lap("build_s")
-        yield stop, objects, _interval_record(
-            t_s, noise, ctx, measured, projected,
-            assignments, adapt_report, crossfades)
+        clock.lap("route_s")
+        yield _Decision(t0, stop, window, reads, chains, noise, ctx, measured,
+                        adapted, adapt_report, assignments, crossfades)
         t0 = stop
+
+
+def _plans(job, scene, scenario, timeline, rulebook, selection, sources,
+           bands, clock):
+    """Decide each context update; mix nothing.
+
+    Update k (from 0) runs at the first block at or after k intervals, up
+    to the scene's end, and yields (stop, objects, record): the next
+    update's first sample; each routed object_id, in routing order ->
+    (drive, _Source covering the mixer's reads until stop or, if it fades
+    out there, until its fade ends, linear mix gain); and the update's
+    report record, whose crossfades are the objects whose assignment
+    differs from the previous update's. An update is yielded once the next
+    one is decided (_decisions), because only the objects in the next
+    update's crossfades read past stop, and only their chains are filtered
+    that far. clock (a _StageClock) sums, with run_render's mono mixes
+    (sources) and band table (bands):
+    - measure_s: the mono mixes, the context tracker's update and both
+      proxy measurements, with the pristine sources' reads;
+    - adapt_s: apply_rules and the adapted directive chains;
+    - route_s: route, and the band table;
+    - build_s: the drives.
+    """
+    fs = scene.sample_rate
+    # The outgoing lane of a crossfade reads its source until the block
+    # holding the fade's end: the fade, one block, and one sample for the
+    # rounding of the end time.
+    fade_reads = math.ceil(float(job.crossfade_s) * fs) + int(job.block_size) + 1
+    decisions = _decisions(job, scene, scenario, timeline, rulebook,
+                           selection, sources, bands, clock)
+    following = next(decisions, None)
+    while following is not None:
+        now, following = following, next(decisions, None)
+        fading = following.crossfades if following is not None else []
+        clock.start()
+        adapted_sources = sources.for_scene(
+            now.adapted, *now.reads, now.chains,
+            {fade["object_id"]: now.stop + fade_reads for fade in fading})
+        clock.lap("adapt_s")
+        projected = _interval_proxy(now.adapted, adapted_sources, *now.window,
+                                    now.noise, fs)
+        clock.lap("measure_s")
+
+        objects = {}
+        for assignment in now.assignments:
+            oid = assignment.object_id
+            drive = build_drive(assignment, scenario.layout,
+                                now.adapted.object_by_id(oid), fs)
+            objects[oid] = (drive, *adapted_sources[oid])
+        clock.lap("build_s")
+        yield now.stop, objects, _interval_record(
+            now.t0 / fs, now.noise, now.ctx, now.measured, projected,
+            now.assignments, now.adapt_report, now.crossfades)
 
 
 def _render_blocks(job, layout, fs, n_total, plans, intervals, levels, clock):

@@ -1,10 +1,13 @@
-"""Float WAV reading and writing.
+"""Float WAV reading and writing, with numpy and the struct module only.
 
 Stems are mono RIFF/WAVE IEEE float32; rendered output is one float32
-channel per loudspeaker. scipy reads the container, since the stdlib wave
-module has no float support. Writing streams blocks into the same layout
-scipy.io.wavfile.write produces (RIFF, a fmt chunk with cbSize, a fact
-chunk and the data chunk), so a render never holds its whole output.
+channel per loudspeaker. read_stem walks the stem's chunks itself, since
+the stdlib wave module has no float support: it takes the fmt chunk as
+format 3 (IEEE float) or as WAVE_FORMAT_EXTENSIBLE with the float
+subformat, skips every other chunk, and reads the first data chunk with one
+np.fromfile. Writing streams blocks into the layout scipy.io.wavfile.write
+produces (RIFF, a fmt chunk with cbSize, a fact chunk and the data chunk),
+so a render never holds its whole output.
 """
 
 from __future__ import annotations
@@ -13,11 +16,14 @@ import os
 import struct
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import MissingStem, SchemaError
 
 WAVE_FORMAT_IEEE_FLOAT = 3
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# The last 12 bytes of every WAVE_FORMAT_EXTENSIBLE subformat GUID; its first
+# 4 bytes hold the format tag.
+EXTENSIBLE_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 # RIFF, WAVE, fmt (8 + 18 bytes), fact (8 + 4 bytes) and the data chunk's
 # id and size: the samples start here.
 HEADER_BYTES = 58
@@ -30,16 +36,73 @@ def read_stem(path: str) -> tuple[int, np.ndarray]:
     if not os.path.isfile(path):
         raise MissingStem(f"stem file not found: {path}")
     try:
-        rate, data = wavfile.read(path)
-    except Exception as exc:
-        raise SchemaError(f"unreadable stem {path}: {exc}") from exc
-    if data.dtype != np.float32:
-        raise SchemaError(f"stem {path} must be IEEE float32, got {data.dtype}")
-    if data.ndim != 1:
-        raise SchemaError(f"stem {path} must be mono, got {data.ndim} channels")
+        with open(path, "rb") as fh:
+            rate, data = _read_mono_float32(fh)
+    except OSError as exc:
+        raise SchemaError(f"stem {path} is unreadable: {exc}") from exc
+    except ValueError as exc:
+        raise SchemaError(f"stem {path} {exc}") from exc
     if not np.all(np.isfinite(data)):
         raise SchemaError(f"stem {path} holds non-finite samples")
-    return int(rate), data.astype(np.float64)
+    return rate, data.astype(np.float64)
+
+
+def _read_exactly(fh, count: int, what: str) -> bytes:
+    """The next count bytes; the file must not end before them."""
+    data = fh.read(count)
+    if len(data) < count:
+        raise ValueError(f"ends inside its {what}")
+    return data
+
+
+def _read_mono_float32(fh) -> tuple[int, np.ndarray]:
+    """The sample rate and float32 samples of a little-endian RIFF/WAVE
+    stream of one IEEE float32 channel. The chunks after the form type are
+    walked up to the first data chunk, each followed by a pad byte when its
+    size is odd; the RIFF size field is not read. Raises ValueError with a
+    predicate on the file ("must be mono, ...")."""
+    riff = _read_exactly(fh, 12, "RIFF header")
+    if riff[:4] != b"RIFF" or riff[8:] != b"WAVE":
+        raise ValueError(f"is not a little-endian RIFF/WAVE file "
+                         f"(it starts {riff[:4]!r}, form {riff[8:]!r})")
+    rate = None
+    while True:
+        header = fh.read(8)
+        if len(header) < 8:
+            raise ValueError(f"has no {'fmt' if rate is None else 'data'} chunk")
+        chunk_id, size = header[:4], struct.unpack("<I", header[4:])[0]
+        if chunk_id == b"fmt ":
+            rate = _float32_mono_rate(_read_exactly(fh, size, "fmt chunk"))
+            fh.seek(size & 1, os.SEEK_CUR)
+        elif chunk_id == b"data":
+            if rate is None:
+                raise ValueError("has its data chunk before its fmt chunk")
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if size > left:
+                raise ValueError(f"has a data chunk of {size} bytes truncated "
+                                 f"to {left}")
+            return rate, np.fromfile(fh, dtype="<f4", count=size // 4)
+        else:
+            fh.seek(size + (size & 1), os.SEEK_CUR)
+
+
+def _float32_mono_rate(fmt: bytes) -> int:
+    """The sample rate a fmt chunk gives, when it describes one channel of
+    32-bit IEEE float, plain or WAVE_FORMAT_EXTENSIBLE with the float
+    subformat."""
+    if len(fmt) < 16:
+        raise ValueError(f"has a fmt chunk of {len(fmt)} bytes, fewer than 16")
+    tag, channels, rate, _, align, bits = struct.unpack("<HHIIHH", fmt[:16])
+    if tag == WAVE_FORMAT_EXTENSIBLE and len(fmt) >= 40 and (
+            struct.unpack("<H", fmt[16:18])[0] >= 22
+            and fmt[28:40] == EXTENSIBLE_GUID_TAIL):
+        tag = struct.unpack("<I", fmt[24:28])[0]
+    if (tag, bits, align // max(channels, 1)) != (WAVE_FORMAT_IEEE_FLOAT, 32, 4):
+        raise ValueError(f"must hold IEEE float32 samples, got format tag "
+                         f"{tag:#06x} with {bits} bits per sample")
+    if channels != 1:
+        raise ValueError(f"must be mono, got {channels} channels")
+    return rate
 
 
 def _header(sample_rate: int, channels: int, frames: int) -> bytes:

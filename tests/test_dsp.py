@@ -6,7 +6,8 @@ measurements, so none of the expectations reuse the implementation's own math.
 The numpy kernels are also checked against the scipy.signal computations
 they replace: band levels against the filter bank run by sosfilt, the band
 design against butter, the tilt design against a root-found one, the tilt
-filter against lfilter and the decorrelator against fftconvolve.
+filter against lfilter and the decorrelator against fftconvolve, and the
+transform lengths against scipy.fft.next_fast_len.
 """
 
 import math
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import signal
+from scipy.fft import next_fast_len
 from scipy.optimize import brentq
 
 from obar import dsp
@@ -118,6 +120,12 @@ BANK_TOL_DB = 1e-9
 def assert_matches_bank(levels, block, sample_rate):
     reference = reference_band_levels(block, sample_rate)
     assert np.max(np.abs(levels - reference)) <= BANK_TOL_DB, (levels, reference)
+
+
+def test_next_fast_len_matches_scipy():
+    ns = range(1, 20001)
+    assert [dsp._next_fast_len(n) for n in ns] == [
+        next_fast_len(n, real=True) for n in ns]
 
 
 class TestBandKernel:
@@ -428,7 +436,7 @@ class TestBlockFIR:
         h = rng.standard_normal((3, 1024)) * 0.03
         x = rng.standard_normal(256 * 12)
         sizes = []
-        rfft = dsp.sp_fft.rfft
+        rfft = np.fft.rfft
 
         def counting_rfft(a, n=None, axis=-1, **kwargs):
             sizes.append(a.shape[axis] if n is None else n)
@@ -436,7 +444,7 @@ class TestBlockFIR:
 
         fir = dsp.BlockFIR(h)
         fir.process(x[:256])          # fixes the block length, transforms the taps
-        monkeypatch.setattr(dsp.sp_fft, "rfft", counting_rfft)
+        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
         out = [fir.process(x[i : i + 256]) for i in range(256, len(x), 256)]
         assert sizes == [512] * len(out)
         full = np.convolve(x, h[1])[: len(x)]

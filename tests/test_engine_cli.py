@@ -20,7 +20,12 @@ from obar.cli import main as cli_main
 from obar.engine import RenderJob, run_render
 from obar.errors import JobError
 from obar.geometry import Direction3
-from obar.rules import DEFAULT_RULEBOOK_DOC, DEFAULT_SELECTION_DOC
+from obar.rules import (
+    DEFAULT_RULEBOOK_DOC,
+    DEFAULT_SELECTION_DOC,
+    load_rulebook,
+    load_selection_rules,
+)
 from obar.scene import mono_mix, parse_scene
 
 from conftest import (
@@ -562,7 +567,7 @@ class _WholeStemSources:
         self.cache = {}
         self.mixes = {obj.object_id: mono_mix(obj) for obj in scene.objects}
 
-    def for_scene(self, scene, lo, hi, chains):
+    def for_scene(self, scene, lo, hi, chains, ends=None):
         return {
             oid: (engine._Source(signal, 0, len(signal)), gain)
             for oid, (signal, gain) in _whole_stem_object_sources(
@@ -705,6 +710,20 @@ class TestWindowedSources:
             assert a.read() == b.read()
 
 
+def _drained_plans(job, rulebook=None, selection=None):
+    """Every plan engine._plans yields for a job, with no mixer, and the
+    run's sources."""
+    scene = parse_scene(job.scene_path)
+    layout, listeners, decay, timeline = context.parse_scenario(job.scenario_path)
+    scenario = context.build_scenario(layout, listeners, decay)
+    sources = engine._Sources(scene)
+    bands = routing.band_table(sources.mixes, layout.speakers, scene.sample_rate)
+    return list(engine._plans(
+        job, scene, scenario, timeline, rulebook or engine.default_rulebook(),
+        selection or engine.default_selection_rules(), sources, bands,
+        engine._StageClock())), sources
+
+
 class TestPlans:
     def test_plans_decide_the_report_without_mixing(self, tmp_path):
         """Draining engine._plans with no mixer gives the render's report
@@ -716,14 +735,7 @@ class TestPlans:
         job = RenderJob(scene_path=scene_path, scenario_path=scenario_path,
                         out_path=os.path.join(d, "out.wav"), block_size=1024)
         scene = parse_scene(scene_path)
-        layout, listeners, decay, timeline = context.parse_scenario(scenario_path)
-        scenario = context.build_scenario(layout, listeners, decay)
-        sources = engine._Sources(scene)
-        bands = routing.band_table(sources.mixes, layout.speakers, FS)
-        plans = list(engine._plans(
-            job, scene, scenario, timeline, engine.default_rulebook(),
-            engine.default_selection_rules(), sources, bands,
-            engine._StageClock()))
+        plans, _ = _drained_plans(job)
         interval = int(engine.CONTEXT_INTERVAL_S * FS)
         stops = [-(-k * interval // 1024) * 1024 for k in range(1, len(plans) + 1)]
         assert [stop for stop, _, _ in plans] == stops
@@ -737,6 +749,56 @@ class TestPlans:
         assert not mixer_reads & {"route", "apply_rules", "build_drive",
                                   "noise_at", "ContextTracker",
                                   "_interval_proxy"}
+
+    def test_only_objects_fading_next_are_filtered_past_stop(self, tmp_path):
+        """Every object's chain changes every interval, and the noise flips
+        the ambience alone between renderers: each plan filters the wash's
+        chain through the crossfade that follows its stop when the next
+        plan fades it, and every other chain only up to its stop or the end
+        of its proxy window, whichever is later."""
+        d = str(tmp_path)
+        dur = 8.5
+        dlg = write_stem(d, "dlg.wav", speech_like(dur))
+        wash = write_stem(d, "wash.wav", noise_like(dur))
+        scene = write_scene(d, scene_doc([
+            object_doc("narrator", "dialogue", [dlg], priority=9,
+                       position={"az": 0.0, "el": 0.0, "dist": None}),
+            object_doc("wash", "ambience", [wash], priority=2,
+                       position={"az": 150.0, "el": 0.0, "dist": None}),
+        ]))
+        timeline = [{"t_s": t, "band_levels_db": [level] * 7}
+                    for t, level in ((0.0, -60.0), (2.0, -45.0), (4.0, -45.0),
+                                     (6.0, -58.0), (8.0, -57.0))]
+        scenario = write_json(d, scenario_doc(ring_speakers(5),
+                                              noise_timeline=timeline),
+                              "scenario.json")
+        rulebook = load_rulebook(write_json(d, {"schema": "rulebook v1", "rules": [
+            {"rule_id": "steady", "when": "true", "actions": [
+                {"kind": "decorrelate", "amount": 0.4, "select": "true"}]},
+            {"rule_id": "loud", "when": "noise_broadband_db > -45", "actions": [
+                {"kind": "spectral_tilt", "db": -3.0, "select": "true"}]},
+        ]}, "rules.json"))
+        selection = load_selection_rules(write_json(d, {"schema": "selection v1", "rules": [
+            {"match": "noise_broadband_db > -45 and type == 'ambience'",
+             "renderer": "AmbiMM", "order": 1},
+            {"match": "true", "renderer": "VBAP"},
+        ]}, "select.json"))
+        crossfade_s = 0.5
+        job = RenderJob(scene_path=scene, scenario_path=scenario,
+                        out_path=os.path.join(d, "out.wav"), block_size=512,
+                        crossfade_s=crossfade_s)
+        plans, sources = _drained_plans(job, rulebook, selection)
+        fades = [[f["object_id"] for f in record["crossfades"]]
+                 for _, _, record in plans]
+        assert fades[1:3] == [["wash"], []] and fades[3] == ["wash"]
+        for (stop, objects, _), following in zip(plans, fades[1:] + [[]]):
+            for oid, (_, source, _) in objects.items():
+                assert source.samples is not sources.mixes[oid]   # a chain
+                if oid in following:
+                    reach = stop + math.ceil(crossfade_s * FS) + 512
+                    assert source.stop >= min(reach, source.stem_len)
+                else:
+                    assert source.stop <= max(stop, source.start + 2 * FS)
 
 
 class TestMixBlock:
