@@ -16,7 +16,7 @@ from .engine import DEFAULT_CROSSFADE_S, RenderJob, run_render
 from .errors import ObarError
 from .geometry import Direction3, wrap_azimuth
 from .renderclass import RendererKind
-from .routing import infeasibility_reasons, max_ambi_order
+from .routing import feasibility, max_ambi_order
 from .scene import AudioObject, ObjectType, parse_scene, validate_scene
 
 PROBE_AZIMUTHS_DEG = (0, 45, 90, 135, 180, 225, 270, 315)
@@ -72,15 +72,14 @@ def cmd_probe(scenario_path: str) -> int:
     order = max_ambi_order(scenario.layout.speakers)
     print(f"layout: {count} speakers, max ambisonic order {order}")
     for az in PROBE_AZIMUTHS_DEG:
-        reasons = infeasibility_reasons(scenario.layout, _probe_object(az))
+        results = feasibility(scenario.layout, _probe_object(az))
         cells = []
         for kind in RendererKind:
-            name = kind.value
-            if name in reasons:
-                cells.append(f"{name} no ({reasons[name]})")
+            result = results[kind.value]
+            if isinstance(result, ObarError):
+                cells.append(f"{kind.value} no ({result})")
             else:
-                label = f"{name}({order})" if kind is RendererKind.AMBI_MM else name
-                cells.append(f"{label} ok")
+                cells.append(f"{result.renderer.label()} ok")
         print(f"az {az:3d}: " + " | ".join(cells))
     return 0
 

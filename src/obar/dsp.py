@@ -500,24 +500,15 @@ def object_seed(object_id: str) -> int:
     return zlib.crc32(object_id.encode("utf-8"))
 
 
-@functools.lru_cache(maxsize=1024)
 def design_tilt_ba(tilt_db: float, sample_rate: int = DEFAULT_SAMPLE_RATE):
     """First-order shelf whose 4 kHz response sits tilt_db above 250 Hz.
 
     Solved on the digital response so the stated dB is hit exactly at the two
     probe frequencies. A first-order shelf tops out near 24 dB across this
     four-octave span; magnitudes beyond that raise TiltOutOfReach (a
-    ValueError). Designs are memoised on (tilt_db, sample_rate), so the
-    returned (b, a) arrays are shared and read-only.
-    """
-    b, a = _solve_tilt(tilt_db, sample_rate)
-    b.flags.writeable = False
-    a.flags.writeable = False
-    return b, a
+    ValueError).
 
-
-def _solve_tilt(tilt_db: float, sample_rate: int):
-    """The shelf (1 + s r / w0) / (1 + s / (w0 r)), w0 the probes' geometric
+    The shelf is (1 + s r / w0) / (1 + s / (w0 r)), w0 the probes' geometric
     mean, through the bilinear transform s = c (z - 1) / (z + 1), c = 2 fs.
 
     At a digital frequency f the response's squared magnitude is

@@ -3,13 +3,14 @@
 The engine decides, then mixes. Every context interval a plan (_plans)
 re-measures the listening conditions, re-derives the adaptation from the
 pristine scene, re-routes objects to renderers and builds their drives; it
-records a crossfade for each object whose assignment differs from the
-previous plan's. The mixer (_render_blocks) applies each plan at the first
-block that starts at or after the interval's boundary: it fades exactly
-the recorded objects from the old drive to the new one, and metadata-only
-changes (levels, positions, directives) step there instead. Stems are
-fixed for the run, so before the first plan the engine mixes each object
-to mono once and analyses each mix's band energy once (routing.band_table).
+records a crossfade for each object whose assignment or drive differs from
+the previous plan's. The mixer (_render_blocks) applies each plan at the
+first block that starts at or after the interval's boundary: it fades
+exactly the recorded objects from the old drive to the new one, and changes
+that leave the drive as it was (levels, directives) step there instead.
+Stems are fixed for the run, so before the first plan the engine mixes each
+object to mono once and analyses each mix's band energy once
+(routing.band_table).
 
 Between updates the engine streams fixed-size blocks through per-object
 renderer lanes, mixing a span of whole blocks per pass (_mix_block). A span
@@ -25,12 +26,12 @@ matrix product of their mono segments and channel gain rows; fading lanes
 render one by one, because a fade weighs each sample after the filter.
 
 An adapted object's directive chain (tilt, time shift, decorrelation) is
-read for one interval plus, when its lane fades out at the next update, the
-crossfade. A plan is handed to the mixer only once the next update is
-decided, so it filters each chain only over the window its lane reads,
-started early enough for the filters to settle (dsp.directive_margins); a
-window is dropped once no lane reads it, and objects without directives
-read their stems in place.
+filtered only over the window its lanes read, started early enough for the
+filters to settle (dsp.directive_margins): each plan filters its chains
+over its own interval, and the plan that starts a crossfade filters the
+outgoing lane's chain, from the previous plan, over the fade. A plan is
+handed to the mixer as soon as it is decided, a window is dropped once no
+lane reads it, and objects without directives read their stems in place.
 
 Each finished span is checked for finiteness and streamed into the WAV;
 the engine keeps only the output of the metric window still open (about
@@ -51,12 +52,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapt import AdaptationReport, apply_rules
+from .adapt import apply_rules
 from .context import (
     MIN_NOISE_BLOCK,
     ContextTracker,
-    HighLevelContext,
-    NoiseState,
     band_snr_score,
     build_scenario,
     noise_at,
@@ -165,9 +164,11 @@ class _Lane:
             self.gain_row = np.zeros(len(self.chan_index))
             self.gain_row[self.cols] = drive.gains
 
-    def begin_fade(self, drive, source, gain, start_s, duration_s):
-        # A change arriving mid-fade snaps the previous fade to its endpoint.
-        self.old = (self.drive, self.state, self.source, self.gain, self.cols)
+    def begin_fade(self, drive, source, gain, tail, start_s, duration_s):
+        """Fade from the live drive, reading tail (its source from start_s
+        on), to drive reading source. A change arriving mid-fade snaps the
+        previous fade to its endpoint."""
+        self.old = (self.drive, self.state, tail, self.gain, self.cols)
         old_filtered = self.state.fir is not None
         self.fade_start_s = start_s
         self.fade_end_s = start_s + duration_s
@@ -175,13 +176,6 @@ class _Lane:
         # Two gain-only drives carry the same waveform, so amplitudes may sum;
         # anything with delays or filters mixes power-complementarily instead.
         self.fade_coherent = not old_filtered and self.state.fir is None
-        self.source = source
-        self.gain = gain
-
-    def update(self, drive, source, gain):
-        if drive.fingerprint() != self.drive.fingerprint():
-            # Same renderer, new parameters: step at the block boundary.
-            self._set_drive(drive)
         self.source = source
         self.gain = gain
 
@@ -330,9 +324,8 @@ class _Sources:
 
     Every object's mono mix is made once, when the run starts (a read-only
     view of the stem for a single-stem object). An object without
-    directives reads its whole mix. A directive chain is filtered only over
-    the samples [lo, hi) an update reads, once per update, into the chains
-    dict the update hands its for_scene calls; lanes hold what they read.
+    directives reads its whole mix; a directive chain is filtered only over
+    the samples [lo, hi) a plan's lanes read, and lanes hold what they read.
     """
 
     def __init__(self, scene: Scene):
@@ -341,23 +334,18 @@ class _Sources:
         # so the pristine and adapted objects share it.
         self.mixes = {obj.object_id: mono_mix(obj) for obj in scene.objects}
 
-    def for_scene(self, scene: Scene, lo: int, hi: int, chains: dict,
-                  ends: dict | None = None) -> dict:
-        """object_id -> (_Source covering [lo, hi), or [lo, ends[object_id])
-        for an object in ends, linear mix gain); chains ((object_id,
-        directives) -> _Source) caches the update's chains."""
-        ends = ends or {}
-        out = {}
-        for obj in scene.objects:
-            mix = self.mixes[obj.object_id]
-            key = (obj.object_id, obj.directives)
-            if obj.directives and key not in chains:
-                chains[key] = _chain_window(
-                    mix, obj.directives, self.sample_rate, lo,
-                    ends.get(obj.object_id, hi))
-            source = chains.get(key, _Source(mix, 0, len(mix)))
-            out[obj.object_id] = (source, 10.0 ** (obj.level_db / 20.0))
-        return out
+    def source(self, obj, lo: int, hi: int) -> _Source:
+        """obj's processed mono signal, covering [lo, hi)."""
+        mix = self.mixes[obj.object_id]
+        if not obj.directives:
+            return _Source(mix, 0, len(mix))
+        return _chain_window(mix, obj.directives, self.sample_rate, lo, hi)
+
+    def for_scene(self, scene: Scene, lo: int, hi: int) -> dict:
+        """object_id -> (source covering [lo, hi), linear mix gain)."""
+        return {obj.object_id: (self.source(obj, lo, hi),
+                                10.0 ** (obj.level_db / 20.0))
+                for obj in scene.objects}
 
 
 def _interval_proxy(scene, sources, t0, t1, noise, sample_rate):
@@ -516,41 +504,44 @@ def run_render(job: RenderJob) -> RenderResult:
         metrics_path=metrics_path, report=report, sample_rate=fs)
 
 
-@dataclass(frozen=True)
-class _Decision:
-    """One context update decided (_decisions): what it measured, adapted
-    and routed, before any chain of the adapted scene is filtered. reads is
-    the update's source window for every lane that does not fade out at
-    the next update; chains holds the update's chains (_Sources.for_scene)."""
+def _plans(job, scene, scenario, timeline, rulebook, selection, sources,
+           bands, clock):
+    """Decide each context update; mix nothing.
 
-    t0: int
-    stop: int
-    window: tuple[int, int]
-    reads: tuple[int, int]
-    chains: dict
-    noise: NoiseState
-    ctx: HighLevelContext
-    measured: float | None
-    adapted: Scene
-    adapt_report: AdaptationReport
-    assignments: list
-    crossfades: list
-
-
-def _decisions(job, scene, scenario, timeline, rulebook, selection, sources,
-               bands, clock):
-    """Measure, adapt and route each context update of _plans, yielding a
-    _Decision; the crossfades are the objects whose assignment differs from
-    the previous update's. Laps measure_s (the pristine sources' reads, the
-    context tracker's update and the pristine proxy), adapt_s (apply_rules)
-    and route_s (route and the crossfades) on clock."""
+    Update k (from 0) runs at the first block at or after k intervals, up
+    to the scene's end, and is yielded as soon as it is decided, as (stop,
+    objects, tails, record):
+    - stop: the next update's first sample;
+    - objects: each routed object_id, in routing order -> (drive, _Source
+      covering the update's reads, linear mix gain);
+    - tails: each object of the record's crossfades -> its previous
+      update's adapted chain over [t0, t0 + fade_reads), the samples its
+      outgoing lane reads during the fade;
+    - record: the update's report record, whose crossfades are the objects
+      whose assignment or drive (by fingerprint) differs from the previous
+      update's.
+    clock (a _StageClock) sums, with run_render's mono mixes (sources) and
+    band table (bands):
+    - measure_s: the mono mixes, the context tracker's update and both
+      proxy measurements, with the pristine sources' reads;
+    - adapt_s: apply_rules and the adapted directive chains;
+    - route_s: route, and the band table;
+    - build_s: the drives and the crossfades.
+    """
     fs = scene.sample_rate
     n_total = scene.duration_samples
     block = int(job.block_size)
     interval = int(round(CONTEXT_INTERVAL_S * fs))
     fade_s = float(job.crossfade_s)
+    # The outgoing lane of a crossfade reads its source until the block
+    # holding the fade's end: the fade, one block, and one sample for the
+    # rounding of the end time.
+    fade_reads = math.ceil(fade_s * fs) + block + 1
     tracker = ContextTracker()
-    previous: dict = {}   # object_id -> the previous update's assignment
+    # object_id -> the previous update's (assignment, drive fingerprint,
+    # adapted object); the fingerprint is the lane's drive's own, so no
+    # second copy of a drive outlives its update.
+    previous: dict = {}
     t0 = k = 0
     while t0 < n_total:
         k += 1
@@ -561,90 +552,55 @@ def _decisions(job, scene, scenario, timeline, rulebook, selection, sources,
         # Samples read from this update's sources: the proxy's window, and
         # each lane's blocks until the next update.
         reads = (t0, max(stop, t0 + max(window[1] - t0, MIN_NOISE_BLOCK)))
-        chains: dict = {}
 
         # Measure on the pristine mix so the adaptation derived from it
         # is a fixed point: the same noise always yields the same deficit
         # and hence the same actions, with no duck/release oscillation.
         clock.start()
-        pristine_sources = sources.for_scene(scene, *reads, chains)
-        measured = _interval_proxy(scene, pristine_sources, *window, noise, fs)
+        measured = _interval_proxy(scene, sources.for_scene(scene, *reads),
+                                   *window, noise, fs)
         ctx = tracker.update(scenario, scene, noise, measured)
         clock.lap("measure_s")
-
         adapted, adapt_report = apply_rules(
             scene, ctx, rulebook, sources.mixes, window)
         clock.lap("adapt_s")
         assignments = route(adapted, scenario, ctx, selection, bands)
-        crossfades = []
+        clock.lap("route_s")
+        adapted_sources = sources.for_scene(adapted, *reads)
+        clock.lap("adapt_s")
+        projected = _interval_proxy(adapted, adapted_sources, *window, noise, fs)
+        clock.lap("measure_s")
+
+        objects, crossfades, current = {}, [], {}
         for assignment in assignments:
-            old = previous.get(assignment.object_id)
-            if old is not None and old != assignment:
+            oid = assignment.object_id
+            obj = adapted.object_by_id(oid)
+            drive = build_drive(assignment, scenario.layout, obj, fs)
+            objects[oid] = (drive, *adapted_sources[oid])
+            fingerprint = drive.fingerprint()
+            old = previous.get(oid)
+            same_drive = old is not None and old[1] == fingerprint
+            if same_drive:
+                fingerprint = old[1]   # the lane's; this drive is dropped
+            if old is not None and (old[0] != assignment or not same_drive):
                 crossfades.append({
-                    "object_id": assignment.object_id,
-                    "from": old.renderer.label(),
+                    "object_id": oid,
+                    "from": old[0].renderer.label(),
                     "to": assignment.renderer.label(),
                     "start_s": t_s,
                     "duration_s": fade_s,
                 })
-        previous = {a.object_id: a for a in assignments}
-        clock.lap("route_s")
-        yield _Decision(t0, stop, window, reads, chains, noise, ctx, measured,
-                        adapted, adapt_report, assignments, crossfades)
-        t0 = stop
-
-
-def _plans(job, scene, scenario, timeline, rulebook, selection, sources,
-           bands, clock):
-    """Decide each context update; mix nothing.
-
-    Update k (from 0) runs at the first block at or after k intervals, up
-    to the scene's end, and yields (stop, objects, record): the next
-    update's first sample; each routed object_id, in routing order ->
-    (drive, _Source covering the mixer's reads until stop or, if it fades
-    out there, until its fade ends, linear mix gain); and the update's
-    report record, whose crossfades are the objects whose assignment
-    differs from the previous update's. An update is yielded once the next
-    one is decided (_decisions), because only the objects in the next
-    update's crossfades read past stop, and only their chains are filtered
-    that far. clock (a _StageClock) sums, with run_render's mono mixes
-    (sources) and band table (bands):
-    - measure_s: the mono mixes, the context tracker's update and both
-      proxy measurements, with the pristine sources' reads;
-    - adapt_s: apply_rules and the adapted directive chains;
-    - route_s: route, and the band table;
-    - build_s: the drives.
-    """
-    fs = scene.sample_rate
-    # The outgoing lane of a crossfade reads its source until the block
-    # holding the fade's end: the fade, one block, and one sample for the
-    # rounding of the end time.
-    fade_reads = math.ceil(float(job.crossfade_s) * fs) + int(job.block_size) + 1
-    decisions = _decisions(job, scene, scenario, timeline, rulebook,
-                           selection, sources, bands, clock)
-    following = next(decisions, None)
-    while following is not None:
-        now, following = following, next(decisions, None)
-        fading = following.crossfades if following is not None else []
-        clock.start()
-        adapted_sources = sources.for_scene(
-            now.adapted, *now.reads, now.chains,
-            {fade["object_id"]: now.stop + fade_reads for fade in fading})
-        clock.lap("adapt_s")
-        projected = _interval_proxy(now.adapted, adapted_sources, *now.window,
-                                    now.noise, fs)
-        clock.lap("measure_s")
-
-        objects = {}
-        for assignment in now.assignments:
-            oid = assignment.object_id
-            drive = build_drive(assignment, scenario.layout,
-                                now.adapted.object_by_id(oid), fs)
-            objects[oid] = (drive, *adapted_sources[oid])
+            current[oid] = (assignment, fingerprint, obj)
         clock.lap("build_s")
-        yield now.stop, objects, _interval_record(
-            now.t0 / fs, now.noise, now.ctx, now.measured, projected,
-            now.assignments, now.adapt_report, now.crossfades)
+        tails = {fade["object_id"]: sources.source(
+                     previous[fade["object_id"]][2], t0, t0 + fade_reads)
+                 for fade in crossfades}
+        previous = current
+        clock.lap("adapt_s")
+        yield stop, objects, tails, _interval_record(
+            t_s, noise, ctx, measured, projected, assignments, adapt_report,
+            crossfades)
+        t0 = stop
 
 
 def _render_blocks(job, layout, fs, n_total, plans, intervals, levels, clock):
@@ -652,8 +608,9 @@ def _render_blocks(job, layout, fs, n_total, plans, intervals, levels, clock):
 
     At each plan's first block the mixer adds a lane for each object new to
     the plan, starts a crossfade for exactly the objects in the record's
-    crossfades, steps every other lane and drops the lanes of objects the
-    plan does not route. A span is whole blocks mixed in one _mix_block
+    crossfades (the outgoing drive reading the plan's tail), steps every
+    other lane's source and gain and drops the lanes of objects the plan
+    does not route. A span is whole blocks mixed in one _mix_block
     pass, up to the first of the plan's stop, the block holding the end of
     a running fade (_span_blocks) and SPAN_SAMPLES, so no span reads a
     source past what its plan filtered. Yields each finished span,
@@ -680,19 +637,21 @@ def _render_blocks(job, layout, fs, n_total, plans, intervals, levels, clock):
     t0 = 0
     while t0 < n_total:
         if t0 == stop:
-            stop, objects, record = next(plans)
+            stop, objects, tails, record = next(plans)
             for oid in lanes.keys() - objects:  # pruned: stop at the boundary
                 del lanes[oid]
             # Popping leaves each drive and source to its lane alone, so the
             # plan keeps no second copy of a drive a lane did not take.
             for fade in record["crossfades"]:
-                lanes[fade["object_id"]].begin_fade(
-                    *objects.pop(fade["object_id"]), fade["start_s"], fade["duration_s"])
+                oid = fade["object_id"]
+                lanes[oid].begin_fade(*objects.pop(oid), tails.pop(oid),
+                                      fade["start_s"], fade["duration_s"])
             for oid in list(objects):
-                if oid in lanes:
-                    lanes[oid].update(*objects.pop(oid))
+                drive, source, gain = objects.pop(oid)
+                if oid in lanes:   # the same drive: only the signal steps
+                    lanes[oid].source, lanes[oid].gain = source, gain
                 else:
-                    lanes[oid] = _Lane(*objects.pop(oid), chan_index)
+                    lanes[oid] = _Lane(drive, source, gain, chan_index)
             clock.lap("build_s")
             intervals.append(record)
             windows.append((t0 / fs, t0))

@@ -4,8 +4,8 @@ Selection walks an ordered table of (match, renderer) rows and takes the first
 row whose predicate holds and whose driving function can actually be built on
 the resolved speaker subset; the final row assigns nearest-speaker panning, so
 every object always gets a renderer. _candidate is the one statement of what a
-row can realize: selection asks it row by row, and infeasibility_reasons (the
-feasibility `obar probe` prints) asks it once per renderer kind.
+row can realize: selection asks it row by row, and feasibility (what `obar
+probe` prints) asks it once per renderer kind.
 """
 
 from __future__ import annotations
@@ -18,7 +18,13 @@ import numpy as np
 
 from .context import HighLevelContext, ReproductionScenario, SpeakerLayout
 from .dsp import DEFAULT_SAMPLE_RATE
-from .errors import NotBracketed, ObarError, SourceInsideArray, TooFewSpeakers
+from .errors import (
+    NotBracketed,
+    ObarError,
+    RankDeficient,
+    SourceInsideArray,
+    TooFewSpeakers,
+)
 from .geometry import Direction3, wrap_azimuth
 from .renderclass import RendererClass, RendererKind
 from .renderers import (
@@ -112,21 +118,23 @@ def max_ambi_order(speakers) -> int:
     return min((_distinct_azimuths(speakers) - 1) // 2, MAX_AMBI_ORDER)
 
 
-def infeasibility_reasons(layout: SpeakerLayout, obj: AudioObject) -> dict[str, str]:
-    """Renderer kind name -> why a selection row of that kind on subset "all"
-    (mode matching at order "highest") cannot realize this object on this
-    layout, for every kind it cannot. Each row goes through _candidate, as in
-    selection, with no stem energy below any speaker's low edge and at
-    DEFAULT_SAMPLE_RATE. Nearest-speaker panning never appears."""
+def feasibility(layout: SpeakerLayout,
+                obj: AudioObject) -> dict[str, RendererAssignment | ObarError]:
+    """Renderer kind name -> the assignment a selection row of that kind on
+    subset "all" (mode matching at order "highest") realizes for this object
+    on this layout, or the ObarError that says why it cannot. Each row goes
+    through _candidate, as in selection, with no stem energy below any
+    speaker's low edge and at DEFAULT_SAMPLE_RATE."""
     no_low_energy = {s.bandwidth_hz.low_hz: 0.0 for s in layout.speakers}
-    reasons: dict[str, str] = {}
+    results: dict = {}
     for kind in RendererKind:
         try:
-            _candidate(_all_row(kind), layout, obj, None, no_low_energy,
-                       DEFAULT_SAMPLE_RATE)
+            results[kind.value] = _candidate(
+                _all_row(kind), layout, obj, None, no_low_energy,
+                DEFAULT_SAMPLE_RATE)
         except ObarError as exc:
-            reasons[kind.value] = str(exc)
-    return reasons
+            results[kind.value] = exc
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +283,14 @@ def _candidate(rule: SelectionRule, layout: SpeakerLayout, obj: AudioObject,
     """The assignment this row realizes for obj, after one build of its
     drive, or the ObarError that says why the row cannot be realized. Mode
     matching falls back to the whole band-capable layout when the subset has
-    too few distinct azimuths for the order."""
+    too few distinct azimuths for the order; at order "highest" it steps
+    down from the order the distinct azimuths allow to the first one whose
+    decode is not rank deficient."""
     subset = _resolve_subset(rule.subset, layout, nearest_device, band_fractions)
     kind = RendererKind(rule.renderer)
     subset_kind = rule.subset
     order = None
+    highest = False
     if kind is RendererKind.AMBI_MM:
         highest = rule.order in ("highest", None)
         order = max(max_ambi_order(subset), 1) if highest else int(rule.order)
@@ -303,14 +314,20 @@ def _candidate(rule: SelectionRule, layout: SpeakerLayout, obj: AudioObject,
         by_id = {s.speaker_id: s for s in subset}
         subset = [by_id[sid] for sid in segment]
 
-    assignment = RendererAssignment(
-        object_id=obj.object_id,
-        renderer=RendererClass(kind, order),
-        speaker_subset=tuple(s.speaker_id for s in subset),
-        subset_kind=subset_kind,
-    )
-    build_drive(assignment, layout, obj, sample_rate)
-    return assignment
+    while True:
+        assignment = RendererAssignment(
+            object_id=obj.object_id,
+            renderer=RendererClass(kind, order),
+            speaker_subset=tuple(s.speaker_id for s in subset),
+            subset_kind=subset_kind,
+        )
+        try:
+            build_drive(assignment, layout, obj, sample_rate)
+            return assignment
+        except RankDeficient:
+            if not highest or order == 1:
+                raise
+            order -= 1
 
 
 def _all_row(kind: RendererKind) -> SelectionRule:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from obar import engine, routing
+from obar.errors import ObarError
 from obar.rules import default_selection_rules
 from obar.scene import mono_mix
 from obar.wavio import write_wav
@@ -85,6 +86,14 @@ def band_table_of(objects, speakers, fs=FS):
     it before a render's first block."""
     return routing.band_table({o.object_id: mono_mix(o) for o in objects},
                               speakers, fs)
+
+
+def infeasibility_reasons(layout, obj):
+    """Renderer kind name -> why routing.feasibility finds that kind
+    cannot realize obj on layout, for every kind it cannot."""
+    return {name: str(result)
+            for name, result in routing.feasibility(layout, obj).items()
+            if isinstance(result, ObarError)}
 
 
 def route_scene(scene, scenario, ctx, selection_rules=None):

@@ -50,7 +50,7 @@ from obar.renderers import (
     pm_filters,
     vbap_gains,
 )
-from obar.routing import infeasibility_reasons, max_ambi_order
+from obar.routing import max_ambi_order
 from obar.rules import default_rulebook
 from obar.scene import (
     DEFAULT_PRIORITY_ORDER,
@@ -64,6 +64,7 @@ from obar.scene import (
 
 from conftest import (
     FS,
+    infeasibility_reasons,
     object_doc,
     render_output,
     ring_speakers,

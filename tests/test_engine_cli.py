@@ -18,15 +18,16 @@ from scipy.io import wavfile
 from obar import context, demo, dsp, engine, renderers, routing
 from obar.cli import main as cli_main
 from obar.engine import RenderJob, run_render
-from obar.errors import JobError
+from obar.errors import JobError, RankDeficient
 from obar.geometry import Direction3
 from obar.rules import (
     DEFAULT_RULEBOOK_DOC,
     DEFAULT_SELECTION_DOC,
     load_rulebook,
     load_selection_rules,
+    parse_selection_rules,
 )
-from obar.scene import mono_mix, parse_scene
+from obar.scene import AudioObject, ObjectType, mono_mix, parse_scene
 
 from conftest import (
     FS,
@@ -542,37 +543,24 @@ class TestEngine:
         assert solves and len(solves) == len(set(solves))
 
 
-def _whole_stem_object_sources(scene, cache):
-    """The whole-stem directive processing the windowed chains replaced,
-    kept as their reference: object_id -> (processed mono signal, linear
-    mix gain), each distinct (id, directives) chain filtering the whole
-    stem once per run."""
-    out = {}
-    for obj in scene.objects:
-        key = (obj.object_id, obj.directives)
-        if key not in cache:
-            base = mono_mix(obj)
-            cache[key] = (
-                engine.apply_directives(base, obj.directives, scene.sample_rate)
-                if obj.directives else base
-            )
-        out[obj.object_id] = (cache[key], 10.0 ** (obj.level_db / 20.0))
-    return out
-
-
-class _WholeStemSources:
-    """engine._Sources with the whole-stem reference behind it."""
+class _WholeStemSources(engine._Sources):
+    """engine._Sources with the whole-stem directive processing the
+    windowed chains replaced behind it, as their reference: each distinct
+    (id, directives) chain filters the whole stem once per run."""
 
     def __init__(self, scene):
+        super().__init__(scene)
         self.cache = {}
-        self.mixes = {obj.object_id: mono_mix(obj) for obj in scene.objects}
 
-    def for_scene(self, scene, lo, hi, chains, ends=None):
-        return {
-            oid: (engine._Source(signal, 0, len(signal)), gain)
-            for oid, (signal, gain) in _whole_stem_object_sources(
-                scene, self.cache).items()
-        }
+    def source(self, obj, lo, hi):
+        key = (obj.object_id, obj.directives)
+        if key not in self.cache:
+            mix = self.mixes[obj.object_id]
+            self.cache[key] = (
+                engine.apply_directives(mix, obj.directives, self.sample_rate)
+                if obj.directives else mix)
+        signal = self.cache[key]
+        return engine._Source(signal, 0, len(signal))
 
 
 _DIRECTIVES = st.one_of(
@@ -710,18 +698,25 @@ class TestWindowedSources:
             assert a.read() == b.read()
 
 
-def _drained_plans(job, rulebook=None, selection=None):
-    """Every plan engine._plans yields for a job, with no mixer, and the
-    run's sources."""
+def _plan_inputs(job, rulebook=None, selection=None):
+    """engine._plans' arguments for a job (as run_render makes them) and
+    the run's sources."""
     scene = parse_scene(job.scene_path)
     layout, listeners, decay, timeline = context.parse_scenario(job.scenario_path)
     scenario = context.build_scenario(layout, listeners, decay)
     sources = engine._Sources(scene)
     bands = routing.band_table(sources.mixes, layout.speakers, scene.sample_rate)
-    return list(engine._plans(
-        job, scene, scenario, timeline, rulebook or engine.default_rulebook(),
-        selection or engine.default_selection_rules(), sources, bands,
-        engine._StageClock())), sources
+    return (job, scene, scenario, timeline,
+            rulebook or engine.default_rulebook(),
+            selection or engine.default_selection_rules(), sources, bands,
+            engine._StageClock()), sources
+
+
+def _drained_plans(job, rulebook=None, selection=None):
+    """Every plan engine._plans yields for a job, with no mixer, and the
+    run's sources."""
+    inputs, sources = _plan_inputs(job, rulebook, selection)
+    return list(engine._plans(*inputs)), sources
 
 
 class TestPlans:
@@ -738,67 +733,112 @@ class TestPlans:
         plans, _ = _drained_plans(job)
         interval = int(engine.CONTEXT_INTERVAL_S * FS)
         stops = [-(-k * interval // 1024) * 1024 for k in range(1, len(plans) + 1)]
-        assert [stop for stop, _, _ in plans] == stops
+        assert [stop for stop, _, _, _ in plans] == stops
         assert stops[-2] < scene.duration_samples <= stops[-1]
-        records = [record for _, _, record in plans]
+        records = [record for _, _, _, record in plans]
         assert records == run_render(job).report["intervals"]
         assert any(record["adaptation"]["applied"] for record in records)
-        for _, objects, record in plans:
+        for _, objects, _, record in plans:
             assert list(objects) == [a["object_id"] for a in record["assignments"]]
         mixer_reads = set(engine._render_blocks.__code__.co_names)
         assert not mixer_reads & {"route", "apply_rules", "build_drive",
                                   "noise_at", "ContextTracker",
                                   "_interval_proxy"}
 
-    def test_only_objects_fading_next_are_filtered_past_stop(self, tmp_path):
-        """Every object's chain changes every interval, and the noise flips
-        the ambience alone between renderers: each plan filters the wash's
-        chain through the crossfade that follows its stop when the next
-        plan fades it, and every other chain only up to its stop or the end
-        of its proxy window, whichever is later."""
+    def test_a_plan_is_yielded_before_the_next_update_is_routed(
+            self, tmp_path, monkeypatch):
+        """No look-ahead: route has run once when plan 0 is taken, and once
+        more per plan after it."""
         d = str(tmp_path)
-        dur = 8.5
-        dlg = write_stem(d, "dlg.wav", speech_like(dur))
-        wash = write_stem(d, "wash.wav", noise_like(dur))
-        scene = write_scene(d, scene_doc([
-            object_doc("narrator", "dialogue", [dlg], priority=9,
-                       position={"az": 0.0, "el": 0.0, "dist": None}),
-            object_doc("wash", "ambience", [wash], priority=2,
-                       position={"az": 150.0, "el": 0.0, "dist": None}),
-        ]))
-        timeline = [{"t_s": t, "band_levels_db": [level] * 7}
-                    for t, level in ((0.0, -60.0), (2.0, -45.0), (4.0, -45.0),
-                                     (6.0, -58.0), (8.0, -57.0))]
-        scenario = write_json(d, scenario_doc(ring_speakers(5),
-                                              noise_timeline=timeline),
-                              "scenario.json")
-        rulebook = load_rulebook(write_json(d, {"schema": "rulebook v1", "rules": [
-            {"rule_id": "steady", "when": "true", "actions": [
-                {"kind": "decorrelate", "amount": 0.4, "select": "true"}]},
-            {"rule_id": "loud", "when": "noise_broadband_db > -45", "actions": [
-                {"kind": "spectral_tilt", "db": -3.0, "select": "true"}]},
-        ]}, "rules.json"))
-        selection = load_selection_rules(write_json(d, {"schema": "selection v1", "rules": [
-            {"match": "noise_broadband_db > -45 and type == 'ambience'",
-             "renderer": "AmbiMM", "order": 1},
-            {"match": "true", "renderer": "VBAP"},
-        ]}, "select.json"))
-        crossfade_s = 0.5
-        job = RenderJob(scene_path=scene, scenario_path=scenario,
-                        out_path=os.path.join(d, "out.wav"), block_size=512,
-                        crossfade_s=crossfade_s)
-        plans, sources = _drained_plans(job, rulebook, selection)
-        fades = [[f["object_id"] for f in record["crossfades"]]
-                 for _, _, record in plans]
-        assert fades[1:3] == [["wash"], []] and fades[3] == ["wash"]
-        for (stop, objects, _), following in zip(plans, fades[1:] + [[]]):
+        job = RenderJob(scene_path=demo.write_demo_scene(d),
+                        scenario_path=demo.write_demo_scenario(d),
+                        out_path=os.path.join(d, "out.wav"))
+        routed = []
+        route = engine.route
+
+        def counting(*args):
+            routed.append(args[0])
+            return route(*args)
+
+        monkeypatch.setattr(engine, "route", counting)
+        inputs, _ = _plan_inputs(job)
+        plans = engine._plans(*inputs)
+        next(plans)
+        assert len(routed) == 1
+        next(plans)
+        assert len(routed) == 2
+
+    def test_a_drive_change_without_a_switch_crossfades(self, tmp_path):
+        """The demo scene under noise rising 7 dB every interval: at the
+        third update the ladder repositions the band (PM) and the wash
+        (AmbiMM(2)) without switching their renderers. Their new drives
+        fade in against the old ones; a new filter swapped in from silence
+        would drop the output by about 24 dB over the next block."""
+        d = str(tmp_path)
+        scenario_path = demo.write_demo_scenario(d)
+        with open(scenario_path) as fh:
+            doc = json.load(fh)
+        doc["noise_timeline"] = [
+            {"t_s": 2.0 * k, "band_levels_db": [-50.0 + 7.0 * k] * 7}
+            for k in range(5)]
+        write_json(d, doc, "scenario.json")
+        job = RenderJob(scene_path=demo.write_demo_scene(d),
+                        scenario_path=scenario_path,
+                        out_path=os.path.join(d, "out.wav"))
+        result, output = render_output(job)
+        fades = [(iv["t_s"], f["object_id"], f["from"], f["to"])
+                 for iv in result.report["intervals"] for f in iv["crossfades"]]
+        boundary = -(-2 * int(engine.CONTEXT_INTERVAL_S * FS) // job.block_size
+                     ) * job.block_size
+        t_s = round(boundary / FS, 6)
+        assert fades == [(t_s, "band", "PM", "PM"),
+                         (t_s, "wash", "AmbiMM(2)", "AmbiMM(2)")]
+        before = np.mean(output[boundary - 512 : boundary] ** 2)
+        after = np.mean(output[boundary : boundary + 512] ** 2)
+        assert 10.0 * math.log10(after / before) > -6.0
+
+    def test_each_plan_filters_its_reads_and_the_fades_it_starts(
+            self, tmp_path, monkeypatch):
+        """The live-switch workload at seed 0: every adapted chain covers
+        the plan's reads (its blocks until stop and its proxy window) and
+        ends no later; exactly the objects in the record's crossfades get a
+        tail, their previous plan's chain over [t0, t0 + fade_reads)."""
+        monkeypatch.syspath_prepend(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        from perfbench import workloads
+
+        files = workloads.generate("live-switch", 0, str(tmp_path))
+        block = workloads.WORKLOADS["live-switch"].block_size
+        job = RenderJob(scene_path=files.scene, scenario_path=files.scenario,
+                        out_path=str(tmp_path / "out.wav"),
+                        rulebook_path=files.rulebook,
+                        selection_path=files.selection, block_size=block)
+        plans, sources = _drained_plans(
+            job, load_rulebook(files.rulebook),
+            load_selection_rules(files.selection))
+        n_total = parse_scene(files.scene).duration_samples
+        interval = int(engine.CONTEXT_INTERVAL_S * FS)
+        fade_reads = math.ceil(job.crossfade_s * FS) + block + 1
+        t0 = chains = 0
+        faded = []   # per tail: whether it is a chain
+        for stop, objects, tails, record in plans:
+            proxy = max(min(interval, max(n_total - t0, block)),
+                        context.MIN_NOISE_BLOCK)
+            reads = max(stop, t0 + proxy)
             for oid, (_, source, _) in objects.items():
-                assert source.samples is not sources.mixes[oid]   # a chain
-                if oid in following:
-                    reach = stop + math.ceil(crossfade_s * FS) + 512
-                    assert source.stop >= min(reach, source.stem_len)
-                else:
-                    assert source.stop <= max(stop, source.start + 2 * FS)
+                if source.samples is sources.mixes[oid]:
+                    continue
+                chains += 1
+                assert source.start == t0
+                assert source.stop == min(reads, source.stem_len)
+            assert set(tails) == {f["object_id"] for f in record["crossfades"]}
+            for oid, tail in tails.items():
+                faded.append(tail.samples is not sources.mixes[oid])
+                if faded[-1]:
+                    assert tail.start == t0
+                    assert tail.stop == min(t0 + fade_reads, tail.stem_len)
+            t0 = stop
+        assert chains and len(faded) == 20 and any(faded)
 
 
 class TestMixBlock:
@@ -863,7 +903,7 @@ class TestMixBlock:
             built = [engine._Lane(d, src, g, chan_index)
                      for d, src, g in steady]
             fading = engine._Lane(*old, chan_index)
-            fading.begin_fade(*new, start_s=fade_start_s,
+            fading.begin_fade(*new, tail=old[1], start_s=fade_start_s,
                               duration_s=fade_s)
             return built + [fading]
 
@@ -942,7 +982,7 @@ class TestMixBlock:
         block = 100
         assert engine._span_blocks([lane], 1000, block, FS, 32) == 32
         fading = engine._Lane(drive, src, 1.0, chan_index)
-        fading.begin_fade(drive, src, 1.0, start_s=1000 / FS,
+        fading.begin_fade(drive, src, 1.0, src, start_s=1000 / FS,
                           duration_s=250 / FS)
         # the fade ends at sample 1250, in the block [1200, 1300)
         assert engine._span_blocks([lane, fading], 1000, block, FS, 32) == 3
@@ -1015,6 +1055,38 @@ class TestCLI:
         assert cli_main(["probe", "--scenario", scenario]) == 0
         out = capsys.readouterr().out
         assert "AmbiMM(3) ok" in out
+
+    def test_highest_order_steps_down_past_a_rank_deficient_decode(
+            self, tmp_path, capsys):
+        """Seven speakers within 18 degrees: their distinct azimuths allow
+        order 3, whose decode is rank deficient, and order 2 decodes. Mode
+        matching at order "highest" steps down to order 2 in the probe and
+        in selection alike."""
+        azimuths = (-9.68, -4.67, -2.21, 0.26, 2.11, 5.46, 7.86)
+        speakers = [{"id": f"s{i}", "position": {"az": az, "el": 0.0, "dist": 2.0}}
+                    for i, az in enumerate(azimuths)]
+        scenario_path = write_json(str(tmp_path), scenario_doc(speakers),
+                                   "arc.json")
+        layout = context.parse_scenario(scenario_path)[0]
+        dirs = [s.position for s in layout.speakers]
+        with pytest.raises(RankDeficient):
+            renderers.ambi_mm_decode(dirs, 3)
+        assert routing.max_ambi_order(layout.speakers) == 3
+
+        assert cli_main(["probe", "--scenario", scenario_path]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines()
+                 if l.startswith("az")]
+        assert len(lines) == 8 and all("AmbiMM(2) ok" in l for l in lines)
+
+        table = parse_selection_rules({"schema": "selection v1", "rules": [
+            {"match": "true", "renderer": "AmbiMM", "order": "highest"}]})
+        obj = AudioObject("pad", ObjectType.EFFECT, stems=(),
+                          position=Direction3(30.0, 0.0, None))
+        no_low_energy = {s.bandwidth_hz.low_hz: 0.0 for s in layout.speakers}
+        assignment = routing.select_renderer(obj, layout, None, table, {}, FS,
+                                             no_low_energy)
+        assert assignment.renderer.label() == "AmbiMM(2)"
+        assert assignment.speaker_subset == tuple(layout.ids())
 
     def test_probe_rejects_wfs_for_a_source_on_the_ring(self, tmp_path, capsys):
         """A 32-speaker ring of radius 2 m is one WFS segment, but the probe

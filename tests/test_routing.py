@@ -22,7 +22,6 @@ from obar.routing import (
     RendererAssignment,
     band_capable_subset,
     build_drive,
-    infeasibility_reasons,
     max_ambi_order,
     pm_control_points,
     pm_design,
@@ -41,6 +40,7 @@ from obar.scene import (
 from conftest import (
     FS,
     band_table_of,
+    infeasibility_reasons,
     music_like,
     noise_like,
     ring_speakers,
@@ -463,8 +463,8 @@ class TestSelection:
         else:
             assert renderer.order is None, assignment
         assert set(reasons) <= set(KNOWN_RENDERER_NAMES) - {"AP1"}
-        # The converse fails where the distinct azimuths suffice but the
-        # decode is rank deficient (order 3 on a short jittered line).
+        # The converse is not asserted: order "highest" steps down past a
+        # rank-deficient decode, but even order 1 can be rank deficient.
         if top_order < 1:
             assert "AmbiMM" in reasons
 
