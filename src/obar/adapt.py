@@ -1,10 +1,12 @@
 """Scene adapter: rulebook-driven, tolerance-bounded edits to a scene.
 
 Adaptations are expressed as actions (gain, tilt, reposition, time shift,
-decorrelation, reverb scaling, prune, regroup). Each action is clamped to the
-touched object's editorial tolerances and ordered so lower-priority perceptual
-properties are modified first. apply_rules composes everything over a rulebook
-and returns a new scene plus a report; the input scene is never mutated.
+decorrelation, reverb scaling, prune, regroup). ACTION_KINDS gives each kind
+the perceptual property it trades and the tolerance that bounds it: each
+action is clamped to the touched object's editorial tolerances and ordered so
+that lower-priority properties are modified first. apply_rules composes
+everything over a rulebook and returns a new scene plus a report; the input
+scene is never mutated.
 """
 
 from __future__ import annotations
@@ -42,18 +44,25 @@ PERSONALIZE_DB = 3.0
 # than the production intent.
 MAX_TAU_S = 1.0e6
 
-# Perceptual property each action kind trades against; keys are the only
-# valid AdaptationAction kinds.
-ACTION_PROPERTY = {
-    "GainOffset": "level",
-    "SpectralTilt": "level",
-    "Reposition": "position",
-    "TimeShift": "velocity",
-    "Decorrelate": "locatedness",
-    "ReverbTailScale": "envelopment",
-    "Prune": "scale",
-    "Regroup": "scale",
+# Each action kind -> (the perceptual property it trades, the Tolerances
+# field that bounds its magnitude or a fixed bound). Keys are the only valid
+# AdaptationAction kinds.
+ACTION_KINDS = {
+    "GainOffset": ("level", "level_db"),
+    "SpectralTilt": ("level", "spectral_tilt_db"),
+    "Reposition": ("position", "position_deg"),
+    "TimeShift": ("velocity", "time_shift_ms"),
+    "Decorrelate": ("locatedness", 1.0),
+    "ReverbTailScale": ("envelopment", "reverb_scale"),
+    "Prune": ("scale", math.inf),
+    "Regroup": ("scale", math.inf),
 }
+
+
+def _action_kind(kind: str) -> tuple[str, str | float]:
+    if kind not in ACTION_KINDS:
+        raise UnknownProperty(f"unknown action kind {kind!r}")
+    return ACTION_KINDS[kind]
 
 
 @dataclass(frozen=True)
@@ -92,20 +101,8 @@ def action_magnitude(action: AdaptationAction) -> float:
 
 def tolerance_bound(kind: str, constraints: EditorialConstraints) -> float:
     """The tolerance an action magnitude is held to (inf = unbounded)."""
-    tol = constraints.tolerances
-    bounds = {
-        "GainOffset": tol.level_db,
-        "SpectralTilt": tol.spectral_tilt_db,
-        "Reposition": tol.position_deg,
-        "TimeShift": tol.time_shift_ms,
-        "Decorrelate": 1.0,
-        "ReverbTailScale": tol.reverb_scale,
-        "Prune": math.inf,
-        "Regroup": math.inf,
-    }
-    if kind not in bounds:
-        raise UnknownProperty(f"unknown action kind {kind!r}")
-    return bounds[kind]
+    _prop, bound = _action_kind(kind)
+    return getattr(constraints.tolerances, bound) if isinstance(bound, str) else bound
 
 
 def _clip(x: float, lo: float, hi: float) -> float:
@@ -159,9 +156,7 @@ def resolve_priority(requested,
     order = constraints.priority_order
 
     def rank(action: AdaptationAction) -> int:
-        prop = ACTION_PROPERTY.get(action.kind)
-        if prop is None:
-            raise UnknownProperty(f"unknown action kind {action.kind!r}")
+        prop, _bound = _action_kind(action.kind)
         if prop not in order:
             raise UnknownProperty(
                 f"property {prop!r} not in priority order {order}")
@@ -376,48 +371,21 @@ class SkippedAction:
 @dataclass(frozen=True)
 class AdaptationReport:
     """What apply_rules did: applied actions with requested vs clamped
-    magnitudes, skipped actions with reasons, and net per-object deltas as
-    (object_id, property, signed total) records."""
+    magnitudes, skipped actions with reasons, and net deltas as
+    (object_id, action kind, signed total) records, each total in its kind's
+    unit (a Prune counts 1)."""
 
     applied: tuple[AppliedAction, ...] = ()
     skipped: tuple[SkippedAction, ...] = ()
     deltas: tuple[tuple[str, str, float], ...] = ()
 
 
-_DIRECT_KIND_MAP = {
-    "gain_offset": "GainOffset",
-    "spectral_tilt": "SpectralTilt",
-    "reposition": "Reposition",
-    "time_shift": "TimeShift",
-    "decorrelate": "Decorrelate",
-    "reverb_tail_scale": "ReverbTailScale",
-    "prune": "Prune",
-    "regroup": "Regroup",
-}
-
-
 def _expand_direct(template: RuleAction, scene: Scene, rule_id: str):
-    kind = _DIRECT_KIND_MAP[template.kind]
-    params = dict(template.params)
-    actions = []
-    for obj in scene.objects:
-        if template.select is not None and not template.select.holds(
-                object_namespace(obj)):
-            continue
-        if kind == "Reposition":
-            actions.append(AdaptationAction(
-                obj.object_id, kind, daz_deg=params["daz_deg"],
-                del_deg=params["del_deg"], reason=rule_id))
-        elif kind == "Regroup":
-            actions.append(AdaptationAction(
-                obj.object_id, kind, group=params["group"], reason=rule_id))
-        elif kind == "Prune":
-            actions.append(AdaptationAction(obj.object_id, kind, reason=rule_id))
-        else:
-            value = params["db"] if "db" in params else next(iter(params.values()))
-            actions.append(AdaptationAction(
-                obj.object_id, kind, value=float(value), reason=rule_id))
-    return actions
+    return [AdaptationAction(obj.object_id, template.kind, reason=rule_id,
+                             **dict(template.params))
+            for obj in scene.objects
+            if template.select is None
+            or template.select.holds(object_namespace(obj))]
 
 
 def _expand_reverb_fit(scene: Scene, ctx: HighLevelContext, rule_id: str):
@@ -533,7 +501,7 @@ def apply_rules(scene: Scene, ctx: HighLevelContext, rulebook, mixes,
                                          mixes, window))
             except NoDialogueObject as exc:
                 skipped.append(SkippedAction(
-                    AdaptationAction("", "GainOffset", reason=rule.rule_id), str(exc)))
+                    AdaptationAction("", template.kind, reason=rule.rule_id), str(exc)))
         by_object: dict[str, list[AdaptationAction]] = {}
         for action in requested:
             by_object.setdefault(action.object_id, []).append(action)
@@ -555,13 +523,12 @@ def apply_rules(scene: Scene, ctx: HighLevelContext, rulebook, mixes,
                     requested=action_magnitude(action),
                     clamped=abs(magnitude),
                 ))
-                prop = ACTION_PROPERTY[clamped.kind]
-                key = (object_id, prop)
+                key = (object_id, clamped.kind)
                 deltas[key] = deltas.get(key, 0.0) + (
                     magnitude if clamped.kind != "Prune" else 1.0)
     report = AdaptationReport(
         applied=tuple(applied),
         skipped=tuple(skipped),
-        deltas=tuple((oid, prop, total) for (oid, prop), total in deltas.items()),
+        deltas=tuple((oid, kind, total) for (oid, kind), total in deltas.items()),
     )
     return adapted, report

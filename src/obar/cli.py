@@ -16,7 +16,7 @@ from .engine import DEFAULT_CROSSFADE_S, RenderJob, run_render
 from .errors import ObarError
 from .geometry import Direction3, wrap_azimuth
 from .renderclass import RendererKind
-from .routing import feasibility, max_ambi_order
+from .routing import feasibility
 from .scene import AudioObject, ObjectType, parse_scene, validate_scene
 
 PROBE_AZIMUTHS_DEG = (0, 45, 90, 135, 180, 225, 270, 315)
@@ -68,9 +68,7 @@ def cmd_probe(scenario_path: str) -> int:
     "all" would realize it, mode matching at the order "highest" chooses."""
     layout, listeners, _, _ = parse_scenario(scenario_path)
     scenario = build_scenario(layout, listeners)
-    count = len(scenario.layout.speakers)
-    order = max_ambi_order(scenario.layout.speakers)
-    print(f"layout: {count} speakers, max ambisonic order {order}")
+    print(f"layout: {len(scenario.layout.speakers)} speakers")
     for az in PROBE_AZIMUTHS_DEG:
         results = feasibility(scenario.layout, _probe_object(az))
         cells = []

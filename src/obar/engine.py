@@ -722,8 +722,8 @@ def _interval_record(t_s, noise, ctx, measured, projected,
                 for sk in adapt_report.skipped
             ],
             "deltas": [
-                {"object_id": oid, "property": prop, "total": round(total, 6)}
-                for oid, prop, total in adapt_report.deltas
+                {"object_id": oid, "kind": kind, "total": round(total, 6)}
+                for oid, kind, total in adapt_report.deltas
             ],
         },
         "crossfades": crossfades,

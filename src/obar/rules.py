@@ -304,23 +304,28 @@ def context_namespace(ctx, scene) -> dict:
 # ---------------------------------------------------------------------------
 # rulebooks
 
-_DIRECT_ACTION_PARAMS = {
-    "gain_offset": {"db": parse_number},
-    "spectral_tilt": {"db": parse_number},
-    "reposition": {"daz_deg": parse_number, "del_deg": parse_number},
-    "time_shift": {"ms": parse_number},
-    "decorrelate": {"amount": parse_number},
-    "reverb_tail_scale": {"factor": parse_number},
-    "prune": {},
-    "regroup": {"group": parse_string},
+# Each direct rulebook kind: the AdaptationAction kind it becomes, and for
+# each document parameter the action field it sets and the field's parser.
+DIRECT_ACTIONS = {
+    "gain_offset": ("GainOffset", {"db": ("value", parse_number)}),
+    "spectral_tilt": ("SpectralTilt", {"db": ("value", parse_number)}),
+    "reposition": ("Reposition", {"daz_deg": ("daz_deg", parse_number),
+                                  "del_deg": ("del_deg", parse_number)}),
+    "time_shift": ("TimeShift", {"ms": ("value", parse_number)}),
+    "decorrelate": ("Decorrelate", {"amount": ("value", parse_number)}),
+    "reverb_tail_scale": ("ReverbTailScale", {"factor": ("value", parse_number)}),
+    "prune": ("Prune", {}),
+    "regroup": ("Regroup", {"group": ("group", parse_string)}),
 }
 _COMPUTED_ACTION_KINDS = ("intelligibility_ladder", "personalize", "reverb_fit")
 
 
 @dataclass(frozen=True)
 class RuleAction:
-    """One action template inside a rule: a kind, parameters, and an optional
-    object predicate restricting which objects it touches."""
+    """One action template inside a rule: a computed kind (no params), or
+    the AdaptationAction kind a direct action becomes with its action fields
+    as (field, value) pairs; and an optional object predicate restricting
+    which objects it touches."""
 
     kind: str
     params: tuple = ()
@@ -341,17 +346,17 @@ def _parse_action(doc, where, rule_id: str) -> RuleAction:
     if kind in _COMPUTED_ACTION_KINDS:
         require_keys(doc, {"kind"}, action)
         return RuleAction(kind=kind)
-    if kind not in _DIRECT_ACTION_PARAMS:
+    if kind not in DIRECT_ACTIONS:
         raise SchemaError(f"rule {rule_id}: unknown action kind {kind!r}")
-    wanted = _DIRECT_ACTION_PARAMS[kind]
+    action_kind, wanted = DIRECT_ACTIONS[kind]
     require_keys(doc, {"kind", "select", *wanted}, action)
     params = []
-    for name, parse in wanted.items():
+    for name, (action_field, parse) in wanted.items():
         if name not in doc:
             raise SchemaError(f"{action} needs {name}")
-        params.append((name, parse(doc[name], f"{action} field {name}")))
+        params.append((action_field, parse(doc[name], f"{action} field {name}")))
     select = compile_expression(doc["select"]) if "select" in doc else None
-    return RuleAction(kind=kind, params=tuple(params), select=select)
+    return RuleAction(kind=action_kind, params=tuple(params), select=select)
 
 
 def parse_rulebook(doc: dict) -> tuple[AdaptationRule, ...]:

@@ -2,6 +2,7 @@
 personalization, reverb refitting, and whole-rulebook application."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import FS, music_like, speech_like
 from obar import adapt
 from obar.adapt import (
-    ACTION_PROPERTY,
+    ACTION_KINDS,
     LADDER_DECORRELATE_AMOUNT,
     LADDER_RESIDUAL_THRESHOLD,
     LADDER_SLOPE_DB_PER_DEFICIT,
@@ -39,8 +40,9 @@ from obar.context import (
 from obar.dsp import OCTAVE_CENTERS_HZ, Directive, apply_directives
 from obar.errors import NoDialogueObject, NonPositiveTau, UnknownProperty
 from obar.geometry import Direction3
-from obar.rules import parse_rulebook
+from obar.rules import DIRECT_ACTIONS, parse_rulebook
 from obar.scene import (
+    PERCEPTUAL_PROPERTIES,
     AudioObject,
     EditorialConstraints,
     ObjectType,
@@ -154,7 +156,7 @@ class TestClamp:
             clamp_to_tolerances(AdaptationAction("o", "Sharpen", 1.0), constraints())
 
     @given(
-        kind=st.sampled_from(sorted(ACTION_PROPERTY)),
+        kind=st.sampled_from(sorted(ACTION_KINDS)),
         value=st.floats(-1e6, 1e6),
         daz=st.floats(-720.0, 720.0),
         delv=st.floats(-180.0, 180.0),
@@ -200,15 +202,15 @@ class TestPriority:
             resolve_priority([AdaptationAction("o", "Sharpen", 1.0)], self.ORDER)
 
     @given(
-        kinds=st.lists(st.sampled_from(sorted(ACTION_PROPERTY)), max_size=12),
-        order=st.permutations(sorted({p for p in ACTION_PROPERTY.values()})),
+        kinds=st.lists(st.sampled_from(sorted(ACTION_KINDS)), max_size=12),
+        order=st.permutations(sorted({prop for prop, _ in ACTION_KINDS.values()})),
     )
     def test_matches_reference_stable_sort(self, kinds, order):
         requested = [AdaptationAction(f"o{i}", kind, value=float(i))
                      for i, kind in enumerate(kinds)]
         cons = EditorialConstraints(priority_order=tuple(order))
         decorated = sorted(
-            ((-order.index(ACTION_PROPERTY[a.kind]), i, a)
+            ((-order.index(ACTION_KINDS[a.kind][0]), i, a)
              for i, a in enumerate(requested)),
             key=lambda t: (t[0], t[1]))
         expect = [a for _, _, a in decorated]
@@ -601,7 +603,7 @@ class TestApplyRules:
         assert [o.object_id for o in adapted.objects] == ["narrator"]
         assert any(e.action.kind == "Prune" and e.action.object_id == "birds"
                    for e in report.applied)
-        assert ("birds", "scale", 1.0) in report.deltas
+        assert ("birds", "Prune", 1.0) in report.deltas
 
     def test_later_rules_see_adapted_scene(self):
         scene = make_scene(make_object("a", "effect"), make_object("b", "effect"))
@@ -624,7 +626,7 @@ class TestApplyRules:
         adapted, report = apply(scene, make_ctx(), book)
         assert adapted.object_by_id("quiet").level_db == -60.0
         assert report.applied[0].clamped == pytest.approx(2.0)
-        assert ("quiet", "level", -2.0) in report.deltas
+        assert ("quiet", "GainOffset", -2.0) in report.deltas
 
     def test_every_applied_magnitude_within_tolerance(self):
         scene = ladder_scene(music_tol={"level_db": 2.0, "spectral_tilt_db": 1.0})
@@ -642,6 +644,22 @@ class TestApplyRules:
             obj = scene.object_by_id(entry.action.object_id)
             assert entry.clamped <= tolerance_bound(
                 entry.action.kind, obj.constraints) + 1e-9
+
+    def test_ladder_reports_gain_and_tilt_totals_apart(self):
+        """A ladder interval that ducks and tilts reports one total per
+        action kind, each in its own unit and within its own tolerance,
+        not one "level" total that adds dB of gain to dB of tilt."""
+        scene = ladder_scene(music_tol={"level_db": 2.0, "spectral_tilt_db": 1.0})
+        book = rulebook({"rule_id": "duck",
+                         "when": "intelligibility_deficit > 0 and has_dialogue",
+                         "actions": [{"kind": "intelligibility_ladder"}]})
+        _, report = apply(scene, make_ctx(deficit=0.3), book)
+        totals = {(oid, kind): total for oid, kind, total in report.deltas}
+        assert totals[("band", "GainOffset")] == pytest.approx(-2.0)
+        assert totals[("band", "SpectralTilt")] == pytest.approx(-1.0)
+        for (oid, kind), total in totals.items():
+            bound = tolerance_bound(kind, scene.object_by_id(oid).constraints)
+            assert abs(total) <= bound + 1e-9
 
     def test_reverb_fit_through_rulebook(self):
         scene = make_scene(make_object(
@@ -690,3 +708,50 @@ class TestApplyRules:
         adapted, report = apply(scene, make_ctx(deficit=0.3), book)
         assert adapted.object_by_id("band").level_db == 0.0
         assert report.skipped and "dialogue" in report.skipped[0].reason
+        assert report.skipped[0].action.kind == "intelligibility_ladder"
+        assert report.skipped[0].action.reason == "duck"
+
+
+# ---------------------------------------------------------------------------
+# the action tables
+
+# A document value for every direct-action parameter, inside the default
+# tolerances so that clamping leaves it as written.
+DOCUMENT_VALUES = {"db": -2.0, "daz_deg": 4.0, "del_deg": -3.0, "ms": 5.0,
+                   "amount": 0.25, "factor": 1.25, "group": "bed"}
+
+
+def table_scene():
+    """One object that every action kind can edit: positioned, with a
+    reverb tail."""
+    return make_scene(make_object("band", "music", MUSIC,
+                                  position=Direction3(30.0, 0.0, 2.0),
+                                  reverb=reverb_with_taus([0.3])))
+
+
+class TestActionTables:
+    @pytest.mark.parametrize("rule_kind", sorted(DIRECT_ACTIONS))
+    def test_direct_action_through_rulebook(self, rule_kind):
+        kind, params = DIRECT_ACTIONS[rule_kind]
+        doc = {"kind": rule_kind, **{name: DOCUMENT_VALUES[name] for name in params}}
+        book = rulebook({"rule_id": "r", "when": "true", "actions": [doc]})
+        _, report = apply(table_scene(), make_ctx(), book)
+        assert report.skipped == ()
+        [entry] = report.applied
+        assert entry.action.kind == kind and entry.action.reason == "r"
+        for name, (action_field, _parse) in params.items():
+            assert getattr(entry.action, action_field) == DOCUMENT_VALUES[name]
+
+    def test_every_bound_names_a_tolerance(self):
+        tolerance_fields = {f.name for f in dataclasses.fields(Tolerances)}
+        for kind, (prop, bound) in ACTION_KINDS.items():
+            assert prop in PERCEPTUAL_PROPERTIES, kind
+            if isinstance(bound, str):
+                assert bound in tolerance_fields, kind
+
+    @pytest.mark.parametrize("kind", sorted(ACTION_KINDS))
+    def test_every_kind_applies(self, kind):
+        scene = table_scene()
+        action = AdaptationAction("band", kind, value=1.0, daz_deg=1.0, group="g")
+        _, magnitude, why = adapt._apply_one(scene, action)
+        assert why is None and magnitude is not None

@@ -494,7 +494,7 @@ class TestEngine:
         assert len(report["intervals"][0]["assignments"]) == 1
         assert report["intervals"][1]["assignments"] == []
         deltas = report["intervals"][1]["adaptation"]["deltas"]
-        assert {"object_id": "wash", "property": "scale", "total": 1.0} in deltas
+        assert {"object_id": "wash", "kind": "Prune", "total": 1.0} in deltas
         # the lane disappears at the block containing the boundary
         boundary = (int(2.0 * FS) // job.block_size + 1) * job.block_size
         assert np.max(np.abs(output[:boundary])) > 0.0
@@ -1061,7 +1061,7 @@ class TestCLI:
         """Seven speakers within 18 degrees: their distinct azimuths allow
         order 3, whose decode is rank deficient, and order 2 decodes. Mode
         matching at order "highest" steps down to order 2 in the probe and
-        in selection alike."""
+        in selection alike, and no line of the probe names order 3."""
         azimuths = (-9.68, -4.67, -2.21, 0.26, 2.11, 5.46, 7.86)
         speakers = [{"id": f"s{i}", "position": {"az": az, "el": 0.0, "dist": 2.0}}
                     for i, az in enumerate(azimuths)]
@@ -1074,9 +1074,10 @@ class TestCLI:
         assert routing.max_ambi_order(layout.speakers) == 3
 
         assert cli_main(["probe", "--scenario", scenario_path]) == 0
-        lines = [l for l in capsys.readouterr().out.splitlines()
-                 if l.startswith("az")]
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header == "layout: 7 speakers"
         assert len(lines) == 8 and all("AmbiMM(2) ok" in l for l in lines)
+        assert not any("order 3" in l or "AmbiMM(3)" in l for l in lines)
 
         table = parse_selection_rules({"schema": "selection v1", "rules": [
             {"match": "true", "renderer": "AmbiMM", "order": "highest"}]})

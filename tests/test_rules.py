@@ -104,7 +104,8 @@ class TestRulebookParsing:
                 {"kind": "regroup", "group": "bed"},
             ],
         }]))
-        assert rules[0].actions[0].params == (("db", -4.0),)
+        assert rules[0].actions[0].kind == "GainOffset"
+        assert rules[0].actions[0].params == (("value", -4.0),)
         assert rules[0].actions[0].select.holds({"type": "music"})
         assert rules[0].actions[1].select is None
 
