@@ -33,12 +33,23 @@ outgoing lane's chain, from the previous plan, over the fade. A plan is
 handed to the mixer as soon as it is decided, a window is dropped once no
 lane reads it, and objects without directives read their stems in place.
 
-Each finished span is checked for finiteness and streamed into the WAV;
-the engine keeps only the output of the metric window still open (about
-one interval) and of the span being mixed, not the whole programme. The
-WAV is written beside its target and takes its name only when the render
-has finished, every number in the report is finite and the report and
-metrics are written, so a failed render leaves no output.
+Deciding and mixing overlap on two threads. The render's thread decides
+every plan and mixes every span in which a fade runs; the steady spans
+that end an interval are mixed on a short-lived second thread while the
+render's thread decides the next plan, and the two meet at a join before
+that plan is applied. A steady span calls only render_spectrum,
+BlockFIR.output and a matrix product, so every call the benchmark traces
+(perfbench/tracer.py keeps one span stack per process) stays on the
+render's thread, and the lanes have one owner at a time, so the output is
+the one-thread output, byte for byte.
+
+Each span is checked for finiteness as soon as it is mixed, and the WAV
+streams one interval at a time: the engine keeps the output of the
+interval being mixed and of the metric window still open (about one
+interval and one span), not the whole programme. The WAV is written beside
+its target and takes its name only when the render has finished, every
+number in the report is finite and the report and metrics are written, so
+a failed render leaves no output.
 """
 
 from __future__ import annotations
@@ -47,6 +58,7 @@ import csv
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -604,7 +616,8 @@ def _plans(job, scene, scenario, timeline, rulebook, selection, sources,
 
 
 def _render_blocks(job, layout, fs, n_total, plans, intervals, levels, clock):
-    """Mix the plans (_plans) span by span; decide nothing.
+    """Mix the plans (_plans) span by span; decide nothing on the mixing
+    thread.
 
     At each plan's first block the mixer adds a lane for each object new to
     the plan, starts a crossfade for exactly the objects in the record's
@@ -613,19 +626,31 @@ def _render_blocks(job, layout, fs, n_total, plans, intervals, levels, clock):
     does not route. A span is whole blocks mixed in one _mix_block
     pass, up to the first of the plan's stop, the block holding the end of
     a running fade (_span_blocks) and SPAN_SAMPLES, so no span reads a
-    source past what its plan filtered. Yields each finished span,
-    samples x channels (float64), up to n_total: a view overwritten once
-    the next is asked for. Appends each record to intervals and, once
-    output passes its metric window, (t_s, each channel's RMS dB over it)
-    to levels. clock adds build_s (lane set-up) and mix_s (_mix_block).
+    source past what its plan filtered.
+
+    Each interval is mixed into one interval's output (_Mixer). Its spans
+    in which a fade runs mix first, on this thread, because they call
+    render_block and BlockFIR.process, which the benchmark traces. The
+    steady spans that follow mix on a short-lived thread while this one
+    runs next(plans); this thread joins it before the next plan touches
+    the lanes and raises what it raised, ahead of the next plan's error.
+
+    Then yields each finished span of the interval, samples x channels
+    (float64), up to n_total: a view overwritten once the next interval is
+    mixed. Appends each record to intervals and, once output passes its
+    metric window, (t_s, each channel's RMS dB over it) to levels. clock
+    adds build_s (lane set-up) and mix_s (the fading spans and the wait at
+    the join).
     """
     block = int(job.block_size)
     interval = int(round(CONTEXT_INTERVAL_S * fs))
     chan_index = {s.speaker_id: i for i, s in enumerate(layout.speakers)}
     n_channels = len(layout.speakers)
     lanes: dict[str, _Lane] = {}
-    stop = 0
     span_blocks = max(1, SPAN_SAMPLES // block)
+    # An interval is at most ceil(interval / block) blocks long.
+    mixer = _Mixer(lanes, block, fs, n_total, span_blocks,
+                   np.zeros((-(-interval // block) * block, n_channels)))
     # Output from the start of the oldest metric window still open (row 0
     # is sample base). A window is interval samples from an update block,
     # and the span that closes it starts before its end, so the window and
@@ -635,53 +660,110 @@ def _render_blocks(job, layout, fs, n_total, plans, intervals, levels, clock):
     windows: list[tuple[float, int]] = []   # (t_s, first sample), open
 
     t0 = 0
-    while t0 < n_total:
-        if t0 == stop:
-            stop, objects, tails, record = next(plans)
-            for oid in lanes.keys() - objects:  # pruned: stop at the boundary
-                del lanes[oid]
-            # Popping leaves each drive and source to its lane alone, so the
-            # plan keeps no second copy of a drive a lane did not take.
-            for fade in record["crossfades"]:
-                oid = fade["object_id"]
-                lanes[oid].begin_fade(*objects.pop(oid), tails.pop(oid),
-                                      fade["start_s"], fade["duration_s"])
-            for oid in list(objects):
-                drive, source, gain = objects.pop(oid)
-                if oid in lanes:   # the same drive: only the signal steps
-                    lanes[oid].source, lanes[oid].gain = source, gain
-                else:
-                    lanes[oid] = _Lane(drive, source, gain, chan_index)
-            clock.lap("build_s")
-            intervals.append(record)
-            windows.append((t0 / fs, t0))
-
-        # The span stops before the block of the next update and at the
-        # block holding the first fade end.
-        count = min(span_blocks, -(-(n_total - t0) // block), (stop - t0) // block)
-        count = _span_blocks(lanes.values(), t0, block, fs, count)
-        t1 = t0 + count * block
-        out = buf[t0 - base : t1 - base]
-        out.fill(0.0)
+    plan = next(plans)
+    while plan is not None:
+        stop, objects, tails, record = plan
         clock.start()
-        _mix_block(lanes.values(), t0, block, fs, out)
+        for oid in lanes.keys() - objects:  # pruned: stop at the boundary
+            del lanes[oid]
+        # Popping leaves each drive and source to its lane alone, so the
+        # plan keeps no second copy of a drive a lane did not take.
+        for fade in record["crossfades"]:
+            oid = fade["object_id"]
+            lanes[oid].begin_fade(*objects.pop(oid), tails.pop(oid),
+                                  fade["start_s"], fade["duration_s"])
+        for oid in list(objects):
+            drive, source, gain = objects.pop(oid)
+            if oid in lanes:   # the same drive: only the signal steps
+                lanes[oid].source, lanes[oid].gain = source, gain
+            else:
+                lanes[oid] = _Lane(drive, source, gain, chan_index)
+        clock.lap("build_s")
+        intervals.append(record)
+        windows.append((t0 / fs, t0))
+
+        mixer.begin(t0, stop)
+        clock.start()
+        mixer.mix(fading=True)
         clock.lap("mix_s")
+        steady = threading.Thread(target=mixer.mix_steady, name="obar-mix")
+        steady.start()
+        try:
+            plan = next(plans) if stop < n_total else None
+        finally:
+            clock.start()
+            steady.join()
+            clock.lap("mix_s")
+            if mixer.error is not None:
+                raise mixer.error
 
-        end = min(t1, n_total)
-        if not np.all(np.isfinite(out[: end - t0])):
-            raise JobError("rendered output contains non-finite samples")
-        yield out[: end - t0]
+        for t, t1 in mixer.spans:
+            end = min(t1, n_total)
+            buf[t - base : t1 - base] = mixer.output(t, t1)
+            yield mixer.output(t, end)
+            while windows and min(windows[0][1] + interval, n_total) <= end:
+                t_s, w0 = windows.pop(0)
+                w1 = min(w0 + interval, n_total)
+                levels.append((t_s, [rms_db(buf[w0 - base : w1 - base, i])
+                                     for i in range(n_channels)]))
+            keep = windows[0][1] if windows else t1
+            if keep > base:
+                buf[: t1 - keep] = buf[keep - base : t1 - base]
+                base = keep
+        t0 = stop
 
-        while windows and min(windows[0][1] + interval, n_total) <= end:
-            t_s, w0 = windows.pop(0)
-            w1 = min(w0 + interval, n_total)
-            levels.append((t_s, [rms_db(buf[w0 - base : w1 - base, i])
-                                 for i in range(n_channels)]))
-        keep = windows[0][1] if windows else t1
-        if keep > base:
-            buf[: t1 - keep] = buf[keep - base : t1 - base]
-            base = keep
-        t0 = t1
+
+class _Mixer:
+    """Mixes the lanes (object_id -> _Lane) span by span into out, the
+    output of one interval, which row 0 of out holds from its first sample
+    on. begin(t0, stop) starts the interval [t0, stop); mix() mixes it
+    from where it stands and lists each span mixed, (t0, t1), in spans.
+    A span with a non-finite sample ends the mixing with a JobError."""
+
+    def __init__(self, lanes, block, fs, n_total, span_blocks, out):
+        self.lanes = lanes
+        self.block = block
+        self.fs = fs
+        self.n_total = n_total
+        self.span_blocks = span_blocks
+        self.out = out
+        self.begin(0, 0)
+
+    def begin(self, t0: int, stop: int) -> None:
+        self.t0 = self.t = t0
+        self.end = min(stop, self.n_total)
+        self.spans: list[tuple[int, int]] = []
+        self.error: BaseException | None = None
+
+    def output(self, t0: int, t1: int) -> np.ndarray:
+        """The mixed samples [t0, t1) of the interval."""
+        return self.out[t0 - self.t0 : t1 - self.t0]
+
+    def mix(self, fading: bool = False) -> None:
+        """Mix up to the interval's end or, with fading, up to the first
+        span in which no fade runs."""
+        lanes = self.lanes.values()
+        block = self.block
+        while self.t < self.end and not (
+                fading and all(lane.old is None for lane in lanes)):
+            t0 = self.t
+            count = min(self.span_blocks, -(-(self.end - t0) // block))
+            t1 = t0 + _span_blocks(lanes, t0, block, self.fs, count) * block
+            out = self.output(t0, t1)
+            out.fill(0.0)
+            _mix_block(lanes, t0, block, self.fs, out)
+            if not np.all(np.isfinite(out[: min(t1, self.n_total) - t0])):
+                raise JobError("rendered output contains non-finite samples")
+            self.spans.append((t0, t1))
+            self.t = t1
+
+    def mix_steady(self) -> None:
+        """mix(), the target of the mixing thread: it keeps what it raises
+        in error, for the render's thread to raise after the join."""
+        try:
+            self.mix()
+        except BaseException as exc:
+            self.error = exc
 
 
 def _interval_record(t_s, noise, ctx, measured, projected,

@@ -62,7 +62,7 @@ from obar.scene import (
     parse_scene,
 )
 
-from conftest import (
+from obar_helpers import (
     FS,
     infeasibility_reasons,
     object_doc,

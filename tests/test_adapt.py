@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FS, music_like, speech_like
+from obar_helpers import FS, music_like, speech_like
 from obar import adapt
 from obar.adapt import (
     ACTION_KINDS,

@@ -31,7 +31,7 @@ from obar.errors import (
 from obar.geometry import Direction3
 from obar.scene import parse_scene
 
-from conftest import FS, noise_like, ring_speakers, scenario_doc, write_json
+from obar_helpers import FS, noise_like, ring_speakers, scenario_doc, write_json
 
 class TestNoiseEstimation:
     def test_noise_state_floors_low_values(self):

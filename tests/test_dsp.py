@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 from obar import dsp
 from obar.errors import NegativeDelay, ObarError, TiltOutOfReach, UnsupportedRate
 
-from conftest import FS, noise_like
+from obar_helpers import FS, noise_like
 
 
 def fft_band_power_db(x, sample_rate, lo, hi):

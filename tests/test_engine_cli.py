@@ -29,7 +29,7 @@ from obar.rules import (
 )
 from obar.scene import AudioObject, ObjectType, mono_mix, parse_scene
 
-from conftest import (
+from obar_helpers import (
     FS,
     music_like,
     noise_like,

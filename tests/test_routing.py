@@ -37,7 +37,7 @@ from obar.scene import (
     parse_scene,
 )
 
-from conftest import (
+from obar_helpers import (
     FS,
     band_table_of,
     infeasibility_reasons,

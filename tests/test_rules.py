@@ -229,7 +229,7 @@ class TestNamespaces:
         from obar.context import (ContextTracker, ListenerInfo, SpeakerLayout, parse_speaker,
                                   build_scenario)
         from obar.geometry import Direction3
-        from conftest import ring_speakers
+        from obar_helpers import ring_speakers
         scene = parse_scene(basic_scene_dir[1])
         layout = SpeakerLayout(tuple(
             parse_speaker(s, "s") for s in ring_speakers(5)))
@@ -254,7 +254,7 @@ class TestNamespaces:
         from obar.context import (ContextTracker, ListenerInfo, SpeakerLayout, parse_speaker,
                                   build_scenario)
         from obar.geometry import Direction3
-        from conftest import ring_speakers
+        from obar_helpers import ring_speakers
         scene = parse_scene(basic_scene_dir[1])
         layout = SpeakerLayout(tuple(
             parse_speaker(s, "s") for s in ring_speakers(5)))

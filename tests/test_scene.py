@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import object_doc, scene_doc, speech_like, write_scene, write_stem
+from obar_helpers import object_doc, scene_doc, speech_like, write_scene, write_stem
 from obar import scene as sm
 from obar.errors import MissingStem, RangeError, RateMismatch, SchemaError
 from obar.geometry import Direction3
