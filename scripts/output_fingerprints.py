@@ -16,17 +16,19 @@ lines, so diffing the output of two checkouts is a bit-identity gate:
 
 --dump DIR also saves each render's float64 samples (before the WAV's
 float32 rounding, captured by wrapping obar.engine.write_wav, to which the
-engine streams them) as DIR/<workload>-seed<n>.npy and its metrics and report
-digests as DIR/<workload>-seed<n>.json. --compare DIR loads the same files
-from another checkout's dump and prints, after each line,
+engine streams them) as DIR/<workload>-seed<n>.npy and its WAV, metrics and
+report digests as DIR/<workload>-seed<n>.json. --compare DIR loads the same
+files from another checkout's dump and prints, after each line,
 
-    <workload> seed=<n> max_abs_diff=<value> metrics=<same|differs> report=<same|differs>
+    <workload> seed=<n> max_abs_diff=<value> wav=<same|differs> metrics=<same|differs> report=<same|differs>
 
 and exits 1 when any value exceeds MAX_ABS_DIFF (1e-9), a metrics or report
 digest differs, or a dump is missing or has another shape. The WAV digest
-is not compared: float32 rounding can move it with the float64 samples
-still within MAX_ABS_DIFF. A change meant to move the audio by rounding
-only is gated by
+never fails the run: float32 rounding can move it with the float64 samples
+still within MAX_ABS_DIFF. It is printed for information, so a change that
+moves float64 samples by rounding shows whether the WAV bytes held (a dump
+without a WAV digest prints wav=unavailable). A change meant to move the
+audio by rounding only is gated by
 
     python3 scripts/output_fingerprints.py --dump /tmp/parent     # parent
     python3 scripts/output_fingerprints.py --compare /tmp/parent  # change
@@ -100,8 +102,8 @@ def render_samples(job: RenderJob):
 
 
 def fingerprint(name: str, seed: int, dest: str) -> tuple[str, dict, np.ndarray]:
-    """The fingerprint line of one render, its metrics and report digests
-    and its float64 samples."""
+    """The fingerprint line of one render, its WAV, metrics and report
+    digests and its float64 samples."""
     work = os.path.join(dest, f"{name}-seed{seed}")
     files = generate(name, seed, work)
     out = os.path.join(work, "out.wav")
@@ -109,10 +111,11 @@ def fingerprint(name: str, seed: int, dest: str) -> tuple[str, dict, np.ndarray]
         scene_path=files.scene, scenario_path=files.scenario, out_path=out,
         rulebook_path=files.rulebook, selection_path=files.selection,
         block_size=WORKLOADS[name].block_size))
-    digests = {"metrics": _sha256_file(result.metrics_path),
+    digests = {"wav": _sha256_file(out),
+               "metrics": _sha256_file(result.metrics_path),
                "report": report_digest(result.report_path)}
-    line = (f"{name} seed={seed} wav={_sha256_file(out)} "
-            f"metrics={digests['metrics']} report={digests['report']}")
+    line = f"{name} seed={seed} " + " ".join(
+        f"{key}={digest}" for key, digest in digests.items())
     return line, digests, output
 
 
@@ -129,7 +132,7 @@ def max_abs_diff(output: np.ndarray, path: str) -> float | None:
 
 def compare(output: np.ndarray, digests: dict, stem: str) -> tuple[str, bool]:
     """The comparison with a dump saved under stem (DIR/<workload>-seed<n>)
-    as printed, and whether it passes."""
+    as printed, and whether it passes; the WAV digest is only printed."""
     diff = max_abs_diff(output, stem + ".npy")
     if diff is None:
         return f"max_abs_diff=unavailable (no dump of the same shape at {stem}.npy)", False
@@ -138,10 +141,12 @@ def compare(output: np.ndarray, digests: dict, stem: str) -> tuple[str, bool]:
         return f"{text} digests=unavailable (no {stem}.json)", False
     with open(stem + ".json", encoding="utf-8") as fh:
         dumped = json.load(fh)
-    same = {key: dumped.get(key) == value for key, value in digests.items()}
-    text += "".join(
-        f" {key}={'same' if ok else 'differs'}" for key, ok in same.items())
-    return text, diff <= MAX_ABS_DIFF and all(same.values())
+    states = {key: "unavailable" if key not in dumped
+              else "same" if dumped[key] == value else "differs"
+              for key, value in digests.items()}
+    text += "".join(f" {key}={state}" for key, state in states.items())
+    return text, (diff <= MAX_ABS_DIFF
+                  and states["metrics"] == states["report"] == "same")
 
 
 def main(argv=None) -> int:
@@ -153,13 +158,14 @@ def main(argv=None) -> int:
                              "(default: a temporary directory)")
     parser.add_argument("--dump", metavar="DIR", default=None,
                         help="save each render's float64 samples as "
-                             "DIR/<workload>-seed<n>.npy and its metrics and "
-                             "report digests as DIR/<workload>-seed<n>.json")
+                             "DIR/<workload>-seed<n>.npy and its WAV, metrics "
+                             "and report digests as DIR/<workload>-seed<n>.json")
     parser.add_argument("--compare", metavar="DIR", default=None,
                         help="print each render's max abs difference from "
                              "the samples another checkout dumped to DIR, "
-                             "and whether its metrics and report digests "
-                             "match; exit 1 on a difference or missing dump")
+                             "and whether its WAV, metrics and report digests "
+                             "match; exit 1 on a sample, metrics or report "
+                             "difference or a missing dump")
     args = parser.parse_args(argv)
     if args.dump:
         os.makedirs(args.dump, exist_ok=True)

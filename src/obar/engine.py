@@ -4,13 +4,15 @@ The engine decides, then mixes. Every context interval a plan (_plans)
 re-measures the listening conditions, re-derives the adaptation from the
 pristine scene, re-routes objects to renderers and builds their drives; it
 records a crossfade for each object whose assignment or drive differs from
-the previous plan's. The mixer (_render_blocks) applies each plan at the
-first block that starts at or after the interval's boundary: it fades
-exactly the recorded objects from the old drive to the new one, and changes
-that leave the drive as it was (levels, directives) step there instead.
-Stems are fixed for the run, so before the first plan the engine mixes each
-object to mono once and analyses each mix's band energy once
-(routing.band_table).
+the previous plan's, and that object carries its outgoing chain (its tail).
+The plan is the mixer's only input, in samples: from the plan's first
+sample, the first block at or after the interval's boundary, the mixer
+(_render_blocks) fades each object with a tail from the old drive to the
+new one over the length the plan gives it, crossfade_s * fs samples, and
+changes that leave the drive as it was (levels, directives) step there
+instead. Stems are fixed for the
+run, so before the first plan the engine mixes each object to mono once and
+analyses each mix's band energy once (routing.band_table).
 
 Between updates the engine streams fixed-size blocks through per-object
 renderer lanes, mixing a span of whole blocks per pass (_mix_block). A span
@@ -49,7 +51,9 @@ interval being mixed and of the metric window still open (about one
 interval and one span), not the whole programme. The WAV is written beside
 its target and takes its name only when the render has finished, every
 number in the report is finite and the report and metrics are written, so
-a failed render leaves no output.
+a failed render leaves no output. Each output channel is delayed by its
+speaker's latency gap to the layout's slowest speaker, so that devices of
+unequal latency (scenario latency_ms) sound together; drives never see it.
 """
 
 from __future__ import annotations
@@ -149,7 +153,8 @@ class RenderResult:
 class _Lane:
     """Streaming render state for one object.
 
-    Holds the live driving function plus, during a crossfade, the outgoing
+    Holds the live driving function plus, during a crossfade counted in
+    samples from the first sample of the plan that began it, the outgoing
     one. Source is the directive-processed mono signal (a _Source); gain is
     the linear object level applied at mix time; cols are the drive's
     output columns. gain_row is the drive's gains spread over every output
@@ -163,8 +168,7 @@ class _Lane:
         self.source = source
         self.gain = gain
         self.old = None  # (drive, state, source, gain, cols) while fading out
-        self.fade_start_s = 0.0
-        self.fade_end_s = 0.0
+        self.fade_start = self.fade_length = self.fade_end = 0
         self.fade_coherent = True
 
     def _set_drive(self, drive):
@@ -176,14 +180,14 @@ class _Lane:
             self.gain_row = np.zeros(len(self.chan_index))
             self.gain_row[self.cols] = drive.gains
 
-    def begin_fade(self, drive, source, gain, tail, start_s, duration_s):
-        """Fade from the live drive, reading tail (its source from start_s
-        on), to drive reading source. A change arriving mid-fade snaps the
-        previous fade to its endpoint."""
+    def begin_fade(self, drive, source, gain, tail, start, length):
+        """Fade from the live drive, reading tail (its source from sample
+        start on), to drive reading source, over length samples (possibly
+        fractional) from start; the fade ends at fade_end = start + length.
+        A change arriving mid-fade snaps the previous fade to its endpoint."""
         self.old = (self.drive, self.state, tail, self.gain, self.cols)
         old_filtered = self.state.fir is not None
-        self.fade_start_s = start_s
-        self.fade_end_s = start_s + duration_s
+        self.fade_start, self.fade_length, self.fade_end = start, length, start + length
         self._set_drive(drive)
         # Two gain-only drives carry the same waveform, so amplitudes may sum;
         # anything with delays or filters mixes power-complementarily instead.
@@ -204,14 +208,15 @@ def _add_columns(out: np.ndarray, cols: np.ndarray, samples: np.ndarray) -> None
         out[:, col] += column
 
 
-def _mix_block(lanes, t0: int, block: int, fs: int, out: np.ndarray) -> None:
+def _mix_block(lanes, t0: int, block: int, out: np.ndarray) -> None:
     """Add the span of every lane that starts at sample t0 into out (span
     samples x channels, zeroed by the caller). The span is K whole blocks
     of block samples, and each lane renders it as K x block frames, which
     every renderer turns into the samples of those K blocks rendered one
-    by one. A lane drops its outgoing drive after the span whose last
-    sample reaches its fade's end, so no running fade may end in a block
-    before the span's last one (_span_blocks).
+    by one. Sample i of a fade weighs (i - fade_start) / fade_length, and a
+    lane drops its outgoing drive after the span whose last sample index
+    reaches its fade_end, so no running fade may end in a block before the
+    span's last one (_span_blocks).
 
     Every renderer is linear, so lanes mix in three groups:
     - a steady lane (no fade running) whose drive has a filter (FIRs or
@@ -229,7 +234,6 @@ def _mix_block(lanes, t0: int, block: int, fs: int, out: np.ndarray) -> None:
     count = n // block
     spectrum = None
     segments, gain_rows = [], []
-    times = None
     for lane in lanes:
         seg = lane.source.segment(t0, n) * lane.gain
         frames = seg.reshape(count, block)
@@ -247,11 +251,8 @@ def _mix_block(lanes, t0: int, block: int, fs: int, out: np.ndarray) -> None:
                 segments.append(seg)
                 gain_rows.append(lane.gain_row)
             continue
-        if times is None:
-            times = (t0 + np.arange(n)) / fs
-        position = np.clip(
-            (times - lane.fade_start_s)
-            / (lane.fade_end_s - lane.fade_start_s), 0.0, 1.0)
+        position = np.clip((np.arange(t0, t0 + n) - lane.fade_start)
+                           / lane.fade_length, 0.0, 1.0)
         w_old, w_new = crossfade_gains(position, lane.fade_coherent)
         rendered = render_block(frames, lane.drive, lane.state)
         _add_columns(out, lane.cols, rendered * w_new[:, None])
@@ -260,7 +261,7 @@ def _mix_block(lanes, t0: int, block: int, fs: int, out: np.ndarray) -> None:
         old_rendered = render_block(
             old_seg.reshape(count, block), old_drive, old_state)
         _add_columns(out, old_cols, old_rendered * w_old[:, None])
-        if times[-1] >= lane.fade_end_s:
+        if t0 + n - 1 >= lane.fade_end:
             lane.old = None
     if segments:
         out += np.array(segments).T @ np.array(gain_rows)
@@ -268,15 +269,15 @@ def _mix_block(lanes, t0: int, block: int, fs: int, out: np.ndarray) -> None:
         out += BlockFIR.output(spectrum).reshape(n_channels, n).T
 
 
-def _span_blocks(lanes, t0: int, block: int, fs: int, limit: int) -> int:
+def _span_blocks(lanes, t0: int, block: int, limit: int) -> int:
     """The number of blocks in the span that starts at t0: limit, or fewer
     so that the span ends with the block holding the end of the first
-    running fade to end (the first block whose last sample time reaches
-    it, as _mix_block tests it)."""
-    ends = [lane.fade_end_s for lane in lanes if lane.old is not None]
+    running fade to end (the first block whose last sample index reaches
+    its fade_end, as _mix_block tests it)."""
+    ends = [lane.fade_end for lane in lanes if lane.old is not None]
     if not ends:
         return limit
-    last = (t0 + block * np.arange(1, limit + 1) - 1) / fs
+    last = t0 + block * np.arange(1, limit + 1) - 1
     return min(limit, int(np.searchsorted(last, min(ends))) + 1)
 
 
@@ -521,14 +522,15 @@ def _plans(job, scene, scenario, timeline, rulebook, selection, sources,
     """Decide each context update; mix nothing.
 
     Update k (from 0) runs at the first block at or after k intervals, up
-    to the scene's end, and is yielded as soon as it is decided, as (stop,
-    objects, tails, record):
-    - stop: the next update's first sample;
+    to the scene's end, and is yielded as soon as it is decided, as (start,
+    stop, objects, record):
+    - start: the update's first sample, and stop: the next update's;
     - objects: each routed object_id, in routing order -> (drive, _Source
-      covering the update's reads, linear mix gain);
-    - tails: each object of the record's crossfades -> its previous
-      update's adapted chain over [t0, t0 + fade_reads), the samples its
-      outgoing lane reads during the fade;
+      covering the update's reads, linear mix gain, fade); fade is None
+      unless the record lists a crossfade for the object, else (tail,
+      length): the previous update's chain over [start, start +
+      fade_reads), which the outgoing lane reads during the fade, and the
+      fade's length from start, crossfade_s * fs samples (maybe fractional);
     - record: the update's report record, whose crossfades are the objects
       whose assignment or drive (by fingerprint) differs from the previous
       update's.
@@ -536,7 +538,7 @@ def _plans(job, scene, scenario, timeline, rulebook, selection, sources,
     band table (bands):
     - measure_s: the mono mixes, the context tracker's update and both
       proxy measurements, with the pristine sources' reads;
-    - adapt_s: apply_rules and the adapted directive chains;
+    - adapt_s: apply_rules and the adapted directive chains, tails too;
     - route_s: route, and the band table;
     - build_s: the drives and the crossfades.
     """
@@ -545,14 +547,15 @@ def _plans(job, scene, scenario, timeline, rulebook, selection, sources,
     block = int(job.block_size)
     interval = int(round(CONTEXT_INTERVAL_S * fs))
     fade_s = float(job.crossfade_s)
-    # The outgoing lane of a crossfade reads its source until the block
-    # holding the fade's end: the fade, one block, and one sample for the
-    # rounding of the end time.
-    fade_reads = math.ceil(fade_s * fs) + block + 1
+    length = fade_s * fs
+    # The outgoing lane of a crossfade reads its tail up to the end of the
+    # block holding the fade's end (_span_blocks), which lies before
+    # start + ceil(length) + block.
+    fade_reads = math.ceil(length) + block
     tracker = ContextTracker()
     # object_id -> the previous update's (assignment, drive fingerprint,
     # adapted object); the fingerprint is the lane's drive's own, so no
-    # second copy of a drive outlives its update.
+    # second copy of a drive's bytes outlives its update.
     previous: dict = {}
     t0 = k = 0
     while t0 < n_total:
@@ -588,13 +591,12 @@ def _plans(job, scene, scenario, timeline, rulebook, selection, sources,
             oid = assignment.object_id
             obj = adapted.object_by_id(oid)
             drive = build_drive(assignment, scenario.layout, obj, fs)
-            objects[oid] = (drive, *adapted_sources[oid])
+            objects[oid] = (drive, *adapted_sources[oid], None)
             fingerprint = drive.fingerprint()
             old = previous.get(oid)
-            same_drive = old is not None and old[1] == fingerprint
-            if same_drive:
+            if old is not None and old[1] == fingerprint:
                 fingerprint = old[1]   # the lane's; this drive is dropped
-            if old is not None and (old[0] != assignment or not same_drive):
+            if old is not None and (old[0] != assignment or old[1] != fingerprint):
                 crossfades.append({
                     "object_id": oid,
                     "from": old[0].renderer.label(),
@@ -604,12 +606,13 @@ def _plans(job, scene, scenario, timeline, rulebook, selection, sources,
                 })
             current[oid] = (assignment, fingerprint, obj)
         clock.lap("build_s")
-        tails = {fade["object_id"]: sources.source(
-                     previous[fade["object_id"]][2], t0, t0 + fade_reads)
-                 for fade in crossfades}
+        for crossfade in crossfades:
+            oid = crossfade["object_id"]
+            objects[oid] = (*objects[oid][:3], (sources.source(
+                previous[oid][2], t0, t0 + fade_reads), length))
         previous = current
         clock.lap("adapt_s")
-        yield stop, objects, tails, _interval_record(
+        yield t0, stop, objects, _interval_record(
             t_s, noise, ctx, measured, projected, assignments, adapt_report,
             crossfades)
         t0 = stop
@@ -619,14 +622,15 @@ def _render_blocks(job, layout, fs, n_total, plans, intervals, levels, clock):
     """Mix the plans (_plans) span by span; decide nothing on the mixing
     thread.
 
-    At each plan's first block the mixer adds a lane for each object new to
-    the plan, starts a crossfade for exactly the objects in the record's
-    crossfades (the outgoing drive reading the plan's tail), steps every
-    other lane's source and gain and drops the lanes of objects the plan
-    does not route. A span is whole blocks mixed in one _mix_block
-    pass, up to the first of the plan's stop, the block holding the end of
-    a running fade (_span_blocks) and SPAN_SAMPLES, so no span reads a
-    source past what its plan filtered.
+    The plan is the mixer's only input, and its record is only appended to
+    intervals. At the plan's start the mixer drops the lanes of objects it
+    does not route, then, in routing order, fades each object that has a
+    fade (the outgoing drive reads its tail) over the fade's length, steps
+    each other known lane's source and gain, adds a lane for each new
+    object, and lets go of the plan's objects. A span is whole blocks
+    mixed in one _mix_block pass, up to the first of the plan's stop, the
+    block holding the end of a running fade (_span_blocks) and
+    SPAN_SAMPLES, so no span reads a source past what its plan filtered.
 
     Each interval is mixed into one interval's output (_Mixer). Its spans
     in which a fade runs mix first, on this thread, because they call
@@ -636,9 +640,10 @@ def _render_blocks(job, layout, fs, n_total, plans, intervals, levels, clock):
     the lanes and raises what it raised, ahead of the next plan's error.
 
     Then yields each finished span of the interval, samples x channels
-    (float64), up to n_total: a view overwritten once the next interval is
-    mixed. Appends each record to intervals and, once output passes its
-    metric window, (t_s, each channel's RMS dB over it) to levels. clock
+    (float64) with each channel late by its speaker's latency gap to the
+    layout's slowest, up to n_total: a view overwritten once the next span
+    is asked for. Appends each record to intervals and, once output passes
+    its metric window, (t_s, each channel's RMS dB over it) to levels. clock
     adds build_s (lane set-up) and mix_s (the fading spans and the wait at
     the join).
     """
@@ -649,40 +654,41 @@ def _render_blocks(job, layout, fs, n_total, plans, intervals, levels, clock):
     lanes: dict[str, _Lane] = {}
     span_blocks = max(1, SPAN_SAMPLES // block)
     # An interval is at most ceil(interval / block) blocks long.
-    mixer = _Mixer(lanes, block, fs, n_total, span_blocks,
+    mixer = _Mixer(lanes, block, n_total, span_blocks,
                    np.zeros((-(-interval // block) * block, n_channels)))
     # Output from the start of the oldest metric window still open (row 0
     # is sample base). A window is interval samples from an update block,
     # and the span that closes it starts before its end, so the window and
-    # that span fit in interval + one span of samples.
-    buf = np.zeros((interval + span_blocks * block, n_channels))
+    # that span fit in interval + one span of samples. Channel c lands
+    # lags[c] samples late, its speaker's latency gap to the layout's
+    # slowest, so all devices sound together; buf holds those ahead of t1.
+    slowest = max(s.latency_ms for s in layout.speakers)
+    lags = [round((slowest - s.latency_ms) * fs / 1000) for s in layout.speakers]
+    ahead = max(lags)
+    buf = np.zeros((interval + span_blocks * block + ahead, n_channels))
     base = 0
     windows: list[tuple[float, int]] = []   # (t_s, first sample), open
 
-    t0 = 0
     plan = next(plans)
     while plan is not None:
-        stop, objects, tails, record = plan
+        start, stop, objects, record = plan
         clock.start()
         for oid in lanes.keys() - objects:  # pruned: stop at the boundary
             del lanes[oid]
-        # Popping leaves each drive and source to its lane alone, so the
-        # plan keeps no second copy of a drive a lane did not take.
-        for fade in record["crossfades"]:
-            oid = fade["object_id"]
-            lanes[oid].begin_fade(*objects.pop(oid), tails.pop(oid),
-                                  fade["start_s"], fade["duration_s"])
-        for oid in list(objects):
-            drive, source, gain = objects.pop(oid)
-            if oid in lanes:   # the same drive: only the signal steps
+        for oid, (drive, source, gain, fade) in objects.items():
+            if fade is not None:
+                tail, length = fade
+                lanes[oid].begin_fade(drive, source, gain, tail, start, length)
+            elif oid in lanes:   # the same drive: only the signal steps
                 lanes[oid].source, lanes[oid].gain = source, gain
             else:
                 lanes[oid] = _Lane(drive, source, gain, chan_index)
+        objects.clear()   # drives no lane took go now, not at the next plan
         clock.lap("build_s")
         intervals.append(record)
-        windows.append((t0 / fs, t0))
+        windows.append((start / fs, start))
 
-        mixer.begin(t0, stop)
+        mixer.begin(start, stop)
         clock.start()
         mixer.mix(fading=True)
         clock.lap("mix_s")
@@ -699,8 +705,12 @@ def _render_blocks(job, layout, fs, n_total, plans, intervals, levels, clock):
 
         for t, t1 in mixer.spans:
             end = min(t1, n_total)
-            buf[t - base : t1 - base] = mixer.output(t, t1)
-            yield mixer.output(t, end)
+            if ahead:   # per channel: about 10x the cost of one block copy
+                for c, lag in enumerate(lags):
+                    buf[t + lag - base : t1 + lag - base, c] = mixer.output(t, t1)[:, c]
+            else:
+                buf[t - base : t1 - base] = mixer.output(t, t1)
+            yield buf[t - base : end - base]
             while windows and min(windows[0][1] + interval, n_total) <= end:
                 t_s, w0 = windows.pop(0)
                 w1 = min(w0 + interval, n_total)
@@ -708,9 +718,8 @@ def _render_blocks(job, layout, fs, n_total, plans, intervals, levels, clock):
                                      for i in range(n_channels)]))
             keep = windows[0][1] if windows else t1
             if keep > base:
-                buf[: t1 - keep] = buf[keep - base : t1 - base]
+                buf[: t1 + ahead - keep] = buf[keep - base : t1 + ahead - base]
                 base = keep
-        t0 = stop
 
 
 class _Mixer:
@@ -720,10 +729,9 @@ class _Mixer:
     from where it stands and lists each span mixed, (t0, t1), in spans.
     A span with a non-finite sample ends the mixing with a JobError."""
 
-    def __init__(self, lanes, block, fs, n_total, span_blocks, out):
+    def __init__(self, lanes, block, n_total, span_blocks, out):
         self.lanes = lanes
         self.block = block
-        self.fs = fs
         self.n_total = n_total
         self.span_blocks = span_blocks
         self.out = out
@@ -748,10 +756,10 @@ class _Mixer:
                 fading and all(lane.old is None for lane in lanes)):
             t0 = self.t
             count = min(self.span_blocks, -(-(self.end - t0) // block))
-            t1 = t0 + _span_blocks(lanes, t0, block, self.fs, count) * block
+            t1 = t0 + _span_blocks(lanes, t0, block, count) * block
             out = self.output(t0, t1)
             out.fill(0.0)
-            _mix_block(lanes, t0, block, self.fs, out)
+            _mix_block(lanes, t0, block, out)
             if not np.all(np.isfinite(out[: min(t1, self.n_total) - t0])):
                 raise JobError("rendered output contains non-finite samples")
             self.spans.append((t0, t1))

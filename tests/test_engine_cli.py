@@ -160,10 +160,10 @@ class TestEngine:
         spans = []
         mix = engine._mix_block
 
-        def recording(lanes, t0, size, fs, out):
+        def recording(lanes, t0, size, out):
             assert size == block
             spans.append((t0, t0 + len(out)))
-            return mix(lanes, t0, size, fs, out)
+            return mix(lanes, t0, size, out)
 
         monkeypatch.setattr(engine, "_mix_block", recording)
         report = run_render(job).report
@@ -183,12 +183,133 @@ class TestEngine:
         fades = [f for iv in report["intervals"] for f in iv["crossfades"]]
         assert len(fades) == 3
         for fade in fades:
-            end_s = fade["start_s"] + fade["duration_s"]
             t = round(fade["start_s"] * FS)
-            while (t + block - 1) / FS < end_s:
+            end = t + job.crossfade_s * FS
+            while t + block - 1 < end:
                 t += block
             assert t + block in ends, fade
         assert len(spans) > len(updates) + len(fades)
+
+    @pytest.mark.parametrize("crossfade_s, block", [
+        (0.0123, 256),     # 590.4 samples
+        (0.005, 240),      # 240 samples: the outgoing lane reads its whole tail
+        (0.0033125, 160),  # 159 samples: the fade ends on a block's last sample
+    ])
+    def test_fractional_fades_do_not_depend_on_the_span_length(
+            self, tmp_path, monkeypatch, crossfade_s, block):
+        """The demo scene under the live-switch selection table, its noise
+        crossing the table's threshold every interval, with short fades:
+        the render mixed in spans of SPAN_SAMPLES is byte-identical to the
+        one mixed a block at a time, and neither reads an outgoing chain
+        past the tail its plan filtered."""
+        monkeypatch.syspath_prepend(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        from perfbench import workloads
+
+        d = str(tmp_path)
+        timeline = [{"t_s": 2.0 * k, "band_levels_db": [level] * 7}
+                    for k, level in enumerate(workloads.live_switch_levels(6.0))]
+        job = RenderJob(
+            scene_path=demo.write_demo_scene(d, duration_s=6.0),
+            scenario_path=write_json(d, scenario_doc(
+                ring_speakers(6), noise_timeline=timeline), "scenario.json"),
+            selection_path=write_json(
+                d, workloads.LIVE_SELECTION_DOC, "selection.json"),
+            out_path=os.path.join(d, "out.wav"), block_size=block,
+            crossfade_s=crossfade_s)
+
+        def rendered():
+            result = run_render(job)
+            with open(result.out_path, "rb") as wav, \
+                    open(result.metrics_path, "rb") as metrics:
+                return wav.read(), metrics.read(), result.report
+
+        spanned = rendered()
+        monkeypatch.setattr(engine, "SPAN_SAMPLES", block)
+        blockwise = rendered()
+        assert spanned[:2] == blockwise[:2]
+        fades = [f for iv in spanned[2]["intervals"] for f in iv["crossfades"]]
+        assert len(fades) == 4
+
+    @staticmethod
+    def _render_on_demo_devices(tmp_path, latency_ms=None):
+        """A 10 s music object at 10 degrees on the demo devices, the
+        noise crossing a selection threshold at 2 s and back at 4 s, so
+        the object fades from VBAP to AmbiMM(1) and back; latency_ms, if
+        given, replaces every device's latency. From the fourth update on,
+        a metric window stays open into the next update's first span, the
+        case that fills the output buffer."""
+        d = str(tmp_path)
+        devices_path = demo.write_demo_devices(d)
+        if latency_ms is not None:
+            with open(devices_path, encoding="utf-8") as fh:
+                devices = json.load(fh)
+            for device in devices["devices"]:
+                device["latency_ms"] = latency_ms
+            write_json(d, devices, "devices.json")
+        write_stem(d, "m.wav", noise_like(10.0))
+        # per band; over the 7 bands, -34.05 and -26.05 dB broadband
+        quiet, loud = -42.5, -34.5
+        timeline = [{"t_s": 2.0 * k, "band_levels_db": [level] * 7}
+                    for k, level in enumerate((quiet, loud, quiet))]
+        scenario = scenario_doc([], noise_timeline=timeline)
+        scenario["layout"] = "devices.json"
+        job = RenderJob(
+            scene_path=write_scene(d, scene_doc([object_doc(
+                "m", "music", ["m.wav"],
+                position={"az": 10.0, "el": 0.0, "dist": 2.0})])),
+            scenario_path=write_json(d, scenario, "scenario.json"),
+            selection_path=write_json(d, {"schema": "selection v1", "rules": [
+                {"match": "type == 'music' and noise_broadband_db > -30.0",
+                 "renderer": "AmbiMM", "order": 1},
+                {"match": "true", "renderer": "VBAP"}]}, "selection.json"),
+            out_path=os.path.join(d, "out.wav"))
+        result, out = render_output(job)
+        fades = [(f["from"], f["to"], f["start_s"])
+                 for iv in result.report["intervals"] for f in iv["crossfades"]]
+        assert [f[:2] for f in fades] == [("VBAP", "AmbiMM(1)"),
+                                          ("AmbiMM(1)", "VBAP")]
+        return result, out, fades
+
+    def test_device_latencies_delay_each_channel_so_output_arrives_together(
+            self, tmp_path):
+        """On the demo devices (tv 10 ms, soundbars 15 ms, phone 30 ms)
+        each output channel is the render with every latency at 0,
+        delayed by its device's latency gap to the phone, with silence
+        before, so what the render means to sound together does. The
+        decisions, crossfades included, do not move."""
+        plain, plain_out, _ = self._render_on_demo_devices(tmp_path / "plain", 0.0)
+        late, late_out, _ = self._render_on_demo_devices(tmp_path / "late")
+        assert late.report["channels"] == [
+            "tv", "soundbar-left", "soundbar-right", "phone"]
+        assert late.report["intervals"] == plain.report["intervals"]
+        assert late_out.shape == plain_out.shape
+        for c, latency_ms in enumerate((10.0, 15.0, 15.0, 30.0)):
+            lag = round((30.0 - latency_ms) * FS / 1000)
+            assert not np.any(late_out[:lag, c]), c
+            assert np.array_equal(late_out[lag:, c],
+                                  plain_out[: len(plain_out) - lag, c]), c
+        assert np.any(late_out[:, :3])
+
+    def test_fades_on_devices_of_unequal_latency_keep_the_level(self, tmp_path):
+        """Latency compensation leaves the drives gain-only, so a fade
+        between VBAP and AmbiMM(1) on the demo devices still sums
+        amplitudes: the output power summed over channels at mid-fade is
+        within 0.5 dB of the steady power before and after (an
+        equal-power fade of the two coherent drives peaks about 3 dB
+        higher)."""
+        _, out, fades = self._render_on_demo_devices(tmp_path)
+
+        def level_db(t0_s, t1_s):
+            seg = out[round(t0_s * FS) : round(t1_s * FS)]
+            return 10.0 * np.log10(np.mean(np.sum(seg**2, axis=1)))
+
+        for _, _, start_s in fades:
+            steady = [level_db(start_s - 0.6, start_s - 0.1),
+                      level_db(start_s + 1.1, start_s + 1.6)]
+            assert abs(steady[0] - steady[1]) < 0.5
+            mid = level_db(start_s + 0.4, start_s + 0.6)
+            assert abs(mid - np.mean(steady)) < 0.5, (start_s, mid, steady)
 
     def test_band_table_is_built_once_before_the_first_span(
             self, tmp_path, monkeypatch):
@@ -722,8 +843,9 @@ def _drained_plans(job, rulebook=None, selection=None):
 class TestPlans:
     def test_plans_decide_the_report_without_mixing(self, tmp_path):
         """Draining engine._plans with no mixer gives the render's report
-        records, each update's stop at the next update's block, with a
-        block that does not divide the 96000-sample interval."""
+        records, each update's start at its own block and its stop at the
+        next update's, with a block that does not divide the 96000-sample
+        interval. The mixer reads no field of the report records."""
         d = str(tmp_path)
         scene_path = demo.write_demo_scene(d)
         scenario_path = demo.write_demo_scenario(d, noise_step_db=10.0)
@@ -733,17 +855,21 @@ class TestPlans:
         plans, _ = _drained_plans(job)
         interval = int(engine.CONTEXT_INTERVAL_S * FS)
         stops = [-(-k * interval // 1024) * 1024 for k in range(1, len(plans) + 1)]
-        assert [stop for stop, _, _, _ in plans] == stops
+        assert [stop for _, stop, _, _ in plans] == stops
+        assert [start for start, _, _, _ in plans] == [0] + stops[:-1]
         assert stops[-2] < scene.duration_samples <= stops[-1]
         records = [record for _, _, _, record in plans]
         assert records == run_render(job).report["intervals"]
         assert any(record["adaptation"]["applied"] for record in records)
-        for _, objects, _, record in plans:
+        for _, _, objects, record in plans:
             assert list(objects) == [a["object_id"] for a in record["assignments"]]
         mixer_reads = set(engine._render_blocks.__code__.co_names)
         assert not mixer_reads & {"route", "apply_rules", "build_drive",
                                   "noise_at", "ContextTracker",
                                   "_interval_proxy"}
+        mixer_constants = set(engine._render_blocks.__code__.co_consts)
+        assert not mixer_constants & {"crossfades", "start_s", "duration_s",
+                                      "object_id"}
 
     def test_a_plan_is_yielded_before_the_next_update_is_routed(
             self, tmp_path, monkeypatch):
@@ -802,7 +928,8 @@ class TestPlans:
         """The live-switch workload at seed 0: every adapted chain covers
         the plan's reads (its blocks until stop and its proxy window) and
         ends no later; exactly the objects in the record's crossfades get a
-        tail, their previous plan's chain over [t0, t0 + fade_reads)."""
+        fade, (tail, length): their previous plan's chain over [start,
+        start + fade_reads) and crossfade_s * fs samples."""
         monkeypatch.syspath_prepend(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
         from perfbench import workloads
@@ -818,21 +945,25 @@ class TestPlans:
             load_selection_rules(files.selection))
         n_total = parse_scene(files.scene).duration_samples
         interval = int(engine.CONTEXT_INTERVAL_S * FS)
-        fade_reads = math.ceil(job.crossfade_s * FS) + block + 1
+        fade_reads = math.ceil(job.crossfade_s * FS) + block
         t0 = chains = 0
-        faded = []   # per tail: whether it is a chain
-        for stop, objects, tails, record in plans:
+        faded = []   # per fade: whether its tail is a chain
+        for start, stop, objects, record in plans:
+            assert start == t0
             proxy = max(min(interval, max(n_total - t0, block)),
                         context.MIN_NOISE_BLOCK)
             reads = max(stop, t0 + proxy)
-            for oid, (_, source, _) in objects.items():
+            for oid, (_, source, _, _) in objects.items():
                 if source.samples is sources.mixes[oid]:
                     continue
                 chains += 1
                 assert source.start == t0
                 assert source.stop == min(reads, source.stem_len)
-            assert set(tails) == {f["object_id"] for f in record["crossfades"]}
-            for oid, tail in tails.items():
+            fades = {oid: fade for oid, (*_, fade) in objects.items()
+                     if fade is not None}
+            assert set(fades) == {f["object_id"] for f in record["crossfades"]}
+            for oid, (tail, length) in fades.items():
+                assert length == job.crossfade_s * FS
                 faded.append(tail.samples is not sources.mixes[oid])
                 if faded[-1]:
                     assert tail.start == t0
@@ -863,13 +994,25 @@ class TestMixBlock:
         """Gain-only lanes on all channels and on a subset, a PM-like, a
         Diffuse and a WFS-like (gains and delays, no FIRs) lane on subsets
         and one fade from a gain-only to a FIR drive that ends in the third
-        block, over five blocks cut three ways into spans that end at the
-        fade's end block. The stems end inside the last block, which reads
-        zeros past them. Only the two drives of the fade go through
-        render_block, once per span; the WFS lane's delays are folded into
-        taps, so it joins the shared spectrum, and so does the fading
-        lane's FIR drive once its fade has ended, on the state render_block
-        advanced."""
+        block, a whole and a fractional number of samples long, over five
+        blocks cut three ways into spans that end at the fade's end block.
+        The stems end inside the last block, which reads zeros past them.
+        Only the two drives of the fade go through render_block, once per
+        span; the WFS lane's delays are folded into taps, so it joins the
+        shared spectrum, and so does the fading lane's FIR drive once its
+        fade has ended, on the state render_block advanced."""
+        calls = []
+        render = renderers.render_block
+
+        def counting(stem_block, drive, state):
+            calls.append((drive.speaker_ids, np.shape(stem_block)))
+            return render(stem_block, drive, state)
+
+        monkeypatch.setattr(engine, "render_block", counting)
+        for fade_length in (384.0, 383.7):
+            self._check_spans_against_oracles(fade_length, calls)
+
+    def _check_spans_against_oracles(self, fade_length, calls):
         rng = np.random.default_rng(18)
         block, n_blocks = self.BLOCK, 5
         stem_len = (n_blocks - 1) * block + 100
@@ -896,22 +1039,22 @@ class TestMixBlock:
                            firs=[rng.standard_normal(200) * 0.05, None,
                                  rng.standard_normal(40) * 0.05]),
                source(), 0.6)
-        fade_start_s, fade_s = 0.5 * block / FS, 1.5 * block / FS
-        fade_end_s = fade_start_s + fade_s
+        fade_start = block // 2
+        fade_end = fade_start + fade_length
 
         def lanes():
             built = [engine._Lane(d, src, g, chan_index)
                      for d, src, g in steady]
             fading = engine._Lane(*old, chan_index)
-            fading.begin_fade(*new, tail=old[1], start_s=fade_start_s,
-                              duration_s=fade_s)
+            fading.begin_fade(*new, tail=old[1], start=fade_start,
+                              length=fade_length)
             return built + [fading]
 
         # the oracle: one block per call
         per_block = lanes()
         blockwise = np.zeros((n_blocks * block, len(self.CHANNELS)))
         for b in range(n_blocks):
-            engine._mix_block(per_block, b * block, block, FS,
+            engine._mix_block(per_block, b * block, block,
                               blockwise[b * block : (b + 1) * block])
 
         # the sum of every lane's own render
@@ -932,24 +1075,16 @@ class TestMixBlock:
             expected = summed[t0 : t0 + block]
             for (drive, src, gain), state in zip(steady, states):
                 expected[:, cols(drive)] += rendered(drive, src, gain, state, t0)
-            times = (t0 + np.arange(block)) / FS
-            position = np.clip((times - fade_start_s) / fade_s, 0.0, 1.0)
+            samples = t0 + np.arange(block)
+            position = np.clip((samples - fade_start) / fade_length, 0.0, 1.0)
             w_old, w_new = dsp.crossfade_gains(position, coherent=False)
             expected[:, cols(new[0])] += (
                 rendered(*new, new_state, t0) * w_new[:, None])
             if old_live:
                 expected[:, cols(old[0])] += (
                     rendered(*old, old_state, t0) * w_old[:, None])
-                old_live = times[-1] < fade_end_s
+                old_live = samples[-1] < fade_end
 
-        calls = []
-        render = engine.render_block
-
-        def counting(stem_block, drive, state):
-            calls.append((drive.speaker_ids, np.shape(stem_block)))
-            return render(stem_block, drive, state)
-
-        monkeypatch.setattr(engine, "render_block", counting)
         for spans in ((3, 2), (1, 2, 2), (2, 1, 1, 1)):
             spanned = lanes()
             assert [lane.gain_row is not None for lane in spanned] == [
@@ -959,20 +1094,21 @@ class TestMixBlock:
             for count in spans:
                 t0 = b * block
                 calls.clear()
-                engine._mix_block(spanned, t0, block, FS,
+                engine._mix_block(spanned, t0, block,
                                   out[t0 : t0 + count * block])
                 b += count
                 frames = (count, block)
                 assert calls == ([(("s1", "s2", "s3"), frames),
                                   (("s0", "s1"), frames)]
-                                 if b <= 3 else []), (spans, b)
-                assert (spanned[-1].old is None) == (b >= 3), (spans, b)
-            assert np.array_equal(out, blockwise), spans
-            assert np.max(np.abs(out - summed)) < 1e-12, spans
+                                 if b <= 3 else []), (fade_length, spans, b)
+                assert (spanned[-1].old is None) == (b >= 3), (
+                    fade_length, spans, b)
+            assert np.array_equal(out, blockwise), (fade_length, spans)
+            assert np.max(np.abs(out - summed)) < 1e-12, (fade_length, spans)
 
     def test_span_blocks_end_at_the_first_fade_end(self):
         """_span_blocks keeps the limit without a running fade and
-        otherwise ends the span with the block whose last sample time
+        otherwise ends the span with the block whose last sample index
         first reaches a fade's end, the block after which _mix_block drops
         the outgoing drive."""
         chan_index = {"s0": 0}
@@ -980,16 +1116,21 @@ class TestMixBlock:
         src = engine._Source(np.zeros(10), 0, 10)
         lane = engine._Lane(drive, src, 1.0, chan_index)
         block = 100
-        assert engine._span_blocks([lane], 1000, block, FS, 32) == 32
+        assert engine._span_blocks([lane], 1000, block, 32) == 32
         fading = engine._Lane(drive, src, 1.0, chan_index)
-        fading.begin_fade(drive, src, 1.0, src, start_s=1000 / FS,
-                          duration_s=250 / FS)
+        fading.begin_fade(drive, src, 1.0, src, start=1000, length=250)
+        assert fading.fade_end == 1250
         # the fade ends at sample 1250, in the block [1200, 1300)
-        assert engine._span_blocks([lane, fading], 1000, block, FS, 32) == 3
-        assert engine._span_blocks([fading], 1000, block, FS, 2) == 2
+        assert engine._span_blocks([lane, fading], 1000, block, 32) == 3
+        assert engine._span_blocks([fading], 1000, block, 2) == 2
         # a fade ending on a block's last sample ends that block
-        fading.fade_end_s = 1199 / FS
-        assert engine._span_blocks([fading], 1000, block, FS, 32) == 2
+        fading.fade_end = 1199
+        assert engine._span_blocks([fading], 1000, block, 32) == 2
+        # one ending between two samples ends the block holding the later
+        fading.fade_end = 1199.5
+        assert engine._span_blocks([fading], 1000, block, 32) == 3
+        fading.fade_end = 1198.5
+        assert engine._span_blocks([fading], 1000, block, 32) == 2
 
 
 class TestCLI:
