@@ -35,11 +35,11 @@ outgoing lane's chain, from the previous plan, over the fade. A plan is
 handed to the mixer as soon as it is decided, a window is dropped once no
 lane reads it, and objects without directives read their stems in place.
 
-Deciding and mixing overlap on two threads. The render's thread decides
-every plan and mixes every span in which a fade runs; the steady spans
-that end an interval are mixed on a short-lived second thread while the
-render's thread decides the next plan, and the two meet at a join before
-that plan is applied. A steady span calls only render_spectrum,
+Deciding and mixing overlap. The render's thread decides every plan and
+mixes every span in which a fade runs; the steady spans that end an
+interval go to the render's one mixing worker while the render's thread
+decides the next plan, and the worker's future returns the spans it mixed
+before that plan is applied. A steady span calls only render_spectrum,
 BlockFIR.output and a matrix product, so every call the benchmark traces
 (perfbench/tracer.py keeps one span stack per process) stays on the
 render's thread, and the lanes have one owner at a time, so the output is
@@ -62,8 +62,8 @@ import csv
 import json
 import math
 import os
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -620,7 +620,7 @@ def _plans(job, scene, scenario, timeline, rulebook, selection, sources,
 
 def _render_blocks(job, layout, fs, n_total, plans, intervals, levels, clock):
     """Mix the plans (_plans) span by span; decide nothing on the mixing
-    thread.
+    worker.
 
     The plan is the mixer's only input, and its record is only appended to
     intervals. At the plan's start the mixer drops the lanes of objects it
@@ -632,20 +632,21 @@ def _render_blocks(job, layout, fs, n_total, plans, intervals, levels, clock):
     block holding the end of a running fade (_span_blocks) and
     SPAN_SAMPLES, so no span reads a source past what its plan filtered.
 
-    Each interval is mixed into one interval's output (_Mixer). Its spans
-    in which a fade runs mix first, on this thread, because they call
+    Each interval is mixed (_mix) into out, one interval's output. Its
+    spans in which a fade runs mix first, on this thread, because they call
     render_block and BlockFIR.process, which the benchmark traces. The
-    steady spans that follow mix on a short-lived thread while this one
-    runs next(plans); this thread joins it before the next plan touches
-    the lanes and raises what it raised, ahead of the next plan's error.
+    steady spans that follow go to the render's one mixing worker while
+    this thread runs next(plans); the worker's future returns their spans,
+    or raises what the worker raised, ahead of the next plan's error, and
+    this thread waits for it before the next plan touches the lanes.
 
     Then yields each finished span of the interval, samples x channels
     (float64) with each channel late by its speaker's latency gap to the
     layout's slowest, up to n_total: a view overwritten once the next span
     is asked for. Appends each record to intervals and, once output passes
-    its metric window, (t_s, each channel's RMS dB over it) to levels. clock
-    adds build_s (lane set-up) and mix_s (the fading spans and the wait at
-    the join).
+    its metric window, (t_s, each channel's RMS dB over it) to levels.
+    clock adds build_s (lane set-up) and mix_s (the fading spans and the
+    wait for the worker).
     """
     block = int(job.block_size)
     interval = int(round(CONTEXT_INTERVAL_S * fs))
@@ -653,125 +654,97 @@ def _render_blocks(job, layout, fs, n_total, plans, intervals, levels, clock):
     n_channels = len(layout.speakers)
     lanes: dict[str, _Lane] = {}
     span_blocks = max(1, SPAN_SAMPLES // block)
-    # An interval is at most ceil(interval / block) blocks long.
-    mixer = _Mixer(lanes, block, n_total, span_blocks,
-                   np.zeros((-(-interval // block) * block, n_channels)))
+    # An interval is at most ceil(interval / block) blocks long; row 0 is
+    # the interval's first sample.
+    out = np.zeros((-(-interval // block) * block, n_channels))
     # Output from the start of the oldest metric window still open (row 0
     # is sample base). A window is interval samples from an update block,
     # and the span that closes it starts before its end, so the window and
     # that span fit in interval + one span of samples. Channel c lands
     # lags[c] samples late, its speaker's latency gap to the layout's
-    # slowest, so all devices sound together; buf holds those ahead of t1.
+    # slowest (a channel n_total late is silent throughout), so all devices
+    # sound together; buf holds those ahead of t1.
     slowest = max(s.latency_ms for s in layout.speakers)
-    lags = [round((slowest - s.latency_ms) * fs / 1000) for s in layout.speakers]
+    lags = [round(min((slowest - s.latency_ms) * fs / 1000, n_total))
+            for s in layout.speakers]
     ahead = max(lags)
     buf = np.zeros((interval + span_blocks * block + ahead, n_channels))
     base = 0
     windows: list[tuple[float, int]] = []   # (t_s, first sample), open
 
-    plan = next(plans)
-    while plan is not None:
-        start, stop, objects, record = plan
-        clock.start()
-        for oid in lanes.keys() - objects:  # pruned: stop at the boundary
-            del lanes[oid]
-        for oid, (drive, source, gain, fade) in objects.items():
-            if fade is not None:
-                tail, length = fade
-                lanes[oid].begin_fade(drive, source, gain, tail, start, length)
-            elif oid in lanes:   # the same drive: only the signal steps
-                lanes[oid].source, lanes[oid].gain = source, gain
-            else:
-                lanes[oid] = _Lane(drive, source, gain, chan_index)
-        objects.clear()   # drives no lane took go now, not at the next plan
-        clock.lap("build_s")
-        intervals.append(record)
-        windows.append((start / fs, start))
-
-        mixer.begin(start, stop)
-        clock.start()
-        mixer.mix(fading=True)
-        clock.lap("mix_s")
-        steady = threading.Thread(target=mixer.mix_steady, name="obar-mix")
-        steady.start()
-        try:
-            plan = next(plans) if stop < n_total else None
-        finally:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="obar-mix") as worker:
+        plan = next(plans)
+        while plan is not None:
+            start, stop, objects, record = plan
             clock.start()
-            steady.join()
+            for oid in lanes.keys() - objects:  # pruned: stop at the boundary
+                del lanes[oid]
+            for oid, (drive, source, gain, fade) in objects.items():
+                if fade is not None:
+                    tail, length = fade
+                    lanes[oid].begin_fade(drive, source, gain, tail, start, length)
+                elif oid in lanes:   # the same drive: only the signal steps
+                    lanes[oid].source, lanes[oid].gain = source, gain
+                else:
+                    lanes[oid] = _Lane(drive, source, gain, chan_index)
+            objects.clear()   # drives no lane took go now, not at the next plan
+            clock.lap("build_s")
+            intervals.append(record)
+            windows.append((start / fs, start))
+
+            stop = min(stop, n_total)
+            clock.start()
+            spans = _mix(lanes.values(), start, start, stop, block, span_blocks,
+                         out, fading=True)
             clock.lap("mix_s")
-            if mixer.error is not None:
-                raise mixer.error
+            steady = worker.submit(_mix, lanes.values(), start,
+                                   spans[-1][1] if spans else start, stop, block,
+                                   span_blocks, out)
+            try:
+                plan = next(plans) if stop < n_total else None
+            finally:
+                clock.start()
+                spans += steady.result()
+                clock.lap("mix_s")
 
-        for t, t1 in mixer.spans:
-            end = min(t1, n_total)
-            if ahead:   # per channel: about 10x the cost of one block copy
-                for c, lag in enumerate(lags):
-                    buf[t + lag - base : t1 + lag - base, c] = mixer.output(t, t1)[:, c]
-            else:
-                buf[t - base : t1 - base] = mixer.output(t, t1)
-            yield buf[t - base : end - base]
-            while windows and min(windows[0][1] + interval, n_total) <= end:
-                t_s, w0 = windows.pop(0)
-                w1 = min(w0 + interval, n_total)
-                levels.append((t_s, [rms_db(buf[w0 - base : w1 - base, i])
-                                     for i in range(n_channels)]))
-            keep = windows[0][1] if windows else t1
-            if keep > base:
-                buf[: t1 + ahead - keep] = buf[keep - base : t1 + ahead - base]
-                base = keep
+            for t, t1 in spans:
+                end = min(t1, n_total)
+                span = out[t - start : t1 - start]
+                if ahead:   # per channel: about 10x the cost of one block copy
+                    for c, lag in enumerate(lags):
+                        buf[t + lag - base : t1 + lag - base, c] = span[:, c]
+                else:
+                    buf[t - base : t1 - base] = span
+                yield buf[t - base : end - base]
+                while windows and min(windows[0][1] + interval, n_total) <= end:
+                    t_s, w0 = windows.pop(0)
+                    w1 = min(w0 + interval, n_total)
+                    levels.append((t_s, [rms_db(buf[w0 - base : w1 - base, i])
+                                         for i in range(n_channels)]))
+                keep = windows[0][1] if windows else t1
+                if keep > base:
+                    buf[: t1 + ahead - keep] = buf[keep - base : t1 + ahead - base]
+                    base = keep
 
 
-class _Mixer:
-    """Mixes the lanes (object_id -> _Lane) span by span into out, the
-    output of one interval, which row 0 of out holds from its first sample
-    on. begin(t0, stop) starts the interval [t0, stop); mix() mixes it
-    from where it stands and lists each span mixed, (t0, t1), in spans.
-    A span with a non-finite sample ends the mixing with a JobError."""
-
-    def __init__(self, lanes, block, n_total, span_blocks, out):
-        self.lanes = lanes
-        self.block = block
-        self.n_total = n_total
-        self.span_blocks = span_blocks
-        self.out = out
-        self.begin(0, 0)
-
-    def begin(self, t0: int, stop: int) -> None:
-        self.t0 = self.t = t0
-        self.end = min(stop, self.n_total)
-        self.spans: list[tuple[int, int]] = []
-        self.error: BaseException | None = None
-
-    def output(self, t0: int, t1: int) -> np.ndarray:
-        """The mixed samples [t0, t1) of the interval."""
-        return self.out[t0 - self.t0 : t1 - self.t0]
-
-    def mix(self, fading: bool = False) -> None:
-        """Mix up to the interval's end or, with fading, up to the first
-        span in which no fade runs."""
-        lanes = self.lanes.values()
-        block = self.block
-        while self.t < self.end and not (
-                fading and all(lane.old is None for lane in lanes)):
-            t0 = self.t
-            count = min(self.span_blocks, -(-(self.end - t0) // block))
-            t1 = t0 + _span_blocks(lanes, t0, block, count) * block
-            out = self.output(t0, t1)
-            out.fill(0.0)
-            _mix_block(lanes, t0, block, out)
-            if not np.all(np.isfinite(out[: min(t1, self.n_total) - t0])):
-                raise JobError("rendered output contains non-finite samples")
-            self.spans.append((t0, t1))
-            self.t = t1
-
-    def mix_steady(self) -> None:
-        """mix(), the target of the mixing thread: it keeps what it raises
-        in error, for the render's thread to raise after the join."""
-        try:
-            self.mix()
-        except BaseException as exc:
-            self.error = exc
+def _mix(lanes, origin: int, t0: int, end: int, block: int, span_blocks: int,
+         out: np.ndarray, fading: bool = False) -> list[tuple[int, int]]:
+    """Mix the lanes span by span from sample t0 into out, whose row 0 is
+    sample origin, up to end or, with fading, up to the first span in
+    which no fade runs; returns the spans mixed, (t0, t1), each at most
+    span_blocks blocks. A non-finite sample before end raises a JobError."""
+    spans = []
+    while t0 < end and not (fading and all(lane.old is None for lane in lanes)):
+        count = min(span_blocks, -(-(end - t0) // block))
+        t1 = t0 + _span_blocks(lanes, t0, block, count) * block
+        span = out[t0 - origin : t1 - origin]
+        span.fill(0.0)
+        _mix_block(lanes, t0, block, span)
+        if not np.all(np.isfinite(span[: min(t1, end) - t0])):
+            raise JobError("rendered output contains non-finite samples")
+        spans.append((t0, t1))
+        t0 = t1
+    return spans
 
 
 def _interval_record(t_s, noise, ctx, measured, projected,

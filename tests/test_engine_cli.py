@@ -291,6 +291,38 @@ class TestEngine:
                                   plain_out[: len(plain_out) - lag, c]), c
         assert np.any(late_out[:, :3])
 
+    def test_a_latency_gap_longer_than_the_programme_silences_its_channel(
+            self, tmp_path):
+        """A tv 1e300 ms late (finite, so the scenario parses) puts every
+        other device's channel more than the whole programme behind it:
+        the render exits 0, those channels are silent, and the tv's channel
+        is the one the render with every latency at 0 gives."""
+        outputs = {}
+        for name, tv_ms in (("plain", 0.0), ("late", 1e300)):
+            d = str(tmp_path / name)
+            devices_path = demo.write_demo_devices(d)
+            with open(devices_path, encoding="utf-8") as fh:
+                devices = json.load(fh)
+            for device in devices["devices"]:
+                if name == "plain" or device["id"] == "tv":
+                    device["latency_ms"] = tv_ms
+            write_json(d, devices, "devices.json")
+            scenario = scenario_doc([])
+            scenario["layout"] = "devices.json"
+            scene = write_scene(d, scene_doc([object_doc(
+                "m", "music", [write_stem(d, "m.wav", music_like(3.0))],
+                position={"az": 10.0, "el": 0.0, "dist": 2.0})]))
+            out = os.path.join(d, "out.wav")
+            assert cli_main([
+                "render", "--scene", scene, "--scenario",
+                write_json(d, scenario, "scenario.json"), "--out", out]) == 0
+            _, outputs[name] = wavfile.read(out)
+        plain, late = outputs["plain"], outputs["late"]
+        assert late.shape == plain.shape
+        assert np.any(plain[:, 0]) and np.any(plain[:, 1:])
+        assert np.array_equal(late[:, 0], plain[:, 0])
+        assert not np.any(late[:, 1:])
+
     def test_fades_on_devices_of_unequal_latency_keep_the_level(self, tmp_path):
         """Latency compensation leaves the drives gain-only, so a fade
         between VBAP and AmbiMM(1) on the demo devices still sums

@@ -1,14 +1,15 @@
-"""The engine mixes each interval's steady spans on a second thread while
-the render's thread decides the next plan: the calls the benchmark traces
-stay on the render's thread, the output equals one-thread mixing byte for
-byte, and a failure on either thread leaves no output and no thread."""
+"""The engine mixes each interval's steady spans on one worker thread per
+render while the render's thread decides the next plan: the calls the
+benchmark traces stay on the render's thread, the output equals one-thread
+mixing byte for byte, and a failure on either thread leaves no output and
+no thread."""
 
 import importlib
 import json
 import os
 import sys
 import threading
-import types
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -97,17 +98,26 @@ def test_traced_calls_run_on_the_render_thread(tmp_path, monkeypatch,
         assert "renderers.render_block" in traced
 
 
-class _InlineThread:
-    """A threading.Thread that runs its target inside start()."""
+class _InlineExecutor:
+    """A ThreadPoolExecutor whose submit runs the call at once and returns
+    its finished future."""
 
-    def __init__(self, target, name=None):
-        self._target = target
-
-    def start(self):
-        self._target()
-
-    def join(self):
+    def __init__(self, max_workers=None, thread_name_prefix=""):
         pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
 
 
 def _outputs(result):
@@ -125,7 +135,7 @@ def _outputs(result):
 def test_threaded_mixing_equals_inline_mixing(tmp_path, monkeypatch,
                                               workloads, fading, block):
     """With the interpreter switching threads as often as it can, the
-    render equals one whose mixing thread runs its spans inside start()."""
+    render equals one whose mixing worker runs its spans inside submit()."""
     job = _job(str(tmp_path), workloads if fading else None, block_size=block)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -133,11 +143,30 @@ def test_threaded_mixing_equals_inline_mixing(tmp_path, monkeypatch,
         threaded = _outputs(run_render(job))
     finally:
         sys.setswitchinterval(interval)
-    monkeypatch.setattr(engine, "threading",
-                        types.SimpleNamespace(Thread=_InlineThread))
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", _InlineExecutor)
     inline = _outputs(run_render(job))
     assert threaded == inline
     assert (_crossfades(threaded[2]) > 0) == fading
+
+
+def test_one_mixing_worker_mixes_every_interval(tmp_path, monkeypatch):
+    """Over a render of three intervals, every steady span is mixed on one
+    and the same worker thread, which is gone when the render returns."""
+    threads = []
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return mix_block(*args, **kwargs)
+
+    mix_block = engine._mix_block
+    monkeypatch.setattr(engine, "_mix_block", recorded)
+    before = threading.active_count()
+    report = run_render(_job(str(tmp_path))).report
+    assert len(report["intervals"]) == 3
+    workers = set(threads) - {threading.current_thread()}
+    assert len(workers) == 1
+    assert not workers.pop().is_alive()
+    assert threading.active_count() == before
 
 
 def _fail_route_on_second_call(monkeypatch):
