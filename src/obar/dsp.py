@@ -13,7 +13,9 @@ past the window, with each band's impulse response truncated at
 TRANSIENT_FLOOR. On every two-second window of the benchmark workloads'
 seed-0 stems it matches scipy.signal.sosfilt of butter's sections to within
 6e-12 dB. The tilt shelf is solved in closed form and filtered by a blocked
-scan, and decorrelators convolve by one transform product. There is one
+scan, and decorrelators convolve by overlap-save in frames of
+DECORRELATOR_FRAME points, each giving DECORRELATOR_FRAME - DECORRELATOR_TAPS
++ 1 output samples, so no transform grows with the window. There is one
 delay, fractional_delay, applied to a whole signal (the time-shift
 directive) or to a drive's filter taps; streaming delays run as those taps
 in BlockFIR, so no delay line carries history between blocks.
@@ -51,6 +53,9 @@ BAND_LEVELS_MEMO_SIZE = 256
 
 # Decorrelators: random-phase all-pass FIRs, one fixed seed per speaker index.
 DECORRELATOR_TAPS = 1024
+# Overlap-save frame of the decorrelating convolution: each frame's
+# transform gives DECORRELATOR_FRAME - DECORRELATOR_TAPS + 1 samples.
+DECORRELATOR_FRAME = 8 * DECORRELATOR_TAPS
 DEFAULT_SEED = 42
 
 # Spectral tilt is defined as the gain at this frequency relative to the
@@ -582,6 +587,26 @@ def _first_order_filter(b, a, x: np.ndarray, start: int = 0) -> np.ndarray:
     return sums.ravel()[lead : lead + n]
 
 
+def _overlap_save(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """The first len(x) samples of x convolved with taps, by overlap-save.
+
+    Frames of size points, DECORRELATOR_FRAME or, for a short x, the least
+    fast length that holds the whole convolution, start hop = size -
+    len(taps) + 1 samples apart on x preceded by len(taps) - 1 zeros; the
+    last hop samples of each frame's circular convolution are linear.
+    """
+    n, reach = len(x), len(taps) - 1
+    size = min(DECORRELATOR_FRAME, _next_fast_len(n + reach))
+    hop = size - reach
+    count = max(1, -(-n // hop))
+    padded = np.zeros((count - 1) * hop + size)
+    padded[reach : reach + n] = x
+    frames = np.lib.stride_tricks.sliding_window_view(padded, size)[::hop]
+    wet = np.fft.irfft(np.fft.rfft(frames, axis=-1) * np.fft.rfft(taps, size),
+                       size, axis=-1)
+    return wet[:, reach:].ravel()[:n]
+
+
 def apply_directives(
     stem: np.ndarray,
     directives,
@@ -617,12 +642,7 @@ def apply_directives(
         elif d.kind == "decorrelate":
             amount = min(max(d.value, 0.0), 1.0)
             if amount > 0.0:
-                # the first len(out) samples of the linear convolution, from
-                # a transform long enough that none of it wraps around
-                size = _next_fast_len(len(out) + DECORRELATOR_TAPS - 1)
-                wet = np.fft.irfft(
-                    np.fft.rfft(out, size)
-                    * np.fft.rfft(decorrelator_fir(d.seed), size), size)[: len(out)]
+                wet = _overlap_save(out, decorrelator_fir(d.seed))
                 out = math.sqrt(1.0 - amount) * out + math.sqrt(amount) * wet
         else:
             raise ValueError(f"unknown directive kind {d.kind!r}")

@@ -10,9 +10,9 @@ sample, the first block at or after the interval's boundary, the mixer
 (_render_blocks) fades each object with a tail from the old drive to the
 new one over the length the plan gives it, crossfade_s * fs samples, and
 changes that leave the drive as it was (levels, directives) step there
-instead. Stems are fixed for the
-run, so before the first plan the engine mixes each object to mono once and
-analyses each mix's band energy once (routing.band_table).
+instead. Stems are fixed for the run, so before the first plan the engine
+mixes each object to mono once, and it analyses each mix's band energy once
+(routing.band_table), on the mixing worker while plan 0 is decided.
 
 Between updates the engine streams fixed-size blocks through per-object
 renderer lanes, mixing a span of whole blocks per pass (_mix_block). A span
@@ -36,14 +36,17 @@ handed to the mixer as soon as it is decided, a window is dropped once no
 lane reads it, and objects without directives read their stems in place.
 
 Deciding and mixing overlap. The render's thread decides every plan and
-mixes every span in which a fade runs; the steady spans that end an
-interval go to the render's one mixing worker while the render's thread
+mixes every span in which a fade runs. The render's one mixing worker first
+builds the band table while the render's thread measures, adapts and
+filters plan 0's chains, and plan 0's route waits for it; then the steady
+spans that end an interval go to the worker while the render's thread
 decides the next plan, and the worker's future returns the spans it mixed
-before that plan is applied. A steady span calls only render_spectrum,
-BlockFIR.output and a matrix product, so every call the benchmark traces
-(perfbench/tracer.py keeps one span stack per process) stays on the
-render's thread, and the lanes have one owner at a time, so the output is
-the one-thread output, byte for byte.
+before that plan is applied. The band table takes one transform per mix; a
+steady span calls only render_spectrum, BlockFIR.output and a matrix
+product. So every call the benchmark traces (perfbench/tracer.py keeps
+one span stack per process) stays on the render's thread, and the lanes
+have one owner at a time, so the output is the one-thread output, byte for
+byte.
 
 Each span is checked for finiteness as soon as it is mixed, and the WAV
 streams one interval at a time: the engine keeps the output of the
@@ -463,16 +466,20 @@ def run_render(job: RenderJob) -> RenderResult:
     written = [partial]
     clock = _StageClock()
     # Stems are fixed for the run, so each object's mono mix and its band
-    # analysis are too: both are made once, before the first block.
+    # analysis are too: both are made once, the mixes before the first
+    # plan, the band table on the mixing worker while plan 0 is decided.
     sources = _Sources(scene)
     clock.lap("measure_s")
-    bands = band_table(sources.mixes, scenario.layout.speakers, fs)
-    clock.lap("route_s")
     try:
-        plans = _plans(job, scene, scenario, timeline, rulebook, selection,
-                       sources, bands, clock)
-        write_wav(partial, fs, _render_blocks(
-            job, scenario.layout, fs, n_total, plans, intervals, levels, clock))
+        with ThreadPoolExecutor(max_workers=1,
+                                thread_name_prefix="obar-mix") as worker:
+            bands = worker.submit(band_table, sources.mixes,
+                                  scenario.layout.speakers, fs)
+            plans = _plans(job, scene, scenario, timeline, rulebook,
+                           selection, sources, bands, clock)
+            write_wav(partial, fs, _render_blocks(
+                job, scenario.layout, fs, n_total, plans, intervals, levels,
+                clock, worker))
         report = {
             "schema": REPORT_SCHEMA_VERSION,
             "scene": os.path.abspath(job.scene_path),
@@ -534,12 +541,14 @@ def _plans(job, scene, scenario, timeline, rulebook, selection, sources,
     - record: the update's report record, whose crossfades are the objects
       whose assignment or drive (by fingerprint) differs from the previous
       update's.
-    clock (a _StageClock) sums, with run_render's mono mixes (sources) and
-    band table (bands):
+    bands is the future of the band table (routing.band_table), built on
+    the mixing worker while plan 0 measures, adapts and filters its chains;
+    the first route waits for it.
+    clock (a _StageClock) sums, with run_render's mono mixes (sources):
     - measure_s: the mono mixes, the context tracker's update and both
       proxy measurements, with the pristine sources' reads;
     - adapt_s: apply_rules and the adapted directive chains, tails too;
-    - route_s: route, and the band table;
+    - route_s: route, and in plan 0 the wait for the band table;
     - build_s: the drives and the crossfades.
     """
     fs = scene.sample_rate
@@ -578,13 +587,12 @@ def _plans(job, scene, scenario, timeline, rulebook, selection, sources,
         clock.lap("measure_s")
         adapted, adapt_report = apply_rules(
             scene, ctx, rulebook, sources.mixes, window)
-        clock.lap("adapt_s")
-        assignments = route(adapted, scenario, ctx, selection, bands)
-        clock.lap("route_s")
         adapted_sources = sources.for_scene(adapted, *reads)
         clock.lap("adapt_s")
         projected = _interval_proxy(adapted, adapted_sources, *window, noise, fs)
         clock.lap("measure_s")
+        assignments = route(adapted, scenario, ctx, selection, bands.result())
+        clock.lap("route_s")
 
         objects, crossfades, current = {}, [], {}
         for assignment in assignments:
@@ -618,7 +626,8 @@ def _plans(job, scene, scenario, timeline, rulebook, selection, sources,
         t0 = stop
 
 
-def _render_blocks(job, layout, fs, n_total, plans, intervals, levels, clock):
+def _render_blocks(job, layout, fs, n_total, plans, intervals, levels, clock,
+                   worker):
     """Mix the plans (_plans) span by span; decide nothing on the mixing
     worker.
 
@@ -635,7 +644,8 @@ def _render_blocks(job, layout, fs, n_total, plans, intervals, levels, clock):
     Each interval is mixed (_mix) into out, one interval's output. Its
     spans in which a fade runs mix first, on this thread, because they call
     render_block and BlockFIR.process, which the benchmark traces. The
-    steady spans that follow go to the render's one mixing worker while
+    steady spans that follow go to the render's one mixing worker (worker,
+    a ThreadPoolExecutor of one thread that run_render opens) while
     this thread runs next(plans); the worker's future returns their spans,
     or raises what the worker raised, ahead of the next plan's error, and
     this thread waits for it before the next plan touches the lanes.
@@ -662,69 +672,70 @@ def _render_blocks(job, layout, fs, n_total, plans, intervals, levels, clock):
     # and the span that closes it starts before its end, so the window and
     # that span fit in interval + one span of samples. Channel c lands
     # lags[c] samples late, its speaker's latency gap to the layout's
-    # slowest (a channel n_total late is silent throughout), so all devices
-    # sound together; buf holds those ahead of t1.
+    # slowest, so all devices sound together; buf holds those ahead of t1.
+    # A channel n_total late is silent throughout: it is never written,
+    # and its lag does not size buf.
     slowest = max(s.latency_ms for s in layout.speakers)
     lags = [round(min((slowest - s.latency_ms) * fs / 1000, n_total))
             for s in layout.speakers]
-    ahead = max(lags)
+    audible = [(c, lag) for c, lag in enumerate(lags) if lag < n_total]
+    ahead = max((lag for _, lag in audible), default=0)
     buf = np.zeros((interval + span_blocks * block + ahead, n_channels))
     base = 0
     windows: list[tuple[float, int]] = []   # (t_s, first sample), open
 
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="obar-mix") as worker:
-        plan = next(plans)
-        while plan is not None:
-            start, stop, objects, record = plan
-            clock.start()
-            for oid in lanes.keys() - objects:  # pruned: stop at the boundary
-                del lanes[oid]
-            for oid, (drive, source, gain, fade) in objects.items():
-                if fade is not None:
-                    tail, length = fade
-                    lanes[oid].begin_fade(drive, source, gain, tail, start, length)
-                elif oid in lanes:   # the same drive: only the signal steps
-                    lanes[oid].source, lanes[oid].gain = source, gain
-                else:
-                    lanes[oid] = _Lane(drive, source, gain, chan_index)
-            objects.clear()   # drives no lane took go now, not at the next plan
-            clock.lap("build_s")
-            intervals.append(record)
-            windows.append((start / fs, start))
+    plan = next(plans)
+    while plan is not None:
+        start, stop, objects, record = plan
+        clock.start()
+        for oid in lanes.keys() - objects:  # pruned: stop at the boundary
+            del lanes[oid]
+        for oid, (drive, source, gain, fade) in objects.items():
+            if fade is not None:
+                tail, length = fade
+                lanes[oid].begin_fade(drive, source, gain, tail, start, length)
+            elif oid in lanes:   # the same drive: only the signal steps
+                lanes[oid].source, lanes[oid].gain = source, gain
+            else:
+                lanes[oid] = _Lane(drive, source, gain, chan_index)
+        objects.clear()   # drives no lane took go now, not at the next plan
+        clock.lap("build_s")
+        intervals.append(record)
+        windows.append((start / fs, start))
 
-            stop = min(stop, n_total)
+        stop = min(stop, n_total)
+        clock.start()
+        spans = _mix(lanes.values(), start, start, stop, block, span_blocks,
+                     out, fading=True)
+        clock.lap("mix_s")
+        steady = worker.submit(_mix, lanes.values(), start,
+                               spans[-1][1] if spans else start, stop, block,
+                               span_blocks, out)
+        try:
+            plan = next(plans) if stop < n_total else None
+        finally:
             clock.start()
-            spans = _mix(lanes.values(), start, start, stop, block, span_blocks,
-                         out, fading=True)
+            spans += steady.result()
             clock.lap("mix_s")
-            steady = worker.submit(_mix, lanes.values(), start,
-                                   spans[-1][1] if spans else start, stop, block,
-                                   span_blocks, out)
-            try:
-                plan = next(plans) if stop < n_total else None
-            finally:
-                clock.start()
-                spans += steady.result()
-                clock.lap("mix_s")
 
-            for t, t1 in spans:
-                end = min(t1, n_total)
-                span = out[t - start : t1 - start]
-                if ahead:   # per channel: about 10x the cost of one block copy
-                    for c, lag in enumerate(lags):
-                        buf[t + lag - base : t1 + lag - base, c] = span[:, c]
-                else:
-                    buf[t - base : t1 - base] = span
-                yield buf[t - base : end - base]
-                while windows and min(windows[0][1] + interval, n_total) <= end:
-                    t_s, w0 = windows.pop(0)
-                    w1 = min(w0 + interval, n_total)
-                    levels.append((t_s, [rms_db(buf[w0 - base : w1 - base, i])
-                                         for i in range(n_channels)]))
-                keep = windows[0][1] if windows else t1
-                if keep > base:
-                    buf[: t1 + ahead - keep] = buf[keep - base : t1 + ahead - base]
-                    base = keep
+        for t, t1 in spans:
+            end = min(t1, n_total)
+            span = out[t - start : t1 - start]
+            if any(lags):   # per channel: about 10x the cost of one block copy
+                for c, lag in audible:
+                    buf[t + lag - base : t1 + lag - base, c] = span[:, c]
+            else:
+                buf[t - base : t1 - base] = span
+            yield buf[t - base : end - base]
+            while windows and min(windows[0][1] + interval, n_total) <= end:
+                t_s, w0 = windows.pop(0)
+                w1 = min(w0 + interval, n_total)
+                levels.append((t_s, [rms_db(buf[w0 - base : w1 - base, i])
+                                     for i in range(n_channels)]))
+            keep = windows[0][1] if windows else t1
+            if keep > base:
+                buf[: t1 + ahead - keep] = buf[keep - base : t1 + ahead - base]
+                base = keep
 
 
 def _mix(lanes, origin: int, t0: int, end: int, block: int, span_blocks: int,

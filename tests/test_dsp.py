@@ -576,6 +576,8 @@ def root_found_tilt_ba(tilt_db, sample_rate):
     return design(brentq(measured, -8.0, 8.0, xtol=1e-12))
 
 
+# The hop of the decorrelator's overlap-save frames, in samples.
+HOP = dsp.DECORRELATOR_FRAME - dsp.DECORRELATOR_TAPS + 1
 TILTS_DB = [-23.5, -17.0, -6.0, -2.5, -1e-3, 1e-3, 0.7, 3.0, 6.0, 12.0, 23.5]
 
 
@@ -614,14 +616,38 @@ class TestTiltKernels:
         ref = signal.lfilter(b, a, x)
         assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("n", [1, 7, 1023, 1024, 5000, 2 * FS + 4321])
+    @pytest.mark.parametrize("n", [1, 7, 1023, 1024, 5000, 2 * FS + 4321,
+                                   HOP - 1, HOP, HOP + 1, 2 * HOP + 1])
     @pytest.mark.parametrize("amount", [0.3, 1.0])
     def test_decorrelation_matches_fftconvolve(self, n, amount):
+        """At any length, the frame edges of the overlap-save convolution
+        (its hop) included, and wherever in its signal the window starts."""
         x = np.random.default_rng(n).standard_normal(n)
-        y = dsp.apply_directives(x, [dsp.Directive("decorrelate", amount, seed=9)], FS)
         wet = signal.fftconvolve(x, dsp.decorrelator_fir(9))[:n]
         ref = math.sqrt(1.0 - amount) * x + math.sqrt(amount) * wet
-        assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+        for start in (0, 12345):
+            y = dsp.apply_directives(
+                x, [dsp.Directive("decorrelate", amount, seed=9)], FS, start)
+            assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref)), start
+
+    def test_decorrelation_transforms_are_no_longer_than_a_frame(
+            self, monkeypatch):
+        """Decorrelating a 2 s window takes no transform longer than
+        DECORRELATOR_FRAME points, however long the window."""
+        sizes = []
+
+        def recorder(transform, points):
+            def recorded(a, n=None, axis=-1, **kwargs):
+                sizes.append(points(np.shape(a)[axis]) if n is None else n)
+                return transform(a, n, axis, **kwargs)
+            return recorded
+
+        monkeypatch.setattr(np.fft, "rfft", recorder(np.fft.rfft, lambda m: m))
+        monkeypatch.setattr(np.fft, "irfft",
+                            recorder(np.fft.irfft, lambda m: 2 * (m - 1)))
+        x = np.random.default_rng(2).standard_normal(2 * FS)
+        dsp.apply_directives(x, [dsp.Directive("decorrelate", 0.5, seed=3)], FS)
+        assert sizes and max(sizes) <= dsp.DECORRELATOR_FRAME
 
 
 class TestDirectiveMargins:

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -322,6 +323,37 @@ class TestEngine:
         assert np.any(plain[:, 0]) and np.any(plain[:, 1:])
         assert np.array_equal(late[:, 0], plain[:, 0])
         assert not np.any(late[:, 1:])
+
+    def test_a_silent_channel_costs_no_output_buffer(self, tmp_path):
+        """A tv 1e300 ms late silences every other channel, and those
+        channels' clipped lags size no buffer: the render's traced peak
+        stays within 2 MB of the same render with every latency equal
+        (a buffer as long as the 12 s programme on the five channels is
+        23 MB)."""
+        peaks = {}
+        for name, tv_ms in (("equal", 0.0), ("late", 1e300)):
+            d = str(tmp_path / name)
+            devices_path = demo.write_demo_devices(d)
+            with open(devices_path, encoding="utf-8") as fh:
+                devices = json.load(fh)
+            for device in devices["devices"]:
+                device["latency_ms"] = tv_ms if device["id"] == "tv" else 0.0
+            write_json(d, devices, "devices.json")
+            scenario = scenario_doc([])
+            scenario["layout"] = "devices.json"
+            scene = write_scene(d, scene_doc([object_doc(
+                "m", "music", [write_stem(d, "m.wav", music_like(12.0))],
+                position={"az": 10.0, "el": 0.0, "dist": 2.0})]))
+            job = RenderJob(scene_path=scene,
+                            scenario_path=write_json(d, scenario, "scenario.json"),
+                            out_path=os.path.join(d, "out.wav"))
+            tracemalloc.start()
+            try:
+                run_render(job)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["late"] < peaks["equal"] + 2e6, peaks
 
     def test_fades_on_devices_of_unequal_latency_keep_the_level(self, tmp_path):
         """Latency compensation leaves the drives gain-only, so a fade
@@ -858,7 +890,9 @@ def _plan_inputs(job, rulebook=None, selection=None):
     layout, listeners, decay, timeline = context.parse_scenario(job.scenario_path)
     scenario = context.build_scenario(layout, listeners, decay)
     sources = engine._Sources(scene)
-    bands = routing.band_table(sources.mixes, layout.speakers, scene.sample_rate)
+    bands = Future()   # run_render's is the mixing worker's
+    bands.set_result(
+        routing.band_table(sources.mixes, layout.speakers, scene.sample_rate))
     return (job, scene, scenario, timeline,
             rulebook or engine.default_rulebook(),
             selection or engine.default_selection_rules(), sources, bands,

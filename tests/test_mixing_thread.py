@@ -1,8 +1,8 @@
-"""The engine mixes each interval's steady spans on one worker thread per
-render while the render's thread decides the next plan: the calls the
-benchmark traces stay on the render's thread, the output equals one-thread
-mixing byte for byte, and a failure on either thread leaves no output and
-no thread."""
+"""The engine builds its band table, then mixes each interval's steady
+spans, on one worker thread per render while the render's thread decides
+the next plan: the calls the benchmark traces stay on the render's thread,
+the output equals one-thread mixing byte for byte, and a failure on either
+thread leaves no output and no thread."""
 
 import importlib
 import json
@@ -96,6 +96,21 @@ def test_traced_calls_run_on_the_render_thread(tmp_path, monkeypatch,
     assert any(mixes_here) == fading
     if fading:
         assert "renderers.render_block" in traced
+
+
+def test_the_band_table_is_built_off_the_render_thread(tmp_path, monkeypatch):
+    """The band table is built once, on the mixing worker, and before the
+    first route reads it."""
+    calls = []
+    monkeypatch.setattr(engine, "band_table",
+                        _recording("band_table", engine.band_table, calls))
+    monkeypatch.setattr(engine, "route",
+                        _recording("route", engine.route, calls))
+    run_render(_job(str(tmp_path)))
+    assert [name for name, _ in calls][:2] == ["band_table", "route"]
+    builders = [ident for name, ident in calls if name == "band_table"]
+    assert len(builders) == 1
+    assert builders[0] != threading.get_ident()
 
 
 class _InlineExecutor:
@@ -203,8 +218,18 @@ def _fail_a_steady_span(monkeypatch):
     return "error [cli_io]: steady span failed on the mixing thread"
 
 
+def _fail_the_band_table(monkeypatch):
+    """The band table, built on the mixing worker, raises; returns the
+    CLI's diagnostic."""
+    def failing(*args, **kwargs):
+        raise ObarError("band table failed on the mixing worker")
+
+    monkeypatch.setattr(engine, "band_table", failing)
+    return "error [obar]: band table failed on the mixing worker"
+
+
 @pytest.mark.parametrize("fail", [_fail_route_on_second_call,
-                                  _fail_a_steady_span])
+                                  _fail_a_steady_span, _fail_the_band_table])
 def test_failure_while_mixing_leaves_no_output_and_no_thread(
         tmp_path, capsys, monkeypatch, fail):
     d = str(tmp_path)
@@ -218,3 +243,4 @@ def test_failure_while_mixing_leaves_no_output_and_no_thread(
     assert capsys.readouterr().err == diagnostic + "\n"
     assert set(os.listdir(d)) == before
     assert threading.active_count() == threads
+    assert not [t for t in threading.enumerate() if t.name.startswith("obar-mix")]
