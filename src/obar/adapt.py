@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .context import MIN_NOISE_BLOCK, HighLevelContext, ListenerInfo, estimate_intelligibility
+from .context import HighLevelContext, ListenerInfo, estimate_intelligibility, proxy_mixes
 from .dsp import OCTAVE_CENTERS_HZ, Directive, apply_directives, object_seed
 from .errors import NoDialogueObject, NonPositiveTau, UnknownProperty
 from .geometry import Direction3, wrap_azimuth
@@ -168,22 +168,6 @@ def resolve_priority(requested,
 # ---------------------------------------------------------------------------
 # intelligibility ladder
 
-def _preview_mix(objs, mixes, sample_rate, window, length, gains_db=None, tilts_db=None):
-    gains_db = gains_db or {}
-    tilts_db = tilts_db or {}
-    mix = np.zeros(length)
-    for obj in objs:
-        sig = mixes[obj.object_id][window[0]:window[1]]
-        if not len(sig):
-            continue
-        sig = sig * 10.0 ** ((obj.level_db + gains_db.get(obj.object_id, 0.0)) / 20.0)
-        tilt = tilts_db.get(obj.object_id, 0.0)
-        if abs(tilt) > 1e-12:
-            sig = apply_directives(sig, [Directive("spectral_tilt", tilt)], sample_rate)
-        mix[:len(sig)] += sig
-    return mix
-
-
 def _clamped_values(actions, others) -> dict[str, float]:
     """object_id -> each action's value, clamped to its object's tolerances."""
     return {o.object_id: clamp_to_tolerances(a, o.constraints).value
@@ -221,11 +205,12 @@ def intelligibility_boost(scene: Scene, ctx: HighLevelContext, mixes,
     0.5. Each later rung is emitted only while the rungs before it, clamped
     to each object's tolerances, leave a projected deficit above 0.05.
 
-    The projection previews the mono mix of mixes (object_id -> the
-    object's mono mix) over the sample range window: the proxy gain of the
-    ducked, then ducked and tilted, maskers over the unadapted ones. A mono
-    preview cannot register reposition or decorrelation, so rung 3 is one
-    step and the ladder makes at most three proxy scores.
+    The projection scores context.proxy_mixes over the sample range
+    window, reading each object's slice of mixes (object_id -> the object's
+    mono mix) at its level: the proxy gain of the ducked, then ducked and
+    tilted, maskers over the unadapted ones. A tilt filters the slice from
+    rest. A mono preview cannot register reposition or decorrelation, so
+    rung 3 is one step and the ladder makes at most three proxy scores.
     """
     deficit = ctx.intelligibility_deficit
     if deficit <= 0.0:
@@ -238,13 +223,22 @@ def intelligibility_boost(scene: Scene, ctx: HighLevelContext, mixes,
         return []
     step = min(deficit * LADDER_SLOPE_DB_PER_DEFICIT, LADDER_STEP_CAP_DB)
     fs = scene.sample_rate
-    length = max(window[1] - window[0], MIN_NOISE_BLOCK)
-    speech = _preview_mix(dialogue, mixes, fs, window, length)
-    score_before = estimate_intelligibility(
-        speech, _preview_mix(others, mixes, fs, window, length), fs)
+
+    def read(obj, gains_db, tilts_db):
+        oid = obj.object_id
+        sig = mixes[oid][window[0]:window[1]] * 10.0 ** (
+            (obj.level_db + gains_db.get(oid, 0.0)) / 20.0)
+        tilt = tilts_db.get(oid, 0.0)
+        if len(sig) and abs(tilt) > 1e-12:
+            sig = apply_directives(sig, [Directive("spectral_tilt", tilt)], fs)
+        return sig
+
+    speech, masker = proxy_mixes(scene.objects, lambda o, _n: read(o, {}, {}), window)
+    score_before = estimate_intelligibility(speech, masker, fs)
 
     def residual(gains_db, tilts_db) -> float:
-        after = _preview_mix(others, mixes, fs, window, length, gains_db, tilts_db)
+        _, after = proxy_mixes(
+            others, lambda o, _n: read(o, gains_db, tilts_db), window)
         gain = estimate_intelligibility(speech, after, fs) - score_before
         return deficit - max(gain, 0.0)
 

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .geometry import Direction3, from_cartesian
 from .scene import (
+    ObjectType,
     Scene,
     SceneTargets,
     echo,
@@ -206,6 +207,29 @@ def estimate_intelligibility(dialogue_block: np.ndarray, masker_block: np.ndarra
         octave_band_levels(dialogue_block, sample_rate),
         octave_band_levels(masker_block, sample_rate),
     )
+
+
+def proxy_window(window: tuple[int, int]) -> int:
+    """A proxy's length in samples: window's, at least MIN_NOISE_BLOCK."""
+    return max(window[1] - window[0], MIN_NOISE_BLOCK)
+
+
+def proxy_mixes(objects, read, window: tuple[int, int]):
+    """(speech, masker): the mixes a proxy scores, proxy_window(window)
+    samples from window's start. read(obj, n) is obj's signal there with its
+    level applied, at most n samples; dialogue objects sum into speech and
+    all others into masker, in the order given. speech is None when no
+    object is dialogue."""
+    n = proxy_window(window)
+    speech, masker = None, np.zeros(n)
+    for obj in objects:
+        sig = read(obj, n)
+        if obj.object_type is ObjectType.DIALOGUE:
+            speech = np.zeros(n) if speech is None else speech
+            speech[:len(sig)] += sig
+        else:
+            masker[:len(sig)] += sig
+    return speech, masker
 
 
 # ---------------------------------------------------------------------------

@@ -616,9 +616,10 @@ def apply_directives(
     """Apply deferred signal directives, in order, to a stem from sample start.
 
     Always processes from the original signal it is given, so re-running an
-    adaptation pass never stacks filters.
+    adaptation pass never stacks filters, and returns a new array (a copy
+    only when no directive changed the input).
     """
-    out = np.asarray(stem, dtype=float).copy()
+    x = out = np.asarray(stem, dtype=float)
     for d in directives:
         if d.kind == "spectral_tilt":
             b, a = design_tilt_ba(d.value, sample_rate)
@@ -646,7 +647,7 @@ def apply_directives(
                 out = math.sqrt(1.0 - amount) * out + math.sqrt(amount) * wet
         else:
             raise ValueError(f"unknown directive kind {d.kind!r}")
-    return out
+    return out.copy() if out is x else out
 
 
 def directive_margins(directives, sample_rate: int = DEFAULT_SAMPLE_RATE) -> tuple[int, int]:

@@ -73,12 +73,13 @@ import numpy as np
 
 from .adapt import apply_rules
 from .context import (
-    MIN_NOISE_BLOCK,
     ContextTracker,
     band_snr_score,
     build_scenario,
     noise_at,
     parse_scenario,
+    proxy_mixes,
+    proxy_window,
 )
 from .dsp import (
     BLOCK_SIZE,
@@ -105,7 +106,7 @@ from .rules import (
     load_rulebook,
     load_selection_rules,
 )
-from .scene import ObjectType, Scene, mono_mix, parse_scene
+from .scene import Scene, mono_mix, parse_scene
 from .wavio import write_wav
 
 CONTEXT_INTERVAL_S = 2.0
@@ -364,23 +365,17 @@ class _Sources:
                 for obj in scene.objects}
 
 
-def _interval_proxy(scene, sources, t0, t1, noise, sample_rate):
-    """Proxy intelligibility of the dialogue mix over [t0, t1) against the
+def _interval_proxy(scene, sources, window, noise, sample_rate):
+    """Proxy intelligibility of the dialogue mix over window against the
     remaining objects plus ambient noise; None when the scene has no
-    dialogue. Level gains are part of the mix, so ducking moves the score."""
-    n = max(t1 - t0, MIN_NOISE_BLOCK)
-    speech = np.zeros(n)
-    masker = np.zeros(n)
-    has_dialogue = False
-    for obj in scene.objects:
+    dialogue. The mixes are context.proxy_mixes of sources (object_id ->
+    (_Source, linear mix gain)), so ducking moves the score."""
+    def read(obj, n):
         source, gain = sources[obj.object_id]
-        seg = source.segment(t0, n) * gain
-        if obj.object_type is ObjectType.DIALOGUE:
-            has_dialogue = True
-            speech += seg
-        else:
-            masker += seg
-    if not has_dialogue:
+        return source.segment(window[0], n) * gain
+
+    speech, masker = proxy_mixes(scene.objects, read, window)
+    if speech is None:
         return None
     masker_bands = octave_band_levels(masker, sample_rate)
     combined = [
@@ -546,7 +541,7 @@ def _plans(job, scene, scenario, timeline, rulebook, selection, sources,
     the first route waits for it.
     clock (a _StageClock) sums, with run_render's mono mixes (sources):
     - measure_s: the mono mixes, the context tracker's update and both
-      proxy measurements, with the pristine sources' reads;
+      proxies (_interval_proxy), with the pristine sources' reads;
     - adapt_s: apply_rules and the adapted directive chains, tails too;
     - route_s: route, and in plan 0 the wait for the band table;
     - build_s: the drives and the crossfades.
@@ -573,23 +568,23 @@ def _plans(job, scene, scenario, timeline, rulebook, selection, sources,
         t_s = t0 / fs
         noise = noise_at(timeline, t_s)
         window = (t0, min(t0 + interval, max(n_total, t0 + block)))
-        # Samples read from this update's sources: the proxy's window, and
-        # each lane's blocks until the next update.
-        reads = (t0, max(stop, t0 + max(window[1] - t0, MIN_NOISE_BLOCK)))
+        # Samples read from this update's sources: the proxies'
+        # (context.proxy_window), and each lane's blocks until the next update.
+        reads = (t0, max(stop, t0 + proxy_window(window)))
 
         # Measure on the pristine mix so the adaptation derived from it
         # is a fixed point: the same noise always yields the same deficit
         # and hence the same actions, with no duck/release oscillation.
         clock.start()
         measured = _interval_proxy(scene, sources.for_scene(scene, *reads),
-                                   *window, noise, fs)
+                                   window, noise, fs)
         ctx = tracker.update(scenario, scene, noise, measured)
         clock.lap("measure_s")
         adapted, adapt_report = apply_rules(
             scene, ctx, rulebook, sources.mixes, window)
         adapted_sources = sources.for_scene(adapted, *reads)
         clock.lap("adapt_s")
-        projected = _interval_proxy(adapted, adapted_sources, *window, noise, fs)
+        projected = _interval_proxy(adapted, adapted_sources, window, noise, fs)
         clock.lap("measure_s")
         assignments = route(adapted, scenario, ctx, selection, bands.result())
         clock.lap("route_s")
@@ -621,7 +616,7 @@ def _plans(job, scene, scenario, timeline, rulebook, selection, sources,
         previous = current
         clock.lap("adapt_s")
         yield t0, stop, objects, _interval_record(
-            t_s, noise, ctx, measured, projected, assignments, adapt_report,
+            t_s, ctx, measured, projected, assignments, adapt_report,
             crossfades)
         t0 = stop
 
@@ -758,11 +753,11 @@ def _mix(lanes, origin: int, t0: int, end: int, block: int, span_blocks: int,
     return spans
 
 
-def _interval_record(t_s, noise, ctx, measured, projected,
+def _interval_record(t_s, ctx, measured, projected,
                      assignments, adapt_report, crossfades) -> dict:
     return {
         "t_s": round(t_s, 6),
-        "noise_broadband_db": round(noise.broadband_db(), 6),
+        "noise_broadband_db": round(ctx.noise_broadband_db, 6),
         "noise_delta_db": round(ctx.noise_delta_db, 6),
         "measured_intelligibility": None if measured is None else round(measured, 6),
         "projected_intelligibility": None if projected is None else round(projected, 6),

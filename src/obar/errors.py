@@ -96,10 +96,6 @@ class SourceInsideArray(ObarError):
     component = "renderer_bank"
 
 
-class SingularSystem(ObarError):
-    component = "renderer_bank"
-
-
 class TooFewSpeakers(ObarError):
     component = "renderer_bank"
 

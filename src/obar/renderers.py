@@ -28,7 +28,6 @@ from .dsp import BlockFIR, decorrelator_fir, fractional_delay
 from .errors import (
     NotBracketed,
     RankDeficient,
-    SingularSystem,
     SourceInsideArray,
     StateMismatch,
     TooFewSpeakers,
@@ -249,19 +248,11 @@ def pm_filters(
     for fi, f in enumerate(freqs):
         G = _greens(d_spk, f)
         p = _greens(d_src, f)
-        if beta == 0.0:
-            s = np.linalg.svd(G, compute_uv=False)
-            rank = int(np.sum(s > max(G.shape) * np.finfo(float).eps * s[0]))
-            if rank < n_spk:
-                raise SingularSystem(
-                    f"unregularized system is singular at {f:.1f} Hz")
-            q, *_ = np.linalg.lstsq(G, p, rcond=None)
-        else:
-            # augmented least squares, equivalent to the regularized normal
-            # equations but solved along a different numerical route
-            a = np.vstack([G, math.sqrt(beta) * eye])
-            b = np.concatenate([p, np.zeros(n_spk)])
-            q, *_ = np.linalg.lstsq(a, b, rcond=None)
+        # augmented least squares, equivalent to the regularized normal
+        # equations but solved along a different numerical route
+        a = np.vstack([G, math.sqrt(beta) * eye])
+        b = np.concatenate([p, np.zeros(n_spk)])
+        q, *_ = np.linalg.lstsq(a, b, rcond=None)
         spectra[:, fi] = q
 
     align = (np.mean(d_src) - np.mean(d_spk, axis=0)) / SPEED_OF_SOUND_MS

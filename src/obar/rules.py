@@ -45,6 +45,10 @@ _TOKEN_RE = re.compile(r"""
 
 _KEYWORDS = {"and", "or", "not", "true", "false"}
 
+# How deep a condition may nest `not`, `(` and unary `-`: far above any real
+# condition, and shallow enough to parse and evaluate inside the recursion limit.
+_MAX_NESTING = 100
+
 
 def _tokenize(text: str):
     tokens = []
@@ -66,13 +70,8 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Node:
-    def evaluate(self, namespace):  # pragma: no cover - interface
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class _Literal(_Node):
+class _Literal:
     value: object
 
     def evaluate(self, namespace):
@@ -80,7 +79,7 @@ class _Literal(_Node):
 
 
 @dataclass(frozen=True)
-class _Name(_Node):
+class _Name:
     name: str
 
     def evaluate(self, namespace):
@@ -90,7 +89,7 @@ class _Name(_Node):
 
 
 @dataclass(frozen=True)
-class _Compare(_Node):
+class _Compare:
     op: str
     left: _Node
     right: _Node
@@ -110,7 +109,7 @@ class _Compare(_Node):
 
 
 @dataclass(frozen=True)
-class _Bool(_Node):
+class _Bool:
     op: str
     parts: tuple
 
@@ -121,7 +120,7 @@ class _Bool(_Node):
 
 
 @dataclass(frozen=True)
-class _Not(_Node):
+class _Not:
     inner: _Node
 
     def evaluate(self, namespace):
@@ -129,7 +128,7 @@ class _Not(_Node):
 
 
 @dataclass(frozen=True)
-class _Negate(_Node):
+class _Negate:
     inner: _Node
 
     def evaluate(self, namespace):
@@ -137,6 +136,9 @@ class _Negate(_Node):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ExpressionError(f"cannot negate {value!r}")
         return -value
+
+
+_Node = _Literal | _Name | _Compare | _Bool | _Not | _Negate
 
 
 def _truth(value) -> bool:
@@ -151,6 +153,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -163,6 +166,15 @@ class _Parser:
                 f"in {self.text!r}")
         self.pos += 1
         return token
+
+    def nested(self, parse) -> _Node:
+        """parse() one nesting level deeper, at most _MAX_NESTING levels."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ExpressionError(f"condition nests deeper than {_MAX_NESTING} levels")
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self) -> _Node:
         node = self.or_expr()
@@ -188,7 +200,7 @@ class _Parser:
     def not_expr(self) -> _Node:
         if self.peek()[0] == "not":
             self.take()
-            return _Not(self.not_expr())
+            return _Not(self.nested(self.not_expr))
         return self.comparison()
 
     def comparison(self) -> _Node:
@@ -206,7 +218,7 @@ class _Parser:
             return _Literal(float(value))
         if kind == "minus":
             self.take()
-            return _Negate(self.operand())
+            return _Negate(self.nested(self.operand))
         if kind == "string":
             self.take()
             return _Literal(value[1:-1])
@@ -221,7 +233,7 @@ class _Parser:
             return _Name(value)
         if kind == "lparen":
             self.take()
-            node = self.or_expr()
+            node = self.nested(self.or_expr)
             self.take("rparen")
             return node
         raise ExpressionError(

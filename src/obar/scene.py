@@ -318,8 +318,8 @@ def read_document(path: str, what: str):
     Every document file (scene, scenario, layout, rulebook, selection table,
     device listing) is read through here. A file that cannot be read, and
     text the JSON reader rejects (malformed JSON, bytes that are not UTF-8,
-    an integer literal beyond the reader's digit limit), raise SchemaError
-    naming what was being read.
+    an integer literal beyond the reader's digit limit, nesting deeper than
+    its recursion allows), raise SchemaError naming what was being read.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -328,6 +328,8 @@ def read_document(path: str, what: str):
         raise SchemaError(f"cannot read {what}: {exc}") from exc
     except ValueError as exc:
         raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"{what} nests too deeply to read") from None
 
 
 def require_keys(mapping, allowed, where):

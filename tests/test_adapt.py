@@ -40,7 +40,7 @@ from obar.context import (
 from obar.dsp import OCTAVE_CENTERS_HZ, Directive, apply_directives
 from obar.errors import NoDialogueObject, NonPositiveTau, UnknownProperty
 from obar.geometry import Direction3
-from obar.rules import DIRECT_ACTIONS, parse_rulebook
+from obar.rules import DIRECT_ACTIONS, default_rulebook, parse_rulebook
 from obar.scene import (
     PERCEPTUAL_PROPERTIES,
     AudioObject,
@@ -587,6 +587,24 @@ class TestApplyRules:
         assert "spectral_tilt" in directive_kinds
         assert "decorrelate" in directive_kinds
         assert not scene.object_by_id("band").directives
+
+    def test_default_rulebook_personalizes_team_groups(self):
+        """For a listener who prefers "home", the default rulebook's
+        personalize rule raises the home group 3 dB and lowers its away
+        counterpart 3 dB; an ungrouped object keeps its level."""
+        scene = make_scene(
+            make_object("home", "ambience", group="home_crowd"),
+            make_object("away", "ambience", group="away_crowd"),
+            make_object("pa", "effect"))
+        ctx = dataclasses.replace(make_ctx(), listener=ListenerInfo(
+            "l0", Direction3(0.0), team_preference="home"))
+        adapted, report = apply(scene, ctx, default_rulebook())
+        personalized = {(e.action.object_id, e.action.kind): e.action.value
+                        for e in report.applied
+                        if e.action.reason == "personalize-team-levels"}
+        assert personalized == {("home", "GainOffset"): 3.0,
+                                ("away", "GainOffset"): -3.0}
+        assert [o.level_db for o in adapted.objects] == [3.0, -3.0, 0.0]
 
     def test_prune_rule_removes_object_and_reports(self):
         scene = make_scene(

@@ -419,6 +419,56 @@ class TestEngine:
         for (_, samples), obj in zip(events, scene.objects):
             assert np.array_equal(samples, mono_mix(obj))
 
+    def test_an_action_with_nothing_to_act_on_is_reported_skipped(self, tmp_path):
+        """A rulebook whose one rule scales reverb tails, on the demo scene,
+        where no object has reverb: every interval's report lists each
+        object's skip, and the audio is the empty rulebook's."""
+        d = str(tmp_path)
+        scene = demo.write_demo_scene(d, duration_s=4.5)
+        scenario = demo.write_demo_scenario(d)
+
+        def render(name, rules):
+            rulebook = write_json(d, {"schema": "rulebook v1", "rules": rules},
+                                  f"{name}.json")
+            return render_output(RenderJob(
+                scene_path=scene, scenario_path=scenario, rulebook_path=rulebook,
+                out_path=os.path.join(d, f"{name}.wav")))
+
+        result, stretched = render("stretch", [{
+            "rule_id": "stretch", "when": "true",
+            "actions": [{"kind": "reverb_tail_scale", "factor": 1.2}]}])
+        _, plain = render("empty", [])
+        intervals = result.report["intervals"]
+        skips = [{"object_id": oid, "kind": "ReverbTailScale",
+                  "reason": "object has no reverb tail"}
+                 for oid in ("narrator", "band", "wash")]
+        assert len(intervals) == 3
+        assert all(iv["adaptation"]["skipped"] == skips for iv in intervals)
+        assert np.array_equal(stretched, plain)
+
+    def test_a_silent_stem_keeps_every_speaker(self, tmp_path):
+        """A silent, non-empty stem has no energy below any speaker's low
+        edge: every fraction of its band row is 0.0, band capability keeps
+        every speaker, a 300 Hz one too, and the render exits 0."""
+        d = str(tmp_path)
+        speakers = ring_speakers(4)
+        speakers[1]["bandwidth_hz"] = {"low": 300.0, "high": 8000.0}
+        scenario = write_json(d, scenario_doc(speakers), "scenario.json")
+        scene = write_scene(d, scene_doc([object_doc(
+            "hush", "music", [write_stem(d, "hush.wav", np.zeros(FS))],
+            position={"az": 10.0, "el": 0.0, "dist": None})]))
+        layout = context.parse_scenario(scenario)[0]
+        row = routing.band_table({"hush": np.zeros(FS)}, layout.speakers, FS)["hush"]
+        assert row == {40.0: 0.0, 300.0: 0.0}
+        assert routing.band_capable_subset(layout.speakers, row) == list(layout.speakers)
+        out = os.path.join(d, "out.wav")
+        assert cli_main(["render", "--scene", scene, "--scenario", scenario,
+                         "--out", out]) == 0
+        with open(out + ".report.json", encoding="utf-8") as fh:
+            intervals = json.load(fh)["intervals"]
+        assert all(a["speakers"] == list(layout.ids())
+                   for iv in intervals for a in iv["assignments"])
+
     def test_report_times_each_stage(self, tmp_path):
         """report["timing"] holds render_s and one wall time per stage;
         the stages are disjoint parts of the render, so they sum to no
@@ -1268,7 +1318,8 @@ class TestCLI:
         """Seven speakers within 18 degrees: their distinct azimuths allow
         order 3, whose decode is rank deficient, and order 2 decodes. Mode
         matching at order "highest" steps down to order 2 in the probe and
-        in selection alike, and no line of the probe names order 3."""
+        in selection alike, and no line of the probe names order 3. A row
+        that fixes order 3 does not step down: the next row wins."""
         azimuths = (-9.68, -4.67, -2.21, 0.26, 2.11, 5.46, 7.86)
         speakers = [{"id": f"s{i}", "position": {"az": az, "el": 0.0, "dist": 2.0}}
                     for i, az in enumerate(azimuths)]
@@ -1295,6 +1346,13 @@ class TestCLI:
                                              no_low_energy)
         assert assignment.renderer.label() == "AmbiMM(2)"
         assert assignment.speaker_subset == tuple(layout.ids())
+
+        fixed = parse_selection_rules({"schema": "selection v1", "rules": [
+            {"match": "true", "renderer": "AmbiMM", "order": 3},
+            {"match": "true", "renderer": "Diffuse"}]})
+        assignment = routing.select_renderer(obj, layout, None, fixed, {}, FS,
+                                             no_low_energy)
+        assert assignment.renderer.label() == "Diffuse"
 
     def test_probe_rejects_wfs_for_a_source_on_the_ring(self, tmp_path, capsys):
         """A 32-speaker ring of radius 2 m is one WFS segment, but the probe
@@ -1610,6 +1668,37 @@ class TestCLI:
         assert cli_main(argv) in (1, 2)
         err = capsys.readouterr().err.strip()
         assert err.startswith("error [") and err.count("\n") == 0, err
+        assert not os.path.exists(out)
+
+    def test_deeply_nested_document_fails_in_one_line(self, tmp_path, capsys):
+        """A JSON array nested 100000 deep makes the JSON reader overflow
+        the interpreter's stack, which read_document reports as one line."""
+        d, scene, scenario = self.demo_paths(tmp_path)
+        bad = os.path.join(d, "deep.json")
+        with open(bad, "w") as fh:
+            fh.write("[" * 100000 + "]" * 100000)
+        self._one_line_failures(
+            capsys, ["--scene", bad],
+            ["--scene", bad, "--scenario", scenario,
+             "--out", os.path.join(d, "x.wav")], "nests too deeply")
+
+    @pytest.mark.parametrize("when", [
+        "not " * 1000 + "true", "not " * 989 + "true", "(" * 300 + "true" + ")" * 300,
+    ], ids=["not-1000", "not-989", "paren-300"])
+    def test_deeply_nested_condition_fails_in_one_line(self, tmp_path, capsys,
+                                                       when):
+        """A condition nested past the parser's depth limit fails when the
+        rulebook loads, including the 989-deep chain that would compile and
+        then overflow the stack when the render evaluates it."""
+        d, scene, scenario = self.demo_paths(tmp_path)
+        rules = write_json(d, {"schema": "rulebook v1", "rules": [
+            {"rule_id": "deep", "when": when, "actions": [{"kind": "personalize"}]}]},
+            "deep-rules.json")
+        out = os.path.join(d, "x.wav")
+        assert cli_main(["render", "--scene", scene, "--scenario", scenario,
+                         "--rules", rules, "--out", out]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0 and "nests deeper" in err, err
         assert not os.path.exists(out)
 
     def test_integer_beyond_the_parser_limit_fails_in_one_line(self, tmp_path,

@@ -17,7 +17,6 @@ from obar import dsp, renderers
 from obar.errors import (
     NotBracketed,
     RankDeficient,
-    SingularSystem,
     SourceInsideArray,
     StateMismatch,
     TooFewSpeakers,
@@ -302,12 +301,6 @@ class TestPressureMatching:
             for _ in range(20):
                 eps = 1e-4 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
                 assert cost(q + eps) >= base
-
-    def test_singular_unregularized_system_rejected(self):
-        coincident = [Direction3(0.0, distance_m=2.0), Direction3(0.0, distance_m=2.0)]
-        with pytest.raises(SingularSystem):
-            pm_filters(coincident, [Direction3(0.0, distance_m=0.3)],
-                       self.SOURCE, freqs=np.array([1000.0]), beta=0.0, n_taps=64)
 
     def test_control_point_on_speaker_rejected(self):
         with pytest.raises(SourceInsideArray):

@@ -8,6 +8,7 @@ from obar.errors import ExpressionError, SchemaError
 from obar.rules import (
     DEFAULT_RULEBOOK_DOC,
     DEFAULT_SELECTION_DOC,
+    _MAX_NESTING,
     compile_expression,
     context_namespace,
     default_rulebook,
@@ -73,6 +74,17 @@ class TestExpressions:
     def test_malformed_expressions_fail_at_parse_time(self, text):
         with pytest.raises(ExpressionError):
             compile_expression(text)
+
+    @pytest.mark.parametrize("open_, close", [("not ", ""), ("(", ")"), ("-", "")])
+    def test_nesting_stops_at_a_fixed_depth(self, open_, close):
+        """Each `not`, `(` and unary `-` nests one level. A condition at the
+        (even) depth limit compiles and holds; one level deeper fails at
+        parse time, so evaluation never recurses deeper than parsing."""
+        depth = _MAX_NESTING
+        body = "1 < 2" if open_ == "-" else "true"
+        assert compile_expression(open_ * depth + body + close * depth).holds({})
+        with pytest.raises(ExpressionError, match="nests deeper"):
+            compile_expression(open_ * (depth + 1) + body + close * (depth + 1))
 
     def test_unary_minus(self):
         assert compile_expression("level_db > -4").holds(NS) is True
